@@ -6,7 +6,7 @@ stepsize acceleration experiment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -170,7 +170,12 @@ class InfeasibleBudget(ValueError):
 @dataclass(frozen=True)
 class AccelerationScore:
     """Final losses of the scheduled large-stepsize run versus the best
-    never-ascending constant-stepsize run at the same budget."""
+    never-ascending constant-stepsize run at the same budget.
+
+    ``traj_large`` and ``traj_small_best`` are the two runs themselves
+    (None where no baseline was found); they stay out of ``as_dict``,
+    ``repr`` and ``==``.
+    """
 
     eta_large: float
     loss_large_eta: float
@@ -178,6 +183,8 @@ class AccelerationScore:
     loss_small_eta_best: Optional[float]
     ratio: Optional[float]
     bound: float
+    traj_large: Trajectory = field(repr=False, compare=False)
+    traj_small_best: Optional[Trajectory] = field(repr=False, compare=False)
 
     def as_dict(self) -> dict:
         return {"eta_large": self.eta_large, "loss_large_eta": self.loss_large_eta,
@@ -216,18 +223,19 @@ def acceleration_score(ds: Dataset, T: int,
         # dyadic stepsizes at most half the scheduled one
         k_hi = int(math.floor(math.log2(plan.eta / 2.0) + 1e-12))
         eta_grid = [2.0 ** k for k in range(k_hi, -7, -1)]
-    eta_best, loss_best = None, None
+    eta_best, loss_best, best = None, None, None
     for eta in sorted(eta_grid, reverse=True):
         try:
             traj = run_gd(GdConfig(eta=eta, steps=T, loss=loss), ds)
         except DivergenceError:
             continue
         if _is_monotone(traj):
-            eta_best, loss_best = eta, float(traj.loss[-1])
+            eta_best, loss_best, best = eta, float(traj.loss[-1]), traj
             break
 
     ratio = loss_big / loss_best if loss_best else None
     return AccelerationScore(eta_large=plan.eta, loss_large_eta=loss_big,
                              eta_small_best=eta_best,
                              loss_small_eta_best=loss_best,
-                             ratio=ratio, bound=plan.bound)
+                             ratio=ratio, bound=plan.bound,
+                             traj_large=big, traj_small_best=best)

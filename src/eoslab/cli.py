@@ -204,24 +204,23 @@ def _run_accelerate(cfg: dict, out: Path) -> int:
     T = int(cfg["steps"])
     override = cfg.get("eta_override")
     _json_dump(cfg, out / "config.json")
-    loss = L.logistic()
     if override is None:
         score = A.acceleration_score(ds, T)
     else:
         cert = D.margin(ds)
         plan = B.acceleration_plan(cert.gamma, ds.n, T)
-        big = G.run_gd(G.GdConfig(eta=float(override), steps=T, loss=loss), ds)
+        big = G.run_gd(G.GdConfig(eta=float(override), steps=T, loss=L.logistic()), ds)
         score = A.AccelerationScore(
             eta_large=float(override), loss_large_eta=float(big.loss[-1]),
             eta_small_best=None, loss_small_eta_best=None, ratio=None,
-            bound=plan.bound)
+            bound=plan.bound, traj_large=big, traj_small_best=None)
     _json_dump(score.as_dict(), out / "accelerate.json")
-    big = G.run_gd(G.GdConfig(eta=score.eta_large, steps=T, loss=loss), ds)
+    big = score.traj_large
     G.write_trajectory_csv(big, out / "accelerate_large.csv")
     curves = [(f"scheduled eta={format(score.eta_large, 'g')}",
                big.steps.tolist(), big.loss.tolist())]
-    if score.eta_small_best is not None:
-        small = G.run_gd(G.GdConfig(eta=score.eta_small_best, steps=T, loss=loss), ds)
+    small = score.traj_small_best
+    if small is not None:
         G.write_trajectory_csv(small, out / "accelerate_baseline.csv")
         curves.append((f"monotone eta={format(score.eta_small_best, 'g')}",
                        small.steps.tolist(), small.loss.tolist()))

@@ -1,5 +1,9 @@
-"""Full-batch GD and online SGD engines over linear predictors, with
-per-step instrumentation and phase-transition detection.
+"""Full-batch GD and online SGD engines, with per-step instrumentation
+and phase-transition detection.
+
+``gd_engine`` is the one full-batch GD loop, run by ``run_gd`` on linear
+predictors and by ``eoslab.ntk.run_gd_ntk`` on the two-layer network; it
+and ``run_sgd`` share one divergence guard.
 
 A trajectory records, at every step, the loss L, the gradient norm, the
 parameter norm, the distance from initialization, the gradient potential
@@ -169,61 +173,81 @@ def potentials(loss: L.LossSpec, ds: Dataset, w: np.ndarray) -> tuple[float, flo
     return float(np.mean(L.g(loss, z))), Fv
 
 
-def run_gd(cfg: GdConfig, ds: Dataset) -> Trajectory:
-    """Constant-stepsize full-batch GD: w_t = w_{t-1} - eta * grad L(w_{t-1})."""
-    w = np.zeros(ds.d) if cfg.init is None else np.array(cfg.init, dtype=np.float64)
-    if w.shape != (ds.d,):
-        raise ValueError("init has the wrong dimension")
-    Zy = ds.signed()
-    n = ds.n
-    loss = cfg.loss
-    T = cfg.steps
+def _divergence_guard(diverged: str):
+    """The divergence guard: the returned ``check(t, loss)``, fed every
+    step's loss in step order, raises :class:`DivergenceError` on a
+    non-finite loss or once the loss has stayed above the factor times
+    L(w_0) for patience steps in a row, with ``diverged`` formatted with
+    ``t``, ``factor`` and ``patience`` as the message."""
+    loss0, over = None, 0
 
-    rec_steps, rec = [], {k: [] for k in ("loss", "grad_norm", "param_norm",
-                                          "dist_init", "G", "F")}
-    iterates = np.empty((T + 1, ds.d)) if cfg.store_iterates else None
-    w0 = w.copy()
-    loss0 = None
-    over = 0
-
-    for t in range(T + 1):
-        z = Zy @ w
-        lvec = L.eval_loss(loss, z)
-        lval = float(np.mean(lvec))
+    def check(t: int, lval: float) -> None:
+        nonlocal loss0, over
         if not math.isfinite(lval):
             raise DivergenceError(t, f"non-finite loss at step {t}")
         if loss0 is None:
             loss0 = lval
         over = over + 1 if lval > _GUARD_FACTOR * loss0 else 0
         if over >= _GUARD_PATIENCE:
-            raise DivergenceError(
-                t, f"loss exceeded {_GUARD_FACTOR:g} * L(w_0) for "
-                   f"{_GUARD_PATIENCE} consecutive steps (step {t})")
+            raise DivergenceError(t, diverged.format(
+                t=t, factor=_GUARD_FACTOR, patience=_GUARD_PATIENCE))
 
+    return check
+
+
+def gd_engine(w, origin, margins, gradient, loss: L.LossSpec, eta: float,
+              T: int, record_every: int, iterates: Optional[np.ndarray],
+              diverged: str) -> Trajectory:
+    """The full-batch GD loop of :func:`run_gd` and ``ntk.run_gd_ntk``
+    (internal): from ``w``, step t guards the loss at ``z = margins(w_t)``
+    and moves to ``w_t - eta * gradient(w_t, z, l'(z))``.  Every
+    ``record_every``-th step and T are recorded, ``dist_init`` from
+    ``origin``; ``iterates``, if given, receives every iterate."""
+    rec_steps, rec = [], {k: [] for k in ("loss", "grad_norm", "param_norm",
+                                          "dist_init", "G", "F")}
+    guard = _divergence_guard(diverged)
+
+    for t in range(T + 1):
+        z = margins(w)
+        lval = float(np.mean(L.eval_loss(loss, z)))
+        guard(t, lval)
         dvec = L.deriv(loss, z)
-        gvec = Zy.T @ dvec / n
+        gvec = gradient(w, z, dvec)
         if iterates is not None:
             iterates[t] = w
-        if t % cfg.record_every == 0 or t == T:
+        if t % record_every == 0 or t == T:
             with np.errstate(over="ignore"):
                 Fv = float(np.mean(np.exp(-z)))
             rec_steps.append(t)
             rec["loss"].append(lval)
             rec["grad_norm"].append(float(np.linalg.norm(gvec)))
             rec["param_norm"].append(float(np.linalg.norm(w)))
-            rec["dist_init"].append(float(np.linalg.norm(w - w0)))
+            rec["dist_init"].append(float(np.linalg.norm(w - origin)))
             rec["G"].append(float(np.mean(np.abs(dvec))))
             rec["F"].append(Fv)
         if t < T:
-            w = w - cfg.eta * gvec
+            w = w - eta * gvec
 
     return Trajectory(
         steps=np.array(rec_steps, dtype=np.int64),
         loss=np.array(rec["loss"]), grad_norm=np.array(rec["grad_norm"]),
         param_norm=np.array(rec["param_norm"]), dist_init=np.array(rec["dist_init"]),
         G=np.array(rec["G"]), F=np.array(rec["F"]),
-        eta=cfg.eta, loss_spec=loss, record_every=cfg.record_every,
+        eta=eta, loss_spec=loss, record_every=record_every,
         w_final=w.copy(), iterates=iterates)
+
+
+def run_gd(cfg: GdConfig, ds: Dataset) -> Trajectory:
+    """Constant-stepsize full-batch GD: w_t = w_{t-1} - eta * grad L(w_{t-1})."""
+    w = np.zeros(ds.d) if cfg.init is None else np.array(cfg.init, dtype=np.float64)
+    if w.shape != (ds.d,):
+        raise ValueError("init has the wrong dimension")
+    Zy, n = ds.signed(), ds.n
+    iterates = np.empty((cfg.steps + 1, ds.d)) if cfg.store_iterates else None
+    return gd_engine(
+        w, w.copy(), lambda v: Zy @ v, lambda v, z, dvec: Zy.T @ dvec / n,
+        cfg.loss, cfg.eta, cfg.steps, cfg.record_every, iterates,
+        "loss exceeded {factor:g} * L(w_0) for {patience} consecutive steps (step {t})")
 
 
 def stable_criterion(loss: L.LossSpec, eta: float, n: int) -> float:
@@ -297,8 +321,7 @@ def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng,
     W_buf = np.empty((block, ds.d)) if iterates is None else None
     Z_buf = np.empty((block, n))
     G_buf = np.empty((block, ds.d))
-    loss0 = None
-    over = 0
+    guard = _divergence_guard("population loss diverged (step {t})")
 
     # a block may run up to a block of steps past a divergence before the
     # guard sees it; those steps' overflows and NaNs are discarded with it
@@ -324,13 +347,7 @@ def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng,
 
             lvals = np.mean(np.logaddexp(0.0, -Z), axis=1)
             for t, lval in enumerate(lvals.tolist(), start):
-                if not math.isfinite(lval):
-                    raise DivergenceError(t, f"non-finite loss at step {t}")
-                if loss0 is None:
-                    loss0 = lval
-                over = over + 1 if lval > _GUARD_FACTOR * loss0 else 0
-                if over >= _GUARD_PATIENCE:
-                    raise DivergenceError(t, f"population loss diverged (step {t})")
+                guard(t, lval)
 
             expz = np.exp(Z)
             S = 1.0 / (1.0 + expz)             # = |l'(z)| for the logistic loss

@@ -1,5 +1,7 @@
 """Width-m two-layer ReLU network trained by full-batch GD in the lazy
 (kernel) regime, with diagnostics for how lazy the run actually was.
+The GD itself is descent's engine, the same loop and divergence guard as
+the linear runs; this module supplies the network margins and gradient.
 
 The network is f(x; w) = (1/sqrt(m)) sum_s a_s relu(x^T w^(s)) with fixed
 output signs a_s in {+/-1} and trainable first-layer weights only.  The
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import losses as L
 from .data import Dataset, MarginCertificate, margin
-from .descent import DivergenceError, Trajectory, _GUARD_FACTOR, _GUARD_PATIENCE
+from .descent import Trajectory, gd_engine
 from .numerics import Rng
 
 __all__ = [
@@ -36,7 +38,6 @@ __all__ = [
     "forward",
     "forward_all",
     "grad_param",
-    "ntk_loss",
     "ntk_grad",
     "linearization_error",
     "lazy_radius",
@@ -62,9 +63,6 @@ class NtkNet:
     @property
     def d(self) -> int:
         return self.w.shape[1]
-
-    def dist_init(self) -> float:
-        return float(np.linalg.norm(self.w - self.w0))
 
 
 @dataclass(frozen=True)
@@ -129,18 +127,11 @@ def grad_param(net: NtkNet, x: np.ndarray, w: Optional[np.ndarray] = None) -> np
     return blocks.ravel()
 
 
-def ntk_loss(net: NtkNet, ds: Dataset, loss: L.LossSpec,
-             w: Optional[np.ndarray] = None) -> float:
-    z = ds.ys * forward_all(net, ds.xs, w)
-    return float(np.mean(L.eval_loss(loss, z)))
-
-
-def ntk_grad(net: NtkNet, ds: Dataset, loss: L.LossSpec) -> np.ndarray:
-    """(m, d) gradient of the mean loss in the first-layer weights."""
-    pre = ds.xs @ net.w.T                      # (n, m)
-    f = np.maximum(pre, 0.0) @ net.a / math.sqrt(net.m)
-    coeff = L.deriv(loss, ds.ys * f) * ds.ys / ds.n   # (n,)
-    mask = pre > 0.0
+def ntk_grad(net: NtkNet, ds: Dataset, w: np.ndarray, dvec: np.ndarray) -> np.ndarray:
+    """(m, d) gradient of the mean loss in the first-layer weights ``w``,
+    given ``dvec`` = l'(z_i) at the margins z_i = y_i f(x_i; w)."""
+    mask = ds.xs @ w.T > 0.0                   # (n, m)
+    coeff = dvec * ds.ys / ds.n                # (n,)
     return (net.a[:, None] / math.sqrt(net.m)) * ((mask * coeff[:, None]).T @ ds.xs)
 
 
@@ -183,6 +174,11 @@ def run_gd_ntk(net: NtkNet, ds: Dataset, loss: L.LossSpec, eta: float, T: int,
                C_a: float = 1.0) -> tuple[Trajectory, NtkDiagnostics]:
     """Full-batch GD on the network loss, with laziness diagnostics.
 
+    Runs ``run_gd``'s loop, ``descent.gd_engine``, over the flattened
+    weights with the margins y_i f(x_i; w) and :func:`ntk_grad`, from
+    ``net.w``, recording every step and ``dist_init`` from ``net.w0``.
+    ``net.w`` ends at the last iterate reached, also on divergence.
+
     ``gamma`` (for the radius/width formulas) defaults to the certified
     linear margin of the dataset.  Diagnostics are observational: a run at
     insufficient width reports max_dist > R rather than failing.
@@ -191,44 +187,18 @@ def run_gd_ntk(net: NtkNet, ds: Dataset, loss: L.LossSpec, eta: float, T: int,
         raise ValueError("T must be >= 1")
     if gamma is None:
         gamma = margin(ds).gamma
-    rec = {k: np.empty(T + 1) for k in ("loss", "grad_norm", "param_norm",
-                                        "dist_init", "G", "F")}
-    loss0 = None
-    over = 0
-    max_dist = 0.0
-    for t in range(T + 1):
-        z = ds.ys * forward_all(net, ds.xs)
-        lvec = L.eval_loss(loss, z)
-        lval = float(np.mean(lvec))
-        if not math.isfinite(lval):
-            raise DivergenceError(t, f"non-finite loss at step {t}")
-        if loss0 is None:
-            loss0 = lval
-        over = over + 1 if lval > _GUARD_FACTOR * loss0 else 0
-        if over >= _GUARD_PATIENCE:
-            raise DivergenceError(t, f"network loss diverged (step {t})")
-        gmat = ntk_grad(net, ds, loss)
-        dist = net.dist_init()
-        max_dist = max(max_dist, dist)
-        rec["loss"][t] = lval
-        rec["grad_norm"][t] = float(np.linalg.norm(gmat))
-        rec["param_norm"][t] = float(np.linalg.norm(net.w))
-        rec["dist_init"][t] = dist
-        rec["G"][t] = float(np.mean(L.g(loss, z)))
-        with np.errstate(over="ignore"):
-            rec["F"][t] = float(np.mean(np.exp(-z)))
-        if t < T:
-            net.w = net.w - eta * gmat
+    shape = net.w.shape
 
-    traj = Trajectory(
-        steps=np.arange(T + 1, dtype=np.int64),
-        loss=rec["loss"], grad_norm=rec["grad_norm"],
-        param_norm=rec["param_norm"], dist_init=rec["dist_init"],
-        G=rec["G"], F=rec["F"], eta=eta, loss_spec=loss, record_every=1,
-        w_final=net.w.ravel().copy())
+    def margins(w):
+        net.w = w.reshape(shape)   # net.w follows the run, up to a diverging step
+        return ds.ys * forward_all(net, ds.xs)
+
+    traj = gd_engine(net.w.ravel(), net.w0.ravel(), margins,
+                     lambda w, z, dvec: ntk_grad(net, ds, w.reshape(shape), dvec).ravel(),
+                     loss, eta, T, 1, None, "network loss diverged (step {t})")
     diag = NtkDiagnostics(
         R=lazy_radius(loss, gamma, eta, T, ds.n, delta, C_a),
-        max_dist=max_dist,
+        max_dist=float(traj.dist_init.max()),
         width_min=width_min(loss, gamma, eta, T, ds.n, delta, C_a))
     return traj, diag
 

@@ -2,9 +2,8 @@
 finite differences, and 1-D minimization.
 
 Everything here is 64-bit float and fully reproducible: the random stream
-is PCG64 (seeded), normals come from Box-Muller on that stream, and the
-scalar reductions exposed here use a fixed left-to-right order so repeated
-runs are bit-identical.
+is PCG64 (seeded) and normals come from Box-Muller on that stream, so the
+same seed gives the same draws on every run.
 """
 
 from __future__ import annotations
@@ -17,9 +16,6 @@ import numpy as np
 __all__ = [
     "Rng",
     "as_vec",
-    "dot",
-    "norm",
-    "gaussian_vec",
     "minimize_1d",
     "finite_diff_grad",
 ]
@@ -29,33 +25,14 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def as_vec(x: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Coerce to a finite 1-D float64 array (the vector type used throughout)."""
+    """Coerce to a finite 1-D float64 array (the input check of
+    :func:`finite_diff_grad`)."""
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"expected a 1-D vector with at least one entry, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("vector entries must be finite")
     return v
-
-
-def dot(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:
-    """Inner product with left-to-right accumulation.
-
-    The summation order is fixed (no pairwise/tree reordering) so that
-    trajectories built on top of it are bit-reproducible across runs.
-    """
-    va, vb = as_vec(a), as_vec(b)
-    if va.shape != vb.shape:
-        raise ValueError(f"dimension mismatch: {va.shape[0]} vs {vb.shape[0]}")
-    acc = 0.0
-    for x, y in zip(va.tolist(), vb.tolist()):
-        acc += x * y
-    return acc
-
-
-def norm(a: Sequence[float] | np.ndarray) -> float:
-    """Euclidean norm via the fixed-order inner product."""
-    return math.sqrt(dot(a, a))
 
 
 class Rng:
@@ -108,13 +85,6 @@ class Rng:
         z[0::2] = r * np.cos(theta)
         z[1::2] = r * np.sin(theta)
         return z[:size]
-
-
-def gaussian_vec(rng: Rng, dim: int) -> np.ndarray:
-    """An i.i.d. standard-normal vector of the given dimension."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    return rng.normals(dim)
 
 
 def minimize_1d(

@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from eoslab import analysis, descent
 from eoslab.cli import main
 
 
@@ -150,6 +151,27 @@ class TestAccelerate:
         summary = json.loads((out / "accelerate.json").read_text())
         assert summary["eta_large"] == 2.0
         assert summary["ratio"] is None
+
+    @pytest.mark.parametrize("argv,etas", [
+        (("--steps", "12000"), 2),
+        (("--steps", "100", "--eta-override", "2.0"), 1),
+    ], ids=["scheduled", "override"])
+    def test_each_run_made_once(self, tmp_path, monkeypatch, argv, etas):
+        # the CSVs come from the runs the score was computed from
+        calls = []
+        real = descent.run_gd
+
+        def counting(cfg, ds):
+            calls.append(cfg.eta)
+            return real(cfg, ds)
+
+        monkeypatch.setattr(descent, "run_gd", counting)
+        monkeypatch.setattr(analysis, "run_gd", counting)
+        out = tmp_path / "acc"
+        assert run("accelerate", "--dataset", "toy", *argv, "--out", str(out)) == 0
+        summary = json.loads((out / "accelerate.json").read_text())
+        assert len(calls) == etas == len(set(calls))
+        assert summary["eta_large"] in calls
 
 
 class TestRates:

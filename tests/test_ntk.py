@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from eoslab import bounds, data, losses, ntk
+from eoslab import bounds, data, descent, losses, ntk
 from eoslab.numerics import Rng, finite_diff_grad
 
 LOG = losses.logistic()
@@ -112,6 +112,32 @@ class TestGradParam:
             checked += 1
 
 
+class TestNtkGrad:
+    @pytest.mark.parametrize("loss", [LOG, losses.flattened_exponential(1.5),
+                                      losses.flattened_polynomial(2.0)],
+                             ids=lambda spec: spec.kind)
+    def test_matches_finite_differences_of_mean_loss(self, loss):
+        # the gradient at weights w other than net.w, from l'(z) at w's margins
+        rng = Rng(4)
+        checked = 0
+        while checked < 20:
+            net = ntk.init_net(6, 2, rng)
+            w = net.w0 + 0.5 * rng.normals(net.m * net.d).reshape(net.m, net.d)
+            if np.min(np.abs(NTOY.xs @ w.T)) < 1e-3:
+                continue  # too close to an activation boundary
+
+            def mean_loss(v):
+                z = NTOY.ys * ntk.forward_all(net, NTOY.xs, v.reshape(net.m, net.d))
+                return float(np.mean(losses.eval_loss(loss, z)))
+
+            dvec = losses.deriv(loss, NTOY.ys * ntk.forward_all(net, NTOY.xs, w))
+            g = ntk.ntk_grad(net, NTOY, w, dvec)
+            assert g.shape == (net.m, net.d)
+            fd = finite_diff_grad(mean_loss, w.ravel(), h=1e-6)
+            np.testing.assert_allclose(g.ravel(), fd, atol=1e-6)
+            checked += 1
+
+
 class TestLinearizationError:
     def test_zero_at_same_point(self):
         rng = Rng(2)
@@ -208,3 +234,116 @@ class TestTangentMargin:
         net = ntk.init_net(2048, 2, Rng(5))
         cert = ntk.ntk_margin_hat(net, xor)
         assert cert.gamma > 0.0
+
+
+def _reference_gd_ntk(net, ds, loss, eta, T, gamma, delta=0.1, C_a=1.0):
+    """The network's own step loop, recording and guard, as run_gd_ntk ran
+    them before it called descent's GD engine; the oracle for that call.
+    Moves net.w along the run like run_gd_ntk."""
+    rec = {k: np.empty(T + 1) for k in ("loss", "grad_norm", "param_norm",
+                                        "dist_init", "G", "F")}
+    loss0, over, max_dist = None, 0, 0.0
+    for t in range(T + 1):
+        z = ds.ys * ntk.forward_all(net, ds.xs)
+        lval = float(np.mean(losses.eval_loss(loss, z)))
+        if not math.isfinite(lval):
+            raise descent.DivergenceError(t, f"non-finite loss at step {t}")
+        if loss0 is None:
+            loss0 = lval
+        over = over + 1 if lval > descent._GUARD_FACTOR * loss0 else 0
+        if over >= descent._GUARD_PATIENCE:
+            raise descent.DivergenceError(t, f"network loss diverged (step {t})")
+        pre = ds.xs @ net.w.T
+        f = np.maximum(pre, 0.0) @ net.a / math.sqrt(net.m)
+        coeff = losses.deriv(loss, ds.ys * f) * ds.ys / ds.n
+        gmat = (net.a[:, None] / math.sqrt(net.m)) * (((pre > 0.0) * coeff[:, None]).T @ ds.xs)
+        dist = float(np.linalg.norm(net.w - net.w0))
+        max_dist = max(max_dist, dist)
+        rec["loss"][t] = lval
+        rec["grad_norm"][t] = float(np.linalg.norm(gmat))
+        rec["param_norm"][t] = float(np.linalg.norm(net.w))
+        rec["dist_init"][t] = dist
+        rec["G"][t] = float(np.mean(losses.g(loss, z)))
+        with np.errstate(over="ignore"):
+            rec["F"][t] = float(np.mean(np.exp(-z)))
+        if t < T:
+            net.w = net.w - eta * gmat
+    diag = ntk.NtkDiagnostics(
+        R=ntk.lazy_radius(loss, gamma, eta, T, ds.n, delta, C_a),
+        max_dist=max_dist,
+        width_min=ntk.width_min(loss, gamma, eta, T, ds.n, delta, C_a))
+    return rec, net.w.ravel().copy(), diag
+
+
+def _ntk_outcome(run, net, *args):
+    """(result or (step, message) of the DivergenceError, net.w after)."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = run(net, *args)
+    except descent.DivergenceError as exc:
+        out = (exc.step, str(exc))
+    return out, net.w.copy()
+
+
+NTK_LOSSES = [LOG, losses.flattened_exponential(1.5), losses.flattened_polynomial(2.0)]
+CONFLICT = data.Dataset(np.array([[1.0], [0.3]]), np.array([1.0, -1.0]), name="conflict")
+
+
+def _conflict_net(scale):
+    # every ReLU stays active on the positive inputs, so the net is a
+    # linear predictor on this non-separable set and large steps diverge
+    net = ntk.init_net(2, 1, Rng(0))
+    net.w = np.array([[scale + 0.5], [scale]])
+    net.w0 = net.w.copy()
+    return net
+
+
+class TestRunGdNtkMatchesStepwiseReference:
+    """run_gd_ntk runs descent's GD engine; every series, w_final, net.w and
+    the diagnostics must equal the network's own step loop bit for bit."""
+
+    @staticmethod
+    def _assert_same(make_net, ds, loss, eta, T):
+        ref, ref_w = _ntk_outcome(_reference_gd_ntk, make_net(), ds, loss, eta, T, GAMMA)
+        got, got_w = _ntk_outcome(ntk.run_gd_ntk, make_net(), ds, loss, eta, T, GAMMA)
+        np.testing.assert_array_equal(got_w, ref_w)
+        if not isinstance(ref[0], dict):
+            assert got == ref
+            return ref
+        rec, w_final, diag = ref
+        traj, got_diag = got
+        np.testing.assert_array_equal(traj.steps, np.arange(T + 1))
+        for key, series in rec.items():
+            assert np.array_equal(getattr(traj, key), series), key
+        assert np.array_equal(traj.w_final, w_final)
+        assert traj.record_every == 1 and traj.iterates is None
+        assert got_diag == diag
+        return None
+
+    @pytest.mark.parametrize("eta", [1.0, 8.0])
+    @pytest.mark.parametrize("m,T", [(2, 150), (64, 150), (4096, 25)])
+    @pytest.mark.parametrize("loss", NTK_LOSSES, ids=lambda spec: spec.kind)
+    def test_bit_identical(self, loss, m, T, eta):
+        assert self._assert_same(lambda: ntk.init_net(m, 2, Rng(m)),
+                                 NTOY, loss, eta, T) is None
+
+    @pytest.mark.parametrize("loss", NTK_LOSSES, ids=lambda spec: spec.kind)
+    def test_continued_run_measures_from_w0(self, loss):
+        def trained():
+            net = ntk.init_net(16, 2, Rng(1))
+            ntk.run_gd_ntk(net, NTOY, loss, 2.0, 40, gamma=GAMMA)
+            return net
+        assert self._assert_same(trained, NTOY, loss, 4.0, 60) is None
+
+    @pytest.mark.parametrize("loss", NTK_LOSSES, ids=lambda spec: spec.kind)
+    def test_sustained_divergence(self, loss):
+        out = self._assert_same(lambda: _conflict_net(1e9), CONFLICT, loss, 1e6, 300)
+        assert out == (50, "network loss diverged (step 50)")
+
+    def test_non_finite_loss(self):
+        def blown_up():
+            net = ntk.init_net(8, 2, Rng(0))
+            net.w = net.w * np.inf
+            return net
+        out = self._assert_same(blown_up, NTOY, LOG, 1.0, 10)
+        assert out == (0, "non-finite loss at step 0")

@@ -1,77 +1,47 @@
-"""Low-level numerics: fixed-order inner products, the seeded random
-stream, golden-section minimization, and finite differences."""
+"""Low-level numerics: vector input checks, the seeded random stream,
+golden-section minimization, and finite differences."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from eoslab import data, descent, losses
-from eoslab.numerics import Rng, dot, finite_diff_grad, gaussian_vec, minimize_1d
-
-finite_floats = st.floats(min_value=-1e6, max_value=1e6,
-                          allow_nan=False, allow_infinity=False)
+from eoslab.numerics import Rng, as_vec, finite_diff_grad, minimize_1d
 
 
-class TestDot:
-    def test_coordinate_projection(self):
-        assert dot([1.0, 0.2], [0.0, 1.0]) == pytest.approx(0.2, abs=0)
-
-    def test_zero_vector(self):
-        assert dot([0.0, 0.0], [3.0, 4.0]) == 0.0
-
-    def test_hand_arithmetic(self):
-        # 1*1 + 0.2*0.2 = 1.04
-        assert dot([1.0, 0.2], [1.0, 0.2]) == pytest.approx(1.04, abs=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            dot([1.0], [1.0, 2.0])
-
+class TestAsVec:
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            dot([np.nan, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            as_vec([np.nan, 0.0])
 
-    @given(st.lists(finite_floats, min_size=1, max_size=8),
-           st.lists(finite_floats, min_size=1, max_size=8),
-           st.lists(finite_floats, min_size=1, max_size=8),
-           finite_floats, finite_floats)
-    @settings(max_examples=200, deadline=None)
-    def test_symmetric_and_bilinear(self, a, b, c, s, t):
-        n = min(len(a), len(b), len(c))
-        a, b, c = np.array(a[:n]), np.array(b[:n]), np.array(c[:n])
-        assert dot(a, b) == pytest.approx(dot(b, a), rel=1e-12, abs=1e-12)
-        lhs = dot(a, s * b + t * c)
-        rhs = s * dot(a, b) + t * dot(a, c)
-        # relative to the accumulated term magnitudes, so cancellation
-        # between huge products does not masquerade as a violation
-        scale = 1.0 + abs(s) * float(np.abs(a) @ np.abs(b)) \
-            + abs(t) * float(np.abs(a) @ np.abs(c))
-        assert abs(lhs - rhs) / scale < 1e-12
+    def test_rejects_non_vector(self):
+        with pytest.raises(ValueError, match="1-D"):
+            as_vec([[1.0, 2.0]])
+        with pytest.raises(ValueError, match="1-D"):
+            as_vec([])
 
 
 class TestRng:
     def test_same_seed_same_stream(self):
-        v1 = gaussian_vec(Rng(0), 64)
-        v2 = gaussian_vec(Rng(0), 64)
+        v1 = Rng(0).normals(64)
+        v2 = Rng(0).normals(64)
         np.testing.assert_array_equal(v1, v2)
 
     def test_stream_advances(self):
         rng = Rng(0)
-        a = gaussian_vec(rng, 2)
-        b = gaussian_vec(rng, 2)
+        a = rng.normals(2)
+        b = rng.normals(2)
         assert not np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = gaussian_vec(Rng(0), 64)
-        b = gaussian_vec(Rng(1), 64)
+        a = Rng(0).normals(64)
+        b = Rng(1).normals(64)
         assert np.any(a != b)
 
     def test_moments_at_scale(self):
         # 1e5 two-coordinate samples: per-coordinate mean within +/-0.02
-        z = gaussian_vec(Rng(123), 200_000).reshape(-1, 2)
+        z = Rng(123).normals(200_000).reshape(-1, 2)
         mean = z.mean(axis=0)
         assert np.all(np.abs(mean) <= 0.02)
         assert np.all(np.abs(z.std(axis=0) - 1.0) <= 0.02)
@@ -82,7 +52,7 @@ class TestRng:
 
     def test_bad_dim(self):
         with pytest.raises(ValueError):
-            gaussian_vec(Rng(0), 0)
+            Rng(0).normals(0)
 
 
 class TestMinimize1d:
@@ -123,12 +93,12 @@ class TestMinimize1d:
 class TestFiniteDiff:
     def test_linear_function(self):
         c = np.array([2.0, -1.5, 0.25])
-        g = finite_diff_grad(lambda w: dot(w, c), np.array([0.3, 0.7, -2.0]), h=1e-5)
+        g = finite_diff_grad(lambda w: w @ c, np.array([0.3, 0.7, -2.0]), h=1e-5)
         np.testing.assert_allclose(g, c, atol=1e-8)
 
     def test_half_square_norm(self):
         w = np.array([1.0, -2.0, 0.5])
-        g = finite_diff_grad(lambda w_: 0.5 * dot(w_, w_), w, h=1e-5)
+        g = finite_diff_grad(lambda w_: 0.5 * (w_ @ w_), w, h=1e-5)
         np.testing.assert_allclose(g, w, atol=1e-6)
 
     def test_matches_analytic_logistic_gradient(self):
