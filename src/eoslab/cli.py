@@ -461,8 +461,8 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"error: missing config key {exc}", file=sys.stderr)
         return 3
-    except (ValueError, A.InfeasibleBudget, D.NotSeparable, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, A.InfeasibleBudget, D.NotSeparable, D.NotConverged,
+            OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

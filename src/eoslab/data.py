@@ -1,12 +1,15 @@
 """Datasets for separable linear classification and max-margin certification.
 
-The margin solver computes the exact maximum margin of a homogeneous
-separator by min-norm-point duality: the margin equals the distance from
-the origin to the convex hull of the signed samples {y_i x_i}, and the
-minimizing point, normalized, is the certifying direction.  The min-norm
-point is found by Gilbert's algorithm (greedy support point plus an exact
-line search), which also detects non-separable inputs when the hull
-contains the origin.
+The margin solver uses min-norm-point duality: the max margin of a
+homogeneous separator equals the distance from the origin to the convex
+hull of the signed samples {y_i x_i}, and the min-norm point p,
+normalized, is the certifying direction.  p is found by Wolfe's
+nearest-point method (Wolfe 1976), which keeps an active set of hull
+vertices and terminates finitely.  A certificate's ``gamma`` is the
+margin its direction verifiably attains, min_i <y_i x_i, w_star>, a lower
+bound on the max margin; ``upper`` = ||p|| is an upper bound.  The solver
+raises :class:`NotSeparable` when the hull contains the origin (within
+tolerance) and :class:`NotConverged` when it hits its iteration cap.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ __all__ = [
     "Dataset",
     "MarginCertificate",
     "NotSeparable",
+    "NotConverged",
     "toy_dataset",
     "lower_bound_dataset",
     "synthetic_separable",
@@ -37,6 +41,14 @@ __all__ = [
 
 class NotSeparable(ValueError):
     """The convex hull of {y_i x_i} contains the origin."""
+
+
+class NotConverged(RuntimeError):
+    """The margin solver hit its iteration cap before its tolerance."""
+
+
+# how far a certificate direction's norm may be from 1
+_UNIT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -56,6 +68,8 @@ class Dataset:
             raise ValueError("ys must have one label per sample")
         if not np.all(np.isin(ys, (-1.0, 1.0))):
             raise ValueError("labels must be +1 or -1")
+        if not np.all(np.isfinite(xs)):
+            raise ValueError("features must be finite (found nan or inf)")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 
@@ -83,18 +97,21 @@ class Dataset:
 
 @dataclass(frozen=True)
 class MarginCertificate:
-    """A certified margin: min_i y_i <x_i, w_star> >= gamma - residual."""
+    """A certified margin: min_i y_i <x_i, w_star> >= gamma, while no
+    unit direction attains a margin above ``upper``."""
 
     gamma: float
     w_star: np.ndarray
-    residual: float
+    upper: float
 
     def __post_init__(self):
         if not self.gamma > 0.0:
             raise ValueError("certified margin must be positive")
         w = np.asarray(self.w_star, dtype=np.float64)
-        if abs(float(np.linalg.norm(w)) - 1.0) > 1e-10:
+        if abs(float(np.linalg.norm(w)) - 1.0) > _UNIT_TOL:
             raise ValueError("w_star must be a unit vector")
+        if not self.upper >= self.gamma:
+            raise ValueError("upper bound below the certified margin")
         object.__setattr__(self, "w_star", w)
 
 
@@ -179,7 +196,10 @@ def load_csv(path: str | Path, normalize: str | None = None) -> Dataset:
         if len(r) != width:
             raise ValueError(f"{path}: row {lineno} has {len(r)} fields, expected {width}")
     arr = np.array(rows)
-    ds = Dataset(arr[:, 1:], arr[:, 0], name=path.stem)
+    try:
+        ds = Dataset(arr[:, 1:], arr[:, 0], name=path.stem)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if normalize == "max":
         ds = normalized(ds)
     elif normalize is not None:
@@ -207,58 +227,95 @@ def normalized(ds: Dataset) -> Dataset:
 # -- max-margin certification ------------------------------------------------
 
 
-def _gilbert_min_norm_point(Z: np.ndarray, tol: float, max_iter: int = 200_000,
-                            trace: list | None = None):
-    """Min-norm point of conv(rows of Z) by Gilbert's algorithm.
+def _wolfe_min_norm_point(Z: np.ndarray, tol: float, max_iter: int = 10_000,
+                          trace: list | None = None) -> np.ndarray:
+    """Min-norm point of conv(rows of Z) by Wolfe's method (Wolfe 1976).
 
-    Returns (p, gap) where gap = <p, p> - min_i <p, z_i> is the final
-    Frank-Wolfe gap.  Iterate norms are non-increasing because each step
-    is an exact line search toward a support point; pass ``trace`` to
-    collect them.
+    Keeps an active set S of rows with positive convex weights.  Each
+    major step adds the row minimizing <z, x>; minor steps move toward the
+    min-norm point of the affine hull of S and drop rows whose weight
+    would turn negative.  With R = max_i ||z_i||, stops when the duality
+    gap <x, x> - min_i <z_i, x> is at most tol * R * ||x||, so that x/||x||
+    attains a margin within tol * R of ||x||, or when ||x|| <= tol * R.
+    Raises :class:`NotConverged` after ``max_iter`` major steps.  Iterate
+    norms are non-increasing; pass ``trace`` to collect one per major step.
     """
     norms = np.linalg.norm(Z, axis=1)
-    p = Z[int(np.argmin(norms))].copy()
+    rmax = float(np.max(norms))
+    active = [int(np.argmin(norms))]
+    weights = np.ones(1)
+    x = Z[active[0]].copy()
+    B = np.zeros((Z.shape[1], 0))  # the active rows minus the first, as columns
     for _ in range(max_iter):
+        xnorm = float(np.linalg.norm(x))
         if trace is not None:
-            trace.append(float(np.linalg.norm(p)))
-        scores = Z @ p
-        q = Z[int(np.argmin(scores))]
-        gap = float(p @ p - np.min(scores))
-        if gap <= tol or float(p @ p) <= tol * tol:
-            return p, gap
-        d = q - p
-        dd = float(d @ d)
-        if dd == 0.0:
-            return p, gap
-        theta = min(1.0, max(0.0, float(-(p @ d)) / dd))
-        p = p + theta * d
-    return p, float(p @ p - np.min(Z @ p))
+            trace.append(xnorm)
+        scores = Z @ x
+        j = int(np.argmin(scores))
+        gap = float(x @ x) - float(scores[j])
+        if gap <= tol * rmax * xnorm or xnorm <= tol * rmax:
+            # one step of iterative refinement: take out the roundoff
+            # component of x along the affine hull of the active rows
+            return x - B @ np.linalg.lstsq(B, x, rcond=None)[0]
+        if j in active:
+            break  # roundoff: the affine solve no longer resolves the gap
+        active.append(j)
+        weights = np.append(weights, 0.0)
+        while True:
+            # affine min-norm point z_0 + B c of the active rows, by least
+            # squares on the differences B (a normal-equations solve would
+            # square their conditioning)
+            ZS = Z[active]
+            B = (ZS[1:] - ZS[0]).T
+            c = np.linalg.lstsq(B, -ZS[0], rcond=None)[0]
+            alpha = np.concatenate(([1.0 - c.sum()], c))
+            if np.all(alpha > 0.0):
+                weights = alpha
+                break
+            # move toward alpha until the first weight hits zero; drop it
+            neg = np.flatnonzero(alpha <= 0.0)
+            ratios = weights[neg] / (weights[neg] - alpha[neg])
+            weights = weights + float(np.min(ratios)) * (alpha - weights)
+            weights[neg[np.argmin(ratios)]] = 0.0
+            keep = weights > 0.0
+            active = [i for i, kept in zip(active, keep) if kept]
+            weights = weights[keep]
+        x = weights @ ZS
+    raise NotConverged(
+        f"margin solver stopped with gap {gap:.3e} above its tolerance "
+        f"{tol * rmax * xnorm:.3e} (cap {max_iter} major iterations)")
 
 
 def margin(ds: Dataset, tol: float = 1e-10,
            trace: list | None = None) -> MarginCertificate:
-    """Exact max margin of a homogeneous separator, with certificate.
+    """Max margin of a homogeneous separator, with a verified certificate.
 
-    Raises :class:`NotSeparable` when the hull of the signed samples
-    contains the origin (within tolerance).
+    ``gamma`` is the margin the returned direction attains; ``upper`` is
+    the norm of the min-norm point, an upper bound on the true margin, and
+    ``upper - gamma <= tol * max_i ||z_i||`` up to roundoff.  Raises
+    :class:`NotSeparable` when no positive margin can be certified (the
+    signed-sample hull contains the origin, within tolerance), and
+    :class:`NotConverged` when the solver hits its iteration cap.
     """
     Z = ds.signed()
-    p, gap = _gilbert_min_norm_point(Z, tol, trace=trace)
+    p = _wolfe_min_norm_point(Z, tol, trace=trace)
     pnorm = float(np.linalg.norm(p))
-    if pnorm <= math.sqrt(tol):
+    w_star = p / pnorm if pnorm > 0.0 else p  # p = 0 gives gamma = 0
+    gamma = float(np.min(Z @ w_star))
+    if not gamma > 0.0:
         raise NotSeparable(
             f"{ds.name}: the signed-sample hull contains the origin "
             f"(min-norm point has norm {pnorm:.3e})")
-    w_star = p / pnorm
-    # min_i <z_i, w_star> = (<p,p> - gap)/||p|| = ||p|| - gap/||p|| exactly
-    residual = max(gap / pnorm, 0.0)
-    return MarginCertificate(gamma=pnorm, w_star=w_star, residual=residual)
+    # gamma <= ||p|| in exact arithmetic, but at convergence the two can
+    # round an ulp apart in either direction
+    return MarginCertificate(gamma=gamma, w_star=w_star, upper=max(pnorm, gamma))
 
 
 def verify_margin(ds: Dataset, cert: MarginCertificate, tol: float = 1e-9) -> bool:
-    """True iff the certificate's direction attains its claimed margin."""
+    """True iff the certificate's direction attains its claimed margin,
+    to within ``tol``."""
     w = np.asarray(cert.w_star, dtype=np.float64)
-    if abs(float(np.linalg.norm(w)) - 1.0) > tol:
+    if abs(float(np.linalg.norm(w)) - 1.0) > _UNIT_TOL:
         return False
     margins = ds.signed() @ w
     return bool(np.min(margins) >= cert.gamma - tol)

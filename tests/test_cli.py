@@ -1,12 +1,13 @@
 """The eos-lab command line: files produced, exit codes, embedded-config
 reproducibility, and SVG well-formedness."""
 
+import functools
 import json
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from eoslab import analysis, descent
+from eoslab import analysis, data, descent
 from eoslab.cli import main
 
 
@@ -74,6 +75,24 @@ class TestGd:
         rc = run("gd", "--dataset", "csv", "--path", str(tmp_path / "nope.csv"),
                  "--eta", "1", "--steps", "10", "--out", str(tmp_path / "v"))
         assert rc == 3
+
+    def test_nan_feature_exit_code_names_file(self, tmp_path, capsys):
+        csv = tmp_path / "holes.csv"
+        csv.write_text("1,0.5,0.25\n-1,nan,1.0\n")
+        rc = run("gd", "--dataset", "csv", "--path", str(csv),
+                 "--eta", "1", "--steps", "10", "--out", str(tmp_path / "h"))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(csv) in err
+
+    def test_solver_not_converged_exit_code(self, tmp_path, capsys, monkeypatch):
+        capped = functools.partial(data._wolfe_min_norm_point, max_iter=1)
+        monkeypatch.setattr(data, "_wolfe_min_norm_point", capped)
+        rc = run("gd", "--dataset", "synthetic", "--n", "50", "--d", "5",
+                 "--eta", "1", "--steps", "10", "--out", str(tmp_path / "nc"))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: margin solver") and err.count("\n") == 1
 
     def test_check_bounds_writes_empty_violation_list(self, tmp_path):
         out = tmp_path / "cb"

@@ -1,10 +1,13 @@
 """Datasets and the max-margin solver, cross-checked against a dense
-direction-grid oracle in two dimensions."""
+direction-grid oracle in two dimensions, random separable sets and a
+scipy QP oracle."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eoslab import data
 from eoslab.numerics import Rng
@@ -27,6 +30,36 @@ def grid_margin_2d(ds, coarse=1_000_000, refine=10_000):
     fine = np.linspace(th - 2 * step, th + 2 * step, refine)
     _, val = best(fine)
     return val
+
+
+def qp_min_norm(Z):
+    """Independent oracle: the min-norm point's norm over conv(rows of Z),
+    by scipy's SLSQP on the simplex-constrained QP."""
+    optimize = pytest.importorskip("scipy.optimize")
+    n = Z.shape[0]
+    res = optimize.minimize(
+        lambda lam: float((lam @ Z) @ (lam @ Z)), np.full(n, 1.0 / n),
+        jac=lambda lam: 2.0 * (Z @ (lam @ Z)), method="SLSQP",
+        bounds=[(0.0, 1.0)] * n,
+        constraints=[{"type": "eq", "fun": lambda lam: lam.sum() - 1.0,
+                      "jac": lambda lam: np.ones(n)}],
+        options={"ftol": 1e-16, "maxiter": 1000})
+    assert res.success, res.message
+    return math.sqrt(res.fun)
+
+
+@st.composite
+def separable_sets(draw):
+    """Random labeled sets whose signed samples all have first coordinate
+    >= an offset in [0.05, 1], so e_1 separates them."""
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 5))
+    coord = st.floats(-1.0, 1.0)
+    xs = np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                                min_size=n, max_size=n)))
+    ys = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    xs[:, 0] = ys * (np.abs(xs[:, 0]) + draw(st.floats(0.05, 1.0)))
+    return data.Dataset(xs, ys, name="drawn")
 
 
 class TestToyDataset:
@@ -92,7 +125,7 @@ class TestSyntheticSeparable:
         ds = data.synthetic_separable(100, 4, 0.3, Rng(2))
         e1 = np.zeros(4)
         e1[0] = 1.0
-        cert = data.MarginCertificate(gamma=0.3, w_star=e1, residual=0.0)
+        cert = data.MarginCertificate(gamma=0.3, w_star=e1, upper=1.0)
         assert data.verify_margin(ds, cert)
 
 
@@ -101,7 +134,7 @@ class TestMarginSolver:
         cert = data.margin(data.toy_dataset())
         assert cert.gamma == pytest.approx(0.2, abs=1e-12)
         np.testing.assert_allclose(cert.w_star, [0.0, 1.0], atol=1e-9)
-        assert cert.residual <= 1e-7
+        assert cert.upper - cert.gamma <= 1e-7
 
     def test_lower_bound_margin(self):
         cert = data.margin(data.lower_bound_dataset(0.05))
@@ -120,7 +153,7 @@ class TestMarginSolver:
         with pytest.raises(data.NotSeparable):
             data.margin(ds)
 
-    def test_gilbert_norms_non_increasing(self):
+    def test_wolfe_norms_non_increasing(self):
         rng = Rng(21)
         for _ in range(10):
             xs = rng.normals(60).reshape(20, 3) + np.array([2.0, 0.0, 0.0])
@@ -129,6 +162,35 @@ class TestMarginSolver:
             data.margin(ds, trace=trace)
             diffs = np.diff(np.array(trace))
             assert np.all(diffs <= 1e-12)
+
+    def test_synthetic_certificate_verifies_exactly(self):
+        # the direction attains the reported gamma, which is at least the
+        # construction margin along e_1
+        ds = data.synthetic_separable(1000, 50, 0.1, Rng(0))
+        cert = data.margin(ds)
+        assert data.verify_margin(ds, cert, tol=0.0)
+        assert cert.gamma >= 0.1
+
+    def test_iteration_cap_raises_not_converged(self):
+        Z = data.synthetic_separable(200, 10, 0.1, Rng(1)).signed()
+        with pytest.raises(data.NotConverged, match="cap 1 "):
+            data._wolfe_min_norm_point(Z, 1e-10, max_iter=1)
+        assert "NotConverged" in data.__all__
+
+    @settings(max_examples=200, deadline=None)
+    @given(separable_sets())
+    def test_certificate_brackets_the_margin(self, ds):
+        cert = data.margin(ds)
+        assert cert.gamma <= cert.upper
+        assert cert.upper - cert.gamma <= 1e-9 * ds.max_norm
+        assert data.verify_margin(ds, cert, tol=0.0)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_upper_matches_qp_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(2, 16)), int(rng.integers(2, 6))
+        ds = data.synthetic_separable(n, d, float(rng.uniform(0.02, 0.5)), Rng(seed))
+        assert data.margin(ds).upper == pytest.approx(qp_min_norm(ds.signed()), abs=1e-6)
 
 
 class TestVerifyMargin:
@@ -144,18 +206,23 @@ class TestVerifyMargin:
                         [math.sin(th), math.cos(th)]])
         tilted = data.MarginCertificate(gamma=cert.gamma,
                                         w_star=rot @ cert.w_star,
-                                        residual=0.0)
+                                        upper=cert.upper)
         assert not data.verify_margin(ds, tilted)
 
     def test_zero_margin_rejected_by_invariant(self):
         with pytest.raises(ValueError):
             data.MarginCertificate(gamma=0.0, w_star=np.array([0.0, 1.0]),
-                                   residual=0.0)
+                                   upper=0.0)
 
     def test_non_unit_direction_rejected(self):
         with pytest.raises(ValueError):
             data.MarginCertificate(gamma=0.1, w_star=np.array([0.0, 2.0]),
-                                   residual=0.0)
+                                   upper=0.1)
+
+    def test_upper_below_margin_rejected(self):
+        with pytest.raises(ValueError, match="upper"):
+            data.MarginCertificate(gamma=0.2, w_star=np.array([0.0, 1.0]),
+                                   upper=0.1)
 
 
 class TestCsv:
@@ -187,6 +254,12 @@ class TestCsv:
         with pytest.raises(ValueError, match="empty"):
             data.load_csv(p)
 
+    def test_nan_feature_names_file(self, tmp_path):
+        p = tmp_path / "holes.csv"
+        p.write_text("1,0.5,0.25\n-1,nan,1.0\n")
+        with pytest.raises(ValueError, match="holes.csv.*finite"):
+            data.load_csv(p)
+
     def test_ragged_rows(self, tmp_path):
         p = tmp_path / "ragged.csv"
         p.write_text("1,0.5,0.25\n-1,0.5\n")
@@ -204,6 +277,11 @@ class TestDatasetValidation:
     def test_bad_labels(self):
         with pytest.raises(ValueError):
             data.Dataset(np.ones((2, 2)), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_features(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            data.Dataset(np.array([[1.0, bad]]), np.array([1.0]))
 
     def test_descriptor_round_trip(self):
         ds = data.dataset_from_json({"kind": "toy", "normalize": "max"})

@@ -357,7 +357,7 @@ class TestComparatorChecks:
 
     def test_perceptron_negative_control(self, runs):
         flipped = data.MarginCertificate(gamma=NCERT.gamma,
-                                         w_star=-NCERT.w_star, residual=0.0)
+                                         w_star=-NCERT.w_star, upper=NCERT.upper)
         assert descent.perceptron_potential_check(runs[8.0], flipped) < 0.0
 
     def test_perceptron_zero_gradient_fixed_point(self):
@@ -367,7 +367,7 @@ class TestComparatorChecks:
             eta=1.0, steps=3, loss=LOG, init=np.array([0.0, 800.0]),
             store_iterates=True), one)
         cert = data.MarginCertificate(gamma=1.0, w_star=np.array([0.0, 1.0]),
-                                      residual=0.0)
+                                      upper=1.0)
         assert descent.perceptron_potential_check(tr, cert) == pytest.approx(0.0, abs=1e-12)
 
     def test_needs_iterates(self):

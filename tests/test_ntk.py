@@ -216,6 +216,14 @@ class TestTangentMargin:
         cert = ntk.ntk_margin_hat(net, NTOY)
         assert cert.gamma > 0.0
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_wide_certificate_verifies(self, seed):
+        net = ntk.init_net(4096, 2, Rng(seed))
+        feats = np.stack([y * ntk.grad_param(net, x, net.w0)
+                          for x, y in zip(NTOY.xs, NTOY.ys)])
+        tangent = data.Dataset(feats, np.ones(NTOY.n), name="tangent")
+        assert data.verify_margin(tangent, ntk.ntk_margin_hat(net, NTOY))
+
     def test_single_sample(self):
         one = data.Dataset(NTOY.xs[:1], NTOY.ys[:1], name="one")
         net = ntk.init_net(64, 2, Rng(3))
