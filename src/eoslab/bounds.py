@@ -1,5 +1,6 @@
 """Closed-form evaluators for every convergence bound, phase-transition
-time, and planning formula used by the experiments.
+time, and planning formula used by the experiments, and ``BOUNDS``, the
+table that says which of them applies when.
 
 Conventions shared by all evaluators:
 
@@ -8,17 +9,25 @@ Conventions shared by all evaluators:
   count, ``n`` the sample count, ``delta`` a failure probability;
 * the combination ``gamma**2 * eta * t`` is the natural time scale; when
   it falls below 1 the log-based formulas stop being meaningful upper
-  bounds, so report builders mark those inputs ``applicable=False``
-  instead of producing a negative-log artifact;
+  bounds, so their table rows are gated on it and reported
+  ``applicable=False`` instead of producing a negative-log artifact;
 * the phase-transition constants ``C1``/``C2`` for general losses are not
   pinned down by the theory; they are caller-supplied knobs (default 1)
-  and every report carrying them is labeled heuristic.
+  and their table rows are noted heuristic.
+
+Each ``BOUNDS`` row maps a reported bound name to its formula, the inputs
+its report shows, its gate, the loss families it covers and its note;
+formulas and gates take their inputs by parameter name.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterator, NamedTuple, Optional
+
+import numpy as np
 
 from . import losses as L
 
@@ -37,9 +46,14 @@ __all__ = [
     "ntk_stable_bound",
     "tau_general",
     "tau_exp_tail",
-    "ntk_bounds",
+    "tau_bound",
+    "lazy_radius",
+    "width_min",
     "vc_bound",
     "table1_regimes",
+    "Bound",
+    "BOUNDS",
+    "bound_reports",
 ]
 
 
@@ -160,8 +174,9 @@ def ntk_eos_bound(loss: L.LossSpec, gamma: float, eta: float, t: float,
 
 
 def ntk_stable_bound(loss: L.LossSpec, gamma: float, eta: float,
-                     t: float, s: float) -> float:
-    """Last-iterate bound after the general-loss stable criterion is met."""
+                     t: float, s: float = 0) -> float:
+    """Last-iterate bound after the general-loss stable criterion is met
+    at step s (by default from the start)."""
     if t <= s:
         raise ValueError("need t > s")
     x = _scale(gamma, eta, t - s)
@@ -180,40 +195,23 @@ def tau_exp_tail(gamma: float, eta: float, n: float, C2: float = 1.0) -> float:
     return (C2 / gamma ** 2) * max(eta, n * math.log(max(n, 1.0)))
 
 
-def ntk_bounds(loss: L.LossSpec, gamma: float, eta: float, t: float, s: float,
-               T: float, n: float, delta: float,
-               C1: float = 1.0, C2: float = 1.0, C_a: float = 1.0) -> list[BoundReport]:
-    """All wide-network bound values for one configuration, as reports."""
-    from . import ntk as _ntk  # deferred: ntk depends on this module
+def lazy_radius(loss: L.LossSpec, gamma: float, eta: float, T: float,
+                n: float, delta: float, C_a: float = 1.0) -> float:
+    """Certified bound on max_t ||w_t - w_0|| for a width-sufficient run."""
+    rho = L.rho_bound(loss, max(gamma * gamma * eta * T, 1.0))
+    return 6.0 * (math.sqrt(rho) + C_a + math.sqrt(2.0 * math.log(2.0 * n / delta))
+                  + eta * loss.C_g) / gamma
 
-    x = gamma * gamma * eta * t
-    common = {"gamma": gamma, "eta": eta, "t": t, "n": n, "delta": delta}
-    ok = x >= 1.0
-    note = "" if ok else "gamma^2*eta*t < 1: log-scale formulas not applicable"
-    reports = [
-        BoundReport("eos_avg", {**common, "C_a": C_a},
-                    ntk_eos_bound(loss, gamma, eta, t, n, delta, C_a) if ok else math.nan,
-                    applicable=ok, precondition_note=note),
-    ]
-    xs = gamma * gamma * eta * (t - s) if t > s else 0.0
-    ok_s = t > s and xs >= 1.0
-    reports.append(BoundReport(
-        "stable", {**common, "s": s},
-        ntk_stable_bound(loss, gamma, eta, t, s) if ok_s else math.nan,
-        applicable=ok_s,
-        precondition_note="" if ok_s else "needs t > s and gamma^2*eta*(t-s) >= 1"))
-    reports.append(BoundReport(
-        "tau_general", {**common, "C1": C1}, tau_general(loss, gamma, eta, n, C1),
-        precondition_note="heuristic: C1 is caller-supplied, not derived"))
-    if loss.C_e is not None:
-        reports.append(BoundReport(
-            "tau_exp_tail", {**common, "C2": C2}, tau_exp_tail(gamma, eta, n, C2),
-            precondition_note="heuristic: C2 is caller-supplied, not derived"))
-    R = _ntk.lazy_radius(loss, gamma, eta, T, n, delta, C_a)
-    reports.append(BoundReport("lazy_radius", {**common, "T": T, "C_a": C_a}, R))
-    reports.append(BoundReport("width_min", {**common, "T": T, "C_a": C_a},
-                               _ntk.width_min(loss, gamma, eta, T, n, delta, C_a)))
-    return reports
+
+def width_min(loss: L.LossSpec, gamma: float, eta: float, T: float,
+              n: float, delta: float, C_a: float = 1.0) -> float:
+    """Sufficient width for the lazy-regime guarantees.
+
+    Worst-case sufficiency only: the value is far beyond what empirical
+    laziness requires on small problems.
+    """
+    R = lazy_radius(loss, gamma, eta, T, n, delta, C_a)
+    return ((30.0 * R ** (1.0 / 3.0) + 10.0 * math.log(n / delta) ** 0.25) / gamma) ** 6
 
 
 def vc_bound(d: int, n: int, delta: float) -> float:
@@ -269,3 +267,133 @@ def table1_regimes(loss: L.LossSpec, T: float) -> list[RegimeRow]:
                                   "T", float(T), "T^(-3a/(2a+4))",
                                   T ** (-3.0 * a / (2.0 * a + 4.0)), "<= T/2"))
     return rows
+
+
+# -- the bound table ----------------------------------------------------------
+
+
+def _log_scale(gamma, eta, t):
+    return gamma * gamma * eta * t >= 1.0
+
+
+def _after_s(gamma, eta, t, s):
+    return (t > s) & (gamma * gamma * eta * (t - s) >= 1.0)
+
+
+# the gates (tests over named inputs, t possibly an array of steps) and the
+# note of a row each rejects
+_GATE_NOTES = {_log_scale: "gamma^2*eta*t < 1: log-scale formulas not applicable",
+               _after_s: "needs t > s and gamma^2*eta*(t-s) >= 1"}
+_LOGISTIC = (L.LOGISTIC,)
+_EXP_TAILED = (L.LOGISTIC, L.FLAT_EXP)  # the loss families with a C_e
+_ANY = (L.LOGISTIC, L.FLAT_EXP, L.FLAT_POLY)
+_BASE = ("gamma", "eta", "t")
+_COMMON = _BASE + ("n", "delta")
+
+
+def _bind(fn: Callable, given: dict) -> Optional[dict]:
+    """``fn``'s arguments by name from ``given``; an input that is absent or
+    None takes ``fn``'s default, and without one the result is None."""
+    args = {}
+    for name, par in inspect.signature(fn).parameters.items():
+        value = given.get(name)
+        if value is None:
+            if par.default is par.empty:
+                return None
+            value = par.default
+        args[name] = value
+    return args
+
+
+class Bound(NamedTuple):
+    """One row of ``BOUNDS``; a ``gate`` of None means always applicable."""
+
+    name: str
+    formula: Callable
+    inputs: tuple[str, ...]
+    gate: Optional[Callable]
+    families: tuple[str, ...]
+    note: str = ""
+
+    def over(self, ts: np.ndarray, given: dict) -> Iterator[tuple[int, float]]:
+        """(t, value) at each step t of ``ts`` that the gate admits, the
+        other inputs taken from ``given``."""
+        if self.gate is not None:
+            ts = ts[self.gate(**_bind(self.gate, {**given, "t": ts}))]
+        args = _bind(self.formula, {**given, "t": ts})
+        i, vals = list(args).index("t"), list(args.values())
+        for t in ts.tolist():
+            vals[i] = t
+            yield t, self.formula(*vals)
+
+
+BOUNDS: tuple[Bound, ...] = (
+    Bound("eos_avg_logistic", eos_avg_bound, _BASE, _log_scale, _LOGISTIC),
+    Bound("avg_grad_potential", avg_grad_potential_bound, _BASE, _log_scale, _LOGISTIC),
+    Bound("param_norm", param_norm_bound, _BASE, _log_scale, _LOGISTIC),
+    Bound("stable_logistic", stable_bound, _BASE + ("s", "F_s"), _after_s, _LOGISTIC),
+    Bound("tau_logistic", tau_logistic, _BASE + ("n",), None, _LOGISTIC),
+    Bound("acceleration_plan", acceleration_plan, _BASE + ("n", "T"), None, _LOGISTIC),
+    Bound("sgd_loss", sgd_loss_bound, _BASE + ("delta",), _log_scale, _LOGISTIC),
+    Bound("sgd_error", sgd_error_bound, _BASE + ("delta",), _log_scale, _LOGISTIC),
+    Bound("eos_avg", ntk_eos_bound, _COMMON + ("C_a",), _log_scale, _ANY),
+    Bound("stable", ntk_stable_bound, _COMMON + ("s",), _after_s, _ANY),
+    Bound("tau_general", tau_general, _COMMON + ("C1",), None, _ANY,
+          "heuristic: C1 is caller-supplied, not derived"),
+    Bound("tau_exp_tail", tau_exp_tail, _COMMON + ("C2",), None, _EXP_TAILED,
+          "heuristic: C2 is caller-supplied, not derived"),
+    Bound("lazy_radius", lazy_radius, _COMMON + ("T", "C_a"), None, _ANY),
+    Bound("width_min", width_min, _COMMON + ("T", "C_a"), None, _ANY),
+    Bound("vc", vc_bound, ("d", "n", "delta"), None, _ANY),
+    Bound("regime", table1_regimes, (), None, _ANY, "unit constants"),
+)
+
+
+def bound_reports(loss: L.LossSpec, gamma: float, eta: float, t: int, *,
+                  n: int = 1, s: Optional[int] = None, T: Optional[int] = None,
+                  d: Optional[int] = None, delta: float = 0.05, F_s: float = 1.0,
+                  C1: float = 1.0, C2: float = 1.0, C_a: float = 1.0) -> list[BoundReport]:
+    """Reports of the ``BOUNDS`` rows that cover ``loss``, in table order.
+
+    A row is left out when its formula needs an input not given (``s``,
+    ``d``); ``T`` defaults to ``t``.  A gated-out row reports NaN.  Raises
+    ValueError unless gamma, eta > 0, t, n >= 1, 0 < delta <= 1, T >= 1.
+    """
+    for ok, need in ((gamma > 0, "gamma > 0"), (eta > 0, "eta > 0"), (t >= 1, "t >= 1"),
+                     (n >= 1, "n >= 1"), (0 < delta <= 1, "0 < delta <= 1"),
+                     (T is None or T >= 1, "T >= 1")):
+        if not ok:
+            raise ValueError(f"need {need}")
+    given = {"loss": loss, "gamma": gamma, "eta": eta, "t": t, "n": n, "s": s,
+             "T": t if T is None else T, "d": d, "delta": delta, "F_s": F_s,
+             "C1": C1, "C2": C2, "C_a": C_a}
+    reports = []
+    for row in BOUNDS:
+        args = _bind(row.formula, given) if loss.kind in row.families else None
+        if args is None:
+            continue
+        known = {**given, **args}
+        inputs = {k: known[k] for k in row.inputs}
+        ok = row.gate is None or row.gate(**_bind(row.gate, known))
+        value = row.formula(**args) if ok else math.nan
+        note = row.note if ok else _GATE_NOTES[row.gate]
+        if isinstance(value, AccelerationPlan):  # its schedule joins the inputs
+            plan, ok, value = value, value.feasible, value.bound
+            inputs.update(plan.as_dict())
+            note = "" if ok else f"infeasible: needs T >= {plan.threshold:g}"
+        if isinstance(value, list):  # one report per regime
+            reports += [BoundReport(row.name, r.as_dict(), r.loss, ok, note) for r in value]
+        else:
+            reports.append(BoundReport(row.name, inputs, value, ok, note))
+    return reports
+
+
+def tau_bound(loss: L.LossSpec, gamma: float, eta: float, n: float) -> float:
+    """The phase-transition time bound phase detection reports for ``loss``,
+    with unit constants: the logistic one, else the exponential-tail one
+    (the ``tau_exp_tail`` row's families), else the general one."""
+    if loss.kind == L.LOGISTIC:
+        return tau_logistic(gamma, eta, n)
+    if loss.kind in _EXP_TAILED:
+        return tau_exp_tail(gamma, eta, n)
+    return tau_general(loss, gamma, eta, n)

@@ -167,7 +167,7 @@ def _run_ntk(cfg: dict, out: Path) -> int:
     delta = float(cfg.get("delta", 0.1))
     cap = int(cfg.get("width_cap", _NTK_WIDTH_CAP))
     width_req = cfg.get("width", "auto")
-    wmin = N.width_min(loss, cert.gamma, eta, T, ds.n, delta)
+    wmin = B.width_min(loss, cert.gamma, eta, T, ds.n, delta)
     if width_req == "auto":
         # the certified sufficient width is astronomically conservative;
         # "auto" runs at the cap and reports both numbers
@@ -256,51 +256,9 @@ def _run_rates(cfg: dict, out: Path) -> int:
 
 def _run_bounds(args) -> int:
     loss = L.loss_from_json(_loss_descriptor(args))
-    gamma, eta, t = args.gamma, args.eta_single, args.t
-    reports = []
-    x = gamma * gamma * eta * t
-    ok = x >= 1.0
-    note = "" if ok else "gamma^2*eta*t < 1: log-scale formulas not applicable"
-    base = {"gamma": gamma, "eta": eta, "t": t}
-    if loss.kind == L.LOGISTIC:
-        reports.append(B.BoundReport(
-            "eos_avg_logistic", base,
-            B.eos_avg_bound(gamma, eta, t) if ok else math.nan, ok, note))
-        reports.append(B.BoundReport(
-            "avg_grad_potential", base,
-            B.avg_grad_potential_bound(gamma, eta, t) if ok else math.nan, ok, note))
-        reports.append(B.BoundReport(
-            "param_norm", base,
-            B.param_norm_bound(gamma, eta, t) if ok else math.nan, ok, note))
-        if args.s is not None:
-            xs_ok = t > args.s and gamma * gamma * eta * (t - args.s) >= 1.0
-            reports.append(B.BoundReport(
-                "stable_logistic", {**base, "s": args.s, "F_s": args.F_s},
-                B.stable_bound(gamma, eta, t, args.s, args.F_s) if xs_ok else math.nan,
-                xs_ok, "" if xs_ok else "needs t > s and gamma^2*eta*(t-s) >= 1"))
-        reports.append(B.BoundReport("tau_logistic", {**base, "n": args.n},
-                                     B.tau_logistic(gamma, eta, args.n)))
-        plan = B.acceleration_plan(gamma, args.n, args.T or t)
-        reports.append(B.BoundReport(
-            "acceleration_plan", {**base, "n": args.n, "T": args.T or t,
-                                  **plan.as_dict()}, plan.bound, plan.feasible,
-            "" if plan.feasible else f"infeasible: needs T >= {plan.threshold:g}"))
-        reports.append(B.BoundReport(
-            "sgd_loss", {**base, "delta": args.delta},
-            B.sgd_loss_bound(gamma, eta, t, args.delta) if ok else math.nan, ok, note))
-        reports.append(B.BoundReport(
-            "sgd_error", {**base, "delta": args.delta},
-            B.sgd_error_bound(gamma, eta, t, args.delta) if ok else math.nan, ok, note))
-    reports.extend(B.ntk_bounds(loss, gamma, eta, t, args.s or 0, args.T or t,
-                                args.n, args.delta, C1=args.C1, C2=args.C2,
-                                C_a=args.C_a))
-    if args.d is not None:
-        reports.append(B.BoundReport("vc", {"d": args.d, "n": args.n,
-                                            "delta": args.delta},
-                                     B.vc_bound(args.d, args.n, args.delta)))
-    for row in B.table1_regimes(loss, args.T or t):
-        reports.append(B.BoundReport("regime", row.as_dict(), row.loss,
-                                     precondition_note="unit constants"))
+    reports = B.bound_reports(loss, args.gamma, args.eta_single, args.t, n=args.n,
+                              s=args.s, T=args.T, d=args.d, delta=args.delta,
+                              F_s=args.F_s, C1=args.C1, C2=args.C2, C_a=args.C_a)
     for rep in reports:
         print(json.dumps(rep.as_dict(), sort_keys=True))
     return 0

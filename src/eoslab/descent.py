@@ -269,14 +269,9 @@ def detect_phase(traj: Trajectory, loss: L.LossSpec, eta: float, n: int,
     ascents = np.nonzero(traj.loss[1:] > traj.loss[:-1])[0]
     s_empirical = int(traj.steps[ascents[-1]] + 1) if ascents.size else 0
 
-    if loss.kind == L.LOGISTIC:
-        tau = B.tau_logistic(gamma, eta, n)
-    elif loss.C_e is not None:
-        tau = B.tau_exp_tail(gamma, eta, n)
-    else:
-        tau = B.tau_general(loss, gamma, eta, n)
     return PhaseReport(s_theory=s_theory, s_empirical=s_empirical,
-                       tau_bound=tau, criterion_value=crit)
+                       tau_bound=B.tau_bound(loss, gamma, eta, n),
+                       criterion_value=crit)
 
 
 def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng,

@@ -10,8 +10,9 @@ they sum to zero, which satisfies the |sum_s a_s| <= C_a sqrt(m) condition
 deterministically with C_a = 1; a random-sign mode is available for the
 setting where the signs are sampled.
 
-``lazy_radius`` and ``width_min`` evaluate the closed-form sufficiency
-conditions under which the run provably stays near its linearization.
+``bounds.lazy_radius`` and ``bounds.width_min`` evaluate the closed-form
+sufficiency conditions under which the run provably stays near its
+linearization.
 The width formula is a worst-case sufficiency threshold and is
 astronomically large for practical inputs; runs at any width still fill
 in the diagnostics (max distance from initialization vs. the lazy radius)
@@ -27,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import losses as L
+from .bounds import lazy_radius, width_min
 from .data import Dataset, MarginCertificate, margin
 from .descent import Trajectory, gd_engine
 from .numerics import Rng
@@ -40,8 +42,6 @@ __all__ = [
     "grad_param",
     "ntk_grad",
     "linearization_error",
-    "lazy_radius",
-    "width_min",
     "run_gd_ntk",
     "ntk_margin_hat",
 ]
@@ -110,7 +110,11 @@ def forward(net: NtkNet, x: np.ndarray) -> float:
 def forward_all(net: NtkNet, X: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndarray:
     """f(x_i; w) for all rows of X (optionally at alternative weights w)."""
     W = net.w if w is None else w
-    pre = X @ W.T
+    return _readout(net, X @ W.T)
+
+
+def _readout(net: NtkNet, pre: np.ndarray) -> np.ndarray:
+    """The outputs from the (n, m) pre-activations ``X @ W.T``."""
     return np.maximum(pre, 0.0) @ net.a / math.sqrt(net.m)
 
 
@@ -127,10 +131,11 @@ def grad_param(net: NtkNet, x: np.ndarray, w: Optional[np.ndarray] = None) -> np
     return blocks.ravel()
 
 
-def ntk_grad(net: NtkNet, ds: Dataset, w: np.ndarray, dvec: np.ndarray) -> np.ndarray:
-    """(m, d) gradient of the mean loss in the first-layer weights ``w``,
-    given ``dvec`` = l'(z_i) at the margins z_i = y_i f(x_i; w)."""
-    mask = ds.xs @ w.T > 0.0                   # (n, m)
+def ntk_grad(net: NtkNet, ds: Dataset, pre: np.ndarray, dvec: np.ndarray) -> np.ndarray:
+    """(m, d) gradient of the mean loss in the first-layer weights w, from
+    their (n, m) pre-activations ``pre`` = ``ds.xs @ w.T`` and ``dvec`` =
+    l'(z_i) at the margins z_i = y_i f(x_i; w)."""
+    mask = pre > 0.0                           # (n, m)
     coeff = dvec * ds.ys / ds.n                # (n,)
     return (net.a[:, None] / math.sqrt(net.m)) * ((mask * coeff[:, None]).T @ ds.xs)
 
@@ -148,25 +153,6 @@ def linearization_error(net: NtkNet, w: np.ndarray, v: np.ndarray,
     fv = forward_all(net, np.asarray(x)[None, :], v)[0]
     gv = grad_param(net, x, v)
     return float(fw - fv - gv @ (w - v).ravel())
-
-
-def lazy_radius(loss: L.LossSpec, gamma: float, eta: float, T: float,
-                n: float, delta: float, C_a: float = 1.0) -> float:
-    """Certified bound on max_t ||w_t - w_0|| for a width-sufficient run."""
-    rho = L.rho_bound(loss, max(gamma * gamma * eta * T, 1.0))
-    return 6.0 * (math.sqrt(rho) + C_a + math.sqrt(2.0 * math.log(2.0 * n / delta))
-                  + eta * loss.C_g) / gamma
-
-
-def width_min(loss: L.LossSpec, gamma: float, eta: float, T: float,
-              n: float, delta: float, C_a: float = 1.0) -> float:
-    """Sufficient width for the lazy-regime guarantees.
-
-    Worst-case sufficiency only: the value is far beyond what empirical
-    laziness requires on small problems.
-    """
-    R = lazy_radius(loss, gamma, eta, T, n, delta, C_a)
-    return ((30.0 * R ** (1.0 / 3.0) + 10.0 * math.log(n / delta) ** 0.25) / gamma) ** 6
 
 
 def run_gd_ntk(net: NtkNet, ds: Dataset, loss: L.LossSpec, eta: float, T: int,
@@ -187,14 +173,16 @@ def run_gd_ntk(net: NtkNet, ds: Dataset, loss: L.LossSpec, eta: float, T: int,
         raise ValueError("T must be >= 1")
     if gamma is None:
         gamma = margin(ds).gamma
-    shape = net.w.shape
+    shape, pre = net.w.shape, None
 
     def margins(w):
+        nonlocal pre
         net.w = w.reshape(shape)   # net.w follows the run, up to a diverging step
-        return ds.ys * forward_all(net, ds.xs)
+        pre = ds.xs @ net.w.T      # the gradient at w takes its ReLU mask from these
+        return ds.ys * _readout(net, pre)
 
     traj = gd_engine(net.w.ravel(), net.w0.ravel(), margins,
-                     lambda w, z, dvec: ntk_grad(net, ds, w.reshape(shape), dvec).ravel(),
+                     lambda w, z, dvec: ntk_grad(net, ds, pre, dvec).ravel(),
                      loss, eta, T, 1, None, "network loss diverged (step {t})")
     diag = NtkDiagnostics(
         R=lazy_radius(loss, gamma, eta, T, ds.n, delta, C_a),

@@ -67,6 +67,74 @@ class TestFitRate:
             analysis.fit_rate(tr, 1.0, tail_fraction=0.95)
 
 
+def _reference_compare_bounds(traj, gamma, eta, n, loss):
+    """compare_bounds as a per-step loop with its own gate and loss-kind
+    branch, before it read its rows from bounds.BOUNDS."""
+    out = []
+    avg_loss = traj.avg_loss()
+    avg_G = np.cumsum(traj.G[:-1]) / np.arange(1, len(traj.G))
+    for idx in range(1, len(traj.steps)):
+        t = int(traj.steps[idx])
+        if gamma * gamma * eta * t < 1.0:
+            continue
+        if loss.kind == losses.LOGISTIC:
+            checks = [("eos_avg_logistic", float(avg_loss[t - 1]),
+                       bounds.eos_avg_bound(gamma, eta, t)),
+                      ("avg_grad_potential", float(avg_G[t - 1]),
+                       bounds.avg_grad_potential_bound(gamma, eta, t)),
+                      ("param_norm", float(traj.param_norm[idx]),
+                       bounds.param_norm_bound(gamma, eta, t))]
+        else:
+            checks = [("eos_avg", float(avg_loss[t - 1]),
+                       bounds.ntk_eos_bound(loss, gamma, eta, t, n, 1.0, C_a=0.0))]
+        for name, observed, value in checks:
+            if observed > value * (1.0 + 1e-9):
+                out.append((t, name, observed, value))
+    return out
+
+
+def inflate(tr, factor):
+    """The trajectory with loss, G and param_norm scaled by ``factor``."""
+    return descent.Trajectory(
+        steps=tr.steps, loss=tr.loss * factor, grad_norm=tr.grad_norm,
+        param_norm=tr.param_norm * factor, dist_init=tr.dist_init,
+        G=tr.G * factor, F=tr.F, eta=tr.eta, loss_spec=tr.loss_spec,
+        record_every=1, w_final=tr.w_final)
+
+
+class TestCompareBoundsMatchesReference:
+    @pytest.mark.parametrize("spec", [LOG, losses.flattened_exponential(1.5),
+                                      losses.flattened_polynomial(2.0)],
+                             ids=lambda spec: spec.kind)
+    @pytest.mark.parametrize("eta", [2.0, 8.0, 32.0])
+    def test_inflated_runs(self, spec, eta):
+        tr = descent.run_gd(descent.GdConfig(eta=eta, steps=1500, loss=spec), NTOY)
+        for factor in (1.0, 3.0, 50.0, 1e4):
+            got = analysis.compare_bounds(inflate(tr, factor), NCERT.gamma, eta,
+                                          NTOY.n, spec)
+            ref = _reference_compare_bounds(inflate(tr, factor), NCERT.gamma, eta,
+                                            NTOY.n, spec)
+            assert [(v.step, v.bound, v.observed, v.value) for v in got] == ref
+            if factor == 1e4:
+                assert ref
+
+    def test_gate_boundary_step_is_checked(self):
+        # gamma^2 * eta = 0.5 exactly, so step 2 sits on the gate's boundary
+        tr = synthetic_trajectory(lambda t: 10.0, 50, 2.0)
+        got = analysis.compare_bounds(tr, 0.5, 2.0, 4, LOG)
+        assert [(v.step, v.bound, v.observed, v.value) for v in got] == \
+            _reference_compare_bounds(tr, 0.5, 2.0, 4, LOG)
+        assert got[0].step == 2
+
+    @pytest.mark.parametrize("eta", [4.0, 8.0, 16.0, 32.0])
+    def test_unnormalized_toy(self, eta):
+        tr = descent.run_gd(descent.GdConfig(eta=eta, steps=3000, loss=LOG), TOY)
+        gamma = data.margin(TOY).gamma
+        got = analysis.compare_bounds(tr, gamma, eta, TOY.n, LOG)
+        assert [(v.step, v.bound, v.observed, v.value) for v in got] == \
+            _reference_compare_bounds(tr, gamma, eta, TOY.n, LOG)
+
+
 class TestCompareBounds:
     def test_conformant_run_is_clean(self):
         tr = descent.run_gd(descent.GdConfig(eta=8.0, steps=2000, loss=LOG), NTOY)
@@ -88,7 +156,7 @@ class TestCompareBounds:
             w_final=tr.w_final)
         out = analysis.compare_bounds(inflated, NCERT.gamma, 8.0, NTOY.n, LOG)
         assert out and all(v.step >= 1 for v in out)
-        assert any(v.bound == "eos_avg" for v in out)
+        assert any(v.bound == "eos_avg_logistic" for v in out)
 
     def test_soundness_against_hand_values(self):
         # a flat series exactly at the bound is never flagged; just above is
@@ -97,11 +165,11 @@ class TestCompareBounds:
         val = bounds.eos_avg_bound(gamma, eta, t_check)
         tr_ok = synthetic_trajectory(lambda t: val, 50, eta)
         flagged = [v for v in analysis.compare_bounds(tr_ok, gamma, eta, 4, LOG)
-                   if v.bound == "eos_avg" and v.step == t_check]
+                   if v.bound == "eos_avg_logistic" and v.step == t_check]
         assert not flagged
         tr_bad = synthetic_trajectory(lambda t: val * 1.001, 50, eta)
         flagged = [v for v in analysis.compare_bounds(tr_bad, gamma, eta, 4, LOG)
-                   if v.bound == "eos_avg"]
+                   if v.bound == "eos_avg_logistic"]
         assert flagged
 
     def test_general_loss_route(self):

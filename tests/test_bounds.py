@@ -8,7 +8,6 @@ import pytest
 
 from eoslab import bounds as B
 from eoslab import losses as L
-from eoslab import ntk
 
 
 class TestEosAvgBound:
@@ -171,7 +170,7 @@ class TestNtkBoundFormulas:
 
     def test_report_set(self):
         log = L.logistic()
-        reps = B.ntk_bounds(log, 0.5, 1.0, 100, 10, 200, 4, 0.1)
+        reps = B.bound_reports(log, 0.5, 1.0, 100, s=10, T=200, n=4, delta=0.1)
         names = {r.name for r in reps}
         assert {"eos_avg", "stable", "tau_general", "tau_exp_tail",
                 "lazy_radius", "width_min"} <= names
@@ -181,15 +180,25 @@ class TestNtkBoundFormulas:
 
     def test_not_applicable_below_unit_scale(self):
         log = L.logistic()
-        reps = B.ntk_bounds(log, 0.05, 1.0, 10, 5, 200, 4, 0.1)
+        reps = B.bound_reports(log, 0.05, 1.0, 10, s=5, T=200, n=4, delta=0.1)
         by = {r.name: r for r in reps}
         assert not by["eos_avg"].applicable
         assert math.isnan(by["eos_avg"].value)
 
     def test_poly_variant_has_no_exp_tail_tau(self):
-        reps = B.ntk_bounds(L.flattened_polynomial(2.0), 0.5, 1.0, 100, 10,
-                            200, 4, 0.1)
+        reps = B.bound_reports(L.flattened_polynomial(2.0), 0.5, 1.0, 100,
+                                s=10, T=200, n=4, delta=0.1)
         assert "tau_exp_tail" not in {r.name for r in reps}
+
+
+class TestTauBound:
+    def test_picks_the_loss_specific_time(self):
+        args = (0.5, 2.0, 10)
+        exp, poly = L.flattened_exponential(1.5), L.flattened_polynomial(2.0)
+        assert B.tau_bound(L.logistic(), *args) == B.tau_logistic(*args)
+        assert B.tau_bound(exp, *args) == B.tau_exp_tail(*args)
+        assert B.tau_bound(exp, *args) != B.tau_general(exp, *args)
+        assert B.tau_bound(poly, *args) == B.tau_general(poly, *args)
 
 
 class TestLazyRadiusAndWidth:
@@ -199,18 +208,18 @@ class TestLazyRadiusAndWidth:
         rho = 1.0 + math.log(25.0) ** 2
         expected = 6.0 * (math.sqrt(rho) + 1.0 + math.sqrt(2.0 * math.log(80.0))
                           + 1.0) / 0.5
-        assert ntk.lazy_radius(log, 0.5, 1.0, 100, 4, 0.1) == pytest.approx(expected)
+        assert B.lazy_radius(log, 0.5, 1.0, 100, 4, 0.1) == pytest.approx(expected)
 
     def test_radius_monotone_in_eta_and_T(self):
         log = L.logistic()
-        base = ntk.lazy_radius(log, 0.5, 1.0, 100, 4, 0.1)
-        assert ntk.lazy_radius(log, 0.5, 2.0, 100, 4, 0.1) > base
-        assert ntk.lazy_radius(log, 0.5, 1.0, 400, 4, 0.1) > base
+        base = B.lazy_radius(log, 0.5, 1.0, 100, 4, 0.1)
+        assert B.lazy_radius(log, 0.5, 2.0, 100, 4, 0.1) > base
+        assert B.lazy_radius(log, 0.5, 1.0, 400, 4, 0.1) > base
 
     def test_width_monotone_in_radius(self):
         log = L.logistic()
-        assert (ntk.width_min(log, 0.5, 2.0, 100, 4, 0.1)
-                > ntk.width_min(log, 0.5, 1.0, 100, 4, 0.1))
+        assert (B.width_min(log, 0.5, 2.0, 100, 4, 0.1)
+                > B.width_min(log, 0.5, 1.0, 100, 4, 0.1))
 
     def test_width_regime_ordering(self):
         # at a large budget the three stepsize regimes order as
@@ -218,9 +227,9 @@ class TestLazyRadiusAndWidth:
         log, poly = L.logistic(), L.flattened_polynomial(2.0)
         T = 1e8
         gamma, n, delta = 0.5, 4, 0.1
-        w_const = ntk.width_min(log, gamma, 1.0, T, n, delta)
-        w_sqrt = ntk.width_min(poly, gamma, math.sqrt(T), T, n, delta)
-        w_linear = ntk.width_min(log, gamma, gamma ** 2 * T / 120.0, T, n, delta)
+        w_const = B.width_min(log, gamma, 1.0, T, n, delta)
+        w_sqrt = B.width_min(poly, gamma, math.sqrt(T), T, n, delta)
+        w_linear = B.width_min(log, gamma, gamma ** 2 * T / 120.0, T, n, delta)
         assert w_const < w_sqrt < w_linear
 
 

@@ -4,6 +4,7 @@ reproducibility, and SVG well-formedness."""
 import functools
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -214,6 +215,47 @@ class TestBoundsCommand:
                 "lazy_radius", "width_min", "vc", "regime"} <= names
         eos = next(l for l in lines if l["name"] == "eos_avg_logistic")
         assert eos["value"] == pytest.approx(0.9066, abs=5e-4)
+
+
+# `eos-lab bounds` argument lists; tests/golden/bounds_<k>.jsonl holds the
+# exact stdout of the k-th (1-based), captured from the hand-built reports
+# that bounds.BOUNDS replaced
+BOUNDS_GOLDEN = [
+    "--gamma 0.2 --eta 8 --t 100 --n 4 --T 12000 --d 2",
+    "--gamma 0.2 --eta 8 --t 100 --n 4 --T 12000 --d 2 --s 40 --F-s 0.5",
+    "--gamma 0.05 --eta 1 --t 10 --n 4",
+    "--gamma 0.5 --eta 4 --t 1000 --s 999",
+    "--gamma 0.3 --eta 2 --t 500 --n 10 --delta 1",
+    "--loss flat_exp --a 1.5 --gamma 0.3 --eta 2 --t 500 --n 10 --s 100 --T 2000 "
+    "--C1 2 --C2 3 --C-a 0.5",
+    "--loss flat_poly --a 2 --gamma 0.3 --eta 2 --t 500 --n 10 --s 100 --d 5",
+    "--loss flat_poly --a 0.5 --gamma 0.1 --eta 1 --t 10 --n 3",
+]
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+class TestBoundsGolden:
+    @pytest.mark.parametrize("k", range(1, len(BOUNDS_GOLDEN) + 1))
+    def test_stdout_byte_identical(self, k, capsys):
+        assert run("bounds", *BOUNDS_GOLDEN[k - 1].split()) == 0
+        expected = (GOLDEN_DIR / f"bounds_{k}.jsonl").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("argv", [
+        "--loss flat_poly --a 2 --gamma -0.5 --eta 1 --t 100",
+        "--loss flat_exp --a 1 --gamma 0.5 --eta 1 --t 100 --delta 1.5",
+        "--loss flat_poly --a 2 --gamma 0.5 --eta -1 --t 100",
+        "--loss flat_poly --a 2 --gamma 0.5 --eta 1 --t 100 --n 0",
+        "--gamma 0.2 --eta 8 --t 100 --T 0",
+        "--gamma 0.2 --eta 8 --t 0",
+        "--gamma 0.2 --eta 8 --t 100 --delta 0",
+    ])
+    def test_out_of_domain_exit_code(self, argv, capsys):
+        assert run("bounds", *argv.split()) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: need ")
 
 
 class TestCheckLoss:

@@ -131,7 +131,7 @@ class TestNtkGrad:
                 return float(np.mean(losses.eval_loss(loss, z)))
 
             dvec = losses.deriv(loss, NTOY.ys * ntk.forward_all(net, NTOY.xs, w))
-            g = ntk.ntk_grad(net, NTOY, w, dvec)
+            g = ntk.ntk_grad(net, NTOY, NTOY.xs @ w.T, dvec)
             assert g.shape == (net.m, net.d)
             fd = finite_diff_grad(mean_loss, w.ravel(), h=1e-6)
             np.testing.assert_allclose(g.ravel(), fd, atol=1e-6)
