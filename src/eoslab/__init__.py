@@ -4,7 +4,7 @@ loss oscillates before it stabilizes.
 
 Subpackages
 -----------
-numerics   seeded randomness, finite differences, 1-D minimization
+numerics   seeded randomness, 1-D minimization
 losses     loss families, their regularity constants, conformance checks
 data       datasets, CSV ingestion, max-margin certification
 descent    GD/SGD engines, trajectories, phase detection

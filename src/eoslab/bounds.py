@@ -356,8 +356,10 @@ def bound_reports(loss: L.LossSpec, gamma: float, eta: float, t: int, *,
     """Reports of the ``BOUNDS`` rows that cover ``loss``, in table order.
 
     A row is left out when its formula needs an input not given (``s``,
-    ``d``); ``T`` defaults to ``t``.  A gated-out row reports NaN.  Raises
-    ValueError unless gamma, eta > 0, t, n >= 1, 0 < delta <= 1, T >= 1.
+    ``d``); ``T`` defaults to ``t``.  A gated-out row, or one whose formula
+    rejects its inputs with ValueError, reports NaN, not applicable, with
+    the gate's note or the formula's message.  Raises ValueError unless
+    gamma, eta > 0, t, n >= 1, 0 < delta <= 1, T >= 1.
     """
     for ok, need in ((gamma > 0, "gamma > 0"), (eta > 0, "eta > 0"), (t >= 1, "t >= 1"),
                      (n >= 1, "n >= 1"), (0 < delta <= 1, "0 < delta <= 1"),
@@ -375,8 +377,11 @@ def bound_reports(loss: L.LossSpec, gamma: float, eta: float, t: int, *,
         known = {**given, **args}
         inputs = {k: known[k] for k in row.inputs}
         ok = row.gate is None or row.gate(**_bind(row.gate, known))
-        value = row.formula(**args) if ok else math.nan
         note = row.note if ok else _GATE_NOTES[row.gate]
+        try:
+            value = row.formula(**args) if ok else math.nan
+        except ValueError as exc:  # the inputs are outside the formula's domain
+            ok, value, note = False, math.nan, str(exc)
         if isinstance(value, AccelerationPlan):  # its schedule joins the inputs
             plan, ok, value = value, value.feasible, value.bound
             inputs.update(plan.as_dict())

@@ -31,7 +31,6 @@ __all__ = [
     "lower_bound_dataset",
     "synthetic_separable",
     "load_csv",
-    "save_csv",
     "normalized",
     "margin",
     "verify_margin",
@@ -205,15 +204,6 @@ def load_csv(path: str | Path, normalize: str | None = None) -> Dataset:
     elif normalize is not None:
         raise ValueError(f"unknown normalize mode {normalize!r}")
     return ds
-
-
-def save_csv(ds: Dataset, path: str | Path) -> None:
-    """Write ``label,x1,...,xd`` rows with round-trippable float text."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for y, x in zip(ds.ys, ds.xs):
-            fields = [repr(int(y))] + [repr(float(v)) for v in x]
-            fh.write(",".join(fields) + "\n")
 
 
 def normalized(ds: Dataset) -> Dataset:

@@ -3,14 +3,18 @@ and phase-transition detection.
 
 ``gd_engine`` is the one full-batch GD loop, run by ``run_gd`` on linear
 predictors and by ``eoslab.ntk.run_gd_ntk`` on the two-layer network; it
-and ``run_sgd`` share one divergence guard.
+and ``run_sgd`` share one block recorder and one divergence guard.
 
-A trajectory records, at every step, the loss L, the gradient norm, the
-parameter norm, the distance from initialization, the gradient potential
-G(w) = mean_i |l'(y_i x_i^T w)|, and the exponential potential
+A trajectory records, at every recorded step, the loss L, the gradient
+norm, the parameter norm, the distance from initialization, the gradient
+potential G(w) = mean_i |l'(y_i x_i^T w)|, and the exponential potential
 F(w) = mean_i exp(-y_i x_i^T w).  G drives the phase-transition bounds;
 F is the stable-phase initial-condition term and is primarily meaningful
-for logistic runs (it is still computed for every loss).
+for logistic runs (it is still computed for every loss).  The step loops
+keep each step's margins, from which the series are evaluated once per
+block of at most ``_BLOCK_STEPS`` steps, bit for bit as step by step; a
+block's buffers hold at most ``_BLOCK_FLOATS`` floats (one step's
+margins when n is larger), whatever the parameter size.
 
 Runs are pure functions of their inputs: rerunning with the same config
 and dataset reproduces every recorded number bit for bit.
@@ -37,7 +41,6 @@ __all__ = [
     "DivergenceError",
     "loss_value",
     "grad",
-    "potentials",
     "run_gd",
     "detect_phase",
     "run_sgd",
@@ -51,8 +54,10 @@ __all__ = [
 _GUARD_FACTOR = 1e3
 _GUARD_PATIENCE = 50
 
-# run_sgd evaluates its population metrics once per block of this many steps
-_SGD_BLOCK = 1024
+# the recorders evaluate their series once per block of at most
+# _BLOCK_STEPS steps whose buffers hold at most _BLOCK_FLOATS floats
+_BLOCK_STEPS = 1024
+_BLOCK_FLOATS = 2 ** 15
 
 CSV_COLUMNS = ("step", "loss", "grad_norm", "param_norm", "dist_init", "G", "F")
 
@@ -164,77 +169,94 @@ def grad(loss: L.LossSpec, ds: Dataset, w: np.ndarray) -> np.ndarray:
     return Zy.T @ L.deriv(loss, Zy @ w) / ds.n
 
 
-def potentials(loss: L.LossSpec, ds: Dataset, w: np.ndarray) -> tuple[float, float]:
-    """(G, F) at w.  F is computed for every loss; it enters the stable
-    phase bound only for logistic runs."""
-    z = ds.signed() @ np.asarray(w, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        Fv = float(np.mean(np.exp(-z)))
-    return float(np.mean(L.g(loss, z))), Fv
+def _block_len(width: int) -> int:
+    """Steps per block when the block buffers take ``width`` floats a step."""
+    return max(1, min(_BLOCK_STEPS, _BLOCK_FLOATS // width))
 
 
 def _divergence_guard(diverged: str):
-    """The divergence guard: the returned ``check(t, loss)``, fed every
-    step's loss in step order, raises :class:`DivergenceError` on a
-    non-finite loss or once the loss has stayed above the factor times
-    L(w_0) for patience steps in a row, with ``diverged`` formatted with
-    ``t``, ``factor`` and ``patience`` as the message."""
+    """The divergence guard: the returned ``check(start, losses)``, fed the
+    losses of steps start, start+1, ... block after block in step order,
+    raises :class:`DivergenceError` on a non-finite loss or once the loss
+    has stayed above the factor times L(w_0) for patience steps in a row,
+    with ``diverged`` formatted with ``t``, ``factor`` and ``patience`` as
+    the message."""
     loss0, over = None, 0
 
-    def check(t: int, lval: float) -> None:
+    def check(start: int, lvals: np.ndarray) -> None:
         nonlocal loss0, over
-        if not math.isfinite(lval):
-            raise DivergenceError(t, f"non-finite loss at step {t}")
-        if loss0 is None:
-            loss0 = lval
-        over = over + 1 if lval > _GUARD_FACTOR * loss0 else 0
-        if over >= _GUARD_PATIENCE:
-            raise DivergenceError(t, diverged.format(
-                t=t, factor=_GUARD_FACTOR, patience=_GUARD_PATIENCE))
+        for t, lval in enumerate(lvals.tolist(), start):
+            if not math.isfinite(lval):
+                raise DivergenceError(t, f"non-finite loss at step {t}")
+            if loss0 is None:
+                loss0 = lval
+            over = over + 1 if lval > _GUARD_FACTOR * loss0 else 0
+            if over >= _GUARD_PATIENCE:
+                raise DivergenceError(t, diverged.format(
+                    t=t, factor=_GUARD_FACTOR, patience=_GUARD_PATIENCE))
 
     return check
 
 
-def gd_engine(w, origin, margins, gradient, loss: L.LossSpec, eta: float,
+def gd_engine(w, origin, n: int, margins, gradient, loss: L.LossSpec, eta: float,
               T: int, record_every: int, iterates: Optional[np.ndarray],
               diverged: str) -> Trajectory:
     """The full-batch GD loop of :func:`run_gd` and ``ntk.run_gd_ntk``
-    (internal): from ``w``, step t guards the loss at ``z = margins(w_t)``
-    and moves to ``w_t - eta * gradient(w_t, z, l'(z))``.  Every
-    ``record_every``-th step and T are recorded, ``dist_init`` from
-    ``origin``; ``iterates``, if given, receives every iterate."""
-    rec_steps, rec = [], {k: [] for k in ("loss", "grad_norm", "param_norm",
-                                          "dist_init", "G", "F")}
+    (internal): from ``w``, step t moves to ``w_t - eta * gradient(l'(z))``
+    at the ``n`` margins ``z = margins(w_t)``.  Every ``record_every``-th
+    step and T are recorded, ``dist_init`` from ``origin``; ``iterates``,
+    if given, receives every iterate.  When the guard fires, the block is
+    replayed from its first iterate, so that ``margins`` was last called
+    at the iterate the guard rejected."""
+    steps = np.append(np.arange(0, T, record_every), T)
+    rec_loss, G, F = np.empty((3, len(steps)))
+    sq = np.empty((3, len(steps)))  # squared gradient, parameter, distance norms
+    block = min(_block_len(n), T + 1)
+    Z_buf = np.empty((block, n))
     guard = _divergence_guard(diverged)
+    k = 0
 
-    for t in range(T + 1):
-        z = margins(w)
-        lval = float(np.mean(L.eval_loss(loss, z)))
-        guard(t, lval)
-        dvec = L.deriv(loss, z)
-        gvec = gradient(w, z, dvec)
-        if iterates is not None:
-            iterates[t] = w
-        if t % record_every == 0 or t == T:
-            with np.errstate(over="ignore"):
-                Fv = float(np.mean(np.exp(-z)))
-            rec_steps.append(t)
-            rec["loss"].append(lval)
-            rec["grad_norm"].append(float(np.linalg.norm(gvec)))
-            rec["param_norm"].append(float(np.linalg.norm(w)))
-            rec["dist_init"].append(float(np.linalg.norm(w - origin)))
-            rec["G"].append(float(np.mean(np.abs(dvec))))
-            rec["F"].append(Fv)
-        if t < T:
-            w = w - eta * gvec
+    # a block may run up to a block of steps past a divergence before the
+    # guard sees it; those steps' overflows and NaNs are discarded with it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for start in range(0, T + 1, block):
+            stop = min(start + block, T + 1)
+            w_start, k_start = w, k
+            Z = Z_buf[:stop - start]
+            for j, t in enumerate(range(start, stop)):
+                Z[j] = margins(w)
+                gvec = gradient(L.deriv(loss, Z[j]))
+                if iterates is not None:
+                    iterates[t] = w
+                if t % record_every == 0 or t == T:
+                    v = w - origin
+                    sq[:, k] = gvec.dot(gvec), w.dot(w), v.dot(v)
+                    k += 1
+                if t < T:
+                    w = w - eta * gvec
 
+            lvals = np.mean(L.eval_loss(loss, Z), axis=1)
+            try:
+                guard(start, lvals)
+            except DivergenceError as exc:
+                w = w_start
+                for _ in range(start, exc.step):
+                    w = w - eta * gradient(L.deriv(loss, margins(w)))
+                margins(w)
+                raise
+
+            rows = steps[k_start:k] - start
+            Zr = Z[rows]
+            rec_loss[k_start:k] = lvals[rows]
+            G[k_start:k] = np.mean(np.abs(L.deriv(loss, Zr)), axis=1)
+            F[k_start:k] = np.mean(np.exp(-Zr), axis=1)
+
+    # sqrt(v.dot(v)) is what np.linalg.norm computes for a vector
+    grad_norm, param_norm, dist_init = np.sqrt(sq)
     return Trajectory(
-        steps=np.array(rec_steps, dtype=np.int64),
-        loss=np.array(rec["loss"]), grad_norm=np.array(rec["grad_norm"]),
-        param_norm=np.array(rec["param_norm"]), dist_init=np.array(rec["dist_init"]),
-        G=np.array(rec["G"]), F=np.array(rec["F"]),
-        eta=eta, loss_spec=loss, record_every=record_every,
-        w_final=w.copy(), iterates=iterates)
+        steps=steps, loss=rec_loss, grad_norm=grad_norm, param_norm=param_norm,
+        dist_init=dist_init, G=G, F=F, eta=eta, loss_spec=loss,
+        record_every=record_every, w_final=w.copy(), iterates=iterates)
 
 
 def run_gd(cfg: GdConfig, ds: Dataset) -> Trajectory:
@@ -245,7 +267,7 @@ def run_gd(cfg: GdConfig, ds: Dataset) -> Trajectory:
     Zy, n = ds.signed(), ds.n
     iterates = np.empty((cfg.steps + 1, ds.d)) if cfg.store_iterates else None
     return gd_engine(
-        w, w.copy(), lambda v: Zy @ v, lambda v, z, dvec: Zy.T @ dvec / n,
+        w, w.copy(), n, lambda v: Zy @ v, lambda dvec: Zy.T @ dvec / n,
         cfg.loss, cfg.eta, cfg.steps, cfg.record_every, iterates,
         "loss exceeded {factor:g} * L(w_0) for {patience} consecutive steps (step {t})")
 
@@ -286,12 +308,10 @@ def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng,
 
     The per-step loop only stores the iterate and its margins and applies
     the sampled-row update; the population metrics are then evaluated once
-    per block of ``_SGD_BLOCK`` steps from the stored iterates and margins,
-    with the same per-step arithmetic, so every recorded number is the one
-    a step-by-step evaluation gives.  Memory is O(block * n) for the block
-    buffers plus the O(T) series (and O(T * d) with ``store_iterates``).
-    The divergence guard runs over each block's losses in step order and
-    still raises at the first offending step.
+    per block of steps from the stored iterates and margins, with the same
+    per-step arithmetic, so every recorded number is the one a step-by-step
+    evaluation gives.  Memory is the block buffers plus the O(T) series
+    (and O(T * d) with ``store_iterates``).
     """
     loss = loss if loss is not None else L.logistic()
     if loss.kind != L.LOGISTIC:
@@ -312,7 +332,7 @@ def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng,
     rec = {k: np.empty(T + 1) for k in ("loss", "grad_norm", "param_norm",
                                         "G", "F", "zero_one")}
     iterates = np.empty((T + 1, ds.d)) if store_iterates else None
-    block = min(_SGD_BLOCK, T + 1)
+    block = min(_block_len(max(n, ds.d)), T + 1)
     W_buf = np.empty((block, ds.d)) if iterates is None else None
     Z_buf = np.empty((block, n))
     G_buf = np.empty((block, ds.d))
@@ -341,8 +361,7 @@ def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng,
                 w = w - (eta * coef) * row
 
             lvals = np.mean(np.logaddexp(0.0, -Z), axis=1)
-            for t, lval in enumerate(lvals.tolist(), start):
-                guard(t, lval)
+            guard(start, lvals)
 
             expz = np.exp(Z)
             S = 1.0 / (1.0 + expz)             # = |l'(z)| for the logistic loss

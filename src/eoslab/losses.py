@@ -34,7 +34,6 @@ __all__ = [
     "flattened_exponential",
     "flattened_polynomial",
     "loss_from_json",
-    "loss_to_json",
     "eval_loss",
     "deriv",
     "g",
@@ -115,13 +114,6 @@ def loss_from_json(obj: dict) -> LossSpec:
     if kind == FLAT_POLY:
         return flattened_polynomial(float(obj["a"]))
     raise ValueError(f"unknown loss kind {kind!r}")
-
-
-def loss_to_json(loss: LossSpec) -> dict:
-    out = {"kind": loss.kind}
-    if loss.a is not None:
-        out["a"] = loss.a
-    return out
 
 
 # -- pointwise evaluation ---------------------------------------------------

@@ -37,11 +37,9 @@ __all__ = [
     "NtkNet",
     "NtkDiagnostics",
     "init_net",
-    "forward",
     "forward_all",
     "grad_param",
     "ntk_grad",
-    "linearization_error",
     "run_gd_ntk",
     "ntk_margin_hat",
 ]
@@ -98,15 +96,6 @@ def init_net(m: int, d: int, rng: Rng, random_signs: bool = False) -> NtkNet:
     return NtkNet(a=a, w=w0.copy(), w0=w0)
 
 
-def forward(net: NtkNet, x: np.ndarray) -> float:
-    """f(x; w) for a single input."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (net.d,):
-        raise ValueError("input dimension mismatch")
-    pre = net.w @ x
-    return float(net.a @ np.maximum(pre, 0.0)) / math.sqrt(net.m)
-
-
 def forward_all(net: NtkNet, X: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndarray:
     """f(x_i; w) for all rows of X (optionally at alternative weights w)."""
     W = net.w if w is None else w
@@ -140,21 +129,6 @@ def ntk_grad(net: NtkNet, ds: Dataset, pre: np.ndarray, dvec: np.ndarray) -> np.
     return (net.a[:, None] / math.sqrt(net.m)) * ((mask * coeff[:, None]).T @ ds.xs)
 
 
-def linearization_error(net: NtkNet, w: np.ndarray, v: np.ndarray,
-                        x: np.ndarray) -> float:
-    """f(x; w) - f(x; v) - <grad f(x; v), w - v>.
-
-    Exactly zero whenever w and v induce the same activation pattern on x
-    (the network is piecewise linear in its parameters).
-    """
-    w = np.asarray(w, dtype=np.float64).reshape(net.m, net.d)
-    v = np.asarray(v, dtype=np.float64).reshape(net.m, net.d)
-    fw = forward_all(net, np.asarray(x)[None, :], w)[0]
-    fv = forward_all(net, np.asarray(x)[None, :], v)[0]
-    gv = grad_param(net, x, v)
-    return float(fw - fv - gv @ (w - v).ravel())
-
-
 def run_gd_ntk(net: NtkNet, ds: Dataset, loss: L.LossSpec, eta: float, T: int,
                gamma: Optional[float] = None, delta: float = 0.1,
                C_a: float = 1.0) -> tuple[Trajectory, NtkDiagnostics]:
@@ -163,7 +137,7 @@ def run_gd_ntk(net: NtkNet, ds: Dataset, loss: L.LossSpec, eta: float, T: int,
     Runs ``run_gd``'s loop, ``descent.gd_engine``, over the flattened
     weights with the margins y_i f(x_i; w) and :func:`ntk_grad`, from
     ``net.w``, recording every step and ``dist_init`` from ``net.w0``.
-    ``net.w`` ends at the last iterate reached, also on divergence.
+    ``net.w`` ends at the last iterate, or at the one the guard rejected.
 
     ``gamma`` (for the radius/width formulas) defaults to the certified
     linear margin of the dataset.  Diagnostics are observational: a run at
@@ -181,8 +155,8 @@ def run_gd_ntk(net: NtkNet, ds: Dataset, loss: L.LossSpec, eta: float, T: int,
         pre = ds.xs @ net.w.T      # the gradient at w takes its ReLU mask from these
         return ds.ys * _readout(net, pre)
 
-    traj = gd_engine(net.w.ravel(), net.w0.ravel(), margins,
-                     lambda w, z, dvec: ntk_grad(net, ds, pre, dvec).ravel(),
+    traj = gd_engine(net.w.ravel(), net.w0.ravel(), ds.n, margins,
+                     lambda dvec: ntk_grad(net, ds, pre, dvec).ravel(),
                      loss, eta, T, 1, None, "network loss diverged (step {t})")
     diag = NtkDiagnostics(
         R=lazy_radius(loss, gamma, eta, T, ds.n, delta, C_a),

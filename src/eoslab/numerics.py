@@ -1,5 +1,5 @@
 """Deterministic low-level numerics: seeded randomness, Gaussian sampling,
-finite differences, and 1-D minimization.
+and 1-D minimization.
 
 Everything here is 64-bit float and fully reproducible: the random stream
 is PCG64 (seeded) and normals come from Box-Muller on that stream, so the
@@ -9,30 +9,17 @@ same seed gives the same draws on every run.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "Rng",
-    "as_vec",
     "minimize_1d",
-    "finite_diff_grad",
 ]
 
 # golden-section reduction factor
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def as_vec(x: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Coerce to a finite 1-D float64 array (the input check of
-    :func:`finite_diff_grad`)."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError(f"expected a 1-D vector with at least one entry, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite")
-    return v
 
 
 class Rng:
@@ -119,19 +106,3 @@ def minimize_1d(
     x = 0.5 * (a + b)
     return x, f(x)
 
-
-def finite_diff_grad(
-    f: Callable[[np.ndarray], float],
-    w: np.ndarray,
-    h: float = 1e-5,
-) -> np.ndarray:
-    """Central-difference gradient of f at w, one coordinate at a time."""
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    w = as_vec(w)
-    g = np.empty_like(w)
-    for i in range(w.size):
-        e = np.zeros_like(w)
-        e[i] = h
-        g[i] = (f(w + e) - f(w - e)) / (2.0 * h)
-    return g

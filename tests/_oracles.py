@@ -1,0 +1,35 @@
+"""Test oracles: central-difference gradients and their input check."""
+
+from __future__ import annotations
+
+from typing import Callable, Sequence
+
+import numpy as np
+
+
+def as_vec(x: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Coerce to a finite 1-D float64 array (the input check of
+    :func:`finite_diff_grad`)."""
+    v = np.asarray(x, dtype=np.float64)
+    if v.ndim != 1 or v.size < 1:
+        raise ValueError(f"expected a 1-D vector with at least one entry, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("vector entries must be finite")
+    return v
+
+
+def finite_diff_grad(
+    f: Callable[[np.ndarray], float],
+    w: np.ndarray,
+    h: float = 1e-5,
+) -> np.ndarray:
+    """Central-difference gradient of f at w, one coordinate at a time."""
+    if h <= 0.0:
+        raise ValueError("h must be positive")
+    w = as_vec(w)
+    g = np.empty_like(w)
+    for i in range(w.size):
+        e = np.zeros_like(w)
+        e[i] = h
+        g[i] = (f(w + e) - f(w - e)) / (2.0 * h)
+    return g

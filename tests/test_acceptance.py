@@ -18,7 +18,9 @@ import pytest
 
 from eoslab import analysis, bounds, data, descent, losses, ntk
 from eoslab.cli import main as cli_main
-from eoslab.numerics import Rng, finite_diff_grad
+from eoslab.numerics import Rng
+
+from _oracles import finite_diff_grad
 
 LOG = losses.logistic()
 TOY = data.toy_dataset()

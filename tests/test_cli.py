@@ -2,12 +2,15 @@
 reproducibility, and SVG well-formedness."""
 
 import functools
+import importlib
 import json
+import pkgutil
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+import eoslab
 from eoslab import analysis, data, descent
 from eoslab.cli import main
 
@@ -218,8 +221,10 @@ class TestBoundsCommand:
 
 
 # `eos-lab bounds` argument lists; tests/golden/bounds_<k>.jsonl holds the
-# exact stdout of the k-th (1-based), captured from the hand-built reports
-# that bounds.BOUNDS replaced
+# exact stdout of the k-th (1-based).  The first eight were captured from
+# the hand-built reports that bounds.BOUNDS replaced; in the last two one
+# row's formula rejects its inputs (regime at T < 3, vc at delta = 1), and
+# that row alone is reported not applicable
 BOUNDS_GOLDEN = [
     "--gamma 0.2 --eta 8 --t 100 --n 4 --T 12000 --d 2",
     "--gamma 0.2 --eta 8 --t 100 --n 4 --T 12000 --d 2 --s 40 --F-s 0.5",
@@ -230,6 +235,8 @@ BOUNDS_GOLDEN = [
     "--C1 2 --C2 3 --C-a 0.5",
     "--loss flat_poly --a 2 --gamma 0.3 --eta 2 --t 500 --n 10 --s 100 --d 5",
     "--loss flat_poly --a 0.5 --gamma 0.1 --eta 1 --t 10 --n 3",
+    "--gamma 0.2 --eta 8 --t 2",
+    "--gamma 0.2 --eta 8 --t 100 --d 2 --delta 1",
 ]
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -282,3 +289,11 @@ class TestSvgSelfContained:
         assert "http://www.w3.org/2000/svg" in svg
         for token in ("href", "url(", "<image", "<script"):
             assert token not in svg
+
+
+@pytest.mark.parametrize("module", ["eoslab"] + [
+    f"eoslab.{m.name}" for m in pkgutil.iter_modules(eoslab.__path__)])
+def test_public_names_resolve(module):
+    # the benchmark's tracer wraps every name in __all__ by getattr
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

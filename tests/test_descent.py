@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from eoslab import bounds, data, descent, losses
-from eoslab.numerics import Rng, finite_diff_grad
+from eoslab.numerics import Rng
+
+from _oracles import finite_diff_grad
 
 LOG = losses.logistic()
 TOY = data.toy_dataset()
@@ -59,18 +61,24 @@ class TestGrad:
                 np.testing.assert_allclose(descent.grad(spec, TOY, w), fd, atol=1e-6)
 
 
+def _potentials(w):
+    """(G, F) that run_gd records at w."""
+    tr = descent.run_gd(descent.GdConfig(eta=1.0, steps=1, loss=LOG, init=w), TOY)
+    return tr.G[0], tr.F[0]
+
+
 class TestPotentials:
     def test_at_zero(self):
-        G, F = descent.potentials(LOG, TOY, np.zeros(2))
+        G, F = _potentials(np.zeros(2))
         assert G == pytest.approx(0.5, abs=1e-15)
         assert F == pytest.approx(1.0, abs=1e-15)
 
     def test_uniform_margin(self):
-        G, F = descent.potentials(LOG, TOY, np.array([0.0, 10.0]))
+        G, F = _potentials(np.array([0.0, 10.0]))
         assert F == pytest.approx(math.exp(-2.0), abs=1e-12)
 
     def test_large_margin_tails(self):
-        G, F = descent.potentials(LOG, TOY, np.array([0.0, 500.0]))
+        G, F = _potentials(np.array([0.0, 500.0]))
         assert G < 1e-20 and F < 1e-20
 
 
@@ -271,7 +279,7 @@ def _reference_sgd(ds, eta, steps, rng):
 
 SGD_SETS = {"toy": TOY, "normalized": NTOY,
             "synthetic": data.synthetic_separable(300, 20, 0.1, Rng(0))}
-BLOCK = descent._SGD_BLOCK
+BLOCK = descent._BLOCK_STEPS
 
 
 def _divergence(run, ds, eta, steps, seed):
@@ -321,6 +329,115 @@ class TestSgdMatchesStepwiseReference:
         got = _divergence(descent.run_sgd, ds, 1e6, 1000, seed)
         assert got == (50, "population loss diverged (step 50)")
         assert got == _divergence(_reference_sgd, ds, 1e6, 1000, seed)
+
+
+def _reference_gd(cfg, ds):
+    """run_gd with the step-by-step loop that evaluated and recorded every
+    series at each recorded step; the oracle for gd_engine's per-block
+    recorder."""
+    w = np.zeros(ds.d) if cfg.init is None else np.array(cfg.init, dtype=np.float64)
+    Zy, n, T, origin = ds.signed(), ds.n, cfg.steps, w.copy()
+    iterates = np.empty((cfg.steps + 1, ds.d)) if cfg.store_iterates else None
+    rec_steps, rec = [], {k: [] for k in ("loss", "grad_norm", "param_norm",
+                                          "dist_init", "G", "F")}
+    loss0, over = None, 0
+    for t in range(T + 1):
+        z = Zy @ w
+        lval = float(np.mean(losses.eval_loss(cfg.loss, z)))
+        if not math.isfinite(lval):
+            raise descent.DivergenceError(t, f"non-finite loss at step {t}")
+        if loss0 is None:
+            loss0 = lval
+        over = over + 1 if lval > descent._GUARD_FACTOR * loss0 else 0
+        if over >= descent._GUARD_PATIENCE:
+            raise descent.DivergenceError(t, (
+                f"loss exceeded {descent._GUARD_FACTOR:g} * L(w_0) for "
+                f"{descent._GUARD_PATIENCE} consecutive steps (step {t})"))
+        dvec = losses.deriv(cfg.loss, z)
+        gvec = Zy.T @ dvec / n
+        if iterates is not None:
+            iterates[t] = w
+        if t % cfg.record_every == 0 or t == T:
+            with np.errstate(over="ignore"):
+                Fv = float(np.mean(np.exp(-z)))
+            rec_steps.append(t)
+            rec["loss"].append(lval)
+            rec["grad_norm"].append(float(np.linalg.norm(gvec)))
+            rec["param_norm"].append(float(np.linalg.norm(w)))
+            rec["dist_init"].append(float(np.linalg.norm(w - origin)))
+            rec["G"].append(float(np.mean(np.abs(dvec))))
+            rec["F"].append(Fv)
+        if t < T:
+            w = w - cfg.eta * gvec
+    return descent.Trajectory(
+        steps=np.array(rec_steps, dtype=np.int64),
+        loss=np.array(rec["loss"]), grad_norm=np.array(rec["grad_norm"]),
+        param_norm=np.array(rec["param_norm"]), dist_init=np.array(rec["dist_init"]),
+        G=np.array(rec["G"]), F=np.array(rec["F"]),
+        eta=cfg.eta, loss_spec=cfg.loss, record_every=cfg.record_every,
+        w_final=w.copy(), iterates=iterates)
+
+
+GD_SETS = {"toy": TOY, "normalized": NTOY,
+           "synthetic": data.synthetic_separable(1000, 50, 0.1, Rng(0))}
+GD_LOSSES = [LOG, losses.flattened_exponential(1.5), losses.flattened_polynomial(2.0)]
+# around one and two blocks of the set's block length B
+GD_STEPS = [(name, T) for name, ds in sorted(GD_SETS.items())
+            for B in [descent._block_len(ds.n)]
+            for T in sorted({1, B - 1, B, B + 1, 2 * B + 5})]
+
+
+def _gd_divergence(run, cfg, ds):
+    """(step, message) of the DivergenceError a GD run raises, with every
+    RuntimeWarning turned into an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(descent.DivergenceError) as exc:
+            run(cfg, ds)
+    return exc.value.step, str(exc.value)
+
+
+class TestGdMatchesStepwiseReference:
+    """gd_engine evaluates its series per block; every recorded number,
+    w_final and the iterates must equal the step-by-step loop's bit for
+    bit."""
+
+    @pytest.mark.parametrize("every", [1, 7, 10])
+    @pytest.mark.parametrize("loss", GD_LOSSES, ids=lambda spec: spec.kind)
+    @pytest.mark.parametrize("name,steps", GD_STEPS)
+    def test_bit_identical(self, name, steps, loss, every):
+        cfg = descent.GdConfig(eta=8.0, steps=steps, loss=loss, record_every=every,
+                               store_iterates=True)
+        ref = _reference_gd(cfg, GD_SETS[name])
+        tr = descent.run_gd(cfg, GD_SETS[name])
+        for key in ("steps", "loss", "grad_norm", "param_norm", "dist_init", "G", "F",
+                    "w_final", "iterates"):
+            assert np.array_equal(getattr(tr, key), getattr(ref, key)), key
+        assert tr.steps.dtype == ref.steps.dtype
+
+    def test_block_buffers_bounded(self):
+        # at most 1024 steps and 2**15 floats (or one step's) a block
+        for width in (1, 4, 33, 1000, 2 ** 15, 10 ** 6):
+            B = descent._block_len(width)
+            assert 1 <= B <= 1024 and B * width <= max(2 ** 15, width)
+        assert descent._block_len(1000) == 32
+
+    def test_guard_sustained(self):
+        ds = data.Dataset(np.array([[1.0], [0.3]]), np.array([1.0, -1.0]),
+                          name="conflict")
+        cfg = descent.GdConfig(eta=1e6, steps=5000, loss=losses.flattened_polynomial(2.0))
+        got = _gd_divergence(descent.run_gd, cfg, ds)
+        assert got == (74, "loss exceeded 1000 * L(w_0) for 50 consecutive steps (step 74)")
+        assert got == _gd_divergence(_reference_gd, cfg, ds)
+
+    def test_guard_non_finite(self):
+        ds = data.Dataset(np.array([[10.0]]), np.array([1.0]), name="one")
+        cfg = descent.GdConfig(eta=1.0, steps=10, loss=losses.flattened_exponential(1.0),
+                               init=np.array([-1e308]))
+        got = _gd_divergence(descent.run_gd, cfg, ds)
+        assert got == (0, "non-finite loss at step 0")
+        with np.errstate(over="ignore"):  # the step loop's matmul overflows
+            assert got == _gd_divergence(_reference_gd, cfg, ds)
 
 
 @pytest.fixture(scope="module")

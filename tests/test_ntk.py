@@ -1,6 +1,6 @@
-"""Two-layer ReLU network: forward/gradient correctness, homogeneity and
-linearization identities, the radius/width formulas, lazy-training
-diagnostics, and tangent-feature margins."""
+"""Two-layer ReLU network: forward/gradient correctness, homogeneity, the
+radius/width formulas, lazy-training diagnostics, and tangent-feature
+margins."""
 
 import math
 
@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from eoslab import bounds, data, descent, losses, ntk
-from eoslab.numerics import Rng, finite_diff_grad
+from eoslab.numerics import Rng
+
+from _oracles import finite_diff_grad
 
 LOG = losses.logistic()
 NTOY = data.normalized(data.toy_dataset())
@@ -44,33 +46,38 @@ class TestInit:
         assert 0.95 <= ratio <= 1.05
 
 
+def _forward(net, x):
+    """f(x; w) of one input, as forward_all computes it on a one-row X."""
+    return ntk.forward_all(net, x[None, :])[0]
+
+
 class TestForward:
     def test_zero_weights(self):
         net = ntk.init_net(4, 2, Rng(0))
         net.w = np.zeros_like(net.w)
-        assert ntk.forward(net, np.array([0.3, -0.7])) == 0.0
+        assert _forward(net, np.array([0.3, -0.7])) == 0.0
 
     def test_hand_value(self):
         # m=2, a=(1,-1), w1=x, w2=-x, unit x: (1/sqrt 2)(1 - 0)
         net = ntk.init_net(2, 2, Rng(0))
         x = np.array([0.6, 0.8])
         net.w = np.stack([x, -x])
-        assert ntk.forward(net, x) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
+        assert _forward(net, x) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
 
     def test_positive_homogeneity(self):
         rng = Rng(3)
         net = ntk.init_net(8, 3, rng)
         x = rng.normals(3)
-        f1 = ntk.forward(net, x)
+        f1 = _forward(net, x)
         for c in (0.25, 2.0, 10.0):
             scaled = ntk.NtkNet(a=net.a, w=c * net.w, w0=net.w0)
-            assert ntk.forward(scaled, x) == pytest.approx(c * f1, rel=1e-12)
+            assert _forward(scaled, x) == pytest.approx(c * f1, rel=1e-12)
 
     def test_forward_all_matches_single(self):
         net = ntk.init_net(8, 2, Rng(5))
         fs = ntk.forward_all(net, NTOY.xs)
         for i in range(NTOY.n):
-            assert fs[i] == pytest.approx(ntk.forward(net, NTOY.xs[i]), abs=1e-15)
+            assert fs[i] == pytest.approx(_forward(net, NTOY.xs[i]), abs=1e-15)
 
 
 class TestGradParam:
@@ -136,40 +143,6 @@ class TestNtkGrad:
             fd = finite_diff_grad(mean_loss, w.ravel(), h=1e-6)
             np.testing.assert_allclose(g.ravel(), fd, atol=1e-6)
             checked += 1
-
-
-class TestLinearizationError:
-    def test_zero_at_same_point(self):
-        rng = Rng(2)
-        net = ntk.init_net(8, 2, rng)
-        w = net.w.ravel()
-        x = rng.normals(2)
-        assert ntk.linearization_error(net, w, w, x) == 0.0
-
-    def test_zero_under_shared_activation_pattern(self):
-        rng = Rng(3)
-        net = ntk.init_net(8, 2, rng)
-        x = rng.normals(2)
-        v = net.w.ravel()
-        for c in (0.5, 2.0):
-            assert ntk.linearization_error(net, c * v, v, x) == pytest.approx(0.0, abs=1e-12)
-
-    def test_small_relative_error_at_width(self):
-        # at a healthy width, the worst-dataset error over radius-limited
-        # perturbations stays below (gamma/10) * ||w - v||
-        rng = Rng(11)
-        m = 4096
-        net = ntk.init_net(m, 2, rng)
-        v = net.w0.ravel()
-        worst = 0.0
-        for _ in range(20):
-            direction = rng.normals(m * 2)
-            direction /= np.linalg.norm(direction)
-            w = v + 5.0 * direction
-            for i in range(NTOY.n):
-                err = abs(ntk.linearization_error(net, w, v, NTOY.xs[i]))
-                worst = max(worst, err / 5.0)
-        assert worst <= GAMMA / 10.0
 
 
 class TestRunGdNtk:

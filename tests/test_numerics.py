@@ -1,5 +1,5 @@
-"""Low-level numerics: vector input checks, the seeded random stream,
-golden-section minimization, and finite differences."""
+"""Low-level numerics: the seeded random stream and golden-section
+minimization; and the tests' finite-difference oracle with its input check."""
 
 import math
 
@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from eoslab import data, descent, losses
-from eoslab.numerics import Rng, as_vec, finite_diff_grad, minimize_1d
+from eoslab.numerics import Rng, minimize_1d
+
+from _oracles import as_vec, finite_diff_grad
 
 
 class TestAsVec:
