@@ -102,10 +102,6 @@ class Violation:
     observed: float
     value: float
 
-    def as_dict(self) -> dict:
-        return {"step": self.step, "bound": self.bound,
-                "observed": self.observed, "value": self.value}
-
 
 # the recorded series (indexed by step t - 1) that each checked bound caps
 _CHECKED = {"eos_avg_logistic": "avg_loss", "avg_grad_potential": "avg_G",
@@ -197,20 +193,18 @@ def _is_monotone(traj: Trajectory) -> bool:
     return not bool(np.any(traj.loss[1:] > traj.loss[:-1]))
 
 
-def acceleration_score(ds: Dataset, T: int,
-                       loss: Optional[L.LossSpec] = None,
-                       eta_grid: Optional[list[float]] = None) -> AccelerationScore:
+def acceleration_score(ds: Dataset, T: int) -> AccelerationScore:
     """Run the budget-T stepsize schedule and score it against the best
-    empirically monotone constant stepsize.
+    empirically monotone constant stepsize, both under the logistic loss.
 
     "Never enters the oscillatory regime" is operationalized as: not a
     single strict loss ascent over the full recorded horizon.  The
-    baseline is the largest stepsize from a dyadic grid of stepsizes
-    below the scheduled one that satisfies this.  Raises
+    baseline is the largest stepsize of the dyadic grid 2^k, from half the
+    scheduled stepsize down to 2^-6, that satisfies this.  Raises
     :class:`InfeasibleBudget` when T is below the certified schedule
     threshold.
     """
-    loss = loss if loss is not None else L.logistic()
+    loss = L.logistic()
     cert = margin(ds)
     plan = B.acceleration_plan(cert.gamma, ds.n, T)
     if not plan.feasible:
@@ -219,12 +213,9 @@ def acceleration_score(ds: Dataset, T: int,
     big = run_gd(GdConfig(eta=plan.eta, steps=T, loss=loss), ds)
     loss_big = float(big.loss[-1])
 
-    if eta_grid is None:
-        # dyadic stepsizes at most half the scheduled one
-        k_hi = int(math.floor(math.log2(plan.eta / 2.0) + 1e-12))
-        eta_grid = [2.0 ** k for k in range(k_hi, -7, -1)]
+    k_hi = int(math.floor(math.log2(plan.eta / 2.0) + 1e-12))
     eta_best, loss_best, best = None, None, None
-    for eta in sorted(eta_grid, reverse=True):
+    for eta in (2.0 ** k for k in range(k_hi, -7, -1)):
         try:
             traj = run_gd(GdConfig(eta=eta, steps=T, loss=loss), ds)
         except DivergenceError:

@@ -29,31 +29,20 @@ from .numerics import Rng
 
 __all__ = ["main"]
 
-_NTK_WIDTH_CAP = 4096  # largest width "auto" will actually instantiate
-
 _DATASET_KEYS = {"kind", "gamma", "n", "d", "seed", "path", "normalize"}
-_CONFIG_KEYS = {
-    "gd": {"command", "dataset", "loss", "eta", "steps", "record_every", "svg",
-           "check_bounds"},
-    "sgd": {"command", "dataset", "eta", "steps", "seed", "svg"},
-    "ntk": {"command", "dataset", "loss", "eta", "steps", "width", "width_cap",
-            "delta", "seed", "svg"},
-    "accelerate": {"command", "dataset", "steps", "eta_override", "svg"},
-    "rates": {"command", "dataset", "loss", "eta", "steps", "tail_fraction", "svg"},
-}
+# parsed flags that are no config key of their own: the run location, and
+# the dataset and loss flags that fold into their descriptors
+_NOT_CONFIG = {"config", "out", "gamma", "n", "d", "data_seed", "path",
+               "normalize", "a"}
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("EOS_LAB_SEED", "0"))
+def _env_seed() -> str:
+    return os.environ.get("EOS_LAB_SEED", "0")
 
 
 def _json_dump(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
-
-
-def _eta_tag(eta: float) -> str:
-    return format(eta, "g").replace(".", "p").replace("-", "m")
 
 
 def _dataset_descriptor(args) -> dict:
@@ -67,8 +56,6 @@ def _dataset_descriptor(args) -> dict:
         if not args.path:
             raise ValueError("--path is required for --dataset csv")
         desc["path"] = args.path
-    elif args.dataset != "toy":
-        raise ValueError(f"unknown dataset {args.dataset!r}")
     if args.normalize:
         desc["normalize"] = "max"
     return desc
@@ -83,99 +70,107 @@ def _loss_descriptor(args) -> dict:
     return desc
 
 
-def _load_config(path: str, command: str) -> dict:
+def _load_config(path: str, own: dict) -> dict:
+    """The config at ``path``, which must be for the command of ``own``, the
+    config that this command writes, and carry exactly the keys of ``own``."""
     cfg = json.loads(Path(path).read_text(encoding="utf-8"))
-    if cfg.get("command") != command:
-        raise ValueError(f"config is for command {cfg.get('command')!r}, "
-                         f"not {command!r}")
-    allowed = _CONFIG_KEYS[command]
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    bad_ds = set(cfg.get("dataset", {})) - _DATASET_KEYS
+    unknown, missing = sorted(set(cfg) - set(own)), sorted(set(own) - set(cfg))
+    if unknown or missing or cfg["command"] != own["command"]:
+        raise ValueError(f"config for command {cfg.get('command')!r} is not a "
+                         f"{own['command']} config: unknown keys {unknown}, "
+                         f"missing keys {missing}")
+    bad_ds = set(cfg["dataset"]) - _DATASET_KEYS
     if bad_ds:
         raise ValueError(f"unknown dataset keys: {sorted(bad_ds)}")
     return cfg
 
 
-def _etas(text) -> list[float]:
-    if isinstance(text, list):
-        return [float(v) for v in text]
-    out = [float(tok) for tok in str(text).split(",") if tok.strip()]
+def _etas(value) -> list[float]:
+    """The stepsizes of a comma-separated ``--eta`` or a config's list."""
+    if not isinstance(value, list):
+        value = [tok for tok in str(value).split(",") if tok.strip()]
+    out = [float(v) for v in value]
     if not out:
         raise ValueError("at least one stepsize is required")
     return out
 
 
 # -- run commands -------------------------------------------------------------
+# Each runner writes config.json and its outputs and returns its plot: the
+# SVG file name, the curves, and the title and y label of write_line_plot.
 
 
-def _run_gd(cfg: dict, out: Path) -> int:
-    ds = D.dataset_from_json(cfg["dataset"])
+def _sweep(cfg: dict, out: Path, run_one) -> list:
+    """Write ``config.json``, then call ``run_one(eta, tag)`` for each stepsize
+    in order, where ``tag`` names eta in file names; returns the (x, y) that
+    ``run_one`` returns as one curve per stepsize."""
+    etas = _etas(cfg["eta"])
+    _json_dump(cfg, out / "config.json")
+    curves = []
+    for eta in etas:
+        label = format(eta, "g")
+        x, y = run_one(eta, label.replace(".", "p").replace("-", "m"))
+        curves.append((f"eta={label}", x.tolist(), y.tolist()))
+    return curves
+
+
+def _run_gd(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
+    check = cfg["check_bounds"]
+    if check and cfg["record_every"] != 1:
+        raise ValueError("--check-bounds needs every step recorded (--record-every 1)")
     loss = L.loss_from_json(cfg["loss"])
     try:
         cert = D.margin(ds)
-    except D.NotSeparable:
+    except D.NotSeparable as exc:
+        if check:
+            raise ValueError(f"--check-bounds needs a certified margin: {exc}") from None
         cert = None  # runs proceed; phase detection needs the margin
-    _json_dump(cfg, out / "config.json")
-    curves = []
-    for eta in _etas(cfg["eta"]):
+
+    def one(eta, tag):
         traj = G.run_gd(G.GdConfig(eta=eta, steps=int(cfg["steps"]), loss=loss,
-                                   record_every=int(cfg.get("record_every", 1))), ds)
-        tag = _eta_tag(eta)
+                                   record_every=int(cfg["record_every"])), ds)
         G.write_trajectory_csv(traj, out / f"gd_eta{tag}.csv")
         if traj.dense and cert is not None:
             phase = G.detect_phase(traj, loss, eta, ds.n, cert.gamma)
             _json_dump(phase.as_dict(), out / f"gd_eta{tag}_phase.json")
-            if cfg.get("check_bounds", False):
+            if check:
                 viol = A.compare_bounds(traj, cert.gamma, eta, ds.n, loss)
                 A.write_violations_csv(viol, out / f"gd_eta{tag}_violations.csv")
-        curves.append((f"eta={format(eta, 'g')}",
-                       traj.steps.tolist(), traj.loss.tolist()))
-    if cfg.get("svg", True):
-        write_line_plot(out / "gd_loss.svg", curves, title=f"GD loss, {ds.name}",
-                        xlabel="step", ylabel="loss", logy=True)
-    return 0
+        return traj.steps, traj.loss
+
+    return "gd_loss.svg", _sweep(cfg, out, one), dict(title=f"GD loss, {ds.name}",
+                                                      ylabel="loss")
 
 
-def _run_sgd(cfg: dict, out: Path) -> int:
-    ds = D.dataset_from_json(cfg["dataset"])
+def _run_sgd(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
     cert = D.margin(ds)
-    _json_dump(cfg, out / "config.json")
     seed = int(cfg["seed"])
-    curves = []
-    for eta in _etas(cfg["eta"]):
+
+    def one(eta, tag):
         traj = G.run_sgd(ds, eta, int(cfg["steps"]), Rng(seed))
-        tag = _eta_tag(eta)
         G.write_trajectory_csv(traj, out / f"sgd_eta{tag}_seed{seed}.csv")
         phase = G.detect_phase(traj, traj.loss_spec, eta, ds.n, cert.gamma)
         _json_dump(phase.as_dict(), out / f"sgd_eta{tag}_seed{seed}_phase.json")
-        curves.append((f"eta={format(eta, 'g')}",
-                       traj.steps.tolist(), traj.loss.tolist()))
-    if cfg.get("svg", True):
-        write_line_plot(out / "sgd_loss.svg", curves,
-                        title=f"SGD population loss, {ds.name}",
-                        xlabel="step", ylabel="loss", logy=True)
-    return 0
+        return traj.steps, traj.loss
+
+    return "sgd_loss.svg", _sweep(cfg, out, one), dict(
+        title=f"SGD population loss, {ds.name}", ylabel="loss")
 
 
-def _run_ntk(cfg: dict, out: Path) -> int:
-    ds = D.dataset_from_json(cfg["dataset"])
+def _run_ntk(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
     loss = L.loss_from_json(cfg["loss"])
     cert = D.margin(ds)
     eta, T = float(cfg["eta"]), int(cfg["steps"])
-    delta = float(cfg.get("delta", 0.1))
-    cap = int(cfg.get("width_cap", _NTK_WIDTH_CAP))
-    width_req = cfg.get("width", "auto")
+    delta, cap = float(cfg["delta"]), int(cfg["width_cap"])
     wmin = B.width_min(loss, cert.gamma, eta, T, ds.n, delta)
-    if width_req == "auto":
+    if cfg["width"] == "auto":
         # the certified sufficient width is astronomically conservative;
         # "auto" runs at the cap and reports both numbers
         m = cap if wmin > cap else int(math.ceil(wmin))
         m += m % 2
         capped = wmin > cap
     else:
-        m = int(width_req)
+        m = int(cfg["width"])
         capped = False
     _json_dump(cfg, out / "config.json")
     net = N.init_net(m, ds.d, Rng(int(cfg["seed"])))
@@ -185,24 +180,19 @@ def _run_ntk(cfg: dict, out: Path) -> int:
     except D.NotSeparable:
         mhat = None
     G.write_trajectory_csv(traj, out / "ntk.csv")
-    diag_dict = diag.as_dict()
-    diag_dict.update(ntk_margin_hat=mhat, width=m, width_capped=capped)
-    _json_dump(diag_dict, out / "ntk_diagnostics.json")
+    _json_dump(dict(diag.as_dict(), ntk_margin_hat=mhat, width=m, width_capped=capped),
+               out / "ntk_diagnostics.json")
     phase = G.detect_phase(traj, loss, eta, ds.n, cert.gamma)
     _json_dump(phase.as_dict(), out / "ntk_phase.json")
-    if cfg.get("svg", True):
-        write_line_plot(out / "ntk_loss.svg",
-                        [("loss", traj.steps.tolist(), traj.loss.tolist()),
-                         ("dist_init", traj.steps.tolist(), traj.dist_init.tolist())],
-                        title=f"Wide-net GD, m={m}, {ds.name}",
-                        xlabel="step", ylabel="value", logy=True)
-    return 0
+    curves = [("loss", traj.steps.tolist(), traj.loss.tolist()),
+              ("dist_init", traj.steps.tolist(), traj.dist_init.tolist())]
+    return "ntk_loss.svg", curves, dict(title=f"Wide-net GD, m={m}, {ds.name}",
+                                        ylabel="value")
 
 
-def _run_accelerate(cfg: dict, out: Path) -> int:
-    ds = D.dataset_from_json(cfg["dataset"])
+def _run_accelerate(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
     T = int(cfg["steps"])
-    override = cfg.get("eta_override")
+    override = cfg["eta_override"]
     _json_dump(cfg, out / "config.json")
     if override is None:
         score = A.acceleration_score(ds, T)
@@ -224,34 +214,25 @@ def _run_accelerate(cfg: dict, out: Path) -> int:
         G.write_trajectory_csv(small, out / "accelerate_baseline.csv")
         curves.append((f"monotone eta={format(score.eta_small_best, 'g')}",
                        small.steps.tolist(), small.loss.tolist()))
-    if cfg.get("svg", True):
-        write_line_plot(out / "accelerate.svg", curves,
-                        title=f"Budget {T}: scheduled vs monotone stepsize",
-                        xlabel="step", ylabel="loss", logy=True)
-    return 0
+    return "accelerate.svg", curves, dict(
+        title=f"Budget {T}: scheduled vs monotone stepsize", ylabel="loss")
 
 
-def _run_rates(cfg: dict, out: Path) -> int:
-    ds = D.dataset_from_json(cfg["dataset"])
+def _run_rates(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
     loss = L.loss_from_json(cfg["loss"])
-    _json_dump(cfg, out / "config.json")
     fits = {}
-    curves = []
-    for eta in _etas(cfg["eta"]):
+
+    def one(eta, tag):
         traj = G.run_gd(G.GdConfig(eta=eta, steps=int(cfg["steps"]), loss=loss), ds)
-        tag = _eta_tag(eta)
         G.write_trajectory_csv(traj, out / f"rates_eta{tag}.csv")
-        fit = A.fit_rate(traj, eta, tail_fraction=float(cfg.get("tail_fraction", 0.5)))
+        fit = A.fit_rate(traj, eta, tail_fraction=float(cfg["tail_fraction"]))
         fits[format(eta, "g")] = fit.as_dict()
-        scaled = eta * traj.steps[1:] * traj.loss[1:]
-        curves.append((f"eta={format(eta, 'g')}",
-                       traj.steps[1:].tolist(), scaled.tolist()))
+        return traj.steps[1:], eta * traj.steps[1:] * traj.loss[1:]
+
+    curves = _sweep(cfg, out, one)
     _json_dump(fits, out / "rates.json")
-    if cfg.get("svg", True):
-        write_line_plot(out / "rates.svg", curves, title=f"eta*t*loss, {ds.name}",
-                        xlabel="step", ylabel="eta * t * loss",
-                        logx=True, logy=True)
-    return 0
+    return "rates.svg", curves, dict(title=f"eta*t*loss, {ds.name}",
+                                     ylabel="eta * t * loss", logx=True)
 
 
 def _run_bounds(args) -> int:
@@ -266,7 +247,7 @@ def _run_bounds(args) -> int:
 
 def _run_check_loss(args) -> int:
     loss = L.loss_from_json(_loss_descriptor(args))
-    report = L.check_assumptions(loss, Rng(_default_seed()))
+    report = L.check_assumptions(loss, Rng(int(_env_seed())))
     out = report.as_dict()
     rho_rows = []
     rho_ok = True
@@ -325,15 +306,14 @@ def _build_parser() -> argparse.ArgumentParser:
         _add_dataset_flags(p)
         if name in ("gd", "ntk", "rates"):
             _add_loss_flags(p)
-        if name in ("gd", "sgd", "rates"):
-            p.add_argument("--eta", default="1.0",
-                           help="stepsize, or comma-separated sweep list")
+        if name != "accelerate":
+            p.add_argument("--eta", default="1.0", help="stepsize; gd, sgd and "
+                           "rates also take a comma-separated sweep list")
         if name == "ntk":
-            p.add_argument("--eta", default="1.0")
             p.add_argument("--width", default="auto",
                            help='network width, or "auto" for the certified '
                                 "formula (capped to a runnable size)")
-            p.add_argument("--width-cap", type=int, default=_NTK_WIDTH_CAP)
+            p.add_argument("--width-cap", type=int, default=4096)
             p.add_argument("--delta", type=float, default=0.1)
         if name == "accelerate":
             p.add_argument("--eta-override", type=float, default=None)
@@ -345,8 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "rates":
             p.add_argument("--tail-fraction", type=float, default=0.5)
         if name in ("sgd", "ntk"):
-            p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--no-svg", action="store_true")
+            p.add_argument("--seed", type=int, default=_env_seed())
+        p.add_argument("--no-svg", dest="svg", action="store_false")
 
     p = sub.add_parser("bounds", help="print bound reports as JSON lines")
     _add_loss_flags(p)
@@ -370,28 +350,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> dict:
-    cmd = args.command
-    cfg: dict = {"command": cmd, "dataset": _dataset_descriptor(args)}
-    if cmd in ("gd", "ntk", "rates"):
+    """The config of a run command's flags, whose parser states every default."""
+    cfg = {key: value for key, value in vars(args).items() if key not in _NOT_CONFIG}
+    cfg["dataset"] = _dataset_descriptor(args)
+    if "loss" in cfg:
         cfg["loss"] = _loss_descriptor(args)
-    if cmd in ("gd", "sgd", "rates"):
-        cfg["eta"] = _etas(args.eta)
-    cfg["steps"] = args.steps
-    if cmd == "gd":
-        cfg["record_every"] = args.record_every
-        cfg["check_bounds"] = args.check_bounds
-    if cmd == "ntk":
+    if cfg["command"] == "ntk":
         cfg["eta"] = float(args.eta)
-        cfg["width"] = args.width if args.width == "auto" else int(args.width)
-        cfg["width_cap"] = args.width_cap
-        cfg["delta"] = args.delta
-    if cmd == "accelerate":
-        cfg["eta_override"] = args.eta_override
-    if cmd == "rates":
-        cfg["tail_fraction"] = args.tail_fraction
-    if cmd in ("sgd", "ntk"):
-        cfg["seed"] = args.seed if args.seed is not None else _default_seed()
-    cfg["svg"] = not args.no_svg
+        if args.width != "auto":
+            cfg["width"] = int(args.width)
+    elif "eta" in cfg:
+        cfg["eta"] = _etas(args.eta)
     return cfg
 
 
@@ -407,12 +376,18 @@ def main(argv=None) -> int:
         if args.command == "check-loss":
             return _run_check_loss(args)
         if args.config is not None:
-            cfg = _load_config(args.config, args.command)
+            # a fresh parser: one held through the run ages into the oldest GC generation
+            own = _config_from_args(_build_parser().parse_args([args.command]))
+            cfg = _load_config(args.config, own)
         else:
             cfg = _config_from_args(args)
+        ds = D.dataset_from_json(cfg["dataset"])
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _RUNNERS[args.command](cfg, out)
+        svg_name, curves, plot = _RUNNERS[args.command](cfg, ds, out)
+        if cfg["svg"]:
+            write_line_plot(out / svg_name, curves, xlabel="step", logy=True, **plot)
+        return 0
     except G.DivergenceError as exc:
         print(f"error: divergence guard: {exc}", file=sys.stderr)
         return 2

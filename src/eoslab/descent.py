@@ -161,12 +161,18 @@ def loss_value(loss: L.LossSpec, ds: Dataset, w: np.ndarray) -> float:
 
 
 def grad(loss: L.LossSpec, ds: Dataset, w: np.ndarray) -> np.ndarray:
-    """Analytic gradient of the mean loss at w."""
+    """Analytic gradient of the mean loss at w, as :func:`run_gd` steps with."""
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (ds.d,):
         raise ValueError(f"dimension mismatch: w has shape {w.shape}, data is {ds.d}-dim")
     Zy = ds.signed()
-    return Zy.T @ L.deriv(loss, Zy @ w) / ds.n
+    return _mean_grad(Zy, L.deriv(loss, Zy @ w))
+
+
+def _mean_grad(Zy: np.ndarray, dvec: np.ndarray) -> np.ndarray:
+    """Gradient of the mean loss at the linear margins Zy @ w, from
+    ``dvec`` = l' at those margins."""
+    return Zy.T @ dvec / len(dvec)
 
 
 def _block_len(width: int) -> int:
@@ -264,10 +270,10 @@ def run_gd(cfg: GdConfig, ds: Dataset) -> Trajectory:
     w = np.zeros(ds.d) if cfg.init is None else np.array(cfg.init, dtype=np.float64)
     if w.shape != (ds.d,):
         raise ValueError("init has the wrong dimension")
-    Zy, n = ds.signed(), ds.n
+    Zy = ds.signed()
     iterates = np.empty((cfg.steps + 1, ds.d)) if cfg.store_iterates else None
     return gd_engine(
-        w, w.copy(), n, lambda v: Zy @ v, lambda dvec: Zy.T @ dvec / n,
+        w, w.copy(), ds.n, lambda v: Zy @ v, lambda dvec: _mean_grad(Zy, dvec),
         cfg.loss, cfg.eta, cfg.steps, cfg.record_every, iterates,
         "loss exceeded {factor:g} * L(w_0) for {patience} consecutive steps (step {t})")
 
@@ -297,14 +303,13 @@ def detect_phase(traj: Trajectory, loss: L.LossSpec, eta: float, n: int,
 
 
 def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng,
-            loss: Optional[L.LossSpec] = None,
             store_iterates: bool = False) -> Trajectory:
-    """One-sample-per-step SGD on the empirical distribution of ``ds``.
+    """One-sample-per-step SGD under the logistic loss on the empirical
+    distribution of ``ds``.
 
-    Only the logistic loss is supported.  Because the sampling
-    distribution has finite support, the recorded population loss and
-    population zero-one error are computed exactly over the support at
-    every step (no Monte Carlo error).
+    Because the sampling distribution has finite support, the recorded
+    population loss and population zero-one error are computed exactly
+    over the support at every step (no Monte Carlo error).
 
     The per-step loop only stores the iterate and its margins and applies
     the sampled-row update; the population metrics are then evaluated once
@@ -313,9 +318,6 @@ def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng,
     evaluation gives.  Memory is the block buffers plus the O(T) series
     (and O(T * d) with ``store_iterates``).
     """
-    loss = loss if loss is not None else L.logistic()
-    if loss.kind != L.LOGISTIC:
-        raise ValueError("online SGD is analyzed for the logistic loss only")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     Zy = ds.signed()
@@ -383,7 +385,7 @@ def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng,
         steps=np.arange(T + 1, dtype=np.int64),
         loss=rec["loss"], grad_norm=rec["grad_norm"],
         param_norm=rec["param_norm"], dist_init=rec["param_norm"].copy(),  # w_0 = 0
-        G=rec["G"], F=rec["F"], eta=eta, loss_spec=loss, record_every=1,
+        G=rec["G"], F=rec["F"], eta=eta, loss_spec=L.logistic(), record_every=1,
         w_final=w.copy(), iterates=iterates, zero_one=rec["zero_one"],
         sample_idx=idx)
 

@@ -176,8 +176,9 @@ def rho_bound(loss: LossSpec, lam: float) -> float:
     return 2.0 * lam ** (2.0 / (loss.a + 2.0))
 
 
-def rho_exact(loss: LossSpec, lam: float, tol: float = 1e-8) -> float:
-    """rho(lambda) = min_z lambda*l(z) + z^2 by bracketed golden section.
+def rho_exact(loss: LossSpec, lam: float) -> float:
+    """rho(lambda) = min_z lambda*l(z) + z^2 by bracketed golden section,
+    to a tolerance of 1e-8 in z.
 
     The objective is strictly convex (convex loss plus z^2), so the
     bracket [-2, hi] is unimodal; hi is widened geometrically until the
@@ -189,7 +190,7 @@ def rho_exact(loss: LossSpec, lam: float, tol: float = 1e-8) -> float:
     def h(z: float) -> float:
         return lam * float(eval_loss(loss, z)) + z * z
 
-    lo = -2.0
+    lo, tol = -2.0, 1e-8
     if loss.C_e is not None:
         hi = max(10.0, 3.0 * loss.C_e * math.log(max(lam, math.e)))
     else:
@@ -207,8 +208,9 @@ def psi(loss: LossSpec, lam: float) -> float:
     return lam / rho_bound(loss, lam)
 
 
-def psi_inverse(loss: LossSpec, y: float, rel_tol: float = 1e-10) -> float:
-    """Smallest lambda >= 1 with psi(lambda) >= y, by bisection.
+def psi_inverse(loss: LossSpec, y: float) -> float:
+    """Smallest lambda >= 1 with psi(lambda) >= y, by bisection to a
+    relative tolerance of 1e-10.
 
     rho(lambda)/lambda is non-increasing, so psi is non-decreasing and the
     crossing is unique once psi exceeds y.
@@ -225,7 +227,7 @@ def psi_inverse(loss: LossSpec, y: float, rel_tol: float = 1e-10) -> float:
         lo, hi = hi, hi * 4.0
     else:
         raise RuntimeError("psi_inverse: upper bracket expansion failed")
-    while (hi - lo) > rel_tol * hi:
+    while (hi - lo) > 1e-10 * hi:
         mid = 0.5 * (lo + hi)
         if psi(loss, mid) >= y:
             hi = mid
@@ -285,60 +287,53 @@ class AssumptionReport:
         }
 
 
-def _worst(points, residuals, tol) -> ConditionCheck:
+def _worst(points, residuals) -> ConditionCheck:
     i = int(np.argmax(residuals))
     point = points[i] if np.ndim(points[i]) == 0 else tuple(np.atleast_1d(points[i]).tolist())
     if np.ndim(point) == 0:
         point = (float(point),)
-    return ConditionCheck(passed=bool(residuals[i] <= tol),
+    return ConditionCheck(passed=bool(residuals[i] <= 1e-9),
                           residual=float(residuals[i]), witness=point)
 
 
-def check_assumptions(
-    loss: LossSpec,
-    rng: Rng | None = None,
-    grid_points: int = 10_001,
-    n_pairs: int = 10_000,
-    tol: float = 1e-9,
-    z_range: tuple[float, float] = (-20.0, 20.0),
-) -> AssumptionReport:
+def check_assumptions(loss: LossSpec, rng: Rng | None = None) -> AssumptionReport:
     """Sampled verification of the loss conditions.
 
-    All six inequalities are evaluated pointwise on a dense grid over
-    ``z_range`` plus random pairs with |z - x| < 1; this is a sampled
-    check with tolerance ``tol``, not a symbolic proof.
+    All six inequalities are evaluated pointwise on a grid of 10001 points
+    over [-20, 20] plus 10000 random pairs with |z - x| < 1; this is a
+    sampled check with tolerance 1e-9, not a symbolic proof.
     """
     rng = rng if rng is not None else Rng(0)
-    zs = np.linspace(z_range[0], z_range[1], grid_points)
+    zs = np.linspace(-20.0, 20.0, 10_001)
     lz = eval_loss(loss, zs)
     gz = g(loss, zs)
 
     # convexity via the midpoint inequality on random pairs
-    x1 = z_range[0] + (z_range[1] - z_range[0]) * rng.uniform(n_pairs)
-    x2 = z_range[0] + (z_range[1] - z_range[0]) * rng.uniform(n_pairs)
+    x1 = -20.0 + 40.0 * rng.uniform(10_000)
+    x2 = -20.0 + 40.0 * rng.uniform(10_000)
     mid_res = eval_loss(loss, 0.5 * (x1 + x2)) - 0.5 * (eval_loss(loss, x1) + eval_loss(loss, x2))
-    convexity = _worst(list(zip(x1, x2)), mid_res, tol)
+    convexity = _worst(list(zip(x1, x2)), mid_res)
 
     # non-increasing on the sorted grid
     mono_res = lz[1:] - lz[:-1]
-    monotone = _worst(list(zip(zs[:-1], zs[1:])), mono_res, tol)
+    monotone = _worst(list(zip(zs[:-1], zs[1:])), mono_res)
 
     # |l'| <= C_g
     lip_res = gz - loss.C_g
-    lipschitz = _worst([(float(z),) for z in zs], lip_res, tol)
+    lipschitz = _worst([(float(z),) for z in zs], lip_res)
 
     # g <= C_beta * l
     sb1_res = gz - loss.C_beta * lz
-    self_bounded_first = _worst([(float(z),) for z in zs], sb1_res, tol)
+    self_bounded_first = _worst([(float(z),) for z in zs], sb1_res)
 
     # second-order growth on pairs with |z - x| < 1
-    xs = z_range[0] + (z_range[1] - z_range[0]) * rng.uniform(n_pairs)
-    delta = 2.0 * rng.uniform(n_pairs) - 1.0
+    xs = -20.0 + 40.0 * rng.uniform(10_000)
+    delta = 2.0 * rng.uniform(10_000) - 1.0
     zp = xs + delta
     lhs = eval_loss(loss, zp)
     rhs = (eval_loss(loss, xs) + deriv(loss, xs) * (zp - xs)
            + loss.C_beta * g(loss, xs) * (zp - xs) ** 2)
-    self_bounded_second = _worst(list(zip(xs, zp)), lhs - rhs, tol)
+    self_bounded_second = _worst(list(zip(xs, zp)), lhs - rhs)
 
     # exponential tail, only on z >= 0 and only when a C_e is declared
     if loss.C_e is None:
@@ -346,7 +341,7 @@ def check_assumptions(
     else:
         pos = zs >= 0.0
         tail_res = lz[pos] - loss.C_e * gz[pos]
-        exp_tail = _worst([(float(z),) for z in zs[pos]], tail_res, tol)
+        exp_tail = _worst([(float(z),) for z in zs[pos]], tail_res)
 
     return AssumptionReport(convexity, monotone, lipschitz,
                             self_bounded_first, self_bounded_second, exp_tail)

@@ -70,7 +70,6 @@ class NtkDiagnostics:
     R: float
     max_dist: float
     width_min: float
-    ntk_margin_hat: Optional[float] = None
 
     @property
     def lazy_ok(self) -> bool:
@@ -78,7 +77,7 @@ class NtkDiagnostics:
 
     def as_dict(self) -> dict:
         return {"R": self.R, "max_dist": self.max_dist, "lazy_ok": self.lazy_ok,
-                "width_min": self.width_min, "ntk_margin_hat": self.ntk_margin_hat}
+                "width_min": self.width_min}
 
 
 def init_net(m: int, d: int, rng: Rng, random_signs: bool = False) -> NtkNet:
@@ -165,7 +164,7 @@ def run_gd_ntk(net: NtkNet, ds: Dataset, loss: L.LossSpec, eta: float, T: int,
     return traj, diag
 
 
-def ntk_margin_hat(net: NtkNet, ds: Dataset, tol: float = 1e-10) -> MarginCertificate:
+def ntk_margin_hat(net: NtkNet, ds: Dataset) -> MarginCertificate:
     """Certified margin of the finite-width tangent features at w_0.
 
     Runs the max-margin solver on the n vectors y_i * grad f(x_i; w_0) in
@@ -175,4 +174,4 @@ def ntk_margin_hat(net: NtkNet, ds: Dataset, tol: float = 1e-10) -> MarginCertif
     feats = np.stack([ds.ys[i] * grad_param(net, ds.xs[i], net.w0)
                       for i in range(ds.n)])
     tangent = Dataset(feats, np.ones(ds.n), name=ds.name + "/tangent")
-    return margin(tangent, tol=tol)
+    return margin(tangent)

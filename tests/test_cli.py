@@ -19,6 +19,10 @@ def run(*argv):
     return main(list(argv))
 
 
+def files_in(out):
+    return sorted(p.name for p in out.iterdir()) if out.exists() else []
+
+
 class TestGd:
     def test_produces_trajectory_phase_and_svg(self, tmp_path):
         out = tmp_path / "runs"
@@ -104,6 +108,71 @@ class TestGd:
                    "--steps", "300", "--check-bounds", "--out", str(out)) == 0
         lines = (out / "gd_eta8_violations.csv").read_text().splitlines()
         assert lines == ["step,bound,observed"]  # conformant run: no rows
+
+    @pytest.mark.parametrize("argv", [
+        ("--normalize", "--eta", "8", "--steps", "300", "--record-every", "10"),
+        ("--dataset", "csv", "--path", "conflict.csv", "--eta", "1", "--steps", "100"),
+    ], ids=["sparse-recording", "no-certified-margin"])
+    def test_check_bounds_refused_when_it_cannot_check(self, tmp_path, capsys,
+                                                      monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "conflict.csv").write_text("1,1.0\n-1,0.3\n")
+        out = tmp_path / "cb"
+        assert run("gd", *argv, "--check-bounds", "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: --check-bounds needs") and err.count("\n") == 1
+        assert files_in(out) == []
+
+    @pytest.mark.parametrize("source", ["flag", "config-svg", "config-no-svg"])
+    def test_empty_stepsize_list_rejected(self, tmp_path, capsys, source):
+        out = tmp_path / "e"
+        if source == "flag":
+            argv = ["gd", "--eta", ","]
+        else:
+            cfg = {"command": "gd", "dataset": {"kind": "toy"},
+                   "loss": {"kind": "logistic"}, "eta": [], "steps": 10,
+                   "record_every": 1, "check_bounds": False,
+                   "svg": source == "config-svg"}
+            p = tmp_path / "empty.json"
+            p.write_text(json.dumps(cfg))
+            argv = ["gd", "--config", str(p)]
+        assert run(*argv, "--out", str(out)) == 3
+        assert capsys.readouterr().err == "error: at least one stepsize is required\n"
+        assert files_in(out) == []
+
+
+# one short run of each command, with the file its config.json is rerun against
+RUN_COMMANDS = {
+    "gd": (["gd", "--eta", "2,8", "--steps", "50"], "gd_eta8.csv"),
+    "sgd": (["sgd", "--eta", "2", "--steps", "50", "--seed", "4"], "sgd_eta2_seed4.csv"),
+    "ntk": (["ntk", "--normalize", "--width", "8", "--steps", "20"], "ntk.csv"),
+    "accelerate": (["accelerate", "--steps", "50", "--eta-override", "2"],
+                   "accelerate_large.csv"),
+    "rates": (["rates", "--eta", "8", "--steps", "100"], "rates_eta8.csv"),
+}
+
+
+class TestConfigSchema:
+    """A config must carry exactly the keys that its command writes."""
+
+    @pytest.mark.parametrize("command", sorted(RUN_COMMANDS))
+    def test_written_config_is_the_only_accepted_key_set(self, tmp_path, command):
+        argv, csv = RUN_COMMANDS[command]
+        first = tmp_path / "first"
+        assert run(*argv, "--out", str(first)) == 0
+        cfg = json.loads((first / "config.json").read_text())
+        again = tmp_path / "again"
+        assert run(command, "--config", str(first / "config.json"),
+                   "--out", str(again)) == 0
+        assert (again / csv).read_bytes() == (first / csv).read_bytes()
+        variants = [{k: v for k, v in cfg.items() if k != key} for key in cfg]
+        variants.append(dict(cfg, surprise=True))
+        for k, variant in enumerate(variants):
+            p = tmp_path / f"variant{k}.json"
+            p.write_text(json.dumps(variant))
+            out = tmp_path / f"out{k}"
+            assert run(command, "--config", str(p), "--out", str(out)) == 3, variant
+            assert files_in(out) == []
 
 
 class TestSgd:

@@ -205,11 +205,6 @@ class TestRunSgd:
         z = NTOY.signed() @ w
         assert tr.zero_one[k] == pytest.approx(float(np.mean(z <= 0.0)), abs=0)
 
-    def test_rejects_non_logistic(self):
-        with pytest.raises(ValueError):
-            descent.run_sgd(NTOY, 1.0, 10, Rng(0),
-                            loss=losses.flattened_polynomial(1.0))
-
     def test_pathwise_regret_inequality(self):
         # realized-sample inequality with the shifted comparator, checked
         # per realization from the stored iterates and drawn indices
