@@ -22,8 +22,10 @@ print(f"dataset: {toy.name}, n={toy.n}, certified margin gamma={cert.gamma:g} "
 loss = losses.logistic()
 T = 20_000
 curves = []
-for eta in (4.0, 8.0, 16.0, 32.0):
-    traj = descent.run_gd(descent.GdConfig(eta=eta, steps=T, loss=loss), toy)
+etas = (4.0, 8.0, 16.0, 32.0)
+trajs = descent.run_gd_batch([descent.GdConfig(eta=eta, steps=T, loss=loss)
+                              for eta in etas], toy)
+for eta, traj in zip(etas, trajs):
     phase = descent.detect_phase(traj, loss, eta, toy.n, cert.gamma)
     ascents = int(np.sum(traj.loss[1:] > traj.loss[:-1]))
     tau = bounds.tau_logistic(cert.gamma, eta, toy.n)

@@ -19,9 +19,11 @@ loss = losses.logistic()
 
 print(f"{'eta':>5} {'last ascent':>12} {'criterion met':>14} "
       f"{'perfect from':>13} {'final loss':>12}")
-for eta in (4.0, 8.0, 16.0, 32.0):
-    traj = descent.run_gd(descent.GdConfig(eta=eta, steps=3000, loss=loss,
-                                           store_iterates=True), toy)
+etas = (4.0, 8.0, 16.0, 32.0)
+trajs = descent.run_gd_batch([descent.GdConfig(eta=eta, steps=3000, loss=loss,
+                                               store_iterates=True)
+                              for eta in etas], toy)
+for eta, traj in zip(etas, trajs):
     err = analysis.zero_one_curve(traj, toy)
     phase = descent.detect_phase(traj, loss, eta, toy.n, cert.gamma)
     perfect = np.nonzero(err[::-1] > 0.0)[0]

@@ -14,7 +14,7 @@ import numpy as np
 from . import bounds as B
 from . import losses as L
 from .data import Dataset, margin
-from .descent import DivergenceError, GdConfig, Trajectory, run_gd
+from .descent import DivergenceError, GdConfig, Trajectory, run_gd_batch
 
 __all__ = [
     "RateFit",
@@ -200,7 +200,9 @@ def acceleration_score(ds: Dataset, T: int) -> AccelerationScore:
     "Never enters the oscillatory regime" is operationalized as: not a
     single strict loss ascent over the full recorded horizon.  The
     baseline is the largest stepsize of the dyadic grid 2^k, from half the
-    scheduled stepsize down to 2^-6, that satisfies this.  Raises
+    scheduled stepsize down to 2^-6, that satisfies this; the largest one
+    runs in one batch with the schedule, and the rest one at a time, only
+    while none has satisfied it.  Raises
     :class:`InfeasibleBudget` when T is below the certified schedule
     threshold.
     """
@@ -210,17 +212,19 @@ def acceleration_score(ds: Dataset, T: int) -> AccelerationScore:
     if not plan.feasible:
         raise InfeasibleBudget(T, plan.threshold)
 
-    big = run_gd(GdConfig(eta=plan.eta, steps=T, loss=loss), ds)
+    k_hi = int(math.floor(math.log2(plan.eta / 2.0) + 1e-12))
+    grid = [2.0 ** k for k in range(k_hi, -7, -1)]
+    big, *tries = run_gd_batch([GdConfig(eta=eta, steps=T, loss=loss)
+                                for eta in [plan.eta] + grid[:1]], ds)
+    if isinstance(big, DivergenceError):
+        raise big
     loss_big = float(big.loss[-1])
 
-    k_hi = int(math.floor(math.log2(plan.eta / 2.0) + 1e-12))
     eta_best, loss_best, best = None, None, None
-    for eta in (2.0 ** k for k in range(k_hi, -7, -1)):
-        try:
-            traj = run_gd(GdConfig(eta=eta, steps=T, loss=loss), ds)
-        except DivergenceError:
-            continue
-        if _is_monotone(traj):
+    for eta in grid:
+        traj = tries.pop() if tries else run_gd_batch(
+            [GdConfig(eta=eta, steps=T, loss=loss)], ds)[0]
+        if isinstance(traj, Trajectory) and _is_monotone(traj):
             eta_best, loss_best, best = eta, float(traj.loss[-1]), traj
             break
 

@@ -70,15 +70,39 @@ def _loss_descriptor(args) -> dict:
     return desc
 
 
+def _kind(value) -> str:
+    """The JSON type of a config value, with bools apart from numbers, and
+    number lists and flat objects (holding no list or object) apart."""
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, float)):
+        return "number"
+    if isinstance(value, list) and all(_kind(v) == "number" for v in value):
+        return "number list"
+    if isinstance(value, dict) and not any(isinstance(v, (list, dict))
+                                           for v in value.values()):
+        return "flat object"
+    return type(value).__name__
+
+
 def _load_config(path: str, own: dict) -> dict:
     """The config at ``path``, which must be for the command of ``own``, the
-    config that this command writes, and carry exactly the keys of ``own``."""
+    config that this command writes, and carry exactly the keys of ``own``,
+    each with the JSON type of its value in ``own``, where a number may
+    stand in for a null or "auto" default."""
     cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(cfg, dict):
+        raise ValueError(f"a config must be a JSON object, not {json.dumps(cfg)}")
     unknown, missing = sorted(set(cfg) - set(own)), sorted(set(own) - set(cfg))
     if unknown or missing or cfg["command"] != own["command"]:
         raise ValueError(f"config for command {cfg.get('command')!r} is not a "
                          f"{own['command']} config: unknown keys {unknown}, "
                          f"missing keys {missing}")
+    for key, default in own.items():
+        kind = _kind(cfg[key])
+        if kind != _kind(default) and not (kind == "number" and default in (None, "auto")):
+            raise ValueError(f"config key {key!r} must be a {_kind(default)}, "
+                             f"not {json.dumps(cfg[key])}")
     bad_ds = set(cfg["dataset"]) - _DATASET_KEYS
     if bad_ds:
         raise ValueError(f"unknown dataset keys: {sorted(bad_ds)}")
@@ -100,16 +124,20 @@ def _etas(value) -> list[float]:
 # SVG file name, the curves, and the title and y label of write_line_plot.
 
 
-def _sweep(cfg: dict, out: Path, run_one) -> list:
-    """Write ``config.json``, then call ``run_one(eta, tag)`` for each stepsize
-    in order, where ``tag`` names eta in file names; returns the (x, y) that
-    ``run_one`` returns as one curve per stepsize."""
+def _sweep(cfg: dict, out: Path, runs, write_one) -> list:
+    """Write ``config.json``, then take the stepsizes' runs, in order, from
+    ``runs(etas)``, which yields a Trajectory or the DivergenceError to
+    raise, and call ``write_one(eta, tag, traj)`` on each, where ``tag``
+    names eta in file names; returns the (x, y) that ``write_one`` returns
+    as one curve per stepsize."""
     etas = _etas(cfg["eta"])
     _json_dump(cfg, out / "config.json")
     curves = []
-    for eta in etas:
+    for eta, traj in zip(etas, runs(etas)):
+        if isinstance(traj, G.DivergenceError):
+            raise traj
         label = format(eta, "g")
-        x, y = run_one(eta, label.replace(".", "p").replace("-", "m"))
+        x, y = write_one(eta, label.replace(".", "p").replace("-", "m"), traj)
         curves.append((f"eta={label}", x.tolist(), y.tolist()))
     return curves
 
@@ -126,9 +154,12 @@ def _run_gd(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
             raise ValueError(f"--check-bounds needs a certified margin: {exc}") from None
         cert = None  # runs proceed; phase detection needs the margin
 
-    def one(eta, tag):
-        traj = G.run_gd(G.GdConfig(eta=eta, steps=int(cfg["steps"]), loss=loss,
-                                   record_every=int(cfg["record_every"])), ds)
+    def runs(etas):
+        return G.run_gd_batch([G.GdConfig(eta=eta, steps=int(cfg["steps"]), loss=loss,
+                                          record_every=int(cfg["record_every"]))
+                               for eta in etas], ds)
+
+    def one(eta, tag, traj):
         G.write_trajectory_csv(traj, out / f"gd_eta{tag}.csv")
         if traj.dense and cert is not None:
             phase = G.detect_phase(traj, loss, eta, ds.n, cert.gamma)
@@ -138,22 +169,26 @@ def _run_gd(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
                 A.write_violations_csv(viol, out / f"gd_eta{tag}_violations.csv")
         return traj.steps, traj.loss
 
-    return "gd_loss.svg", _sweep(cfg, out, one), dict(title=f"GD loss, {ds.name}",
-                                                      ylabel="loss")
+    return "gd_loss.svg", _sweep(cfg, out, runs, one), dict(title=f"GD loss, {ds.name}",
+                                                            ylabel="loss")
 
 
 def _run_sgd(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
     cert = D.margin(ds)
     seed = int(cfg["seed"])
 
-    def one(eta, tag):
-        traj = G.run_sgd(ds, eta, int(cfg["steps"]), Rng(seed))
+    def runs(etas):
+        # one run at a time, each written as soon as it ends: SGD runs are
+        # not batched
+        return (G.run_sgd(ds, eta, int(cfg["steps"]), Rng(seed)) for eta in etas)
+
+    def one(eta, tag, traj):
         G.write_trajectory_csv(traj, out / f"sgd_eta{tag}_seed{seed}.csv")
         phase = G.detect_phase(traj, traj.loss_spec, eta, ds.n, cert.gamma)
         _json_dump(phase.as_dict(), out / f"sgd_eta{tag}_seed{seed}_phase.json")
         return traj.steps, traj.loss
 
-    return "sgd_loss.svg", _sweep(cfg, out, one), dict(
+    return "sgd_loss.svg", _sweep(cfg, out, runs, one), dict(
         title=f"SGD population loss, {ds.name}", ylabel="loss")
 
 
@@ -222,14 +257,17 @@ def _run_rates(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
     loss = L.loss_from_json(cfg["loss"])
     fits = {}
 
-    def one(eta, tag):
-        traj = G.run_gd(G.GdConfig(eta=eta, steps=int(cfg["steps"]), loss=loss), ds)
+    def runs(etas):
+        return G.run_gd_batch([G.GdConfig(eta=eta, steps=int(cfg["steps"]), loss=loss)
+                               for eta in etas], ds)
+
+    def one(eta, tag, traj):
         G.write_trajectory_csv(traj, out / f"rates_eta{tag}.csv")
         fit = A.fit_rate(traj, eta, tail_fraction=float(cfg["tail_fraction"]))
         fits[format(eta, "g")] = fit.as_dict()
         return traj.steps[1:], eta * traj.steps[1:] * traj.loss[1:]
 
-    curves = _sweep(cfg, out, one)
+    curves = _sweep(cfg, out, runs, one)
     _json_dump(fits, out / "rates.json")
     return "rates.svg", curves, dict(title=f"eta*t*loss, {ds.name}",
                                      ylabel="eta * t * loss", logx=True)
@@ -369,7 +407,10 @@ _RUNNERS = {"gd": _run_gd, "sgd": _run_sgd, "ntk": _run_ntk,
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error is an invalid configuration
+        return 3 if exc.code == 2 else exc.code
     try:
         if args.command == "bounds":
             return _run_bounds(args)

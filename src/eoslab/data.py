@@ -311,7 +311,7 @@ def verify_margin(ds: Dataset, cert: MarginCertificate, tol: float = 1e-9) -> bo
     return bool(np.min(margins) >= cert.gamma - tol)
 
 
-def dataset_from_json(obj: dict, rng: Rng | None = None) -> Dataset:
+def dataset_from_json(obj: dict) -> Dataset:
     """Build a dataset from its config-JSON descriptor."""
     kind = obj.get("kind")
     if kind == "toy":
@@ -319,9 +319,8 @@ def dataset_from_json(obj: dict, rng: Rng | None = None) -> Dataset:
     elif kind == "lower_bound":
         ds = lower_bound_dataset(float(obj["gamma"]))
     elif kind == "synthetic":
-        if rng is None:
-            rng = Rng(int(obj.get("seed", 0)))
-        ds = synthetic_separable(int(obj["n"]), int(obj["d"]), float(obj["gamma"]), rng)
+        ds = synthetic_separable(int(obj["n"]), int(obj["d"]), float(obj["gamma"]),
+                                 Rng(int(obj["seed"])))
     elif kind == "csv":
         ds = load_csv(obj["path"], normalize=obj.get("normalize"))
     else:

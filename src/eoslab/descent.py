@@ -1,29 +1,27 @@
 """Full-batch GD and online SGD engines, with per-step instrumentation
 and phase-transition detection.
 
-``gd_engine`` is the one full-batch GD loop, run by ``run_gd`` on linear
-predictors and by ``eoslab.ntk.run_gd_ntk`` on the two-layer network; it
-and ``run_sgd`` share one block recorder and one divergence guard.
+``gd_engine`` is the one full-batch GD loop.  It advances a batch of
+runs, the rows of one (K, p) matrix, each bit for bit as alone: linear
+runs of ``run_gd_batch`` (``run_gd`` is a batch of one), and a network
+run of ``eoslab.ntk.run_gd_ntk``.  ``run_sgd`` is not batched: its runs
+are written one by one, as each ends.  Both share one block recorder and
+one divergence guard.
 
-A trajectory records, at every recorded step, the loss L, the gradient
-norm, the parameter norm, the distance from initialization, the gradient
-potential G(w) = mean_i |l'(y_i x_i^T w)|, and the exponential potential
-F(w) = mean_i exp(-y_i x_i^T w).  G drives the phase-transition bounds;
-F is the stable-phase initial-condition term and is primarily meaningful
-for logistic runs (it is still computed for every loss).  The step loops
+A trajectory records, at every recorded step, the loss L, the gradient,
+parameter and distance-from-initialization norms, the gradient potential
+G(w) = mean_i |l'(y_i x_i^T w)| that drives the phase-transition bounds,
+and the exponential potential F(w) = mean_i exp(-y_i x_i^T w), the
+stable-phase initial-condition term of logistic runs.  The step loops
 keep each step's margins, from which the series are evaluated once per
-block of at most ``_BLOCK_STEPS`` steps, bit for bit as step by step; a
-block's buffers hold at most ``_BLOCK_FLOATS`` floats (one step's
-margins when n is larger), whatever the parameter size.
-
-Runs are pure functions of their inputs: rerunning with the same config
-and dataset reproduces every recorded number bit for bit.
+block of at most ``_BLOCK_STEPS`` steps and ``_BLOCK_FLOATS`` floats of
+margins (one step's when larger); reruns reproduce every number bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -35,17 +33,9 @@ from .data import Dataset, MarginCertificate
 from .numerics import Rng
 
 __all__ = [
-    "GdConfig",
-    "Trajectory",
-    "PhaseReport",
-    "DivergenceError",
-    "loss_value",
-    "grad",
-    "run_gd",
-    "detect_phase",
-    "run_sgd",
-    "split_optimization_check",
-    "perceptron_potential_check",
+    "GdConfig", "Trajectory", "PhaseReport", "DivergenceError", "loss_value",
+    "grad", "run_gd", "run_gd_batch", "detect_phase", "run_sgd",
+    "split_optimization_check", "perceptron_potential_check",
     "write_trajectory_csv",
 ]
 
@@ -146,33 +136,24 @@ class PhaseReport:
     criterion_value: float
 
     def as_dict(self) -> dict:
-        return {"s_theory": self.s_theory, "s_empirical": self.s_empirical,
-                "tau_bound": self.tau_bound,
-                "criterion_value": self.criterion_value}
+        return asdict(self)
+
+
+def _margins(ds: Dataset, w) -> np.ndarray:
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != (ds.d,):
+        raise ValueError(f"dimension mismatch: w has shape {w.shape}, data is {ds.d}-dim")
+    return ds.signed() @ w
 
 
 def loss_value(loss: L.LossSpec, ds: Dataset, w: np.ndarray) -> float:
     """Mean loss over the dataset at parameter w."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (ds.d,):
-        raise ValueError(f"dimension mismatch: w has shape {w.shape}, data is {ds.d}-dim")
-    z = ds.signed() @ w
-    return float(np.mean(L.eval_loss(loss, z)))
+    return float(np.mean(L.eval_loss(loss, _margins(ds, w))))
 
 
 def grad(loss: L.LossSpec, ds: Dataset, w: np.ndarray) -> np.ndarray:
     """Analytic gradient of the mean loss at w, as :func:`run_gd` steps with."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (ds.d,):
-        raise ValueError(f"dimension mismatch: w has shape {w.shape}, data is {ds.d}-dim")
-    Zy = ds.signed()
-    return _mean_grad(Zy, L.deriv(loss, Zy @ w))
-
-
-def _mean_grad(Zy: np.ndarray, dvec: np.ndarray) -> np.ndarray:
-    """Gradient of the mean loss at the linear margins Zy @ w, from
-    ``dvec`` = l' at those margins."""
-    return Zy.T @ dvec / len(dvec)
+    return ds.signed().T @ L.deriv(loss, _margins(ds, w)) / ds.n
 
 
 def _block_len(width: int) -> int:
@@ -181,12 +162,11 @@ def _block_len(width: int) -> int:
 
 
 def _divergence_guard(diverged: str):
-    """The divergence guard: the returned ``check(start, losses)``, fed the
-    losses of steps start, start+1, ... block after block in step order,
-    raises :class:`DivergenceError` on a non-finite loss or once the loss
-    has stayed above the factor times L(w_0) for patience steps in a row,
-    with ``diverged`` formatted with ``t``, ``factor`` and ``patience`` as
-    the message."""
+    """The divergence guard of one run: ``check(start, losses)``, fed the
+    losses of steps start, start+1, ... in step order, raises
+    :class:`DivergenceError` on a non-finite loss, or once the loss has
+    stayed above the factor times L(w_0) for patience steps in a row with
+    ``diverged`` formatted with ``t``, ``factor`` and ``patience``."""
     loss0, over = None, 0
 
     def check(start: int, lvals: np.ndarray) -> None:
@@ -204,78 +184,123 @@ def _divergence_guard(diverged: str):
     return check
 
 
-def gd_engine(w, origin, n: int, margins, gradient, loss: L.LossSpec, eta: float,
+def _sq_norms(A: np.ndarray) -> np.ndarray:
+    """v.dot(v) of each row v of the (..., p) array A, bit for bit: the
+    stacked matmul takes one dot per row."""
+    V = A.reshape(-1, 1, A.shape[-1])
+    return np.matmul(V, V.transpose(0, 2, 1)).reshape(A.shape[:-1])
+
+
+def gd_engine(W, origin, n: int, margins, gradient, loss: L.LossSpec, etas,
               T: int, record_every: int, iterates: Optional[np.ndarray],
-              diverged: str) -> Trajectory:
-    """The full-batch GD loop of :func:`run_gd` and ``ntk.run_gd_ntk``
-    (internal): from ``w``, step t moves to ``w_t - eta * gradient(l'(z))``
-    at the ``n`` margins ``z = margins(w_t)``.  Every ``record_every``-th
-    step and T are recorded, ``dist_init`` from ``origin``; ``iterates``,
-    if given, receives every iterate.  When the guard fires, the block is
-    replayed from its first iterate, so that ``margins`` was last called
-    at the iterate the guard rejected."""
+              diverged: str) -> list:
+    """The full-batch GD loop (internal) of :func:`run_gd_batch` and
+    ``ntk.run_gd_ntk``: step t moves each run k, a row of the (K, p) matrix
+    ``W``, to ``w_t - etas[k] * gradient(l'(Z))[k]`` at the (K, n) margins
+    ``Z = margins(W)``, for any number of rows.  Every ``record_every``-th
+    step and T are recorded, ``dist_init`` from the rows of ``origin``;
+    ``iterates``, if given, is (K, T+1, p) and receives every iterate.  A
+    run its own guard rejects leaves the batch, which goes on bit for bit,
+    and is replayed alone from its block's first iterate, so that
+    ``margins`` was last called at the rejected iterate.  Returns each
+    run's Trajectory or DivergenceError, in order."""
+    W, origin = np.array(W, dtype=np.float64), np.array(origin, dtype=np.float64)
+    K, p = W.shape
+    etas = np.array(etas, dtype=np.float64)[:, None]
     steps = np.append(np.arange(0, T, record_every), T)
-    rec_loss, G, F = np.empty((3, len(steps)))
-    sq = np.empty((3, len(steps)))  # squared gradient, parameter, distance norms
-    block = min(_block_len(n), T + 1)
-    Z_buf = np.empty((block, n))
-    guard = _divergence_guard(diverged)
-    k = 0
+    # per run: loss, G, F and the squared gradient, parameter, distance norms
+    rec = np.empty((K, 6, len(steps)))
+    ids, out = np.arange(K), [None] * K
+    guards = [_divergence_guard(diverged) for _ in ids]
+    block = min(_block_len(K * n), T + 1)
+    cap = max(1, _BLOCK_FLOATS // (K * p))  # recorded rows per pass of _sq_norms
+    Z_buf, WG_buf, k = np.empty((block, K, n)), np.empty((2, min(cap, block), K, p)), 0
 
     # a block may run up to a block of steps past a divergence before the
     # guard sees it; those steps' overflows and NaNs are discarded with it
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for start in range(0, T + 1, block):
             stop = min(start + block, T + 1)
-            w_start, k_start = w, k
-            Z = Z_buf[:stop - start]
+            W_start, k_start, r = W.copy(), k, 0
+            Z, (Wr, Gr) = Z_buf[:stop - start], WG_buf
             for j, t in enumerate(range(start, stop)):
-                Z[j] = margins(w)
-                gvec = gradient(L.deriv(loss, Z[j]))
+                Z[j] = margins(W)
+                Gm = gradient(L.deriv(loss, Z[j]))
                 if iterates is not None:
-                    iterates[t] = w
+                    iterates[ids, t] = W
                 if t % record_every == 0 or t == T:
-                    v = w - origin
-                    sq[:, k] = gvec.dot(gvec), w.dot(w), v.dot(v)
-                    k += 1
+                    Wr[r], Gr[r] = W, Gm
+                    r, k = r + 1, k + 1
+                if r and (r == len(Wr) or t + 1 == stop):
+                    V, sq = Wr[:r], rec[:, 3:, k - r:k]
+                    sq[:, 0], sq[:, 1] = _sq_norms(Gr[:r]).T, _sq_norms(V).T
+                    V -= origin
+                    sq[:, 2], r = _sq_norms(V).T, 0
                 if t < T:
-                    w = w - eta * gvec
+                    W -= etas * Gm
 
-            lvals = np.mean(L.eval_loss(loss, Z), axis=1)
-            try:
-                guard(start, lvals)
-            except DivergenceError as exc:
-                w = w_start
-                for _ in range(start, exc.step):
-                    w = w - eta * gradient(L.deriv(loss, margins(w)))
-                margins(w)
-                raise
-
+            lvals = np.mean(L.eval_loss(loss, Z), axis=2)
             rows = steps[k_start:k] - start
             Zr = Z[rows]
-            rec_loss[k_start:k] = lvals[rows]
-            G[k_start:k] = np.mean(np.abs(L.deriv(loss, Zr)), axis=1)
-            F[k_start:k] = np.mean(np.exp(-Zr), axis=1)
+            rec[:, 0, k_start:k] = lvals[rows].T
+            rec[:, 1, k_start:k] = np.mean(np.abs(L.deriv(loss, Zr)), axis=2).T
+            rec[:, 2, k_start:k] = np.mean(np.exp(-Zr), axis=2).T
+            keep = []
+            for row, i in enumerate(ids.tolist()):
+                try:
+                    guards[i](start, lvals[:, row])
+                    keep.append(row)
+                except DivergenceError as exc:
+                    out[i], w = exc, W_start[row:row + 1]
+                    for _ in range(start, exc.step):
+                        w -= etas[row] * gradient(L.deriv(loss, margins(w)))
+                    margins(w)
+            if len(keep) < len(ids):
+                W, origin, etas, rec, ids = (a[keep] for a in (W, origin, etas, rec, ids))
+                Z_buf, WG_buf = Z_buf[:, keep], WG_buf[:, :, keep]  # contiguous copies
+                if not keep:
+                    break
 
-    # sqrt(v.dot(v)) is what np.linalg.norm computes for a vector
-    grad_norm, param_norm, dist_init = np.sqrt(sq)
-    return Trajectory(
-        steps=steps, loss=rec_loss, grad_norm=grad_norm, param_norm=param_norm,
-        dist_init=dist_init, G=G, F=F, eta=eta, loss_spec=loss,
-        record_every=record_every, w_final=w.copy(), iterates=iterates)
+    for i, series, w, eta in zip(ids.tolist(), rec, W, etas[:, 0].tolist()):
+        # sqrt(v.dot(v)) is what np.linalg.norm computes for a vector
+        grad_norm, param_norm, dist_init = np.sqrt(series[3:])
+        out[i] = Trajectory(
+            steps=steps.copy(), loss=series[0], grad_norm=grad_norm,
+            param_norm=param_norm, dist_init=dist_init, G=series[1], F=series[2],
+            eta=eta, loss_spec=loss, record_every=record_every, w_final=w.copy(),
+            iterates=None if iterates is None else iterates[i])
+    return out
+
+
+def run_gd_batch(cfgs: list, ds: Dataset) -> list:
+    """Constant-stepsize GD runs on one dataset, advanced as one (K, d)
+    matrix: each config's Trajectory, or the DivergenceError it raises
+    alone, in order, bit for bit as :func:`run_gd` alone: margins and
+    gradients take one gemv per run (a gemm sums in another order).  The
+    configs may differ in eta and init only."""
+    if len({(c.steps, c.loss, c.record_every, c.store_iterates) for c in cfgs}) != 1:
+        raise ValueError("batched runs must share steps, loss, record_every and "
+                         "store_iterates")
+    inits = [np.zeros(ds.d) if c.init is None else np.asarray(c.init, dtype=np.float64)
+             for c in cfgs]
+    if any(w.shape != (ds.d,) for w in inits):
+        raise ValueError("init has the wrong dimension")
+    cfg, Zy, n = cfgs[0], ds.signed(), ds.n
+    Zy3, ZyT3 = Zy[None], Zy.T[None]
+    return gd_engine(
+        inits, inits, n, lambda W: np.matmul(Zy3, W[:, :, None])[:, :, 0],
+        lambda D: np.matmul(ZyT3, D[:, :, None])[:, :, 0] / n,
+        cfg.loss, [c.eta for c in cfgs], cfg.steps, cfg.record_every,
+        np.empty((len(cfgs), cfg.steps + 1, ds.d)) if cfg.store_iterates else None,
+        "loss exceeded {factor:g} * L(w_0) for {patience} consecutive steps (step {t})")
 
 
 def run_gd(cfg: GdConfig, ds: Dataset) -> Trajectory:
     """Constant-stepsize full-batch GD: w_t = w_{t-1} - eta * grad L(w_{t-1})."""
-    w = np.zeros(ds.d) if cfg.init is None else np.array(cfg.init, dtype=np.float64)
-    if w.shape != (ds.d,):
-        raise ValueError("init has the wrong dimension")
-    Zy = ds.signed()
-    iterates = np.empty((cfg.steps + 1, ds.d)) if cfg.store_iterates else None
-    return gd_engine(
-        w, w.copy(), ds.n, lambda v: Zy @ v, lambda dvec: _mean_grad(Zy, dvec),
-        cfg.loss, cfg.eta, cfg.steps, cfg.record_every, iterates,
-        "loss exceeded {factor:g} * L(w_0) for {patience} consecutive steps (step {t})")
+    [traj] = run_gd_batch([cfg], ds)
+    if isinstance(traj, DivergenceError):
+        raise traj
+    return traj
 
 
 def stable_criterion(loss: L.LossSpec, eta: float, n: int) -> float:
@@ -307,21 +332,17 @@ def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng,
     """One-sample-per-step SGD under the logistic loss on the empirical
     distribution of ``ds``.
 
-    Because the sampling distribution has finite support, the recorded
-    population loss and population zero-one error are computed exactly
-    over the support at every step (no Monte Carlo error).
-
-    The per-step loop only stores the iterate and its margins and applies
-    the sampled-row update; the population metrics are then evaluated once
-    per block of steps from the stored iterates and margins, with the same
-    per-step arithmetic, so every recorded number is the one a step-by-step
-    evaluation gives.  Memory is the block buffers plus the O(T) series
-    (and O(T * d) with ``store_iterates``).
+    The sampling distribution has finite support, so the recorded
+    population loss and zero-one error are exact over the support at every
+    step.  The step loop stores each iterate and its margins and applies
+    the sampled-row update; the metrics are evaluated per block from those,
+    bit for bit as step by step.  Memory is the block buffers plus the O(T)
+    series (O(T * d) with ``store_iterates``).
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     Zy = ds.signed()
-    ZyT = Zy.T
+    ZyT3 = Zy.T[None]
     rows = list(Zy)
     n = ds.n
     w = np.zeros(ds.d)
@@ -331,13 +352,11 @@ def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng,
     idx = rng.integers(0, n, size=T)
     picks = idx.tolist()
 
-    rec = {k: np.empty(T + 1) for k in ("loss", "grad_norm", "param_norm",
-                                        "G", "F", "zero_one")}
+    rec = np.empty((6, T + 1))  # loss, grad_norm, param_norm, G, F, zero_one
     iterates = np.empty((T + 1, ds.d)) if store_iterates else None
     block = min(_block_len(max(n, ds.d)), T + 1)
     W_buf = np.empty((block, ds.d)) if iterates is None else None
     Z_buf = np.empty((block, n))
-    G_buf = np.empty((block, ds.d))
     guard = _divergence_guard("population loss diverged (step {t})")
 
     # a block may run up to a block of steps past a divergence before the
@@ -368,26 +387,18 @@ def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng,
             expz = np.exp(Z)
             S = 1.0 / (1.0 + expz)             # = |l'(z)| for the logistic loss
             # one gemv per step, not a gemm: a gemm sums in another order
-            Gr = G_buf[:stop - start]
-            for s_j, g_j in zip(S, Gr):
-                np.matmul(ZyT, s_j, out=g_j)
-            Gr /= n
-            sl = slice(start, stop)
-            rec["loss"][sl] = lvals
+            Gr = np.matmul(ZyT3, S[:, :, None])[:, :, 0] / n
             # sqrt(v.dot(v)) is what np.linalg.norm computes for a vector
-            rec["grad_norm"][sl] = [math.sqrt(g.dot(g)) for g in Gr]
-            rec["param_norm"][sl] = [math.sqrt(v.dot(v)) for v in W]
-            rec["G"][sl] = np.mean(S, axis=1)
-            rec["F"][sl] = np.mean(1.0 / expz, axis=1)
-            rec["zero_one"][sl] = np.mean(Z <= 0.0, axis=1)
+            rec[:, start:stop] = (lvals, np.sqrt(_sq_norms(Gr)), np.sqrt(_sq_norms(W)),
+                                  np.mean(S, axis=1), np.mean(1.0 / expz, axis=1),
+                                  np.mean(Z <= 0.0, axis=1))
 
+    loss, grad_norm, param_norm, G, F, zero_one = rec
     return Trajectory(
-        steps=np.arange(T + 1, dtype=np.int64),
-        loss=rec["loss"], grad_norm=rec["grad_norm"],
-        param_norm=rec["param_norm"], dist_init=rec["param_norm"].copy(),  # w_0 = 0
-        G=rec["G"], F=rec["F"], eta=eta, loss_spec=L.logistic(), record_every=1,
-        w_final=w.copy(), iterates=iterates, zero_one=rec["zero_one"],
-        sample_idx=idx)
+        steps=np.arange(T + 1, dtype=np.int64), loss=loss, grad_norm=grad_norm,
+        param_norm=param_norm, dist_init=param_norm.copy(),  # w_0 = 0
+        G=G, F=F, eta=eta, loss_spec=L.logistic(), record_every=1, w_final=w.copy(),
+        iterates=iterates, zero_one=zero_one, sample_idx=idx)
 
 
 def split_optimization_check(traj: Trajectory, ds: Dataset,
@@ -417,8 +428,7 @@ def split_optimization_check(traj: Trajectory, ds: Dataset,
     return lhs - rhs
 
 
-def perceptron_potential_check(traj: Trajectory, cert: MarginCertificate,
-                               eta: Optional[float] = None) -> float:
+def perceptron_potential_check(traj: Trajectory, cert: MarginCertificate) -> float:
     """Minimum slack of the margin-alignment inequality along a run.
 
     Each step must advance the projection on the certified direction by at
@@ -428,24 +438,16 @@ def perceptron_potential_check(traj: Trajectory, cert: MarginCertificate,
     if traj.iterates is None:
         raise ValueError("perceptron check needs stored iterates")
     traj._require_dense()
-    eta = traj.eta if eta is None else eta
     proj = traj.iterates @ cert.w_star
-    slack = (proj[1:] - proj[:-1]) - cert.gamma * eta * traj.G[:-1]
+    slack = (proj[1:] - proj[:-1]) - cert.gamma * traj.eta * traj.G[:-1]
     return float(np.min(slack))
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     """Write the recorded series as CSV (round-trippable decimal text)."""
-    cols = list(CSV_COLUMNS)
-    series = [traj.steps, traj.loss, traj.grad_norm, traj.param_norm,
-              traj.dist_init, traj.G, traj.F]
-    if traj.zero_one is not None:
-        cols.append("zero_one")
-        series.append(traj.zero_one)
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    cols = CSV_COLUMNS + (() if traj.zero_one is None else ("zero_one",))
+    series = [traj.steps] + [getattr(traj, col) for col in cols[1:]]
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        for i in range(len(traj.steps)):
-            row = [repr(int(traj.steps[i]))]
-            row += [repr(float(s[i])) for s in series[1:]]
-            fh.write(",".join(row) + "\n")
+        for row in zip(*(s.tolist() for s in series)):
+            fh.write(",".join(map(repr, row)) + "\n")

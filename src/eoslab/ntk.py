@@ -1,22 +1,17 @@
 """Width-m two-layer ReLU network trained by full-batch GD in the lazy
-(kernel) regime, with diagnostics for how lazy the run actually was.
-The GD itself is descent's engine, the same loop and divergence guard as
-the linear runs; this module supplies the network margins and gradient.
+(kernel) regime, with diagnostics for how lazy the run actually was.  The
+GD is descent's one engine, as a batch of one; this module supplies the
+network margins and gradient.
 
 The network is f(x; w) = (1/sqrt(m)) sum_s a_s relu(x^T w^(s)) with fixed
-output signs a_s in {+/-1} and trainable first-layer weights only.  The
-ReLU subgradient at zero is fixed to 0.  Signs alternate by default so
-they sum to zero, which satisfies the |sum_s a_s| <= C_a sqrt(m) condition
-deterministically with C_a = 1; a random-sign mode is available for the
-setting where the signs are sampled.
-
-``bounds.lazy_radius`` and ``bounds.width_min`` evaluate the closed-form
-sufficiency conditions under which the run provably stays near its
-linearization.
-The width formula is a worst-case sufficiency threshold and is
-astronomically large for practical inputs; runs at any width still fill
-in the diagnostics (max distance from initialization vs. the lazy radius)
-so laziness can be checked observationally.
+output signs a_s in {+/-1}, trainable first-layer weights only, and the
+ReLU subgradient at zero fixed to 0.  Signs alternate by default, so they
+sum to zero and meet |sum_s a_s| <= C_a sqrt(m) with C_a = 1; a
+random-sign mode samples them.  ``bounds.lazy_radius`` and
+``bounds.width_min`` give the closed-form conditions under which the run
+provably stays near its linearization; the width is a worst-case,
+astronomically large threshold, so runs at any width report their max
+distance from initialization against the radius, to be checked by eye.
 """
 
 from __future__ import annotations
@@ -30,7 +25,7 @@ import numpy as np
 from . import losses as L
 from .bounds import lazy_radius, width_min
 from .data import Dataset, MarginCertificate, margin
-from .descent import Trajectory, gd_engine
+from .descent import DivergenceError, Trajectory, gd_engine
 from .numerics import Rng
 
 __all__ = [
@@ -129,18 +124,17 @@ def ntk_grad(net: NtkNet, ds: Dataset, pre: np.ndarray, dvec: np.ndarray) -> np.
 
 
 def run_gd_ntk(net: NtkNet, ds: Dataset, loss: L.LossSpec, eta: float, T: int,
-               gamma: Optional[float] = None, delta: float = 0.1,
-               C_a: float = 1.0) -> tuple[Trajectory, NtkDiagnostics]:
+               gamma: Optional[float] = None,
+               delta: float = 0.1) -> tuple[Trajectory, NtkDiagnostics]:
     """Full-batch GD on the network loss, with laziness diagnostics.
 
-    Runs ``run_gd``'s loop, ``descent.gd_engine``, over the flattened
-    weights with the margins y_i f(x_i; w) and :func:`ntk_grad`, from
-    ``net.w``, recording every step and ``dist_init`` from ``net.w0``.
-    ``net.w`` ends at the last iterate, or at the one the guard rejected.
-
-    ``gamma`` (for the radius/width formulas) defaults to the certified
-    linear margin of the dataset.  Diagnostics are observational: a run at
-    insufficient width reports max_dist > R rather than failing.
+    Runs ``descent.gd_engine`` on a batch of one, the flattened weights,
+    with the margins y_i f(x_i; w) and :func:`ntk_grad`, from ``net.w``,
+    recording every step and ``dist_init`` from ``net.w0``; ``net.w`` ends
+    at the last iterate, or at the one the guard rejected.  ``gamma`` for
+    the radius and width formulas (which take C_a = 1) defaults to the
+    certified linear margin.  A run at insufficient width reports
+    max_dist > R rather than failing.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -148,19 +142,21 @@ def run_gd_ntk(net: NtkNet, ds: Dataset, loss: L.LossSpec, eta: float, T: int,
         gamma = margin(ds).gamma
     shape, pre = net.w.shape, None
 
-    def margins(w):
+    def margins(W):
         nonlocal pre
-        net.w = w.reshape(shape)   # net.w follows the run, up to a diverging step
+        net.w = W.reshape(shape)   # net.w follows the run, up to a diverging step
         pre = ds.xs @ net.w.T      # the gradient at w takes its ReLU mask from these
-        return ds.ys * _readout(net, pre)
+        return (ds.ys * _readout(net, pre))[None]
 
-    traj = gd_engine(net.w.ravel(), net.w0.ravel(), ds.n, margins,
-                     lambda dvec: ntk_grad(net, ds, pre, dvec).ravel(),
-                     loss, eta, T, 1, None, "network loss diverged (step {t})")
+    [traj] = gd_engine(net.w.reshape(1, -1), net.w0.reshape(1, -1), ds.n, margins,
+                       lambda D: ntk_grad(net, ds, pre, D[0]).reshape(1, -1),
+                       loss, [eta], T, 1, None, "network loss diverged (step {t})")
+    if isinstance(traj, DivergenceError):
+        raise traj
     diag = NtkDiagnostics(
-        R=lazy_radius(loss, gamma, eta, T, ds.n, delta, C_a),
+        R=lazy_radius(loss, gamma, eta, T, ds.n, delta),
         max_dist=float(traj.dist_init.max()),
-        width_min=width_min(loss, gamma, eta, T, ds.n, delta, C_a))
+        width_min=width_min(loss, gamma, eta, T, ds.n, delta))
     return traj, diag
 
 

@@ -79,6 +79,31 @@ class TestGd:
                  "--steps", "5000", "--out", str(tmp_path / "d"))
         assert rc == 2
 
+    def test_divergence_in_a_sweep_stops_the_writes(self, tmp_path, capsys):
+        # the batch runs all three stepsizes; files are still written in
+        # stepsize order up to the first divergence
+        csv = tmp_path / "conflict.csv"
+        csv.write_text("1,1.0\n-1,0.3\n")
+        out = tmp_path / "d"
+        rc = run("gd", "--dataset", "csv", "--path", str(csv), "--loss", "flat_poly",
+                 "--a", "2", "--eta", "2,1e6,8", "--steps", "5000", "--out", str(out))
+        assert rc == 2
+        assert files_in(out) == ["config.json", "gd_eta2.csv"]
+        assert capsys.readouterr().err == (
+            "error: divergence guard: loss exceeded 1000 * L(w_0) for 50 "
+            "consecutive steps (step 74)\n")
+
+    def test_usage_error_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "u"
+        assert run("gd", "--steps", "x", "--out", str(out)) == 3
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+        assert files_in(out) == []
+
+    def test_help_exit_code(self, capsys):
+        assert run("--help") == 0
+        assert run("gd", "--help") == 0
+        assert "usage: eos-lab" in capsys.readouterr().out
+
     def test_validation_exit_code(self, tmp_path):
         rc = run("gd", "--dataset", "csv", "--path", str(tmp_path / "nope.csv"),
                  "--eta", "1", "--steps", "10", "--out", str(tmp_path / "v"))
@@ -141,6 +166,25 @@ class TestGd:
         assert files_in(out) == []
 
 
+    @pytest.mark.parametrize("cfg,error", [
+        ([], "error: a config must be a JSON object, not []\n"),
+        ({"steps": [1]}, "error: config key 'steps' must be a number, not [1]\n"),
+        ({"eta": [1.0, "x"]},
+         "error: config key 'eta' must be a number list, not [1.0, \"x\"]\n"),
+    ], ids=["not-an-object", "steps-list", "eta-item-not-a-number"])
+    def test_config_of_the_wrong_type_rejected(self, tmp_path, capsys, cfg, error):
+        if isinstance(cfg, dict):
+            cfg = dict({"command": "gd", "dataset": {"kind": "toy"},
+                        "loss": {"kind": "logistic"}, "eta": [1.0], "steps": 10,
+                        "record_every": 1, "check_bounds": False, "svg": True}, **cfg)
+        p = tmp_path / "typed.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "t"
+        assert run("gd", "--config", str(p), "--out", str(out)) == 3
+        assert capsys.readouterr().err == error
+        assert files_in(out) == []
+
+
 # one short run of each command, with the file its config.json is rerun against
 RUN_COMMANDS = {
     "gd": (["gd", "--eta", "2,8", "--steps", "50"], "gd_eta8.csv"),
@@ -194,6 +238,13 @@ class TestSgd:
         assert (out / "sgd_eta2_seed42.csv").exists()
         cfg = json.loads((out / "config.json").read_text())
         assert cfg["seed"] == 42
+
+    @pytest.mark.parametrize("command", ["sgd", "ntk"])
+    def test_invalid_env_seed_exit_code(self, tmp_path, monkeypatch, command):
+        monkeypatch.setenv("EOS_LAB_SEED", "abc")
+        out = tmp_path / "bad"
+        assert run(command, "--steps", "5", "--out", str(out)) == 3
+        assert files_in(out) == []
 
 
 class TestNtk:
@@ -249,16 +300,21 @@ class TestAccelerate:
         (("--steps", "100", "--eta-override", "2.0"), 1),
     ], ids=["scheduled", "override"])
     def test_each_run_made_once(self, tmp_path, monkeypatch, argv, etas):
-        # the CSVs come from the runs the score was computed from
+        # the CSVs come from the runs the score was computed from; a run is
+        # made by run_gd or as one config of a run_gd_batch
         calls = []
-        real = descent.run_gd
+        real, real_batch = descent.run_gd, descent.run_gd_batch
 
         def counting(cfg, ds):
             calls.append(cfg.eta)
             return real(cfg, ds)
 
+        def counting_batch(cfgs, ds):
+            calls.extend(cfg.eta for cfg in cfgs)
+            return real_batch(cfgs, ds)
+
         monkeypatch.setattr(descent, "run_gd", counting)
-        monkeypatch.setattr(analysis, "run_gd", counting)
+        monkeypatch.setattr(analysis, "run_gd_batch", counting_batch)
         out = tmp_path / "acc"
         assert run("accelerate", "--dataset", "toy", *argv, "--out", str(out)) == 0
         summary = json.loads((out / "accelerate.json").read_text())

@@ -435,6 +435,100 @@ class TestGdMatchesStepwiseReference:
             assert got == _gd_divergence(_reference_gd, cfg, ds)
 
 
+# configs that differ in eta and init only, as a batch's configs may
+BATCH_POOL = [(1.0, None), (8.0, None), (32.0, None), (2.0, 0.5), (100.0, -0.25)]
+BATCH_SIZES = (1, 2, 3, 5)
+SERIES = ("steps", "loss", "grad_norm", "param_norm", "dist_init", "G", "F",
+          "w_final", "iterates")
+
+
+def _batch_cfg(ds, loss, every, T, k):
+    eta, init = BATCH_POOL[k]
+    return descent.GdConfig(eta=eta, steps=T, loss=loss, record_every=every,
+                            init=None if init is None else np.full(ds.d, init),
+                            store_iterates=True)
+
+
+def _assert_same_run(got, alone):
+    if isinstance(alone, descent.DivergenceError):
+        assert (got.step, str(got)) == (alone.step, str(alone))
+        return
+    for key in SERIES:
+        assert np.array_equal(getattr(got, key), getattr(alone, key)), key
+    assert got.steps.dtype == alone.steps.dtype and got.eta == alone.eta
+
+
+# at d = 1024 a batch buffers fewer recorded rows than its block has steps
+BATCH_SETS = dict(GD_SETS, wide=data.synthetic_separable(4, 1024, 0.1, Rng(1)))
+
+
+class TestGdBatchMatchesAlone:
+    """A run inside a batch records every number bit for bit as it does
+    alone, whatever the batch size and its place in the batch."""
+
+    @pytest.mark.parametrize("every", [1, 7])
+    @pytest.mark.parametrize("loss", GD_LOSSES, ids=lambda spec: spec.kind)
+    @pytest.mark.parametrize("name", sorted(BATCH_SETS))
+    def test_bit_identical(self, name, loss, every, monkeypatch):
+        # toy blocks end after 64 steps instead of 1024, to keep the test
+        # short; the float cap, which sets the blocks of n = 1000, is the
+        # real one, and TestGdMatchesStepwiseReference runs the real step cap
+        monkeypatch.setattr(descent, "_BLOCK_STEPS", 64)
+        ds, alone = BATCH_SETS[name], {}
+        for K in BATCH_SIZES:
+            # around one and two blocks of the batch's block length B
+            B = descent._block_len(K * ds.n)
+            for T in (B - 1, B, B + 1, 2 * B + 5):
+                for k in range(K):
+                    if (T, k) not in alone:
+                        alone[T, k] = descent.run_gd(_batch_cfg(ds, loss, every, T, k), ds)
+                for shift in range(K if K > 1 else 0):  # each config at each place
+                    order = [(shift + q) % K for q in range(K)]
+                    got = descent.run_gd_batch(
+                        [_batch_cfg(ds, loss, every, T, k) for k in order], ds)
+                    for k, traj in zip(order, got):
+                        _assert_same_run(traj, alone[T, k])
+
+    @pytest.mark.parametrize("place", [0, 1, 2])
+    @pytest.mark.parametrize("case", ["sustained", "non_finite"])
+    def test_diverging_run_leaves_the_rest_unchanged(self, case, place):
+        if case == "sustained":
+            ds = data.Dataset(np.array([[1.0], [0.3]]), np.array([1.0, -1.0]),
+                              name="conflict")
+            loss, bad, step = losses.flattened_polynomial(2.0), {"eta": 1e6}, 74
+        else:
+            ds = data.Dataset(np.array([[10.0]]), np.array([1.0]), name="one")
+            loss, step = losses.flattened_exponential(1.0), 0
+            bad = {"eta": 1.0, "init": np.array([-1e308])}
+        # 2100 steps are three blocks: the others go on for two blocks after
+        cfgs = [descent.GdConfig(eta=eta, init=np.array([0.1]), steps=2100, loss=loss,
+                                 store_iterates=True) for eta in (0.5, 2.0)]
+        cfgs.insert(place, descent.GdConfig(**bad, steps=2100, loss=loss,
+                                            store_iterates=True))
+        alone = []
+        for cfg in cfgs:
+            try:
+                alone.append(descent.run_gd(cfg, ds))
+            except descent.DivergenceError as exc:
+                alone.append(exc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = descent.run_gd_batch(cfgs, ds)
+        assert [isinstance(r, descent.DivergenceError) for r in got] == \
+            [k == place for k in range(3)]
+        assert got[place].step == step
+        for traj, ref in zip(got, alone):
+            _assert_same_run(traj, ref)
+
+    @pytest.mark.parametrize("field", [{"steps": 11}, {"loss": LOG}, {"record_every": 2},
+                                       {"store_iterates": True}])
+    def test_configs_must_share_all_but_eta_and_init(self, field):
+        base = dict(eta=1.0, steps=10, loss=losses.flattened_polynomial(2.0))
+        cfgs = [descent.GdConfig(**base), descent.GdConfig(**dict(base, **field))]
+        with pytest.raises(ValueError, match="must share"):
+            descent.run_gd_batch(cfgs, TOY)
+
+
 @pytest.fixture(scope="module")
 def runs():
     return {eta: descent.run_gd(descent.GdConfig(eta=eta, steps=2000, loss=LOG,

@@ -321,6 +321,11 @@ class TestRunGdNtkMatchesStepwiseReference:
         out = self._assert_same(lambda: _conflict_net(1e9), CONFLICT, loss, 1e6, 300)
         assert out == (50, "network loss diverged (step 50)")
 
+    def test_divergence_before_the_last_block(self):
+        # the run leaves the engine in the first of two blocks
+        out = self._assert_same(lambda: _conflict_net(1e9), CONFLICT, LOG, 1e6, 1500)
+        assert out == (50, "network loss diverged (step 50)")
+
     def test_non_finite_loss(self):
         def blown_up():
             net = ntk.init_net(8, 2, Rng(0))
