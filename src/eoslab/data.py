@@ -319,6 +319,9 @@ def dataset_from_json(obj: dict) -> Dataset:
     elif kind == "lower_bound":
         ds = lower_bound_dataset(float(obj["gamma"]))
     elif kind == "synthetic":
+        unset = [key for key in ("n", "d", "gamma", "seed") if obj.get(key) is None]
+        if unset:
+            raise ValueError(f"synthetic dataset needs a value for {', '.join(unset)}")
         ds = synthetic_separable(int(obj["n"]), int(obj["d"]), float(obj["gamma"]),
                                  Rng(int(obj["seed"])))
     elif kind == "csv":

@@ -141,10 +141,10 @@ def deriv(loss: LossSpec, z):
     """l'(z), elementwise; both branches agree at the z = 0 seam."""
     z = np.asarray(z, dtype=np.float64)
     if loss.kind == LOGISTIC:
-        # -1/(1+e^z), computed stably on both tails
-        pos = z >= 0.0
+        # -1/(1+e^z), computed stably on both tails: -e^-z/(1+e^-z) for
+        # z >= 0; negating before the one division is exact
         ez = np.exp(-np.abs(z))
-        out = np.where(pos, -ez / (1.0 + ez), -1.0 / (1.0 + ez))
+        out = np.where(z >= 0.0, -ez, -1.0) / (1.0 + ez)
     elif loss.kind == FLAT_EXP:
         pos = z > 0.0
         out = np.where(pos, -loss.a * np.exp(-loss.a * np.where(pos, z, 0.0)),

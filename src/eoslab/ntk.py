@@ -1,7 +1,9 @@
 """Width-m two-layer ReLU network trained by full-batch GD in the lazy
 (kernel) regime, with diagnostics for how lazy the run actually was.  The
 GD is descent's one engine, as a batch of one; this module supplies the
-network margins and gradient.
+network margins and gradient.  The gradient's output scale a_s/sqrt(m) is
+built once per net (so once per run), as the (m, d) array
+``NtkNet.out_scale``, and multiplied in elementwise at every step.
 
 The network is f(x; w) = (1/sqrt(m)) sum_s a_s relu(x^T w^(s)) with fixed
 output signs a_s in {+/-1}, trainable first-layer weights only, and the
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -45,7 +48,7 @@ class NtkNet:
     """Two-layer ReLU net; ``w`` is the trainable (m, d) first layer and
     ``w0`` the frozen initialization snapshot."""
 
-    a: np.ndarray   # (m,) output signs, +/-1, fixed
+    a: np.ndarray   # (m,) output signs, +/-1, fixed (out_scale is built from them once)
     w: np.ndarray   # (m, d) current weights
     w0: np.ndarray  # (m, d) initialization, drawn once
 
@@ -56,6 +59,12 @@ class NtkNet:
     @property
     def d(self) -> int:
         return self.w.shape[1]
+
+    @cached_property
+    def out_scale(self) -> np.ndarray:
+        """(m, d) array whose row s is a_s/sqrt(m) repeated, the factor the
+        output weights put on the gradient in w^(s); built once per net."""
+        return np.repeat(self.a / math.sqrt(self.m), self.d).reshape(self.m, self.d)
 
 
 @dataclass(frozen=True)
@@ -118,9 +127,11 @@ def ntk_grad(net: NtkNet, ds: Dataset, pre: np.ndarray, dvec: np.ndarray) -> np.
     """(m, d) gradient of the mean loss in the first-layer weights w, from
     their (n, m) pre-activations ``pre`` = ``ds.xs @ w.T`` and ``dvec`` =
     l'(z_i) at the margins z_i = y_i f(x_i; w)."""
-    mask = pre > 0.0                           # (n, m)
-    coeff = dvec * ds.ys / ds.n                # (n,)
-    return (net.a[:, None] / math.sqrt(net.m)) * ((mask * coeff[:, None]).T @ ds.xs)
+    # a float mask scaled in place: the same values and signed zeros as the
+    # bool mask times coeff, without a cast inside the broadcast
+    mask = (pre > 0.0).astype(np.float64)      # (n, m)
+    mask *= (dvec * ds.ys / ds.n)[:, None]
+    return net.out_scale * (mask.T @ ds.xs)
 
 
 def run_gd_ntk(net: NtkNet, ds: Dataset, loss: L.LossSpec, eta: float, T: int,

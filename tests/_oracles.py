@@ -1,4 +1,5 @@
-"""Test oracles: central-difference gradients and their input check."""
+"""Test oracles: central-difference gradients and their input check, and
+the two-branch logistic derivative."""
 
 from __future__ import annotations
 
@@ -33,3 +34,11 @@ def finite_diff_grad(
         e[i] = h
         g[i] = (f(w + e) - f(w - e)) / (2.0 * h)
     return g
+
+
+def logistic_deriv(z) -> np.ndarray:
+    """l'(z) = -1/(1+e^z) of the logistic loss as two full branches picked
+    by ``np.where``: -e^-z/(1+e^-z) for z >= 0, -1/(1+e^z) below."""
+    z = np.asarray(z, dtype=np.float64)
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, -ez / (1.0 + ez), -1.0 / (1.0 + ez))

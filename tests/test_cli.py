@@ -165,6 +165,23 @@ class TestGd:
         assert capsys.readouterr().err == "error: at least one stepsize is required\n"
         assert files_in(out) == []
 
+    @pytest.mark.parametrize("source,unset", [("flag", "d"), ("config", "d"),
+                                              ("config", "n")])
+    def test_synthetic_without_shape_rejected(self, tmp_path, capsys, source, unset):
+        out = tmp_path / "s"
+        if source == "flag":
+            argv = ["gd", "--dataset", "synthetic", "--n", "20", "--steps", "5"]
+        else:
+            dataset = {"kind": "synthetic", "n": 20, "d": 3, "gamma": 0.1, "seed": 0}
+            cfg = {"command": "gd", "dataset": dict(dataset, **{unset: None}),
+                   "loss": {"kind": "logistic"}, "eta": [1.0], "steps": 5,
+                   "record_every": 1, "check_bounds": False, "svg": True}
+            p = tmp_path / "synthetic.json"
+            p.write_text(json.dumps(cfg))
+            argv = ["gd", "--config", str(p)]
+        assert run(*argv, "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"error: synthetic dataset needs a value for {unset}\n"
+        assert files_in(out) == []
 
     @pytest.mark.parametrize("cfg,error", [
         ([], "error: a config must be a JSON object, not []\n"),

@@ -6,9 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from eoslab import losses as L
 from eoslab.numerics import Rng
+
+from _oracles import logistic_deriv
 
 ALL_SPECS = [
     L.logistic(),
@@ -66,6 +71,46 @@ class TestPointwiseValues:
         z = np.array([-700.0, -50.0, 50.0, 700.0])
         assert np.all(np.isfinite(L.eval_loss(spec, z)))
         assert np.all(np.isfinite(L.deriv(spec, z)))
+
+
+# any float, the special values, subnormals, and the tails where e^-|z|
+# nears the smallest normal (|z| ~ 708) and underflows to subnormals and 0
+def _either_sign(magnitudes):
+    return magnitudes.flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+LOGISTIC_ARGS = st.one_of(
+    st.floats(width=64),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    _either_sign(st.floats(min_value=0.0, max_value=2.2250738585072014e-308)),
+    _either_sign(st.floats(min_value=650.0, max_value=760.0)))
+
+
+class TestLogisticDerivMatchesTwoBranchOracle:
+    """deriv's one-division logistic branch must give the bits of the
+    two-branch expression, signed zeros and NaNs included."""
+
+    @staticmethod
+    def _assert_same_bits(got, ref):
+        got, ref = np.asarray(got), np.asarray(ref)
+        assert np.array_equal(got, ref, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.integers(0, 40), elements=LOGISTIC_ARGS))
+    def test_array(self, z):
+        ref = logistic_deriv(z)
+        self._assert_same_bits(L.deriv(L.logistic(), z), ref)
+        self._assert_same_bits(L.g(L.logistic(), z), np.abs(ref))
+
+    @settings(max_examples=300, deadline=None)
+    @given(LOGISTIC_ARGS)
+    def test_scalar(self, z):
+        ref = float(logistic_deriv(z))
+        got = L.deriv(L.logistic(), z)
+        assert isinstance(got, float)
+        self._assert_same_bits(got, ref)
+        self._assert_same_bits(L.g(L.logistic(), z), abs(ref))
 
 
 class TestDerivativeConsistency:

@@ -308,6 +308,19 @@ class TestRunGdNtkMatchesStepwiseReference:
         assert self._assert_same(lambda: ntk.init_net(m, 2, Rng(m)),
                                  NTOY, loss, eta, T) is None
 
+    @pytest.mark.parametrize("m,T", [(64, 150), (4096, 25)])
+    @pytest.mark.parametrize("loss", NTK_LOSSES, ids=lambda spec: spec.kind)
+    def test_random_signs(self, loss, m, T):
+        assert self._assert_same(lambda: ntk.init_net(m, 2, Rng(m), random_signs=True),
+                                 NTOY, loss, 4.0, T) is None
+
+    @pytest.mark.parametrize("loss", NTK_LOSSES, ids=lambda spec: spec.kind)
+    def test_wide_run_past_one_block(self, loss):
+        # 1100 steps run past the first block of 1024 (n = 4)
+        assert descent._block_len(NTOY.n) < 1100
+        assert self._assert_same(lambda: ntk.init_net(4096, 2, Rng(11)),
+                                 NTOY, loss, 8.0, 1100) is None
+
     @pytest.mark.parametrize("loss", NTK_LOSSES, ids=lambda spec: spec.kind)
     def test_continued_run_measures_from_w0(self, loss):
         def trained():
