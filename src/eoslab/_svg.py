@@ -15,18 +15,17 @@ _W, _H = 760, 500
 _ML, _MR, _MT, _MB = 70, 20, 30, 55
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#17becf", "#7f7f7f"]
+# the plotted range: spans, coordinates and tick values stay finite within it
+_HUGE, _TINY = 1e300, 1e-300
 
 
 def _ticks_linear(lo: float, hi: float, n: int = 6) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / n
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min((s for s in (1.0, 2.0, 5.0, 10.0) if s * mag >= raw),
                default=10.0) * mag
-    first = math.ceil(lo / step) * step
+    v = math.ceil(lo / step) * step
     out = []
-    v = first
     while v <= hi + 1e-12 * step:
         out.append(v)
         v += step
@@ -47,30 +46,35 @@ def _fmt(v: float) -> str:
     return f"{v:g}"
 
 
+def _axis(vals: list[float], log: bool) -> tuple[float, float, list[float]]:
+    """One axis over its plotted values: the extent (in log10 on a log
+    axis), widened where it is too narrow to resolve, and the tick values."""
+    lo, hi = min(vals), max(vals)
+    if log:
+        lo, hi = math.log10(lo), math.log10(max(hi, lo * 1.0000001))
+    # ticks step by a sixth of the extent or more, which must stay well
+    # above the rounding of the values and the smallest normal float
+    if not hi - lo > 1e-12 * max(abs(lo), abs(hi), 1e-288):
+        hi = lo + max(1.0, 1e-6 * abs(lo))
+    return lo, hi, _ticks_log(10 ** lo, 10 ** hi) if log else _ticks_linear(lo, hi)
+
+
 def write_line_plot(path: str | Path, series: list[tuple[str, list[float], list[float]]],
                     title: str = "", xlabel: str = "", ylabel: str = "",
                     logx: bool = False, logy: bool = False) -> None:
-    """Write one plot with a polyline per (label, xs, ys) series."""
-    pts = []
-    for _, xs, ys in series:
-        for x, y in zip(xs, ys):
-            if (not logx or x > 0) and (not logy or y > 0) \
-                    and math.isfinite(x) and math.isfinite(y):
-                pts.append((x, y))
-    if not pts:
+    """Write one plot with a polyline per (label, xs, ys) series.
+
+    A point is plotted when both coordinates lie within +/-1e300, and at or
+    above 1e-300 on a log axis, so NaN, infinities and values that a log
+    axis cannot show are left out; raises ValueError when no point is left.
+    """
+    x_min, y_min = (_TINY if logx else -_HUGE), (_TINY if logy else -_HUGE)
+    kept = [[(x, y) for x, y in zip(xs, ys) if x_min <= x <= _HUGE and y_min <= y <= _HUGE]
+            for _, xs, ys in series]
+    if not any(kept):
         raise ValueError("nothing to plot")
-    xs_all = [p[0] for p in pts]
-    ys_all = [p[1] for p in pts]
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
-    if logx:
-        x_lo, x_hi = math.log10(x_lo), math.log10(max(x_hi, x_lo * 1.0000001))
-    if logy:
-        y_lo, y_hi = math.log10(y_lo), math.log10(max(y_hi, y_lo * 1.0000001))
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi, x_ticks = _axis([x for pts in kept for x, _ in pts], logx)
+    y_lo, y_hi, y_ticks = _axis([y for pts in kept for _, y in pts], logy)
 
     pw, ph = _W - _ML - _MR, _H - _MT - _MB
 
@@ -92,7 +96,6 @@ def write_line_plot(path: str | Path, series: list[tuple[str, list[float], list[
         el.append(f'<text x="{_W/2:.1f}" y="20" text-anchor="middle" '
                   f'font-size="14">{escape(title)}</text>')
 
-    x_ticks = _ticks_log(10 ** x_lo, 10 ** x_hi) if logx else _ticks_linear(x_lo, x_hi)
     for tv in x_ticks:
         px = sx(tv)
         if _ML - 1 <= px <= _W - _MR + 1:
@@ -100,7 +103,6 @@ def write_line_plot(path: str | Path, series: list[tuple[str, list[float], list[
                       f'y2="{_MT + ph + 5}" stroke="black"/>')
             el.append(f'<text x="{px:.1f}" y="{_MT + ph + 18}" '
                       f'text-anchor="middle">{escape(_fmt(tv))}</text>')
-    y_ticks = _ticks_log(10 ** y_lo, 10 ** y_hi) if logy else _ticks_linear(y_lo, y_hi)
     for tv in y_ticks:
         py = sy(tv)
         if _MT - 1 <= py <= _MT + ph + 1:
@@ -115,12 +117,9 @@ def write_line_plot(path: str | Path, series: list[tuple[str, list[float], list[
         el.append(f'<text x="16" y="{_MT + ph/2:.1f}" text-anchor="middle" '
                   f'transform="rotate(-90 16 {_MT + ph/2:.1f})">{escape(ylabel)}</text>')
 
-    for i, (label, xs, ys) in enumerate(series):
+    for i, ((label, _, _), pts) in enumerate(zip(series, kept)):
         color = _COLORS[i % len(_COLORS)]
-        coords = [(sx(x), sy(y)) for x, y in zip(xs, ys)
-                  if (not logx or x > 0) and (not logy or y > 0)
-                  and math.isfinite(x) and math.isfinite(y)]
-        points = " ".join(f"{px:.2f},{py:.2f}" for px, py in coords)
+        points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
         el.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                   f'points="{points}"/>')
         ly = _MT + 16 + 16 * i

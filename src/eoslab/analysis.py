@@ -6,7 +6,7 @@ stepsize acceleration experiment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -49,11 +49,12 @@ class RateFit:
     monotone_tail: bool
     n_points: int
 
-    def as_dict(self) -> dict:
-        return {"slope": self.slope, "intercept": self.intercept,
-                "window": list(self.window), "plateau": self.plateau,
-                "plateau_cv": self.plateau_cv,
-                "monotone_tail": self.monotone_tail, "n_points": self.n_points}
+
+def _tail_fraction(value: float) -> float:
+    """``value``, checked to be a tail fraction that :func:`fit_rate` takes."""
+    if not 0.0 < value <= 0.9:
+        raise ValueError("tail_fraction must lie in (0, 0.9]")
+    return value
 
 
 def fit_rate(traj: Trajectory, eta: float, tail_fraction: float = 0.5) -> RateFit:
@@ -61,8 +62,7 @@ def fit_rate(traj: Trajectory, eta: float, tail_fraction: float = 0.5) -> RateFi
 
     A non-monotone tail is flagged but the fit is still returned.
     """
-    if not 0.0 < tail_fraction <= 0.9:
-        raise ValueError("tail_fraction must lie in (0, 0.9]")
+    _tail_fraction(tail_fraction)
     steps = traj.steps.astype(np.float64)
     keep = (steps >= 1.0) & (traj.loss > 0.0)
     steps, lossv = steps[keep], traj.loss[keep]
@@ -169,8 +169,8 @@ class AccelerationScore:
     never-ascending constant-stepsize run at the same budget.
 
     ``traj_large`` and ``traj_small_best`` are the two runs themselves
-    (None where no baseline was found); they stay out of ``as_dict``,
-    ``repr`` and ``==``.
+    (None where no baseline was found); they stay out of ``repr``, and
+    ``as_dict`` leaves out the fields that ``==`` does.
     """
 
     eta_large: float
@@ -183,10 +183,7 @@ class AccelerationScore:
     traj_small_best: Optional[Trajectory] = field(repr=False, compare=False)
 
     def as_dict(self) -> dict:
-        return {"eta_large": self.eta_large, "loss_large_eta": self.loss_large_eta,
-                "eta_small_best": self.eta_small_best,
-                "loss_small_eta_best": self.loss_small_eta_best,
-                "ratio": self.ratio, "bound": self.bound}
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
 
 
 def _is_monotone(traj: Trajectory) -> bool:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -64,11 +64,6 @@ class BoundReport:
     value: float
     applicable: bool = True
     precondition_note: str = ""
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "inputs": self.inputs, "value": self.value,
-                "applicable": self.applicable,
-                "precondition_note": self.precondition_note}
 
 
 def _scale(gamma: float, eta: float, t: float) -> float:
@@ -120,10 +115,6 @@ class AccelerationPlan:
     bound: float
     feasible: bool
     threshold: float  # smallest budget for which the schedule is certified
-
-    def as_dict(self) -> dict:
-        return {"eta": self.eta, "bound": self.bound,
-                "feasible": self.feasible, "threshold": self.threshold}
 
 
 def acceleration_plan(gamma: float, n: float, T: float) -> AccelerationPlan:
@@ -198,6 +189,8 @@ def tau_exp_tail(gamma: float, eta: float, n: float, C2: float = 1.0) -> float:
 def lazy_radius(loss: L.LossSpec, gamma: float, eta: float, T: float,
                 n: float, delta: float, C_a: float = 1.0) -> float:
     """Certified bound on max_t ||w_t - w_0|| for a width-sufficient run."""
+    if not 0.0 < delta <= 1.0:
+        raise ValueError("delta must be in (0, 1]")
     rho = L.rho_bound(loss, max(gamma * gamma * eta * T, 1.0))
     return 6.0 * (math.sqrt(rho) + C_a + math.sqrt(2.0 * math.log(2.0 * n / delta))
                   + eta * loss.C_g) / gamma
@@ -236,11 +229,6 @@ class RegimeRow:
     loss_order: str
     loss: float
     phase_transition: str
-
-    def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "loss_kind", "degree", "eta_rule", "eta", "width_order", "width",
-            "loss_order", "loss", "phase_transition")}
 
 
 def table1_regimes(loss: L.LossSpec, T: float) -> list[RegimeRow]:
@@ -384,10 +372,10 @@ def bound_reports(loss: L.LossSpec, gamma: float, eta: float, t: int, *,
             ok, value, note = False, math.nan, str(exc)
         if isinstance(value, AccelerationPlan):  # its schedule joins the inputs
             plan, ok, value = value, value.feasible, value.bound
-            inputs.update(plan.as_dict())
+            inputs.update(asdict(plan))
             note = "" if ok else f"infeasible: needs T >= {plan.threshold:g}"
         if isinstance(value, list):  # one report per regime
-            reports += [BoundReport(row.name, r.as_dict(), r.loss, ok, note) for r in value]
+            reports += [BoundReport(row.name, asdict(r), r.loss, ok, note) for r in value]
         else:
             reports.append(BoundReport(row.name, inputs, value, ok, note))
     return reports

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 
@@ -50,8 +51,8 @@ def _dataset_descriptor(args) -> dict:
     if args.dataset == "lower_bound":
         desc["gamma"] = args.gamma if args.gamma is not None else 0.05
     elif args.dataset == "synthetic":
-        desc.update(n=args.n, d=args.d, gamma=args.gamma or 0.1,
-                    seed=args.data_seed)
+        desc.update(n=args.n, d=args.d, seed=args.data_seed,
+                    gamma=args.gamma if args.gamma is not None else 0.1)
     elif args.dataset == "csv":
         if not args.path:
             raise ValueError("--path is required for --dataset csv")
@@ -116,6 +117,9 @@ def _etas(value) -> list[float]:
     out = [float(v) for v in value]
     if not out:
         raise ValueError("at least one stepsize is required")
+    for eta in out:
+        if not 0.0 < eta < math.inf:
+            raise ValueError(f"a stepsize must be positive and finite, not {eta:g}")
     return out
 
 
@@ -163,7 +167,7 @@ def _run_gd(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
         G.write_trajectory_csv(traj, out / f"gd_eta{tag}.csv")
         if traj.dense and cert is not None:
             phase = G.detect_phase(traj, loss, eta, ds.n, cert.gamma)
-            _json_dump(phase.as_dict(), out / f"gd_eta{tag}_phase.json")
+            _json_dump(asdict(phase), out / f"gd_eta{tag}_phase.json")
             if check:
                 viol = A.compare_bounds(traj, cert.gamma, eta, ds.n, loss)
                 A.write_violations_csv(viol, out / f"gd_eta{tag}_violations.csv")
@@ -185,7 +189,7 @@ def _run_sgd(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
     def one(eta, tag, traj):
         G.write_trajectory_csv(traj, out / f"sgd_eta{tag}_seed{seed}.csv")
         phase = G.detect_phase(traj, traj.loss_spec, eta, ds.n, cert.gamma)
-        _json_dump(phase.as_dict(), out / f"sgd_eta{tag}_seed{seed}_phase.json")
+        _json_dump(asdict(phase), out / f"sgd_eta{tag}_seed{seed}_phase.json")
         return traj.steps, traj.loss
 
     return "sgd_loss.svg", _sweep(cfg, out, runs, one), dict(
@@ -195,20 +199,17 @@ def _run_sgd(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
 def _run_ntk(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
     loss = L.loss_from_json(cfg["loss"])
     cert = D.margin(ds)
-    eta, T = float(cfg["eta"]), int(cfg["steps"])
+    [eta], T = _etas(cfg["eta"]), int(cfg["steps"])
     delta, cap = float(cfg["delta"]), int(cfg["width_cap"])
     wmin = B.width_min(loss, cert.gamma, eta, T, ds.n, delta)
-    if cfg["width"] == "auto":
-        # the certified sufficient width is astronomically conservative;
-        # "auto" runs at the cap and reports both numbers
-        m = cap if wmin > cap else int(math.ceil(wmin))
-        m += m % 2
-        capped = wmin > cap
-    else:
-        m = int(cfg["width"])
-        capped = False
-    _json_dump(cfg, out / "config.json")
+    auto = cfg["width"] == "auto"
+    # the certified sufficient width is astronomically conservative; "auto"
+    # runs at the least even width above it, or the largest within the cap,
+    # and reports both numbers
+    m = min(2 * math.ceil(wmin / 2), cap - cap % 2) if auto else int(cfg["width"])
+    capped = auto and m < wmin
     net = N.init_net(m, ds.d, Rng(int(cfg["seed"])))
+    _json_dump(cfg, out / "config.json")
     traj, diag = N.run_gd_ntk(net, ds, loss, eta, T, gamma=cert.gamma, delta=delta)
     try:
         mhat = N.ntk_margin_hat(net, ds).gamma
@@ -218,7 +219,7 @@ def _run_ntk(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
     _json_dump(dict(diag.as_dict(), ntk_margin_hat=mhat, width=m, width_capped=capped),
                out / "ntk_diagnostics.json")
     phase = G.detect_phase(traj, loss, eta, ds.n, cert.gamma)
-    _json_dump(phase.as_dict(), out / "ntk_phase.json")
+    _json_dump(asdict(phase), out / "ntk_phase.json")
     curves = [("loss", traj.steps.tolist(), traj.loss.tolist()),
               ("dist_init", traj.steps.tolist(), traj.dist_init.tolist())]
     return "ntk_loss.svg", curves, dict(title=f"Wide-net GD, m={m}, {ds.name}",
@@ -228,15 +229,17 @@ def _run_ntk(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
 def _run_accelerate(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
     T = int(cfg["steps"])
     override = cfg["eta_override"]
+    if override is not None:
+        [override] = _etas(override)
     _json_dump(cfg, out / "config.json")
     if override is None:
         score = A.acceleration_score(ds, T)
     else:
         cert = D.margin(ds)
         plan = B.acceleration_plan(cert.gamma, ds.n, T)
-        big = G.run_gd(G.GdConfig(eta=float(override), steps=T, loss=L.logistic()), ds)
+        big = G.run_gd(G.GdConfig(eta=override, steps=T, loss=L.logistic()), ds)
         score = A.AccelerationScore(
-            eta_large=float(override), loss_large_eta=float(big.loss[-1]),
+            eta_large=override, loss_large_eta=float(big.loss[-1]),
             eta_small_best=None, loss_small_eta_best=None, ratio=None,
             bound=plan.bound, traj_large=big, traj_small_best=None)
     _json_dump(score.as_dict(), out / "accelerate.json")
@@ -255,6 +258,7 @@ def _run_accelerate(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
 
 def _run_rates(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
     loss = L.loss_from_json(cfg["loss"])
+    tail = A._tail_fraction(float(cfg["tail_fraction"]))
     fits = {}
 
     def runs(etas):
@@ -263,8 +267,8 @@ def _run_rates(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
 
     def one(eta, tag, traj):
         G.write_trajectory_csv(traj, out / f"rates_eta{tag}.csv")
-        fit = A.fit_rate(traj, eta, tail_fraction=float(cfg["tail_fraction"]))
-        fits[format(eta, "g")] = fit.as_dict()
+        fit = A.fit_rate(traj, eta, tail_fraction=tail)
+        fits[format(eta, "g")] = asdict(fit)
         return traj.steps[1:], eta * traj.steps[1:] * traj.loss[1:]
 
     curves = _sweep(cfg, out, runs, one)
@@ -279,27 +283,23 @@ def _run_bounds(args) -> int:
                               s=args.s, T=args.T, d=args.d, delta=args.delta,
                               F_s=args.F_s, C1=args.C1, C2=args.C2, C_a=args.C_a)
     for rep in reports:
-        print(json.dumps(rep.as_dict(), sort_keys=True))
+        print(json.dumps(asdict(rep), sort_keys=True))
     return 0
 
 
 def _run_check_loss(args) -> int:
     loss = L.loss_from_json(_loss_descriptor(args))
     report = L.check_assumptions(loss, Rng(int(_env_seed())))
-    out = report.as_dict()
-    rho_rows = []
-    rho_ok = True
+    out = dict(report.as_dict(), rho=[])
     for lam in (1.0, 10.0, 1e3, 1e6):
         exact = L.rho_exact(loss, lam)
         bound = L.rho_bound(loss, lam)
         ell_at = float(L.eval_loss(loss, math.sqrt(bound)))
-        row_ok = exact <= bound + 1e-9 and ell_at <= bound / lam + 1e-12
-        rho_ok &= row_ok
-        rho_rows.append({"lambda": lam, "rho_exact": exact, "rho_bound": bound,
-                         "loss_at_sqrt_rho": ell_at, "ok": row_ok})
-    out["rho"] = rho_rows
+        out["rho"].append({"lambda": lam, "rho_exact": exact, "rho_bound": bound,
+                           "loss_at_sqrt_rho": ell_at,
+                           "ok": exact <= bound + 1e-9 and ell_at <= bound / lam + 1e-12})
     print(json.dumps(out, indent=2, sort_keys=True))
-    return 0 if (report.passed and rho_ok) else 1
+    return 0 if report.passed and all(row["ok"] for row in out["rho"]) else 1
 
 
 # -- argument parsing ---------------------------------------------------------

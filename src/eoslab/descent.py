@@ -4,9 +4,11 @@ and phase-transition detection.
 ``gd_engine`` is the one full-batch GD loop.  It advances a batch of
 runs, the rows of one (K, p) matrix, each bit for bit as alone: linear
 runs of ``run_gd_batch`` (``run_gd`` is a batch of one), and a network
-run of ``eoslab.ntk.run_gd_ntk``.  ``run_sgd`` is not batched: its runs
-are written one by one, as each ends.  Both share one block recorder and
-one divergence guard.
+run of ``eoslab.ntk.run_gd_ntk``.  ``run_sgd`` is neither batched (its
+runs are written one by one, as each ends) nor run by the engine: it
+shares the block-length rule, the divergence guard and ``_sq_norms``, but
+records its own series, with G, F and the gradient norm taken from
+1/(1+e^z) and 1/e^z, which differ from the engine's in the last bit.
 
 A trajectory records, at every recorded step, the loss L, the gradient,
 parameter and distance-from-initialization norms, the gradient potential
@@ -21,7 +23,7 @@ margins (one step's when larger); reruns reproduce every number bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -70,8 +72,8 @@ class GdConfig:
     store_iterates: bool = False
 
     def __post_init__(self):
-        if self.eta <= 0.0:
-            raise ValueError("eta must be positive")
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError("eta must be positive and finite")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.record_every < 1:
@@ -134,9 +136,6 @@ class PhaseReport:
     s_empirical: int
     tau_bound: float
     criterion_value: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _margins(ds: Dataset, w) -> np.ndarray:
@@ -341,6 +340,8 @@ def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng,
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if not 0.0 < eta < math.inf:
+        raise ValueError("eta must be positive and finite")
     Zy = ds.signed()
     ZyT3 = Zy.T[None]
     rows = list(Zy)

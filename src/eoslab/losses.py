@@ -21,7 +21,7 @@ regularization-path length rho(lambda) = min_z lambda*l(z) + z^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -262,38 +262,25 @@ class AssumptionReport:
     self_bounded_second: ConditionCheck
     exp_tail: Optional[ConditionCheck]  # None when the loss has no C_e
 
+    def _checks(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     @property
     def passed(self) -> bool:
-        checks = [self.convexity, self.monotone, self.lipschitz,
-                  self.self_bounded_first, self.self_bounded_second]
-        if self.exp_tail is not None:
-            checks.append(self.exp_tail)
-        return all(c.passed for c in checks)
+        return all(c is None or c.passed for c in self._checks().values())
 
     def as_dict(self) -> dict:
-        def enc(c):
-            if c is None:
-                return {"applicable": False}
-            return {"applicable": True, "passed": c.passed,
-                    "residual": c.residual, "witness": list(c.witness)}
-        return {
-            "convexity": enc(self.convexity),
-            "monotone": enc(self.monotone),
-            "lipschitz": enc(self.lipschitz),
-            "self_bounded_first": enc(self.self_bounded_first),
-            "self_bounded_second": enc(self.self_bounded_second),
-            "exp_tail": enc(self.exp_tail),
-            "passed": self.passed,
-        }
+        out = {name: {"applicable": False} if c is None else dict(asdict(c), applicable=True)
+               for name, c in self._checks().items()}
+        return dict(out, passed=self.passed)
 
 
-def _worst(points, residuals) -> ConditionCheck:
+def _worst(points: np.ndarray, residuals: np.ndarray) -> ConditionCheck:
+    """The check's outcome at the worst residual; ``points`` holds one
+    sample point per row."""
     i = int(np.argmax(residuals))
-    point = points[i] if np.ndim(points[i]) == 0 else tuple(np.atleast_1d(points[i]).tolist())
-    if np.ndim(point) == 0:
-        point = (float(point),)
-    return ConditionCheck(passed=bool(residuals[i] <= 1e-9),
-                          residual=float(residuals[i]), witness=point)
+    return ConditionCheck(passed=bool(residuals[i] <= 1e-9), residual=float(residuals[i]),
+                          witness=tuple(points[i].tolist()))
 
 
 def check_assumptions(loss: LossSpec, rng: Rng | None = None) -> AssumptionReport:
@@ -312,19 +299,19 @@ def check_assumptions(loss: LossSpec, rng: Rng | None = None) -> AssumptionRepor
     x1 = -20.0 + 40.0 * rng.uniform(10_000)
     x2 = -20.0 + 40.0 * rng.uniform(10_000)
     mid_res = eval_loss(loss, 0.5 * (x1 + x2)) - 0.5 * (eval_loss(loss, x1) + eval_loss(loss, x2))
-    convexity = _worst(list(zip(x1, x2)), mid_res)
+    convexity = _worst(np.column_stack((x1, x2)), mid_res)
 
     # non-increasing on the sorted grid
     mono_res = lz[1:] - lz[:-1]
-    monotone = _worst(list(zip(zs[:-1], zs[1:])), mono_res)
+    monotone = _worst(np.column_stack((zs[:-1], zs[1:])), mono_res)
 
     # |l'| <= C_g
     lip_res = gz - loss.C_g
-    lipschitz = _worst([(float(z),) for z in zs], lip_res)
+    lipschitz = _worst(zs[:, None], lip_res)
 
     # g <= C_beta * l
     sb1_res = gz - loss.C_beta * lz
-    self_bounded_first = _worst([(float(z),) for z in zs], sb1_res)
+    self_bounded_first = _worst(zs[:, None], sb1_res)
 
     # second-order growth on pairs with |z - x| < 1
     xs = -20.0 + 40.0 * rng.uniform(10_000)
@@ -333,7 +320,7 @@ def check_assumptions(loss: LossSpec, rng: Rng | None = None) -> AssumptionRepor
     lhs = eval_loss(loss, zp)
     rhs = (eval_loss(loss, xs) + deriv(loss, xs) * (zp - xs)
            + loss.C_beta * g(loss, xs) * (zp - xs) ** 2)
-    self_bounded_second = _worst(list(zip(xs, zp)), lhs - rhs)
+    self_bounded_second = _worst(np.column_stack((xs, zp)), lhs - rhs)
 
     # exponential tail, only on z >= 0 and only when a C_e is declared
     if loss.C_e is None:
@@ -341,7 +328,7 @@ def check_assumptions(loss: LossSpec, rng: Rng | None = None) -> AssumptionRepor
     else:
         pos = zs >= 0.0
         tail_res = lz[pos] - loss.C_e * gz[pos]
-        exp_tail = _worst([(float(z),) for z in zs[pos]], tail_res)
+        exp_tail = _worst(zs[pos, None], tail_res)
 
     return AssumptionReport(convexity, monotone, lipschitz,
                             self_bounded_first, self_bounded_second, exp_tail)

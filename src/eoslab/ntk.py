@@ -19,7 +19,7 @@ distance from initialization against the radius, to be checked by eye.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -80,8 +80,7 @@ class NtkDiagnostics:
         return self.max_dist <= self.R
 
     def as_dict(self) -> dict:
-        return {"R": self.R, "max_dist": self.max_dist, "lazy_ok": self.lazy_ok,
-                "width_min": self.width_min}
+        return dict(asdict(self), lazy_ok=self.lazy_ok)
 
 
 def init_net(m: int, d: int, rng: Rng, random_signs: bool = False) -> NtkNet:
@@ -149,6 +148,8 @@ def run_gd_ntk(net: NtkNet, ds: Dataset, loss: L.LossSpec, eta: float, T: int,
     """
     if T < 1:
         raise ValueError("T must be >= 1")
+    if not 0.0 < eta < math.inf:
+        raise ValueError("eta must be positive and finite")
     if gamma is None:
         gamma = margin(ds).gamma
     shape, pre = net.w.shape, None

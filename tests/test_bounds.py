@@ -2,6 +2,7 @@
 monotonicity properties, and cross-formula consistency."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -216,6 +217,13 @@ class TestLazyRadiusAndWidth:
         assert B.lazy_radius(log, 0.5, 2.0, 100, 4, 0.1) > base
         assert B.lazy_radius(log, 0.5, 1.0, 400, 4, 0.1) > base
 
+    @pytest.mark.parametrize("delta", [0.0, -0.1, 2.0, math.nan])
+    def test_radius_and_width_reject_delta_outside_unit_interval(self, delta):
+        log = L.logistic()
+        for formula in (B.lazy_radius, B.width_min):
+            with pytest.raises(ValueError, match="delta"):
+                formula(log, 0.5, 1.0, 100, 4, delta)
+
     def test_width_monotone_in_radius(self):
         log = L.logistic()
         assert (B.width_min(log, 0.5, 2.0, 100, 4, 0.1)
@@ -270,4 +278,4 @@ class TestRegimeTable:
     def test_pure_functions(self):
         a = B.table1_regimes(L.logistic(), 1e4)
         b = B.table1_regimes(L.logistic(), 1e4)
-        assert [r.as_dict() for r in a] == [r.as_dict() for r in b]
+        assert [asdict(r) for r in a] == [asdict(r) for r in b]

@@ -236,6 +236,111 @@ class TestConfigSchema:
             assert files_in(out) == []
 
 
+class TestRunOptionDomains:
+    """An out-of-domain run option exits 3 with one error line before any
+    file is written."""
+
+    def refused(self, capsys, out, *argv):
+        assert run(*argv, "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert files_in(out) == []
+        return err
+
+    @pytest.mark.parametrize("eta", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("command", ["gd", "sgd", "rates", "ntk", "accelerate"])
+    def test_stepsize_flag(self, tmp_path, capsys, command, eta):
+        flag = "--eta-override" if command == "accelerate" else "--eta"
+        width = ["--width", "8"] if command == "ntk" else []
+        self.refused(capsys, tmp_path / "o", command, f"{flag}={eta}", "--steps", "5", *width)
+
+    @pytest.mark.parametrize("command", ["gd", "ntk"])
+    def test_stepsize_in_config(self, tmp_path, capsys, command):
+        argv = RUN_COMMANDS[command][0]
+        first = tmp_path / "first"
+        assert run(*argv, "--out", str(first)) == 0
+        cfg = json.loads((first / "config.json").read_text())
+        cfg["eta"] = [-1.0] if command == "gd" else -1.0
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(cfg))
+        err = self.refused(capsys, tmp_path / "o", command, "--config", str(p))
+        assert err == "error: a stepsize must be positive and finite, not -1\n"
+
+    def test_zero_synthetic_gamma(self, tmp_path, capsys):
+        err = self.refused(capsys, tmp_path / "o", "gd", "--dataset", "synthetic",
+                           "--n", "20", "--d", "3", "--gamma", "0", "--steps", "5")
+        assert err == "error: gamma must lie in (0, 1)\n"
+
+    @pytest.mark.parametrize("delta", ["0", "2"])
+    def test_ntk_delta(self, tmp_path, capsys, delta):
+        err = self.refused(capsys, tmp_path / "o", "ntk", "--delta", delta,
+                           "--width", "8", "--steps", "5")
+        assert err == "error: delta must be in (0, 1]\n"
+
+    def test_rates_tail_fraction(self, tmp_path, capsys):
+        err = self.refused(capsys, tmp_path / "o", "rates", "--tail-fraction", "0.95",
+                           "--steps", "50")
+        assert err == "error: tail_fraction must lie in (0, 0.9]\n"
+
+    def test_auto_width_within_an_odd_cap(self, tmp_path):
+        out = tmp_path / "o"
+        assert run("ntk", "--normalize", "--width-cap", "255", "--steps", "5",
+                   "--out", str(out)) == 0
+        diag = json.loads((out / "ntk_diagnostics.json").read_text())
+        assert diag["width"] == 254 and diag["width_capped"]
+
+
+CHECK = {"applicable", "passed", "residual", "witness"}
+
+
+class TestJsonKeySets:
+    """The exact key sets of the JSON reports, field by field."""
+
+    @pytest.mark.parametrize("loss,exp_tail", [(["logistic"], CHECK),
+                                               (["flat_poly", "--a", "2"], {"applicable"})])
+    def test_check_loss(self, capsys, loss, exp_tail):
+        assert run("check-loss", "--loss", *loss) == 0
+        report = json.loads(capsys.readouterr().out)
+        checks = {"convexity", "monotone", "lipschitz", "self_bounded_first",
+                  "self_bounded_second"}
+        assert set(report) == checks | {"exp_tail", "passed", "rho"}
+        assert all(set(report[name]) == CHECK for name in checks)
+        assert set(report["exp_tail"]) == exp_tail
+        assert [set(row) for row in report["rho"]] == 4 * [
+            {"lambda", "rho_exact", "rho_bound", "loss_at_sqrt_rho", "ok"}]
+
+    def test_rates(self, tmp_path):
+        assert run("rates", "--eta", "1,4", "--steps", "200", "--no-svg",
+                   "--out", str(tmp_path)) == 0
+        fits = json.loads((tmp_path / "rates.json").read_text())
+        assert set(fits) == {"1", "4"}
+        assert all(set(fit) == {"slope", "intercept", "window", "plateau", "plateau_cv",
+                                "monotone_tail", "n_points"} for fit in fits.values())
+        assert all(len(fit["window"]) == 2 for fit in fits.values())
+
+    @pytest.mark.parametrize("argv", [["--steps", "12000"],
+                                      ["--steps", "100", "--eta-override", "2"]],
+                             ids=["scheduled", "override"])
+    def test_accelerate(self, tmp_path, argv):
+        assert run("accelerate", *argv, "--no-svg", "--out", str(tmp_path)) == 0
+        score = json.loads((tmp_path / "accelerate.json").read_text())
+        assert set(score) == {"eta_large", "loss_large_eta", "eta_small_best",
+                              "loss_small_eta_best", "ratio", "bound"}
+
+    def test_ntk_diagnostics(self, tmp_path):
+        assert run("ntk", "--normalize", "--width", "8", "--steps", "20", "--no-svg",
+                   "--out", str(tmp_path)) == 0
+        diag = json.loads((tmp_path / "ntk_diagnostics.json").read_text())
+        assert set(diag) == {"R", "max_dist", "lazy_ok", "width_min", "ntk_margin_hat",
+                             "width", "width_capped"}
+
+    def test_gd_phase(self, tmp_path):
+        assert run("gd", "--eta", "8", "--steps", "50", "--no-svg",
+                   "--out", str(tmp_path)) == 0
+        phase = json.loads((tmp_path / "gd_eta8_phase.json").read_text())
+        assert set(phase) == {"s_empirical", "s_theory", "tau_bound", "criterion_value"}
+
+
 class TestSgd:
     def test_files_and_seed_stability(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

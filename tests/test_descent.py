@@ -19,6 +19,21 @@ NTOY = data.normalized(TOY)
 NCERT = data.margin(NTOY)
 
 
+BAD_ETAS = [math.nan, math.inf, 0.0, -1.0]
+
+
+class TestStepsizeDomain:
+    @pytest.mark.parametrize("eta", BAD_ETAS)
+    def test_gd_config_rejects(self, eta):
+        with pytest.raises(ValueError, match="eta"):
+            descent.GdConfig(eta=eta, steps=10, loss=LOG)
+
+    @pytest.mark.parametrize("eta", BAD_ETAS)
+    def test_sgd_rejects(self, eta):
+        with pytest.raises(ValueError, match="eta"):
+            descent.run_sgd(NTOY, eta, 10, Rng(0))
+
+
 class TestLossValue:
     def test_zero_parameter_mean(self):
         assert descent.loss_value(LOG, TOY, np.zeros(2)) == pytest.approx(

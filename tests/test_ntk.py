@@ -346,3 +346,10 @@ class TestRunGdNtkMatchesStepwiseReference:
             return net
         out = self._assert_same(blown_up, NTOY, LOG, 1.0, 10)
         assert out == (0, "non-finite loss at step 0")
+
+
+@pytest.mark.parametrize("eta", [math.nan, math.inf, 0.0, -1.0])
+def test_run_rejects_stepsize_outside_domain(eta):
+    net = ntk.init_net(8, NTOY.d, Rng(0))
+    with pytest.raises(ValueError, match="eta"):
+        ntk.run_gd_ntk(net, NTOY, LOG, eta, 10)
