@@ -201,10 +201,14 @@ def width_min(loss: L.LossSpec, gamma: float, eta: float, T: float,
     """Sufficient width for the lazy-regime guarantees.
 
     Worst-case sufficiency only: the value is far beyond what empirical
-    laziness requires on small problems.
+    laziness requires on small problems.  Raises ValueError when it
+    overflows a float.
     """
     R = lazy_radius(loss, gamma, eta, T, n, delta, C_a)
-    return ((30.0 * R ** (1.0 / 3.0) + 10.0 * math.log(n / delta) ** 0.25) / gamma) ** 6
+    try:
+        return ((30.0 * R ** (1.0 / 3.0) + 10.0 * math.log(n / delta) ** 0.25) / gamma) ** 6
+    except OverflowError:
+        raise ValueError(f"the sufficient width overflows a float at gamma={gamma:g}") from None
 
 
 def vc_bound(d: int, n: int, delta: float) -> float:

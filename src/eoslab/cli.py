@@ -422,6 +422,9 @@ def main(argv=None) -> int:
             cfg = _load_config(args.config, own)
         else:
             cfg = _config_from_args(args)
+        for key in ("steps", "record_every"):  # checked before any file is written
+            if key in cfg and int(cfg[key]) < 1:
+                raise ValueError(f"{key} must be >= 1")
         ds = D.dataset_from_json(cfg["dataset"])
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -18,6 +18,14 @@ stable-phase initial-condition term of logistic runs.  The step loops
 keep each step's margins, from which the series are evaluated once per
 block of at most ``_BLOCK_STEPS`` steps and ``_BLOCK_FLOATS`` floats of
 margins (one step's when larger); reruns reproduce every number bit for bit.
+
+A GD run recorded every k > 1 steps evaluates its loss at the recorded
+steps only.  For its guard, one screen stands in for the other steps of a
+block: every loss is non-negative and non-increasing, so no step's mean
+loss exceeds the loss at the block's smallest margin, and where that is
+finite and within half the guard's bar the guard cannot fire in the
+block.  A block the screen does not clear has every step's loss evaluated
+and walked, so the guard stops where, and as, it would on every step.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from .numerics import Rng
 
 __all__ = [
     "GdConfig", "Trajectory", "PhaseReport", "DivergenceError", "loss_value",
-    "grad", "run_gd", "run_gd_batch", "detect_phase", "run_sgd",
+    "run_gd", "run_gd_batch", "detect_phase", "run_sgd",
     "split_optimization_check", "perceptron_potential_check",
     "write_trajectory_csv",
 ]
@@ -150,37 +158,45 @@ def loss_value(loss: L.LossSpec, ds: Dataset, w: np.ndarray) -> float:
     return float(np.mean(L.eval_loss(loss, _margins(ds, w))))
 
 
-def grad(loss: L.LossSpec, ds: Dataset, w: np.ndarray) -> np.ndarray:
-    """Analytic gradient of the mean loss at w, as :func:`run_gd` steps with."""
-    return ds.signed().T @ L.deriv(loss, _margins(ds, w)) / ds.n
-
-
 def _block_len(width: int) -> int:
     """Steps per block when the block buffers take ``width`` floats a step."""
     return max(1, min(_BLOCK_STEPS, _BLOCK_FLOATS // width))
 
 
-def _divergence_guard(diverged: str):
-    """The divergence guard of one run: ``check(start, losses)``, fed the
-    losses of steps start, start+1, ... in step order, raises
+class _DivergenceGuard:
+    """The divergence guard of one run: :meth:`check`, fed the losses of
+    steps start, start+1, ... in step order, raises
     :class:`DivergenceError` on a non-finite loss, or once the loss has
     stayed above the factor times L(w_0) for patience steps in a row with
     ``diverged`` formatted with ``t``, ``factor`` and ``patience``."""
-    loss0, over = None, 0
 
-    def check(start: int, lvals: np.ndarray) -> None:
-        nonlocal loss0, over
+    def __init__(self, diverged: str):
+        self.diverged, self.loss0, self.over = diverged, None, 0
+
+    def check(self, start: int, lvals: np.ndarray) -> None:
         for t, lval in enumerate(lvals.tolist(), start):
             if not math.isfinite(lval):
                 raise DivergenceError(t, f"non-finite loss at step {t}")
-            if loss0 is None:
-                loss0 = lval
-            over = over + 1 if lval > _GUARD_FACTOR * loss0 else 0
-            if over >= _GUARD_PATIENCE:
-                raise DivergenceError(t, diverged.format(
+            if self.loss0 is None:
+                self.loss0 = lval
+            self.over = self.over + 1 if lval > _GUARD_FACTOR * self.loss0 else 0
+            if self.over >= _GUARD_PATIENCE:
+                raise DivergenceError(t, self.diverged.format(
                     t=t, factor=_GUARD_FACTOR, patience=_GUARD_PATIENCE))
 
-    return check
+    def quiet(self, lmax: float, n: int) -> bool:
+        """Stands in for :meth:`check` on steps whose losses are each the
+        mean of n values at most ``lmax``, as the loss at the steps'
+        smallest margin bounds them (every loss is non-increasing): True,
+        with the count reset as check would leave it, when 2 n lmax is
+        finite and lmax at most half the bar, so that no rounding of such a
+        mean makes it non-finite or lifts it over the bar.  False before
+        L(w_0) is known, and for a NaN lmax."""
+        if (self.loss0 is None or not math.isfinite(2.0 * n * lmax)
+                or not lmax <= _GUARD_FACTOR * self.loss0 / 2.0):
+            return False
+        self.over = 0
+        return True
 
 
 def _sq_norms(A: np.ndarray) -> np.ndarray:
@@ -198,7 +214,9 @@ def gd_engine(W, origin, n: int, margins, gradient, loss: L.LossSpec, etas,
     ``W``, to ``w_t - etas[k] * gradient(l'(Z))[k]`` at the (K, n) margins
     ``Z = margins(W)``, for any number of rows.  Every ``record_every``-th
     step and T are recorded, ``dist_init`` from the rows of ``origin``;
-    ``iterates``, if given, is (K, T+1, p) and receives every iterate.  A
+    ``iterates``, if given, is (K, T+1, p) and receives every iterate.  The
+    loss is evaluated at the recorded steps, and at the others only for a
+    guard that :meth:`_DivergenceGuard.quiet` does not clear.  A
     run its own guard rejects leaves the batch, which goes on bit for bit,
     and is replayed alone from its block's first iterate, so that
     ``margins`` was last called at the rejected iterate.  Returns each
@@ -210,7 +228,7 @@ def gd_engine(W, origin, n: int, margins, gradient, loss: L.LossSpec, etas,
     # per run: loss, G, F and the squared gradient, parameter, distance norms
     rec = np.empty((K, 6, len(steps)))
     ids, out = np.arange(K), [None] * K
-    guards = [_divergence_guard(diverged) for _ in ids]
+    guards = [_DivergenceGuard(diverged) for _ in ids]
     block = min(_block_len(K * n), T + 1)
     cap = max(1, _BLOCK_FLOATS // (K * p))  # recorded rows per pass of _sq_norms
     Z_buf, WG_buf, k = np.empty((block, K, n)), np.empty((2, min(cap, block), K, p)), 0
@@ -238,16 +256,29 @@ def gd_engine(W, origin, n: int, margins, gradient, loss: L.LossSpec, etas,
                 if t < T:
                     W -= etas * Gm
 
-            lvals = np.mean(L.eval_loss(loss, Z), axis=2)
             rows = steps[k_start:k] - start
             Zr = Z[rows]
-            rec[:, 0, k_start:k] = lvals[rows].T
+            lrec = np.mean(L.eval_loss(loss, Zr), axis=2)
+            rec[:, 0, k_start:k] = lrec.T
             rec[:, 1, k_start:k] = np.mean(np.abs(L.deriv(loss, Zr)), axis=2).T
             rec[:, 2, k_start:k] = np.mean(np.exp(-Zr), axis=2).T
-            keep = []
+            # a sparse run evaluates its other losses only for a guard that
+            # the loss at the block's smallest margin does not quiet
+            sparse = record_every > 1
+            if sparse:
+                lmax = L.eval_loss(loss, np.min(Z, axis=(0, 2))).tolist()
+            lvals, keep = None if sparse else lrec, []
             for row, i in enumerate(ids.tolist()):
+                guard = guards[i]
                 try:
-                    guards[i](start, lvals[:, row])
+                    if sparse and start == 0:
+                        # step 0, always recorded, sets L(w_0) for the screen;
+                        # walking it again below changes nothing
+                        guard.check(0, lrec[:1, row])
+                    if not (sparse and guard.quiet(lmax[row], n)):
+                        if lvals is None:
+                            lvals = np.mean(L.eval_loss(loss, Z), axis=2)
+                        guard.check(start, lvals[:, row])
                     keep.append(row)
                 except DivergenceError as exc:
                     out[i], w = exc, W_start[row:row + 1]
@@ -271,12 +302,23 @@ def gd_engine(W, origin, n: int, margins, gradient, loss: L.LossSpec, etas,
     return out
 
 
+def _linear_maps(ds: Dataset) -> tuple:
+    """The maps that :func:`run_gd_batch` steps with: ``margins(W)``, the
+    (K, n) margins of the rows of a (K, d) matrix W, and ``gradient(D)``,
+    the (K, d) mean-loss gradients from the (K, n) loss derivatives D at
+    those margins; one gemv per row (a gemm sums in another order)."""
+    Zy, n = ds.signed(), ds.n
+    Zy3, ZyT3 = Zy[None], Zy.T[None]
+    return (lambda W: np.matmul(Zy3, W[:, :, None])[:, :, 0],
+            lambda D: np.matmul(ZyT3, D[:, :, None])[:, :, 0] / n)
+
+
 def run_gd_batch(cfgs: list, ds: Dataset) -> list:
     """Constant-stepsize GD runs on one dataset, advanced as one (K, d)
     matrix: each config's Trajectory, or the DivergenceError it raises
-    alone, in order, bit for bit as :func:`run_gd` alone: margins and
-    gradients take one gemv per run (a gemm sums in another order).  The
-    configs may differ in eta and init only."""
+    alone, in order, bit for bit as :func:`run_gd` alone, stepped with the
+    maps of :func:`_linear_maps`.  The configs may differ in eta and init
+    only."""
     if len({(c.steps, c.loss, c.record_every, c.store_iterates) for c in cfgs}) != 1:
         raise ValueError("batched runs must share steps, loss, record_every and "
                          "store_iterates")
@@ -284,12 +326,10 @@ def run_gd_batch(cfgs: list, ds: Dataset) -> list:
              for c in cfgs]
     if any(w.shape != (ds.d,) for w in inits):
         raise ValueError("init has the wrong dimension")
-    cfg, Zy, n = cfgs[0], ds.signed(), ds.n
-    Zy3, ZyT3 = Zy[None], Zy.T[None]
+    cfg = cfgs[0]
     return gd_engine(
-        inits, inits, n, lambda W: np.matmul(Zy3, W[:, :, None])[:, :, 0],
-        lambda D: np.matmul(ZyT3, D[:, :, None])[:, :, 0] / n,
-        cfg.loss, [c.eta for c in cfgs], cfg.steps, cfg.record_every,
+        inits, inits, ds.n, *_linear_maps(ds), cfg.loss, [c.eta for c in cfgs],
+        cfg.steps, cfg.record_every,
         np.empty((len(cfgs), cfg.steps + 1, ds.d)) if cfg.store_iterates else None,
         "loss exceeded {factor:g} * L(w_0) for {patience} consecutive steps (step {t})")
 
@@ -358,7 +398,7 @@ def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng,
     block = min(_block_len(max(n, ds.d)), T + 1)
     W_buf = np.empty((block, ds.d)) if iterates is None else None
     Z_buf = np.empty((block, n))
-    guard = _divergence_guard("population loss diverged (step {t})")
+    guard = _DivergenceGuard("population loss diverged (step {t})")
 
     # a block may run up to a block of steps past a divergence before the
     # guard sees it; those steps' overflows and NaNs are discarded with it
@@ -383,7 +423,7 @@ def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng,
                 w = w - (eta * coef) * row
 
             lvals = np.mean(np.logaddexp(0.0, -Z), axis=1)
-            guard(start, lvals)
+            guard.check(start, lvals)
 
             expz = np.exp(Z)
             S = 1.0 / (1.0 + expz)             # = |l'(z)| for the logistic loss

@@ -1,11 +1,14 @@
-"""Test oracles: central-difference gradients and their input check, and
-the two-branch logistic derivative."""
+"""Test oracles: central-difference gradients and their input check, the
+two-branch logistic derivative, and the mean loss and gradient of linear
+GD at one point through the maps its engine steps with."""
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
 import numpy as np
+
+from eoslab import descent, losses
 
 
 def as_vec(x: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -42,3 +45,20 @@ def logistic_deriv(z) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     ez = np.exp(-np.abs(z))
     return np.where(z >= 0.0, -ez / (1.0 + ez), -1.0 / (1.0 + ez))
+
+
+def linear_gd_maps(loss: losses.LossSpec, ds) -> tuple:
+    """(mean_loss, grad): the mean loss at w and its gradient as GD steps
+    with it, both through ``descent._linear_maps`` on a batch of one."""
+    margins, gradient = descent._linear_maps(ds)
+
+    def z(w):
+        return margins(np.asarray(w, dtype=np.float64)[None])
+
+    def mean_loss(w) -> float:
+        return float(np.mean(losses.eval_loss(loss, z(w))))
+
+    def grad(w) -> np.ndarray:
+        return gradient(losses.deriv(loss, z(w)))[0]
+
+    return mean_loss, grad

@@ -4,6 +4,7 @@ reproducibility, and SVG well-formedness."""
 import functools
 import importlib
 import json
+import math
 import pkgutil
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -282,6 +283,20 @@ class TestRunOptionDomains:
                            "--steps", "50")
         assert err == "error: tail_fraction must lie in (0, 0.9]\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("gd", "--steps", "0"), ("sgd", "--steps", "0"), ("rates", "--steps", "0"),
+        ("ntk", "--width", "8", "--steps", "0"), ("accelerate", "--steps", "0"),
+        ("gd", "--record-every", "0"),
+    ], ids=["gd", "sgd", "rates", "ntk", "accelerate", "gd-record-every"])
+    def test_step_counts(self, tmp_path, capsys, argv):
+        err = self.refused(capsys, tmp_path / "o", *argv)
+        assert err == f"error: {argv[-2][2:].replace('-', '_')} must be >= 1\n"
+
+    def test_ntk_width_overflow(self, tmp_path, capsys):
+        err = self.refused(capsys, tmp_path / "o", "ntk", "--dataset", "lower_bound",
+                           "--gamma", "1e-60", "--width", "8", "--steps", "5")
+        assert err == "error: the sufficient width overflows a float at gamma=1e-60\n"
+
     def test_auto_width_within_an_odd_cap(self, tmp_path):
         out = tmp_path / "o"
         assert run("ntk", "--normalize", "--width-cap", "255", "--steps", "5",
@@ -465,6 +480,14 @@ class TestBoundsCommand:
                 "lazy_radius", "width_min", "vc", "regime"} <= names
         eos = next(l for l in lines if l["name"] == "eos_avg_logistic")
         assert eos["value"] == pytest.approx(0.9066, abs=5e-4)
+
+    def test_overflowing_width_row_not_applicable(self, capsys):
+        assert run("bounds", "--gamma", "1e-60", "--eta", "1", "--t", "10") == 0
+        lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        [row] = [l for l in lines if l["name"] == "width_min"]
+        assert not row["applicable"] and math.isnan(row["value"])
+        assert row["precondition_note"] == (
+            "the sufficient width overflows a float at gamma=1e-60")
 
 
 # `eos-lab bounds` argument lists; tests/golden/bounds_<k>.jsonl holds the

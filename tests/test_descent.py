@@ -2,6 +2,7 @@
 phase detection, the split-comparator and margin-alignment inequalities,
 and determinism."""
 
+import dataclasses
 import math
 import warnings
 
@@ -11,7 +12,7 @@ import pytest
 from eoslab import bounds, data, descent, losses
 from eoslab.numerics import Rng
 
-from _oracles import finite_diff_grad
+from _oracles import finite_diff_grad, linear_gd_maps
 
 LOG = losses.logistic()
 TOY = data.toy_dataset()
@@ -60,8 +61,10 @@ class TestLossValue:
 
 
 class TestGrad:
+    """The gradient GD steps with: the engine's linear maps on one run."""
+
     def test_at_zero_is_half_mean(self):
-        g = descent.grad(LOG, TOY, np.zeros(2))
+        g = linear_gd_maps(LOG, TOY)[1](np.zeros(2))
         np.testing.assert_allclose(g, [0.25, -0.1], atol=1e-15)
         # l'(0) = -1/2 times the mean signed sample
         np.testing.assert_allclose(g, -0.5 * TOY.signed().mean(axis=0), atol=1e-15)
@@ -69,11 +72,11 @@ class TestGrad:
     def test_matches_finite_differences(self):
         rng = Rng(5)
         for spec in (LOG, losses.flattened_polynomial(2.0)):
+            mean_loss, grad = linear_gd_maps(spec, TOY)
             for _ in range(5):
                 w = rng.normals(2) * 2.0
-                fd = finite_diff_grad(lambda v: descent.loss_value(spec, TOY, v),
-                                      w, h=1e-6)
-                np.testing.assert_allclose(descent.grad(spec, TOY, w), fd, atol=1e-6)
+                fd = finite_diff_grad(mean_loss, w, h=1e-6)
+                np.testing.assert_allclose(grad(w), fd, atol=1e-6)
 
 
 def _potentials(w):
@@ -542,6 +545,136 @@ class TestGdBatchMatchesAlone:
         cfgs = [descent.GdConfig(**base), descent.GdConfig(**dict(base, **field))]
         with pytest.raises(ValueError, match="must share"):
             descent.run_gd_batch(cfgs, TOY)
+
+
+CONFLICT = data.Dataset(np.array([[1.0], [0.3]]), np.array([1.0, -1.0]), name="conflict")
+FLAT_POLY2 = losses.flattened_polynomial(2.0)
+# the minimizer of the flattened polynomial loss (a = 2) on CONFLICT, where
+# (1 + w)^3 = 1/0.3: GD at eta 3e5 started beside it stays quiet for four
+# steps, then is thrown out and stays above the bar until the guard fires
+CONFLICT_MIN = (10.0 / 3.0) ** (1.0 / 3.0) - 1.0
+# (dataset, config fields, step) of runs the guard rejects
+DIVERGENCES = {
+    "sustained": (CONFLICT, dict(eta=1e6, loss=FLAT_POLY2), 74),
+    "sustained-after-quiet": (CONFLICT, dict(eta=3e5, loss=FLAT_POLY2,
+                                             init=np.array([CONFLICT_MIN + 1e-15])), 53),
+    "non-finite": (data.Dataset(np.array([[10.0]]), np.array([1.0]), name="one"),
+                   dict(eta=1.0, loss=losses.flattened_exponential(1.0),
+                        init=np.array([-1e308])), 0),
+    # the first step overflows the iterate
+    "non-finite-later": (CONFLICT, dict(eta=1e308, loss=losses.flattened_exponential(10.0)),
+                         1),
+}
+
+
+def _reference_outcome(cfg, ds):
+    """_reference_gd's Trajectory or DivergenceError; its step loop
+    overflows on the diverging runs."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return _reference_gd(cfg, ds)
+        except descent.DivergenceError as exc:
+            return exc
+
+
+@pytest.fixture
+def screens(monkeypatch):
+    """The outcomes, in order, of every screen the GD guards take."""
+    seen, quiet = [], descent._DivergenceGuard.quiet
+
+    def spy(guard, lmax, n):
+        seen.append(quiet(guard, lmax, n))
+        return seen[-1]
+
+    monkeypatch.setattr(descent._DivergenceGuard, "quiet", spy)
+    return seen
+
+
+class TestGuardUnderSparseRecording:
+    """A sparse run evaluates its loss at recorded steps and screens the
+    rest of each block; its guard must stop where the step-by-step loop,
+    which evaluates every step, stops, with the same message, and leave
+    every other run as the loop does."""
+
+    @pytest.mark.parametrize("blocks", [4, BLOCK])
+    @pytest.mark.parametrize("every", [7, 10])
+    @pytest.mark.parametrize("case", sorted(DIVERGENCES))
+    def test_divergence(self, case, every, blocks, monkeypatch, screens):
+        monkeypatch.setattr(descent, "_BLOCK_STEPS", blocks)
+        ds, fields, step = DIVERGENCES[case]
+        cfg = descent.GdConfig(steps=3000, record_every=every, **fields)
+        got = _gd_divergence(descent.run_gd, cfg, ds)
+        ref = _reference_outcome(cfg, ds)
+        assert got == (ref.step, str(ref)) and got[0] == step
+        if case == "sustained-after-quiet" and blocks == 4:
+            assert screens[0]  # the first block, steps 0 to 3, passed the screen
+
+    @pytest.mark.parametrize("every", [7, 10])
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_unrecorded_peak_at_the_bar(self, side, every, monkeypatch, screens):
+        # on the toy set this run's loss peaks at step 9, recorded by
+        # neither cadence; the bar is put just above or just below the peak
+        cfg = descent.GdConfig(eta=16.0, steps=300, loss=FLAT_POLY2, record_every=every)
+        dense = _reference_gd(dataclasses.replace(cfg, record_every=1), TOY).loss
+        peak = int(np.argmax(dense))
+        assert peak == 9
+        factor = dense[peak] / dense[0] * (1.0 + 1e-9 if side == "below" else 1.0 - 1e-9)
+        monkeypatch.setattr(descent, "_GUARD_FACTOR", factor)
+        monkeypatch.setattr(descent, "_GUARD_PATIENCE", 1)
+        monkeypatch.setattr(descent, "_BLOCK_STEPS", 4)
+        ref = _reference_outcome(cfg, TOY)
+        if side == "below":
+            _assert_same_run(descent.run_gd(cfg, TOY), ref)
+        else:
+            assert _gd_divergence(descent.run_gd, cfg, TOY) == (peak, str(ref))
+        # of the blocks of steps 0-3, 4-7 and 8-11, the second alone
+        # passed the screen
+        assert screens[:3] == [False, True, False]
+
+    def test_quiet_block_resets_the_count(self, monkeypatch, screens):
+        # with the bar at 2 * L(w_0), this toy run is over it at steps 1, 4
+        # and 5 alone, recorded by no 7-step cadence; the block of steps 2
+        # and 3 between passes the screen and must end the first streak
+        monkeypatch.setattr(descent, "_GUARD_FACTOR", 2.0)
+        monkeypatch.setattr(descent, "_GUARD_PATIENCE", 3)
+        monkeypatch.setattr(descent, "_BLOCK_STEPS", 2)
+        cfg = descent.GdConfig(eta=8.0, steps=300, loss=FLAT_POLY2, record_every=7)
+        _assert_same_run(descent.run_gd(cfg, TOY), _reference_outcome(cfg, TOY))
+        assert screens[:3] == [False, True, False]
+
+    @pytest.mark.parametrize("place", [0, 1, 2])
+    @pytest.mark.parametrize("case", sorted(DIVERGENCES))
+    def test_batch_with_a_diverging_run(self, case, place):
+        ds, fields, step = DIVERGENCES[case]
+        cfgs = [descent.GdConfig(eta=eta, init=np.array([0.1]), steps=2100,
+                                 loss=fields["loss"], record_every=7, store_iterates=True)
+                for eta in (0.5, 2.0)]
+        cfgs.insert(place, descent.GdConfig(steps=2100, record_every=7, store_iterates=True,
+                                            **fields))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = descent.run_gd_batch(cfgs, ds)
+        assert [isinstance(r, descent.DivergenceError) for r in got] == \
+            [k == place for k in range(3)]
+        assert got[place].step == step
+        for traj, cfg in zip(got, cfgs):
+            _assert_same_run(traj, _reference_outcome(cfg, ds))
+
+    def test_loss_evaluated_at_recorded_steps(self, monkeypatch):
+        # the synthetic-set run of the benchmark: its 10001 steps are 313
+        # blocks of 32, and 1001 of them are recorded
+        ds, counted, eval_loss = GD_SETS["synthetic"], [], losses.eval_loss
+
+        def counting(loss, z):
+            counted.append(np.size(z))
+            return eval_loss(loss, z)
+
+        monkeypatch.setattr(losses, "eval_loss", counting)
+        tr = descent.run_gd(descent.GdConfig(eta=16.0, steps=10_000, loss=LOG,
+                                             record_every=10), ds)
+        blocks = math.ceil(10_001 / descent._block_len(ds.n))
+        # the recorded steps' margins and one smallest margin a block
+        assert sum(counted) <= len(tr.steps) * ds.n + blocks < 10_001 * ds.n
 
 
 @pytest.fixture(scope="module")
