@@ -50,11 +50,16 @@ class RateFit:
     n_points: int
 
 
-def _tail_fraction(value: float) -> float:
-    """``value``, checked to be a tail fraction that :func:`fit_rate` takes."""
-    if not 0.0 < value <= 0.9:
+def _tail_start(points: int, tail_fraction: float) -> int:
+    """Where the tail window of :func:`fit_rate` starts among its ``points``
+    fitted points; raises ValueError when ``tail_fraction`` lies outside
+    (0, 0.9] or the window holds fewer than 20 points."""
+    if not 0.0 < tail_fraction <= 0.9:
         raise ValueError("tail_fraction must lie in (0, 0.9]")
-    return value
+    start = int(math.floor(points * (1.0 - tail_fraction)))
+    if points - start < 20:
+        raise ValueError(f"tail window has {points - start} points; need >= 20")
+    return start
 
 
 def fit_rate(traj: Trajectory, eta: float, tail_fraction: float = 0.5) -> RateFit:
@@ -62,15 +67,12 @@ def fit_rate(traj: Trajectory, eta: float, tail_fraction: float = 0.5) -> RateFi
 
     A non-monotone tail is flagged but the fit is still returned.
     """
-    _tail_fraction(tail_fraction)
     steps = traj.steps.astype(np.float64)
     keep = (steps >= 1.0) & (traj.loss > 0.0)
     steps, lossv = steps[keep], traj.loss[keep]
-    start = int(math.floor(len(steps) * (1.0 - tail_fraction)))
+    start = _tail_start(len(steps), tail_fraction)
     t = steps[start:]
     y = lossv[start:]
-    if len(t) < 20:
-        raise ValueError(f"tail window has {len(t)} points; need >= 20")
     lt, ly = np.log(t), np.log(y)
     slope, intercept = np.polyfit(lt, ly, 1)
     scaled = eta * t * y
@@ -203,12 +205,16 @@ def acceleration_score(ds: Dataset, T: int) -> AccelerationScore:
     :class:`InfeasibleBudget` when T is below the certified schedule
     threshold.
     """
-    loss = L.logistic()
     cert = margin(ds)
     plan = B.acceleration_plan(cert.gamma, ds.n, T)
     if not plan.feasible:
         raise InfeasibleBudget(T, plan.threshold)
+    return _score_plan(ds, T, plan)
 
+
+def _score_plan(ds: Dataset, T: int, plan: B.AccelerationPlan) -> AccelerationScore:
+    """The runs and score of :func:`acceleration_score` at its feasible plan."""
+    loss = L.logistic()
     k_hi = int(math.floor(math.log2(plan.eta / 2.0) + 1e-12))
     grid = [2.0 ** k for k in range(k_hi, -7, -1)]
     big, *tries = run_gd_batch([GdConfig(eta=eta, steps=T, loss=loss)

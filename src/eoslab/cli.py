@@ -231,12 +231,14 @@ def _run_accelerate(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
     override = cfg["eta_override"]
     if override is not None:
         [override] = _etas(override)
+    # refused before any write, on the one certificate of the run
+    plan = B.acceleration_plan(D.margin(ds).gamma, ds.n, T)
+    if override is None and not plan.feasible:
+        raise A.InfeasibleBudget(T, plan.threshold)
     _json_dump(cfg, out / "config.json")
     if override is None:
-        score = A.acceleration_score(ds, T)
+        score = A._score_plan(ds, T, plan)
     else:
-        cert = D.margin(ds)
-        plan = B.acceleration_plan(cert.gamma, ds.n, T)
         big = G.run_gd(G.GdConfig(eta=override, steps=T, loss=L.logistic()), ds)
         score = A.AccelerationScore(
             eta_large=override, loss_large_eta=float(big.loss[-1]),
@@ -258,7 +260,8 @@ def _run_accelerate(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
 
 def _run_rates(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
     loss = L.loss_from_json(cfg["loss"])
-    tail = A._tail_fraction(float(cfg["tail_fraction"]))
+    tail = float(cfg["tail_fraction"])
+    A._tail_start(int(cfg["steps"]), tail)  # a dense run fits its steps 1..T
     fits = {}
 
     def runs(etas):
@@ -422,9 +425,9 @@ def main(argv=None) -> int:
             cfg = _load_config(args.config, own)
         else:
             cfg = _config_from_args(args)
-        for key in ("steps", "record_every"):  # checked before any file is written
-            if key in cfg and int(cfg[key]) < 1:
-                raise ValueError(f"{key} must be >= 1")
+        for key, low in (("steps", 1), ("record_every", 1), ("seed", 0)):
+            if key in cfg and int(cfg[key]) < low:  # checked before any file is written
+                raise ValueError(f"{key} must be >= {low}")
         ds = D.dataset_from_json(cfg["dataset"])
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -7,7 +7,8 @@ normalized, is the certifying direction.  p is found by Wolfe's
 nearest-point method (Wolfe 1976), which keeps an active set of hull
 vertices and terminates finitely.  A certificate's ``gamma`` is the
 margin its direction verifiably attains, min_i <y_i x_i, w_star>, a lower
-bound on the max margin; ``upper`` = ||p|| is an upper bound.  The solver
+bound on the max margin; ``upper`` = ||p|| is an upper bound, at most a
+fixed 1e-10 times the largest sample norm above ``gamma``.  The solver
 raises :class:`NotSeparable` when the hull contains the origin (within
 tolerance) and :class:`NotConverged` when it hits its iteration cap.
 """
@@ -33,7 +34,6 @@ __all__ = [
     "load_csv",
     "normalized",
     "margin",
-    "verify_margin",
     "dataset_from_json",
 ]
 
@@ -48,6 +48,8 @@ class NotConverged(RuntimeError):
 
 # how far a certificate direction's norm may be from 1
 _UNIT_TOL = 1e-10
+# the margin solver's duality-gap tolerance, relative to the largest sample norm
+_MARGIN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -276,19 +278,20 @@ def _wolfe_min_norm_point(Z: np.ndarray, tol: float, max_iter: int = 10_000,
         f"{tol * rmax * xnorm:.3e} (cap {max_iter} major iterations)")
 
 
-def margin(ds: Dataset, tol: float = 1e-10,
-           trace: list | None = None) -> MarginCertificate:
+def margin(ds: Dataset, trace: list | None = None) -> MarginCertificate:
     """Max margin of a homogeneous separator, with a verified certificate.
 
     ``gamma`` is the margin the returned direction attains; ``upper`` is
     the norm of the min-norm point, an upper bound on the true margin, and
-    ``upper - gamma <= tol * max_i ||z_i||`` up to roundoff.  Raises
+    ``upper - gamma <= _MARGIN_TOL * max_i ||z_i||`` up to roundoff.
+    ``trace``, if given, collects the solver's iterate norm at each major
+    step (``bench/tracing.py`` counts the iterations so).  Raises
     :class:`NotSeparable` when no positive margin can be certified (the
     signed-sample hull contains the origin, within tolerance), and
     :class:`NotConverged` when the solver hits its iteration cap.
     """
     Z = ds.signed()
-    p = _wolfe_min_norm_point(Z, tol, trace=trace)
+    p = _wolfe_min_norm_point(Z, _MARGIN_TOL, trace=trace)
     pnorm = float(np.linalg.norm(p))
     w_star = p / pnorm if pnorm > 0.0 else p  # p = 0 gives gamma = 0
     gamma = float(np.min(Z @ w_star))
@@ -299,16 +302,6 @@ def margin(ds: Dataset, tol: float = 1e-10,
     # gamma <= ||p|| in exact arithmetic, but at convergence the two can
     # round an ulp apart in either direction
     return MarginCertificate(gamma=gamma, w_star=w_star, upper=max(pnorm, gamma))
-
-
-def verify_margin(ds: Dataset, cert: MarginCertificate, tol: float = 1e-9) -> bool:
-    """True iff the certificate's direction attains its claimed margin,
-    to within ``tol``."""
-    w = np.asarray(cert.w_star, dtype=np.float64)
-    if abs(float(np.linalg.norm(w)) - 1.0) > _UNIT_TOL:
-        return False
-    margins = ds.signed() @ w
-    return bool(np.min(margins) >= cert.gamma - tol)
 
 
 def dataset_from_json(obj: dict) -> Dataset:

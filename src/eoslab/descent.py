@@ -39,14 +39,12 @@ import numpy as np
 
 from . import bounds as B
 from . import losses as L
-from .data import Dataset, MarginCertificate
+from .data import Dataset
 from .numerics import Rng
 
 __all__ = [
-    "GdConfig", "Trajectory", "PhaseReport", "DivergenceError", "loss_value",
-    "run_gd", "run_gd_batch", "detect_phase", "run_sgd",
-    "split_optimization_check", "perceptron_potential_check",
-    "write_trajectory_csv",
+    "GdConfig", "Trajectory", "PhaseReport", "DivergenceError",
+    "run_gd", "run_gd_batch", "detect_phase", "run_sgd", "write_trajectory_csv",
 ]
 
 # divergence guard: abort after this many consecutive steps with loss
@@ -115,10 +113,6 @@ class Trajectory:
     def dense(self) -> bool:
         return self.record_every == 1
 
-    @property
-    def horizon(self) -> int:
-        return int(self.steps[-1])
-
     def avg_loss(self) -> np.ndarray:
         """Running average (1/t) sum_{k<t} loss_k at t = 1..len; requires
         dense recording."""
@@ -144,18 +138,6 @@ class PhaseReport:
     s_empirical: int
     tau_bound: float
     criterion_value: float
-
-
-def _margins(ds: Dataset, w) -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (ds.d,):
-        raise ValueError(f"dimension mismatch: w has shape {w.shape}, data is {ds.d}-dim")
-    return ds.signed() @ w
-
-
-def loss_value(loss: L.LossSpec, ds: Dataset, w: np.ndarray) -> float:
-    """Mean loss over the dataset at parameter w."""
-    return float(np.mean(L.eval_loss(loss, _margins(ds, w))))
 
 
 def _block_len(width: int) -> int:
@@ -440,48 +422,6 @@ def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng,
         param_norm=param_norm, dist_init=param_norm.copy(),  # w_0 = 0
         G=G, F=F, eta=eta, loss_spec=L.logistic(), record_every=1, w_final=w.copy(),
         iterates=iterates, zero_one=zero_one, sample_idx=idx)
-
-
-def split_optimization_check(traj: Trajectory, ds: Dataset,
-                             cert: MarginCertificate, u1: np.ndarray,
-                             t: int) -> float:
-    """Residual of the split-comparator inequality at step t.
-
-    With u = u1 + (eta/(2*gamma)) w_star, the inequality
-
-        ||w_t - u||^2/(2 eta t) + avg_{k<t} L(w_k)
-            <= L(u1) + ||w_0 - u||^2/(2 eta t)
-
-    holds for logistic runs on unit-ball data with certified margin, for
-    any u1.  Returns LHS - RHS (expected <= 0 on conformant inputs).
-    """
-    if traj.iterates is None:
-        raise ValueError("split check needs stored iterates")
-    traj._require_dense()
-    if not 1 <= t <= traj.horizon:
-        raise ValueError(f"t must lie in [1, {traj.horizon}]")
-    eta = traj.eta
-    u1 = np.asarray(u1, dtype=np.float64)
-    u = u1 + (eta / (2.0 * cert.gamma)) * cert.w_star
-    w0, wt = traj.iterates[0], traj.iterates[t]
-    lhs = float(np.sum((wt - u) ** 2)) / (2.0 * eta * t) + float(np.mean(traj.loss[:t]))
-    rhs = loss_value(traj.loss_spec, ds, u1) + float(np.sum((w0 - u) ** 2)) / (2.0 * eta * t)
-    return lhs - rhs
-
-
-def perceptron_potential_check(traj: Trajectory, cert: MarginCertificate) -> float:
-    """Minimum slack of the margin-alignment inequality along a run.
-
-    Each step must advance the projection on the certified direction by at
-    least gamma * eta * G(w_t); returns min_t of the actual advance minus
-    that floor (expected >= 0 on conformant inputs).
-    """
-    if traj.iterates is None:
-        raise ValueError("perceptron check needs stored iterates")
-    traj._require_dense()
-    proj = traj.iterates @ cert.w_star
-    slack = (proj[1:] - proj[:-1]) - cert.gamma * traj.eta * traj.G[:-1]
-    return float(np.min(slack))
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:

@@ -7,11 +7,10 @@ built once per net (so once per run), as the (m, d) array
 
 The network is f(x; w) = (1/sqrt(m)) sum_s a_s relu(x^T w^(s)) with fixed
 output signs a_s in {+/-1}, trainable first-layer weights only, and the
-ReLU subgradient at zero fixed to 0.  Signs alternate by default, so they
-sum to zero and meet |sum_s a_s| <= C_a sqrt(m) with C_a = 1; a
-random-sign mode samples them.  ``bounds.lazy_radius`` and
-``bounds.width_min`` give the closed-form conditions under which the run
-provably stays near its linearization; the width is a worst-case,
+ReLU subgradient at zero fixed to 0.  The signs alternate and sum to
+zero, so |sum_s a_s| <= C_a sqrt(m) with C_a = 1.  ``bounds.lazy_radius``
+and ``bounds.width_min`` give the closed-form conditions under which the
+run provably stays near its linearization; the width is a worst-case,
 astronomically large threshold, so runs at any width report their max
 distance from initialization against the radius, to be checked by eye.
 """
@@ -35,7 +34,6 @@ __all__ = [
     "NtkNet",
     "NtkDiagnostics",
     "init_net",
-    "forward_all",
     "grad_param",
     "ntk_grad",
     "run_gd_ntk",
@@ -83,25 +81,16 @@ class NtkDiagnostics:
         return dict(asdict(self), lazy_ok=self.lazy_ok)
 
 
-def init_net(m: int, d: int, rng: Rng, random_signs: bool = False) -> NtkNet:
+def init_net(m: int, d: int, rng: Rng) -> NtkNet:
     """Fresh net with alternating signs and standard Gaussian weights.
 
     m must be even so the alternating signs sum to exactly zero.
     """
     if m < 2 or m % 2 != 0:
         raise ValueError("width m must be an even integer >= 2")
-    if random_signs:
-        a = rng.rademacher(m)
-    else:
-        a = np.tile([1.0, -1.0], m // 2)
+    a = np.tile([1.0, -1.0], m // 2)
     w0 = rng.normals(m * d).reshape(m, d)
     return NtkNet(a=a, w=w0.copy(), w0=w0)
-
-
-def forward_all(net: NtkNet, X: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndarray:
-    """f(x_i; w) for all rows of X (optionally at alternative weights w)."""
-    W = net.w if w is None else w
-    return _readout(net, X @ W.T)
 
 
 def _readout(net: NtkNet, pre: np.ndarray) -> np.ndarray:
@@ -133,13 +122,29 @@ def ntk_grad(net: NtkNet, ds: Dataset, pre: np.ndarray, dvec: np.ndarray) -> np.
     return net.out_scale * (mask.T @ ds.xs)
 
 
+def _network_maps(net: NtkNet, ds: Dataset) -> tuple:
+    """The maps that :func:`run_gd_ntk` steps with: ``margins(W)``, the
+    (1, n) margins y_i f(x_i; w) at w, the one row of W, which it makes
+    ``net.w``; and ``gradient(D)``, the (1, m*d) :func:`ntk_grad` from the
+    (1, n) loss derivatives D at the margins ``margins`` last returned."""
+    shape, pre = net.w.shape, None
+
+    def margins(W):
+        nonlocal pre
+        net.w = W.reshape(shape)   # net.w follows the run, up to a diverging step
+        pre = ds.xs @ net.w.T      # the gradient at w takes its ReLU mask from these
+        return (ds.ys * _readout(net, pre))[None]
+
+    return margins, lambda D: ntk_grad(net, ds, pre, D[0]).reshape(1, -1)
+
+
 def run_gd_ntk(net: NtkNet, ds: Dataset, loss: L.LossSpec, eta: float, T: int,
                gamma: Optional[float] = None,
                delta: float = 0.1) -> tuple[Trajectory, NtkDiagnostics]:
     """Full-batch GD on the network loss, with laziness diagnostics.
 
     Runs ``descent.gd_engine`` on a batch of one, the flattened weights,
-    with the margins y_i f(x_i; w) and :func:`ntk_grad`, from ``net.w``,
+    with the maps of :func:`_network_maps`, from ``net.w``,
     recording every step and ``dist_init`` from ``net.w0``; ``net.w`` ends
     at the last iterate, or at the one the guard rejected.  ``gamma`` for
     the radius and width formulas (which take C_a = 1) defaults to the
@@ -152,17 +157,9 @@ def run_gd_ntk(net: NtkNet, ds: Dataset, loss: L.LossSpec, eta: float, T: int,
         raise ValueError("eta must be positive and finite")
     if gamma is None:
         gamma = margin(ds).gamma
-    shape, pre = net.w.shape, None
-
-    def margins(W):
-        nonlocal pre
-        net.w = W.reshape(shape)   # net.w follows the run, up to a diverging step
-        pre = ds.xs @ net.w.T      # the gradient at w takes its ReLU mask from these
-        return (ds.ys * _readout(net, pre))[None]
-
-    [traj] = gd_engine(net.w.reshape(1, -1), net.w0.reshape(1, -1), ds.n, margins,
-                       lambda D: ntk_grad(net, ds, pre, D[0]).reshape(1, -1),
-                       loss, [eta], T, 1, None, "network loss diverged (step {t})")
+    [traj] = gd_engine(net.w.reshape(1, -1), net.w0.reshape(1, -1), ds.n,
+                       *_network_maps(net, ds), loss, [eta], T, 1, None,
+                       "network loss diverged (step {t})")
     if isinstance(traj, DivergenceError):
         raise traj
     diag = NtkDiagnostics(

@@ -1,14 +1,17 @@
 """Test oracles: central-difference gradients and their input check, the
-two-branch logistic derivative, and the mean loss and gradient of linear
-GD at one point through the maps its engine steps with."""
+two-branch logistic derivative, the mean loss and gradient of linear and
+network GD at one point through the maps their engine steps with, the
+network outputs computed on their own, a certificate check, and the
+split-comparator and margin-alignment inequalities of a stored run."""
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
 
-from eoslab import descent, losses
+from eoslab import descent, losses, ntk
 
 
 def as_vec(x: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -47,11 +50,9 @@ def logistic_deriv(z) -> np.ndarray:
     return np.where(z >= 0.0, -ez / (1.0 + ez), -1.0 / (1.0 + ez))
 
 
-def linear_gd_maps(loss: losses.LossSpec, ds) -> tuple:
-    """(mean_loss, grad): the mean loss at w and its gradient as GD steps
-    with it, both through ``descent._linear_maps`` on a batch of one."""
-    margins, gradient = descent._linear_maps(ds)
-
+def _gd_maps(loss: losses.LossSpec, margins, gradient) -> tuple:
+    """(mean_loss, grad) at one point w from an engine's maps, on a batch
+    of one."""
     def z(w):
         return margins(np.asarray(w, dtype=np.float64)[None])
 
@@ -62,3 +63,73 @@ def linear_gd_maps(loss: losses.LossSpec, ds) -> tuple:
         return gradient(losses.deriv(loss, z(w)))[0]
 
     return mean_loss, grad
+
+
+def linear_gd_maps(loss: losses.LossSpec, ds) -> tuple:
+    """(mean_loss, grad): the mean loss at w and its gradient as GD steps
+    with it, both through ``descent._linear_maps`` on a batch of one."""
+    return _gd_maps(loss, *descent._linear_maps(ds))
+
+
+def network_gd_maps(loss: losses.LossSpec, net, ds) -> tuple:
+    """(mean_loss, grad) at the flattened first-layer weights w, as
+    ``ntk.run_gd_ntk`` steps with them, both through ``ntk._network_maps``
+    on a batch of one; each call makes w ``net.w``."""
+    return _gd_maps(loss, *ntk._network_maps(net, ds))
+
+
+def network_outputs(net, X: np.ndarray) -> np.ndarray:
+    """f(x_i; net.w) = (1/sqrt(m)) sum_s a_s relu(x_i^T w^(s)) for the rows
+    of X, written out apart from ``ntk``."""
+    return np.maximum(X @ net.w.T, 0.0) @ net.a / math.sqrt(net.m)
+
+
+def verify_margin(ds, cert, tol: float = 1e-9) -> bool:
+    """True iff the certificate's direction is a unit vector that attains
+    its claimed margin, to within ``tol``."""
+    w = np.asarray(cert.w_star, dtype=np.float64)
+    if abs(float(np.linalg.norm(w)) - 1.0) > 1e-10:
+        return False
+    return bool(np.min(ds.signed() @ w) >= cert.gamma - tol)
+
+
+def split_optimization_check(traj, ds, cert, u1: np.ndarray, t: int) -> float:
+    """Residual of the split-comparator inequality at step t.
+
+    With u = u1 + (eta/(2*gamma)) w_star, the inequality
+
+        ||w_t - u||^2/(2 eta t) + avg_{k<t} L(w_k)
+            <= L(u1) + ||w_0 - u||^2/(2 eta t)
+
+    holds for logistic runs on unit-ball data with certified margin, for
+    any u1.  Returns LHS - RHS (expected <= 0 on conformant inputs).
+    """
+    if traj.iterates is None:
+        raise ValueError("split check needs stored iterates")
+    traj._require_dense()
+    horizon = int(traj.steps[-1])
+    if not 1 <= t <= horizon:
+        raise ValueError(f"t must lie in [1, {horizon}]")
+    eta = traj.eta
+    u1 = np.asarray(u1, dtype=np.float64)
+    u = u1 + (eta / (2.0 * cert.gamma)) * cert.w_star
+    w0, wt = traj.iterates[0], traj.iterates[t]
+    lhs = float(np.sum((wt - u) ** 2)) / (2.0 * eta * t) + float(np.mean(traj.loss[:t]))
+    mean_loss = linear_gd_maps(traj.loss_spec, ds)[0]
+    rhs = mean_loss(u1) + float(np.sum((w0 - u) ** 2)) / (2.0 * eta * t)
+    return lhs - rhs
+
+
+def perceptron_potential_check(traj, cert) -> float:
+    """Minimum slack of the margin-alignment inequality along a run.
+
+    Each step must advance the projection on the certified direction by at
+    least gamma * eta * G(w_t); returns min_t of the actual advance minus
+    that floor (expected >= 0 on conformant inputs).
+    """
+    if traj.iterates is None:
+        raise ValueError("perceptron check needs stored iterates")
+    traj._require_dense()
+    proj = traj.iterates @ cert.w_star
+    slack = (proj[1:] - proj[:-1]) - cert.gamma * traj.eta * traj.G[:-1]
+    return float(np.min(slack))

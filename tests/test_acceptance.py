@@ -20,7 +20,8 @@ from eoslab import analysis, bounds, data, descent, losses, ntk
 from eoslab.cli import main as cli_main
 from eoslab.numerics import Rng
 
-from _oracles import finite_diff_grad, linear_gd_maps
+from _oracles import (finite_diff_grad, linear_gd_maps, network_gd_maps,
+                      perceptron_potential_check, split_optimization_check)
 
 LOG = losses.logistic()
 TOY = data.toy_dataset()
@@ -118,10 +119,8 @@ def test_criterion_05_split_and_alignment_inequalities():
             u1 = rng.normals(2) * 3.0
             t = int(1 + rng.integers(1, 2000))
             worst_residual = max(worst_residual,
-                                 descent.split_optimization_check(traj, NTOY,
-                                                                  NCERT, u1, t))
-        worst_slack = min(worst_slack,
-                          descent.perceptron_potential_check(traj, NCERT))
+                                 split_optimization_check(traj, NTOY, NCERT, u1, t))
+        worst_slack = min(worst_slack, perceptron_potential_check(traj, NCERT))
     ok = worst_residual <= REL and worst_slack >= -REL
     report(5, ok, f"split-comparator residual <= {worst_residual:.2e}, "
                   f"alignment slack >= {worst_slack:.2e} "
@@ -265,18 +264,20 @@ def test_criterion_12_gradient_correctness():
         fd = finite_diff_grad(mean_loss, w, h=1e-6)
         g = grad(w)
         worst = max(worst, float(np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1e-12)))
-    # network predictors, probed away from activation boundaries
+    # network predictors on one sample, probed away from activation
+    # boundaries, through the maps run_gd_ntk steps with
     checked = 0
     while checked < 50:
         net = ntk.init_net(8, 2, rng)
         x = rng.normals(2)
         if np.min(np.abs(net.w @ x)) < 1e-3:
             continue
+        spec = (LOG, losses.flattened_polynomial(2.0))[checked % 2]
+        one = data.Dataset(x[None, :], np.ones(1), name="probe")
         flat = net.w.ravel().copy()
-        fd = finite_diff_grad(
-            lambda v: ntk.forward_all(net, x[None, :], v.reshape(net.m, net.d))[0],
-            flat, h=1e-6)
-        g = ntk.grad_param(net, x)
+        mean_loss, grad = network_gd_maps(spec, net, one)
+        fd = finite_diff_grad(mean_loss, flat, h=1e-6)
+        g = grad(flat)
         worst = max(worst, float(np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1e-12)))
         checked += 1
     report(12, worst <= 1e-5,

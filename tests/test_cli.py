@@ -1,6 +1,7 @@
 """The eos-lab command line: files produced, exit codes, embedded-config
 reproducibility, and SVG well-formedness."""
 
+import ast
 import functools
 import importlib
 import json
@@ -292,6 +293,45 @@ class TestRunOptionDomains:
         err = self.refused(capsys, tmp_path / "o", *argv)
         assert err == f"error: {argv[-2][2:].replace('-', '_')} must be >= 1\n"
 
+    @pytest.mark.parametrize("argv", [("sgd",), ("ntk", "--width", "8")],
+                             ids=["sgd", "ntk"])
+    def test_negative_seed_flag(self, tmp_path, capsys, argv):
+        err = self.refused(capsys, tmp_path / "o", *argv, "--seed=-1", "--steps", "5")
+        assert err == "error: seed must be >= 0\n"
+
+    def test_negative_env_seed(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("EOS_LAB_SEED", "-3")
+        err = self.refused(capsys, tmp_path / "o", "sgd", "--steps", "5")
+        assert err == "error: seed must be >= 0\n"
+
+    def test_negative_seed_in_config(self, tmp_path, capsys):
+        first = tmp_path / "first"
+        assert run(*RUN_COMMANDS["sgd"][0], "--out", str(first)) == 0
+        cfg = json.loads((first / "config.json").read_text())
+        cfg["seed"] = -5
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(cfg))
+        err = self.refused(capsys, tmp_path / "o", "sgd", "--config", str(p))
+        assert err == "error: seed must be >= 0\n"
+
+    @pytest.mark.parametrize("argv,points", [
+        (("--steps", "30"), 15), (("--steps", "200", "--tail-fraction", "0.05"), 10),
+    ], ids=["short-run", "short-tail"])
+    def test_rates_tail_window(self, tmp_path, capsys, argv, points):
+        err = self.refused(capsys, tmp_path / "o", "rates", *argv)
+        assert err == f"error: tail window has {points} points; need >= 20\n"
+
+    def test_accelerate_non_separable(self, tmp_path, capsys):
+        csv = tmp_path / "flat.csv"
+        csv.write_text("1,1,0\n-1,1,0\n")
+        err = self.refused(capsys, tmp_path / "o", "accelerate", "--dataset", "csv",
+                           "--path", str(csv))
+        assert "hull contains the origin" in err
+
+    def test_accelerate_infeasible_budget(self, tmp_path, capsys):
+        err = self.refused(capsys, tmp_path / "o", "accelerate", "--steps", "100")
+        assert "12000" in err and "gamma" in err
+
     def test_ntk_width_overflow(self, tmp_path, capsys):
         err = self.refused(capsys, tmp_path / "o", "ntk", "--dataset", "lower_bound",
                            "--gamma", "1e-60", "--width", "8", "--steps", "5")
@@ -567,3 +607,34 @@ def test_public_names_resolve(module):
     # the benchmark's tracer wraps every name in __all__ by getattr
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+SOURCES = (sorted(Path(eoslab.__file__).parent.glob("*.py"))
+           + sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py")))
+
+
+def _loaded_names(node, inside=frozenset()):
+    """Names and attributes that ``node`` loads, leaving out a definition's
+    own name within its body."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        inside = inside | {node.name}
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        if node.id not in inside:
+            yield node.id
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        if node.attr not in inside:
+            yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _loaded_names(child, inside)
+
+
+def test_exported_names_are_used_by_the_program():
+    # a name in a module's __all__ that no module or demo loads is kept in
+    # the product for the tests only; such code belongs in tests/_oracles.py
+    loaded = set()
+    for path in SOURCES:
+        loaded.update(_loaded_names(ast.parse(path.read_text(encoding="utf-8"))))
+    unused = sorted(name for m in pkgutil.iter_modules(eoslab.__path__)
+                    for name in importlib.import_module(f"eoslab.{m.name}").__all__
+                    if name not in loaded)
+    assert unused == []

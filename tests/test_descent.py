@@ -12,7 +12,8 @@ import pytest
 from eoslab import bounds, data, descent, losses
 from eoslab.numerics import Rng
 
-from _oracles import finite_diff_grad, linear_gd_maps
+from _oracles import (finite_diff_grad, linear_gd_maps, perceptron_potential_check,
+                      split_optimization_check)
 
 LOG = losses.logistic()
 TOY = data.toy_dataset()
@@ -35,15 +36,20 @@ class TestStepsizeDomain:
             descent.run_sgd(NTOY, eta, 10, Rng(0))
 
 
+def loss_value(loss, ds, w):
+    """The mean loss at w, through the maps GD steps with."""
+    return linear_gd_maps(loss, ds)[0](w)
+
+
 class TestLossValue:
     def test_zero_parameter_mean(self):
-        assert descent.loss_value(LOG, TOY, np.zeros(2)) == pytest.approx(
+        assert loss_value(LOG, TOY, np.zeros(2)) == pytest.approx(
             math.log(2.0), abs=1e-15)
 
     def test_uniform_margin_two(self):
         # w = (0, 10): every signed sample has second coordinate 0.2, so
         # all margins equal 2 and the mean loss is ln(1 + e^-2)
-        val = descent.loss_value(LOG, TOY, np.array([0.0, 10.0]))
+        val = loss_value(LOG, TOY, np.array([0.0, 10.0]))
         assert val == pytest.approx(math.log(1.0 + math.exp(-2.0)), abs=1e-12)
         assert val == pytest.approx(0.126928, abs=1e-6)
 
@@ -51,13 +57,12 @@ class TestLossValue:
         ds = data.Dataset(np.array([[1.0, 0.0], [0.0, 1.0]]),
                           np.array([1.0, 1.0]), name="axes")
         # margins both -1 under w = (-1, -1): loss = 1 - a*(-1) = 2
-        val = descent.loss_value(losses.flattened_exponential(1.0), ds,
-                                 np.array([-1.0, -1.0]))
+        val = loss_value(losses.flattened_exponential(1.0), ds, np.array([-1.0, -1.0]))
         assert val == 2.0
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            descent.loss_value(LOG, TOY, np.zeros(3))
+            loss_value(LOG, TOY, np.zeros(3))
 
 
 class TestGrad:
@@ -219,7 +224,7 @@ class TestRunSgd:
         tr = descent.run_sgd(NTOY, 1.0, 20, Rng(3), store_iterates=True)
         k = 7
         w = tr.iterates[k]
-        assert tr.loss[k] == pytest.approx(descent.loss_value(LOG, NTOY, w), abs=1e-15)
+        assert tr.loss[k] == pytest.approx(loss_value(LOG, NTOY, w), abs=1e-15)
         z = NTOY.signed() @ w
         assert tr.zero_one[k] == pytest.approx(float(np.mean(z <= 0.0)), abs=0)
 
@@ -692,27 +697,27 @@ class TestComparatorChecks:
             for _ in range(10):
                 u1 = rng.normals(2) * 3.0
                 t = int(1 + rng.integers(1, 2000))
-                assert descent.split_optimization_check(tr, NTOY, NCERT, u1, t) <= 1e-9
+                assert split_optimization_check(tr, NTOY, NCERT, u1, t) <= 1e-9
 
     def test_split_with_scaled_comparator(self, runs):
         tr = runs[8.0]
         t = 500
         u1 = (math.log(NCERT.gamma ** 2 * 8.0 * t) / NCERT.gamma) * NCERT.w_star
-        assert descent.split_optimization_check(tr, NTOY, NCERT, u1, t) <= 1e-9
+        assert split_optimization_check(tr, NTOY, NCERT, u1, t) <= 1e-9
 
     def test_split_trivial_at_t1(self, runs):
         # u1 = w0 = 0 reduces to L(w_0) <= L(w_0) + nonnegative
         tr = runs[2.0]
-        assert descent.split_optimization_check(tr, NTOY, NCERT, np.zeros(2), 1) <= 0.0
+        assert split_optimization_check(tr, NTOY, NCERT, np.zeros(2), 1) <= 0.0
 
     def test_perceptron_slack_nonnegative(self, runs):
         for tr in runs.values():
-            assert descent.perceptron_potential_check(tr, NCERT) >= -1e-10
+            assert perceptron_potential_check(tr, NCERT) >= -1e-10
 
     def test_perceptron_negative_control(self, runs):
         flipped = data.MarginCertificate(gamma=NCERT.gamma,
                                          w_star=-NCERT.w_star, upper=NCERT.upper)
-        assert descent.perceptron_potential_check(runs[8.0], flipped) < 0.0
+        assert perceptron_potential_check(runs[8.0], flipped) < 0.0
 
     def test_perceptron_zero_gradient_fixed_point(self):
         # at a perfect fixed point the advance and the floor both vanish
@@ -722,12 +727,12 @@ class TestComparatorChecks:
             store_iterates=True), one)
         cert = data.MarginCertificate(gamma=1.0, w_star=np.array([0.0, 1.0]),
                                       upper=1.0)
-        assert descent.perceptron_potential_check(tr, cert) == pytest.approx(0.0, abs=1e-12)
+        assert perceptron_potential_check(tr, cert) == pytest.approx(0.0, abs=1e-12)
 
     def test_needs_iterates(self):
         tr = descent.run_gd(descent.GdConfig(eta=2.0, steps=10, loss=LOG), NTOY)
         with pytest.raises(ValueError):
-            descent.split_optimization_check(tr, NTOY, NCERT, np.zeros(2), 5)
+            split_optimization_check(tr, NTOY, NCERT, np.zeros(2), 5)
 
 
 class TestPathwiseBounds:

@@ -10,11 +10,18 @@ import pytest
 from eoslab import bounds, data, descent, losses, ntk
 from eoslab.numerics import Rng
 
-from _oracles import finite_diff_grad
+from _oracles import finite_diff_grad, network_gd_maps, network_outputs, verify_margin
 
 LOG = losses.logistic()
 NTOY = data.normalized(data.toy_dataset())
 GAMMA = data.margin(NTOY).gamma
+
+
+def _random_sign_net(m, d, rng):
+    """A net with Rademacher output signs, drawn before the weights."""
+    a = rng.rademacher(m)
+    w0 = rng.normals(m * d).reshape(m, d)
+    return ntk.NtkNet(a=a, w=w0.copy(), w0=w0)
 
 
 class TestInit:
@@ -35,7 +42,7 @@ class TestInit:
         np.testing.assert_array_equal(a.w0, b.w0)
 
     def test_random_sign_mode(self):
-        net = ntk.init_net(1000, 2, Rng(1), random_signs=True)
+        net = _random_sign_net(1000, 2, Rng(1))
         assert set(np.unique(net.a)) <= {-1.0, 1.0}
         assert abs(net.a.sum()) < 1000  # not all equal
 
@@ -46,9 +53,14 @@ class TestInit:
         assert 0.95 <= ratio <= 1.05
 
 
-def _forward(net, x):
-    """f(x; w) of one input, as forward_all computes it on a one-row X."""
-    return ntk.forward_all(net, x[None, :])[0]
+def _forward(net, x, w=None):
+    """f(x; w) of one input at net.w, or at w if given: the margin that the
+    maps run_gd_ntk steps with give on the one-sample set {(x, +1)}, taken
+    on a copy of the net, as those maps move its weights."""
+    probe = ntk.NtkNet(a=net.a, w=net.w if w is None else w, w0=net.w0)
+    one = data.Dataset(np.asarray(x)[None, :], np.ones(1), name="one")
+    margins, _ = ntk._network_maps(probe, one)
+    return margins(probe.w.reshape(1, -1))[0, 0]
 
 
 class TestForward:
@@ -73,9 +85,10 @@ class TestForward:
             scaled = ntk.NtkNet(a=net.a, w=c * net.w, w0=net.w0)
             assert _forward(scaled, x) == pytest.approx(c * f1, rel=1e-12)
 
-    def test_forward_all_matches_single(self):
+    def test_batch_matches_single(self):
         net = ntk.init_net(8, 2, Rng(5))
-        fs = ntk.forward_all(net, NTOY.xs)
+        margins, _ = ntk._network_maps(net, NTOY)
+        fs = NTOY.ys * margins(net.w.reshape(1, -1))[0]
         for i in range(NTOY.n):
             assert fs[i] == pytest.approx(_forward(net, NTOY.xs[i]), abs=1e-15)
 
@@ -112,7 +125,7 @@ class TestGradParam:
             flat = net.w.ravel().copy()
 
             def f(v):
-                return ntk.forward_all(net, x[None, :], v.reshape(net.m, net.d))[0]
+                return _forward(net, x, v.reshape(net.m, net.d))
 
             fd = finite_diff_grad(f, flat, h=1e-6)
             np.testing.assert_allclose(ntk.grad_param(net, x), fd, atol=1e-5)
@@ -124,7 +137,8 @@ class TestNtkGrad:
                                       losses.flattened_polynomial(2.0)],
                              ids=lambda spec: spec.kind)
     def test_matches_finite_differences_of_mean_loss(self, loss):
-        # the gradient at weights w other than net.w, from l'(z) at w's margins
+        # the gradient at weights w other than the initial net.w, through the
+        # maps run_gd_ntk steps with
         rng = Rng(4)
         checked = 0
         while checked < 20:
@@ -133,15 +147,11 @@ class TestNtkGrad:
             if np.min(np.abs(NTOY.xs @ w.T)) < 1e-3:
                 continue  # too close to an activation boundary
 
-            def mean_loss(v):
-                z = NTOY.ys * ntk.forward_all(net, NTOY.xs, v.reshape(net.m, net.d))
-                return float(np.mean(losses.eval_loss(loss, z)))
-
-            dvec = losses.deriv(loss, NTOY.ys * ntk.forward_all(net, NTOY.xs, w))
-            g = ntk.ntk_grad(net, NTOY, NTOY.xs @ w.T, dvec)
-            assert g.shape == (net.m, net.d)
+            mean_loss, grad = network_gd_maps(loss, net, NTOY)
+            g = grad(w.ravel())
+            assert g.shape == (net.m * net.d,)
             fd = finite_diff_grad(mean_loss, w.ravel(), h=1e-6)
-            np.testing.assert_allclose(g.ravel(), fd, atol=1e-6)
+            np.testing.assert_allclose(g, fd, atol=1e-6)
             checked += 1
 
 
@@ -195,7 +205,7 @@ class TestTangentMargin:
         feats = np.stack([y * ntk.grad_param(net, x, net.w0)
                           for x, y in zip(NTOY.xs, NTOY.ys)])
         tangent = data.Dataset(feats, np.ones(NTOY.n), name="tangent")
-        assert data.verify_margin(tangent, ntk.ntk_margin_hat(net, NTOY))
+        assert verify_margin(tangent, ntk.ntk_margin_hat(net, NTOY))
 
     def test_single_sample(self):
         one = data.Dataset(NTOY.xs[:1], NTOY.ys[:1], name="one")
@@ -225,7 +235,7 @@ def _reference_gd_ntk(net, ds, loss, eta, T, gamma, delta=0.1, C_a=1.0):
                                         "dist_init", "G", "F")}
     loss0, over, max_dist = None, 0, 0.0
     for t in range(T + 1):
-        z = ds.ys * ntk.forward_all(net, ds.xs)
+        z = ds.ys * network_outputs(net, ds.xs)
         lval = float(np.mean(losses.eval_loss(loss, z)))
         if not math.isfinite(lval):
             raise descent.DivergenceError(t, f"non-finite loss at step {t}")
@@ -311,7 +321,7 @@ class TestRunGdNtkMatchesStepwiseReference:
     @pytest.mark.parametrize("m,T", [(64, 150), (4096, 25)])
     @pytest.mark.parametrize("loss", NTK_LOSSES, ids=lambda spec: spec.kind)
     def test_random_signs(self, loss, m, T):
-        assert self._assert_same(lambda: ntk.init_net(m, 2, Rng(m), random_signs=True),
+        assert self._assert_same(lambda: _random_sign_net(m, 2, Rng(m)),
                                  NTOY, loss, 4.0, T) is None
 
     @pytest.mark.parametrize("loss", NTK_LOSSES, ids=lambda spec: spec.kind)
