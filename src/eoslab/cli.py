@@ -292,7 +292,11 @@ def _run_bounds(args) -> int:
 
 def _run_check_loss(args) -> int:
     loss = L.loss_from_json(_loss_descriptor(args))
-    report = L.check_assumptions(loss, Rng(int(_env_seed())))
+    try:
+        rng = Rng(int(_env_seed()))
+    except ValueError:  # not an integer, or negative
+        raise ValueError(f"EOS_LAB_SEED must be an integer >= 0, not {_env_seed()!r}") from None
+    report = L.check_assumptions(loss, rng)
     out = dict(report.as_dict(), rho=[])
     for lam in (1.0, 10.0, 1e3, 1e6):
         exact = L.rho_exact(loss, lam)
@@ -428,6 +432,8 @@ def main(argv=None) -> int:
         for key, low in (("steps", 1), ("record_every", 1), ("seed", 0)):
             if key in cfg and int(cfg[key]) < low:  # checked before any file is written
                 raise ValueError(f"{key} must be >= {low}")
+        if int(cfg["dataset"].get("seed") or 0) < 0:
+            raise ValueError('--data-seed (the dataset\'s "seed") must be >= 0')
         ds = D.dataset_from_json(cfg["dataset"])
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

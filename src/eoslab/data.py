@@ -86,11 +86,6 @@ class Dataset:
     def max_norm(self) -> float:
         return float(np.max(np.linalg.norm(self.xs, axis=1)))
 
-    @property
-    def norm_flag(self) -> bool:
-        """True when every sample lies in the unit ball (up to roundoff)."""
-        return self.max_norm <= 1.0 + 1e-12
-
     def signed(self) -> np.ndarray:
         """The (n, d) array of y_i x_i."""
         return self.ys[:, None] * self.xs

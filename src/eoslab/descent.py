@@ -188,22 +188,20 @@ def _sq_norms(A: np.ndarray) -> np.ndarray:
     return np.matmul(V, V.transpose(0, 2, 1)).reshape(A.shape[:-1])
 
 
-def gd_engine(W, origin, n: int, margins, gradient, loss: L.LossSpec, etas,
+def gd_engine(W, n: int, margins, gradient, loss: L.LossSpec, etas,
               T: int, record_every: int, iterates: Optional[np.ndarray],
               diverged: str) -> list:
     """The full-batch GD loop (internal) of :func:`run_gd_batch` and
     ``ntk.run_gd_ntk``: step t moves each run k, a row of the (K, p) matrix
     ``W``, to ``w_t - etas[k] * gradient(l'(Z))[k]`` at the (K, n) margins
     ``Z = margins(W)``, for any number of rows.  Every ``record_every``-th
-    step and T are recorded, ``dist_init`` from the rows of ``origin``;
-    ``iterates``, if given, is (K, T+1, p) and receives every iterate.  The
-    loss is evaluated at the recorded steps, and at the others only for a
-    guard that :meth:`_DivergenceGuard.quiet` does not clear.  A
-    run its own guard rejects leaves the batch, which goes on bit for bit,
-    and is replayed alone from its block's first iterate, so that
-    ``margins`` was last called at the rejected iterate.  Returns each
-    run's Trajectory or DivergenceError, in order."""
-    W, origin = np.array(W, dtype=np.float64), np.array(origin, dtype=np.float64)
+    step and T are recorded, ``dist_init`` from the rows of ``W`` as
+    passed in; ``iterates``, if given, is (K, T+1, p) and receives every
+    iterate.  The loss is evaluated at the recorded steps, and at the
+    others only for a guard that :meth:`_DivergenceGuard.quiet` does not
+    clear.  A run its own guard rejects leaves the batch, which goes on bit
+    for bit.  Returns each run's Trajectory or DivergenceError, in order."""
+    W, origin = np.array(W, dtype=np.float64), np.array(W, dtype=np.float64)
     K, p = W.shape
     etas = np.array(etas, dtype=np.float64)[:, None]
     steps = np.append(np.arange(0, T, record_every), T)
@@ -220,7 +218,7 @@ def gd_engine(W, origin, n: int, margins, gradient, loss: L.LossSpec, etas,
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for start in range(0, T + 1, block):
             stop = min(start + block, T + 1)
-            W_start, k_start, r = W.copy(), k, 0
+            k_start, r = k, 0
             Z, (Wr, Gr) = Z_buf[:stop - start], WG_buf
             for j, t in enumerate(range(start, stop)):
                 Z[j] = margins(W)
@@ -263,10 +261,7 @@ def gd_engine(W, origin, n: int, margins, gradient, loss: L.LossSpec, etas,
                         guard.check(start, lvals[:, row])
                     keep.append(row)
                 except DivergenceError as exc:
-                    out[i], w = exc, W_start[row:row + 1]
-                    for _ in range(start, exc.step):
-                        w -= etas[row] * gradient(L.deriv(loss, margins(w)))
-                    margins(w)
+                    out[i] = exc
             if len(keep) < len(ids):
                 W, origin, etas, rec, ids = (a[keep] for a in (W, origin, etas, rec, ids))
                 Z_buf, WG_buf = Z_buf[:, keep], WG_buf[:, :, keep]  # contiguous copies
@@ -310,7 +305,7 @@ def run_gd_batch(cfgs: list, ds: Dataset) -> list:
         raise ValueError("init has the wrong dimension")
     cfg = cfgs[0]
     return gd_engine(
-        inits, inits, ds.n, *_linear_maps(ds), cfg.loss, [c.eta for c in cfgs],
+        inits, ds.n, *_linear_maps(ds), cfg.loss, [c.eta for c in cfgs],
         cfg.steps, cfg.record_every,
         np.empty((len(cfgs), cfg.steps + 1, ds.d)) if cfg.store_iterates else None,
         "loss exceeded {factor:g} * L(w_0) for {patience} consecutive steps (step {t})")

@@ -13,6 +13,7 @@ and ``bounds.width_min`` give the closed-form conditions under which the
 run provably stays near its linearization; the width is a worst-case,
 astronomically large threshold, so runs at any width report their max
 distance from initialization against the radius, to be checked by eye.
+A net is immutable: every run starts at its w_0 and leaves it unchanged.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -41,13 +41,12 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class NtkNet:
-    """Two-layer ReLU net; ``w`` is the trainable (m, d) first layer and
-    ``w0`` the frozen initialization snapshot."""
+    """Two-layer ReLU net: the output signs ``a`` and the initialization
+    ``w0`` of the trainable (m, d) first layer, where every run starts."""
 
     a: np.ndarray   # (m,) output signs, +/-1, fixed (out_scale is built from them once)
-    w: np.ndarray   # (m, d) current weights
     w0: np.ndarray  # (m, d) initialization, drawn once
 
     @property
@@ -56,7 +55,7 @@ class NtkNet:
 
     @property
     def d(self) -> int:
-        return self.w.shape[1]
+        return self.w0.shape[1]
 
     @cached_property
     def out_scale(self) -> np.ndarray:
@@ -90,7 +89,7 @@ def init_net(m: int, d: int, rng: Rng) -> NtkNet:
         raise ValueError("width m must be an even integer >= 2")
     a = np.tile([1.0, -1.0], m // 2)
     w0 = rng.normals(m * d).reshape(m, d)
-    return NtkNet(a=a, w=w0.copy(), w0=w0)
+    return NtkNet(a=a, w0=w0)
 
 
 def _readout(net: NtkNet, pre: np.ndarray) -> np.ndarray:
@@ -98,15 +97,14 @@ def _readout(net: NtkNet, pre: np.ndarray) -> np.ndarray:
     return np.maximum(pre, 0.0) @ net.a / math.sqrt(net.m)
 
 
-def grad_param(net: NtkNet, x: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndarray:
-    """Parameter gradient of f(x; .), flattened to (m*d,).
+def grad_param(net: NtkNet, x: np.ndarray) -> np.ndarray:
+    """Parameter gradient of f(x; .) at w_0, flattened to (m*d,).
 
-    Block s is (a_s/sqrt(m)) * 1[x^T w^(s) > 0] * x; the indicator is
+    Block s is (a_s/sqrt(m)) * 1[x^T w_0^(s) > 0] * x; the indicator is
     strict at zero, matching the fixed subgradient choice.
     """
     x = np.asarray(x, dtype=np.float64)
-    W = net.w if w is None else w
-    active = (W @ x > 0.0).astype(np.float64)
+    active = (net.w0 @ x > 0.0).astype(np.float64)
     blocks = (net.a * active)[:, None] * x[None, :] / math.sqrt(net.m)
     return blocks.ravel()
 
@@ -124,40 +122,36 @@ def ntk_grad(net: NtkNet, ds: Dataset, pre: np.ndarray, dvec: np.ndarray) -> np.
 
 def _network_maps(net: NtkNet, ds: Dataset) -> tuple:
     """The maps that :func:`run_gd_ntk` steps with: ``margins(W)``, the
-    (1, n) margins y_i f(x_i; w) at w, the one row of W, which it makes
-    ``net.w``; and ``gradient(D)``, the (1, m*d) :func:`ntk_grad` from the
-    (1, n) loss derivatives D at the margins ``margins`` last returned."""
-    shape, pre = net.w.shape, None
+    (1, n) margins y_i f(x_i; w) at w, the one row of W; and
+    ``gradient(D)``, the (1, m*d) :func:`ntk_grad` from the (1, n) loss
+    derivatives D at the margins ``margins`` last returned."""
+    shape, pre = net.w0.shape, None
 
     def margins(W):
         nonlocal pre
-        net.w = W.reshape(shape)   # net.w follows the run, up to a diverging step
-        pre = ds.xs @ net.w.T      # the gradient at w takes its ReLU mask from these
+        pre = ds.xs @ W.reshape(shape).T  # the gradient at w takes its ReLU mask from these
         return (ds.ys * _readout(net, pre))[None]
 
     return margins, lambda D: ntk_grad(net, ds, pre, D[0]).reshape(1, -1)
 
 
 def run_gd_ntk(net: NtkNet, ds: Dataset, loss: L.LossSpec, eta: float, T: int,
-               gamma: Optional[float] = None,
+               gamma: float,
                delta: float = 0.1) -> tuple[Trajectory, NtkDiagnostics]:
     """Full-batch GD on the network loss, with laziness diagnostics.
 
     Runs ``descent.gd_engine`` on a batch of one, the flattened weights,
-    with the maps of :func:`_network_maps`, from ``net.w``,
-    recording every step and ``dist_init`` from ``net.w0``; ``net.w`` ends
-    at the last iterate, or at the one the guard rejected.  ``gamma`` for
-    the radius and width formulas (which take C_a = 1) defaults to the
-    certified linear margin.  A run at insufficient width reports
-    max_dist > R rather than failing.
+    with the maps of :func:`_network_maps`, from ``net.w0``, recording
+    every step and ``dist_init`` from ``net.w0``; the net is not changed.
+    ``gamma`` is the margin for the radius and width formulas (which take
+    C_a = 1).  A run at insufficient width reports max_dist > R rather
+    than failing.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
     if not 0.0 < eta < math.inf:
         raise ValueError("eta must be positive and finite")
-    if gamma is None:
-        gamma = margin(ds).gamma
-    [traj] = gd_engine(net.w.reshape(1, -1), net.w0.reshape(1, -1), ds.n,
+    [traj] = gd_engine(net.w0.reshape(1, -1), ds.n,
                        *_network_maps(net, ds), loss, [eta], T, 1, None,
                        "network loss diverged (step {t})")
     if isinstance(traj, DivergenceError):
@@ -176,7 +170,7 @@ def ntk_margin_hat(net: NtkNet, ds: Dataset) -> MarginCertificate:
     m*d dimensions.  Raises :class:`NotSeparable` when the tangent
     features are not linearly separable.
     """
-    feats = np.stack([ds.ys[i] * grad_param(net, ds.xs[i], net.w0)
+    feats = np.stack([ds.ys[i] * grad_param(net, ds.xs[i])
                       for i in range(ds.n)])
     tangent = Dataset(feats, np.ones(ds.n), name=ds.name + "/tangent")
     return margin(tangent)

@@ -74,14 +74,14 @@ def linear_gd_maps(loss: losses.LossSpec, ds) -> tuple:
 def network_gd_maps(loss: losses.LossSpec, net, ds) -> tuple:
     """(mean_loss, grad) at the flattened first-layer weights w, as
     ``ntk.run_gd_ntk`` steps with them, both through ``ntk._network_maps``
-    on a batch of one; each call makes w ``net.w``."""
+    on a batch of one."""
     return _gd_maps(loss, *ntk._network_maps(net, ds))
 
 
-def network_outputs(net, X: np.ndarray) -> np.ndarray:
-    """f(x_i; net.w) = (1/sqrt(m)) sum_s a_s relu(x_i^T w^(s)) for the rows
-    of X, written out apart from ``ntk``."""
-    return np.maximum(X @ net.w.T, 0.0) @ net.a / math.sqrt(net.m)
+def network_outputs(net, w: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """f(x_i; w) = (1/sqrt(m)) sum_s a_s relu(x_i^T w^(s)) for the rows of
+    X, at the (m, d) first-layer weights w, written out apart from ``ntk``."""
+    return np.maximum(X @ w.T, 0.0) @ net.a / math.sqrt(net.m)
 
 
 def verify_margin(ds, cert, tol: float = 1e-9) -> bool:

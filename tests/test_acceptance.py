@@ -270,11 +270,11 @@ def test_criterion_12_gradient_correctness():
     while checked < 50:
         net = ntk.init_net(8, 2, rng)
         x = rng.normals(2)
-        if np.min(np.abs(net.w @ x)) < 1e-3:
+        if np.min(np.abs(net.w0 @ x)) < 1e-3:
             continue
         spec = (LOG, losses.flattened_polynomial(2.0))[checked % 2]
         one = data.Dataset(x[None, :], np.ones(1), name="probe")
-        flat = net.w.ravel().copy()
+        flat = net.w0.ravel().copy()
         mean_loss, grad = network_gd_maps(spec, net, one)
         fd = finite_diff_grad(mean_loss, flat, h=1e-6)
         g = grad(flat)

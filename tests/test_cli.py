@@ -314,6 +314,22 @@ class TestRunOptionDomains:
         err = self.refused(capsys, tmp_path / "o", "sgd", "--config", str(p))
         assert err == "error: seed must be >= 0\n"
 
+    SYNTHETIC = ("gd", "--dataset", "synthetic", "--n", "10", "--d", "3", "--steps", "5")
+
+    def test_negative_data_seed_flag(self, tmp_path, capsys):
+        err = self.refused(capsys, tmp_path / "o", *self.SYNTHETIC, "--data-seed=-1")
+        assert err == 'error: --data-seed (the dataset\'s "seed") must be >= 0\n'
+
+    def test_negative_data_seed_in_config(self, tmp_path, capsys):
+        first = tmp_path / "first"
+        assert run(*self.SYNTHETIC, "--out", str(first)) == 0
+        cfg = json.loads((first / "config.json").read_text())
+        cfg["dataset"]["seed"] = -1
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(cfg))
+        err = self.refused(capsys, tmp_path / "o", "gd", "--config", str(p))
+        assert err == 'error: --data-seed (the dataset\'s "seed") must be >= 0\n'
+
     @pytest.mark.parametrize("argv,points", [
         (("--steps", "30"), 15), (("--steps", "200", "--tail-fraction", "0.05"), 10),
     ], ids=["short-run", "short-tail"])
@@ -589,6 +605,16 @@ class TestCheckLoss:
     def test_invalid_parameter_exit(self):
         assert run("check-loss", "--loss", "flat_exp", "--a", "0") == 3
 
+    @pytest.mark.parametrize("value", ["-3", "abc"])
+    def test_invalid_env_seed(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("EOS_LAB_SEED", value)
+        monkeypatch.chdir(tmp_path)
+        assert run("check-loss", "--loss", "logistic") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: EOS_LAB_SEED must be an integer >= 0, not {value!r}\n"
+        assert files_in(tmp_path) == []
+
 
 class TestSvgSelfContained:
     def test_no_external_references(self, tmp_path):
@@ -628,13 +654,31 @@ def _loaded_names(node, inside=frozenset()):
         yield from _loaded_names(child, inside)
 
 
+@functools.cache
+def _loaded_by_the_program() -> frozenset:
+    """Every name and attribute that a module of eoslab or a demo loads."""
+    return frozenset(name for path in SOURCES for name in
+                     _loaded_names(ast.parse(path.read_text(encoding="utf-8"))))
+
+
 def test_exported_names_are_used_by_the_program():
     # a name in a module's __all__ that no module or demo loads is kept in
     # the product for the tests only; such code belongs in tests/_oracles.py
-    loaded = set()
-    for path in SOURCES:
-        loaded.update(_loaded_names(ast.parse(path.read_text(encoding="utf-8"))))
     unused = sorted(name for m in pkgutil.iter_modules(eoslab.__path__)
                     for name in importlib.import_module(f"eoslab.{m.name}").__all__
-                    if name not in loaded)
+                    if name not in _loaded_by_the_program())
+    assert unused == []
+
+
+def test_public_members_are_used_by_the_program():
+    # the same for a public method or property of a class of eoslab: one
+    # that no module or demo loads is kept for the tests only
+    unused = sorted(f"{cls.name}.{fn.name}"
+                    for path in sorted(Path(eoslab.__file__).parent.glob("*.py"))
+                    for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    if isinstance(cls, ast.ClassDef)
+                    for fn in cls.body
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not fn.name.startswith("_")
+                    and fn.name not in _loaded_by_the_program())
     assert unused == []

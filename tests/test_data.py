@@ -82,12 +82,12 @@ class TestToyDataset:
     def test_max_norm(self):
         ds = data.toy_dataset()
         assert ds.max_norm == pytest.approx(math.sqrt(4.04), abs=1e-12)
-        assert not ds.norm_flag
+        assert ds.max_norm > 1.0 + 1e-12
 
     def test_normalized_variant(self):
         nds = data.normalized(data.toy_dataset())
         assert nds.max_norm == pytest.approx(1.0, abs=1e-12)
-        assert nds.norm_flag
+        assert nds.max_norm <= 1.0 + 1e-12
 
 
 class TestLowerBoundDataset:
@@ -95,7 +95,7 @@ class TestLowerBoundDataset:
         ds = data.lower_bound_dataset(0.05)
         assert np.linalg.norm(ds.xs[0]) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(ds.xs[1], [0.05, -0.49937], atol=5e-6)
-        assert ds.norm_flag
+        assert ds.max_norm <= 1.0 + 1e-12
         np.testing.assert_array_equal(ds.ys, [1.0, 1.0])
 
     def test_margin_along_first_axis(self):
@@ -288,7 +288,7 @@ class TestDatasetValidation:
 
     def test_descriptor_round_trip(self):
         ds = data.dataset_from_json({"kind": "toy", "normalize": "max"})
-        assert ds.norm_flag
+        assert ds.max_norm <= 1.0 + 1e-12
         ds = data.dataset_from_json({"kind": "lower_bound", "gamma": 0.05})
         assert ds.n == 2
         ds = data.dataset_from_json({"kind": "synthetic", "n": 10, "d": 3,

@@ -2,6 +2,7 @@
 radius/width formulas, lazy-training diagnostics, and tangent-feature
 margins."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ def _random_sign_net(m, d, rng):
     """A net with Rademacher output signs, drawn before the weights."""
     a = rng.rademacher(m)
     w0 = rng.normals(m * d).reshape(m, d)
-    return ntk.NtkNet(a=a, w=w0.copy(), w0=w0)
+    return ntk.NtkNet(a=a, w0=w0)
 
 
 class TestInit:
@@ -54,27 +55,24 @@ class TestInit:
 
 
 def _forward(net, x, w=None):
-    """f(x; w) of one input at net.w, or at w if given: the margin that the
-    maps run_gd_ntk steps with give on the one-sample set {(x, +1)}, taken
-    on a copy of the net, as those maps move its weights."""
-    probe = ntk.NtkNet(a=net.a, w=net.w if w is None else w, w0=net.w0)
+    """f(x; w) of one input at net.w0, or at w if given: the margin that the
+    maps run_gd_ntk steps with give on the one-sample set {(x, +1)}."""
     one = data.Dataset(np.asarray(x)[None, :], np.ones(1), name="one")
-    margins, _ = ntk._network_maps(probe, one)
-    return margins(probe.w.reshape(1, -1))[0, 0]
+    margins, _ = ntk._network_maps(net, one)
+    return margins((net.w0 if w is None else w).reshape(1, -1))[0, 0]
 
 
 class TestForward:
     def test_zero_weights(self):
         net = ntk.init_net(4, 2, Rng(0))
-        net.w = np.zeros_like(net.w)
-        assert _forward(net, np.array([0.3, -0.7])) == 0.0
+        assert _forward(net, np.array([0.3, -0.7]), np.zeros_like(net.w0)) == 0.0
 
     def test_hand_value(self):
         # m=2, a=(1,-1), w1=x, w2=-x, unit x: (1/sqrt 2)(1 - 0)
         net = ntk.init_net(2, 2, Rng(0))
         x = np.array([0.6, 0.8])
-        net.w = np.stack([x, -x])
-        assert _forward(net, x) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
+        f = _forward(net, x, np.stack([x, -x]))
+        assert f == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
 
     def test_positive_homogeneity(self):
         rng = Rng(3)
@@ -82,13 +80,12 @@ class TestForward:
         x = rng.normals(3)
         f1 = _forward(net, x)
         for c in (0.25, 2.0, 10.0):
-            scaled = ntk.NtkNet(a=net.a, w=c * net.w, w0=net.w0)
-            assert _forward(scaled, x) == pytest.approx(c * f1, rel=1e-12)
+            assert _forward(net, x, c * net.w0) == pytest.approx(c * f1, rel=1e-12)
 
     def test_batch_matches_single(self):
         net = ntk.init_net(8, 2, Rng(5))
         margins, _ = ntk._network_maps(net, NTOY)
-        fs = NTOY.ys * margins(net.w.reshape(1, -1))[0]
+        fs = NTOY.ys * margins(net.w0.reshape(1, -1))[0]
         for i in range(NTOY.n):
             assert fs[i] == pytest.approx(_forward(net, NTOY.xs[i]), abs=1e-15)
 
@@ -103,14 +100,12 @@ class TestGradParam:
             assert np.linalg.norm(g) <= np.linalg.norm(x) + 1e-12
 
     def test_all_negative_preactivations(self):
-        net = ntk.init_net(6, 2, Rng(1))
+        net = dataclasses.replace(ntk.init_net(6, 2, Rng(1)), w0=np.tile([-1.0, 0.0], (6, 1)))
         x = np.array([1.0, 0.0])
-        net.w = np.tile([-1.0, 0.0], (6, 1))
         assert np.all(ntk.grad_param(net, x) == 0.0)
 
     def test_subgradient_zero_at_kink(self):
-        net = ntk.init_net(2, 2, Rng(0))
-        net.w = np.zeros_like(net.w)
+        net = dataclasses.replace(ntk.init_net(2, 2, Rng(0)), w0=np.zeros((2, 2)))
         x = np.array([1.0, 1.0])
         assert np.all(ntk.grad_param(net, x) == 0.0)
 
@@ -120,9 +115,9 @@ class TestGradParam:
         while checked < 100:
             net = ntk.init_net(6, 2, rng)
             x = rng.normals(2)
-            if np.min(np.abs(net.w @ x)) < 1e-3:
+            if np.min(np.abs(net.w0 @ x)) < 1e-3:
                 continue  # too close to an activation boundary
-            flat = net.w.ravel().copy()
+            flat = net.w0.ravel().copy()
 
             def f(v):
                 return _forward(net, x, v.reshape(net.m, net.d))
@@ -137,8 +132,8 @@ class TestNtkGrad:
                                       losses.flattened_polynomial(2.0)],
                              ids=lambda spec: spec.kind)
     def test_matches_finite_differences_of_mean_loss(self, loss):
-        # the gradient at weights w other than the initial net.w, through the
-        # maps run_gd_ntk steps with
+        # the gradient at weights w other than the initial net.w0, through
+        # the maps run_gd_ntk steps with
         rng = Rng(4)
         checked = 0
         while checked < 20:
@@ -202,7 +197,7 @@ class TestTangentMargin:
     @pytest.mark.parametrize("seed", range(8))
     def test_wide_certificate_verifies(self, seed):
         net = ntk.init_net(4096, 2, Rng(seed))
-        feats = np.stack([y * ntk.grad_param(net, x, net.w0)
+        feats = np.stack([y * ntk.grad_param(net, x)
                           for x, y in zip(NTOY.xs, NTOY.ys)])
         tangent = data.Dataset(feats, np.ones(NTOY.n), name="tangent")
         assert verify_margin(tangent, ntk.ntk_margin_hat(net, NTOY))
@@ -211,7 +206,7 @@ class TestTangentMargin:
         one = data.Dataset(NTOY.xs[:1], NTOY.ys[:1], name="one")
         net = ntk.init_net(64, 2, Rng(3))
         cert = ntk.ntk_margin_hat(net, one)
-        g = ntk.grad_param(net, one.xs[0], net.w0)
+        g = ntk.grad_param(net, one.xs[0])
         assert cert.gamma == pytest.approx(np.linalg.norm(g), rel=1e-9)
 
     def test_xor_style_data(self):
@@ -230,12 +225,13 @@ class TestTangentMargin:
 def _reference_gd_ntk(net, ds, loss, eta, T, gamma, delta=0.1, C_a=1.0):
     """The network's own step loop, recording and guard, as run_gd_ntk ran
     them before it called descent's GD engine; the oracle for that call.
-    Moves net.w along the run like run_gd_ntk."""
+    Steps a local copy of net.w0."""
     rec = {k: np.empty(T + 1) for k in ("loss", "grad_norm", "param_norm",
                                         "dist_init", "G", "F")}
     loss0, over, max_dist = None, 0, 0.0
+    w = net.w0.copy()
     for t in range(T + 1):
-        z = ds.ys * network_outputs(net, ds.xs)
+        z = ds.ys * network_outputs(net, w, ds.xs)
         lval = float(np.mean(losses.eval_loss(loss, z)))
         if not math.isfinite(lval):
             raise descent.DivergenceError(t, f"non-finite loss at step {t}")
@@ -244,36 +240,35 @@ def _reference_gd_ntk(net, ds, loss, eta, T, gamma, delta=0.1, C_a=1.0):
         over = over + 1 if lval > descent._GUARD_FACTOR * loss0 else 0
         if over >= descent._GUARD_PATIENCE:
             raise descent.DivergenceError(t, f"network loss diverged (step {t})")
-        pre = ds.xs @ net.w.T
+        pre = ds.xs @ w.T
         f = np.maximum(pre, 0.0) @ net.a / math.sqrt(net.m)
         coeff = losses.deriv(loss, ds.ys * f) * ds.ys / ds.n
         gmat = (net.a[:, None] / math.sqrt(net.m)) * (((pre > 0.0) * coeff[:, None]).T @ ds.xs)
-        dist = float(np.linalg.norm(net.w - net.w0))
+        dist = float(np.linalg.norm(w - net.w0))
         max_dist = max(max_dist, dist)
         rec["loss"][t] = lval
         rec["grad_norm"][t] = float(np.linalg.norm(gmat))
-        rec["param_norm"][t] = float(np.linalg.norm(net.w))
+        rec["param_norm"][t] = float(np.linalg.norm(w))
         rec["dist_init"][t] = dist
         rec["G"][t] = float(np.mean(losses.g(loss, z)))
         with np.errstate(over="ignore"):
             rec["F"][t] = float(np.mean(np.exp(-z)))
         if t < T:
-            net.w = net.w - eta * gmat
+            w = w - eta * gmat
     diag = ntk.NtkDiagnostics(
         R=ntk.lazy_radius(loss, gamma, eta, T, ds.n, delta, C_a),
         max_dist=max_dist,
         width_min=ntk.width_min(loss, gamma, eta, T, ds.n, delta, C_a))
-    return rec, net.w.ravel().copy(), diag
+    return rec, w.ravel().copy(), diag
 
 
 def _ntk_outcome(run, net, *args):
-    """(result or (step, message) of the DivergenceError, net.w after)."""
+    """The result, or (step, message) of the DivergenceError."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            out = run(net, *args)
+            return run(net, *args)
     except descent.DivergenceError as exc:
-        out = (exc.step, str(exc))
-    return out, net.w.copy()
+        return exc.step, str(exc)
 
 
 NTK_LOSSES = [LOG, losses.flattened_exponential(1.5), losses.flattened_polynomial(2.0)]
@@ -284,20 +279,17 @@ def _conflict_net(scale):
     # every ReLU stays active on the positive inputs, so the net is a
     # linear predictor on this non-separable set and large steps diverge
     net = ntk.init_net(2, 1, Rng(0))
-    net.w = np.array([[scale + 0.5], [scale]])
-    net.w0 = net.w.copy()
-    return net
+    return dataclasses.replace(net, w0=np.array([[scale + 0.5], [scale]]))
 
 
 class TestRunGdNtkMatchesStepwiseReference:
-    """run_gd_ntk runs descent's GD engine; every series, w_final, net.w and
-    the diagnostics must equal the network's own step loop bit for bit."""
+    """run_gd_ntk runs descent's GD engine; every series, w_final and the
+    diagnostics must equal the network's own step loop bit for bit."""
 
     @staticmethod
     def _assert_same(make_net, ds, loss, eta, T):
-        ref, ref_w = _ntk_outcome(_reference_gd_ntk, make_net(), ds, loss, eta, T, GAMMA)
-        got, got_w = _ntk_outcome(ntk.run_gd_ntk, make_net(), ds, loss, eta, T, GAMMA)
-        np.testing.assert_array_equal(got_w, ref_w)
+        ref = _ntk_outcome(_reference_gd_ntk, make_net(), ds, loss, eta, T, GAMMA)
+        got = _ntk_outcome(ntk.run_gd_ntk, make_net(), ds, loss, eta, T, GAMMA)
         if not isinstance(ref[0], dict):
             assert got == ref
             return ref
@@ -332,14 +324,6 @@ class TestRunGdNtkMatchesStepwiseReference:
                                  NTOY, loss, 8.0, 1100) is None
 
     @pytest.mark.parametrize("loss", NTK_LOSSES, ids=lambda spec: spec.kind)
-    def test_continued_run_measures_from_w0(self, loss):
-        def trained():
-            net = ntk.init_net(16, 2, Rng(1))
-            ntk.run_gd_ntk(net, NTOY, loss, 2.0, 40, gamma=GAMMA)
-            return net
-        assert self._assert_same(trained, NTOY, loss, 4.0, 60) is None
-
-    @pytest.mark.parametrize("loss", NTK_LOSSES, ids=lambda spec: spec.kind)
     def test_sustained_divergence(self, loss):
         out = self._assert_same(lambda: _conflict_net(1e9), CONFLICT, loss, 1e6, 300)
         assert out == (50, "network loss diverged (step 50)")
@@ -352,8 +336,7 @@ class TestRunGdNtkMatchesStepwiseReference:
     def test_non_finite_loss(self):
         def blown_up():
             net = ntk.init_net(8, 2, Rng(0))
-            net.w = net.w * np.inf
-            return net
+            return dataclasses.replace(net, w0=net.w0 * np.inf)
         out = self._assert_same(blown_up, NTOY, LOG, 1.0, 10)
         assert out == (0, "non-finite loss at step 0")
 
@@ -362,4 +345,23 @@ class TestRunGdNtkMatchesStepwiseReference:
 def test_run_rejects_stepsize_outside_domain(eta):
     net = ntk.init_net(8, NTOY.d, Rng(0))
     with pytest.raises(ValueError, match="eta"):
-        ntk.run_gd_ntk(net, NTOY, LOG, eta, 10)
+        ntk.run_gd_ntk(net, NTOY, LOG, eta, 10, gamma=GAMMA)
+
+
+def test_run_leaves_the_net_unchanged():
+    # a run, to its end or into a divergence, starts at net.w0 and writes
+    # nothing back, so a second run of the same net repeats the first
+    net = ntk.init_net(16, 2, Rng(1))
+    a, w0 = net.a.copy(), net.w0.copy()
+    first, _ = ntk.run_gd_ntk(net, NTOY, LOG, 4.0, 60, gamma=GAMMA)
+    assert np.array_equal(net.a, a) and np.array_equal(net.w0, w0)
+    second, _ = ntk.run_gd_ntk(net, NTOY, LOG, 4.0, 60, gamma=GAMMA)
+    assert np.array_equal(second.w_final, first.w_final)
+
+    net = _conflict_net(1e9)
+    a, w0 = net.a.copy(), net.w0.copy()
+    with pytest.raises(descent.DivergenceError), np.errstate(over="ignore", invalid="ignore"):
+        ntk.run_gd_ntk(net, CONFLICT, LOG, 1e6, 300, gamma=GAMMA)
+    assert np.array_equal(net.a, a) and np.array_equal(net.w0, w0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        net.w0 = w0
