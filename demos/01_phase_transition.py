@@ -26,7 +26,7 @@ etas = (4.0, 8.0, 16.0, 32.0)
 trajs = descent.run_gd_batch([descent.GdConfig(eta=eta, steps=T, loss=loss)
                               for eta in etas], toy)
 for eta, traj in zip(etas, trajs):
-    phase = descent.detect_phase(traj, loss, eta, toy.n, cert.gamma)
+    phase = descent.detect_phase(traj, toy.n, cert.gamma)
     ascents = int(np.sum(traj.loss[1:] > traj.loss[:-1]))
     tau = bounds.tau_logistic(cert.gamma, eta, toy.n)
     print(f"eta={eta:>4g}: {ascents:3d} ascending steps, last at t="

@@ -20,7 +20,7 @@ print(f"schedule: eta = gamma^2 T / 120 = {plan.eta:g} "
       f"(feasible from T >= {plan.threshold:g})")
 print(f"certified final-loss bound: {plan.bound:.4f}")
 
-score = analysis.acceleration_score(toy, T)
+score = analysis.acceleration_score(toy, T, plan)
 print(f"\nscheduled run     : final loss {score.loss_large_eta:.3e} "
       f"at eta={score.eta_large:g}")
 print(f"best monotone run : final loss {score.loss_small_eta_best:.3e} "
@@ -32,6 +32,6 @@ print(f"\ncontrast on {ds_slow.name}: runs that never ascend cannot beat a "
       "1/t decay --")
 traj = descent.run_gd(descent.GdConfig(eta=8.0, steps=50_000,
                                        loss=losses.logistic()), ds_slow)
-fit = analysis.fit_rate(traj, 8.0, tail_fraction=0.5)
+fit = analysis.fit_rate(traj, tail_fraction=0.5)
 print(f"monotone eta=8 run: tail slope {fit.slope:+.3f}, "
       f"t*loss plateau {fit.plateau / 8.0:.1f}")

@@ -25,7 +25,7 @@ trajs = descent.run_gd_batch([descent.GdConfig(eta=eta, steps=3000, loss=loss,
                               for eta in etas], toy)
 for eta, traj in zip(etas, trajs):
     err = analysis.zero_one_curve(traj, toy)
-    phase = descent.detect_phase(traj, loss, eta, toy.n, cert.gamma)
+    phase = descent.detect_phase(traj, toy.n, cert.gamma)
     perfect = np.nonzero(err[::-1] > 0.0)[0]
     stays = len(err) - int(perfect[0]) if perfect.size else 0
     print(f"{eta:>5g} {phase.s_empirical:>12d} {str(phase.s_theory):>14} "

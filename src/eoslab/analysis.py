@@ -13,7 +13,7 @@ import numpy as np
 
 from . import bounds as B
 from . import losses as L
-from .data import Dataset, margin
+from .data import Dataset
 from .descent import DivergenceError, GdConfig, Trajectory, run_gd_batch
 
 __all__ = [
@@ -62,8 +62,9 @@ def _tail_start(points: int, tail_fraction: float) -> int:
     return start
 
 
-def fit_rate(traj: Trajectory, eta: float, tail_fraction: float = 0.5) -> RateFit:
-    """Fit ln L against ln t over the last ``tail_fraction`` of recorded steps.
+def fit_rate(traj: Trajectory, tail_fraction: float = 0.5) -> RateFit:
+    """Fit ln L against ln t over the last ``tail_fraction`` of recorded steps,
+    scaling the plateau by the run's own stepsize.
 
     A non-monotone tail is flagged but the fit is still returned.
     """
@@ -75,7 +76,7 @@ def fit_rate(traj: Trajectory, eta: float, tail_fraction: float = 0.5) -> RateFi
     y = lossv[start:]
     lt, ly = np.log(t), np.log(y)
     slope, intercept = np.polyfit(lt, ly, 1)
-    scaled = eta * t * y
+    scaled = traj.eta * t * y
     plateau = float(np.mean(scaled))
     cv = float(np.std(scaled) / plateau) if plateau > 0 else math.inf
     monotone = not bool(np.any(y[1:] > y[:-1]))
@@ -110,22 +111,23 @@ _CHECKED = {"eos_avg_logistic": "avg_loss", "avg_grad_potential": "avg_G",
             "param_norm": "param_norm", "eos_avg": "avg_loss"}
 
 
-def compare_bounds(traj: Trajectory, gamma: float, eta: float, n: int,
-                   loss: L.LossSpec) -> list[Violation]:
-    """Check every applicable bound at every recorded step, in step order.
+def compare_bounds(traj: Trajectory, gamma: float, n: int) -> list[Violation]:
+    """Check every applicable bound at every recorded step, in step order,
+    at the run's own stepsize and loss, on n samples of margin gamma.
 
     Each recorded series is checked against the first ``bounds.BOUNDS`` row
-    that covers ``loss`` and caps it: for logistic runs the running-average
-    loss, gradient potential and parameter norm; for other losses the
-    general average-loss bound, with the initialization terms zeroed as
-    appropriate for linear predictors started at zero.  Steps a row's gate
-    rejects (gamma^2*eta*t < 1) are skipped.  On unit-ball data with a
-    certified margin and logistic loss the returned list is empty.
+    that covers the run's loss and caps it: for logistic runs the
+    running-average loss, gradient potential and parameter norm; for other
+    losses the general average-loss bound, with the initialization terms
+    zeroed as appropriate for linear predictors started at zero.  Steps a
+    row's gate rejects (gamma^2*eta*t < 1) are skipped.  On unit-ball data
+    with a certified margin and logistic loss the returned list is empty.
     """
     traj._require_dense()
     series = {"avg_loss": traj.avg_loss(),
               "avg_G": np.cumsum(traj.G[:-1]) / np.arange(1, len(traj.G)),
               "param_norm": traj.param_norm[1:]}
+    loss, eta = traj.loss_spec, traj.eta
     given = {"loss": loss, "gamma": gamma, "eta": eta, "n": n, "delta": 1.0, "C_a": 0.0}
     out: list[Violation] = []
     checked = set()
@@ -192,8 +194,9 @@ def _is_monotone(traj: Trajectory) -> bool:
     return not bool(np.any(traj.loss[1:] > traj.loss[:-1]))
 
 
-def acceleration_score(ds: Dataset, T: int) -> AccelerationScore:
-    """Run the budget-T stepsize schedule and score it against the best
+def acceleration_score(ds: Dataset, T: int, plan: B.AccelerationPlan) -> AccelerationScore:
+    """Run the budget-T stepsize schedule of ``plan``, the
+    ``bounds.acceleration_plan`` of ds at T, and score it against the best
     empirically monotone constant stepsize, both under the logistic loss.
 
     "Never enters the oscillatory regime" is operationalized as: not a
@@ -201,19 +204,11 @@ def acceleration_score(ds: Dataset, T: int) -> AccelerationScore:
     baseline is the largest stepsize of the dyadic grid 2^k, from half the
     scheduled stepsize down to 2^-6, that satisfies this; the largest one
     runs in one batch with the schedule, and the rest one at a time, only
-    while none has satisfied it.  Raises
-    :class:`InfeasibleBudget` when T is below the certified schedule
-    threshold.
+    while none has satisfied it.  Raises :class:`InfeasibleBudget` when the
+    plan is not feasible (T below its certified threshold).
     """
-    cert = margin(ds)
-    plan = B.acceleration_plan(cert.gamma, ds.n, T)
     if not plan.feasible:
         raise InfeasibleBudget(T, plan.threshold)
-    return _score_plan(ds, T, plan)
-
-
-def _score_plan(ds: Dataset, T: int, plan: B.AccelerationPlan) -> AccelerationScore:
-    """The runs and score of :func:`acceleration_score` at its feasible plan."""
     loss = L.logistic()
     k_hi = int(math.floor(math.log2(plan.eta / 2.0) + 1e-12))
     grid = [2.0 ** k for k in range(k_hi, -7, -1)]

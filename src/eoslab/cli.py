@@ -37,8 +37,15 @@ _NOT_CONFIG = {"config", "out", "gamma", "n", "d", "data_seed", "path",
                "normalize", "a"}
 
 
-def _env_seed() -> str:
-    return os.environ.get("EOS_LAB_SEED", "0")
+def _env_seed() -> int:
+    """The seed that EOS_LAB_SEED sets, 0 where it is unset."""
+    value = os.environ.get("EOS_LAB_SEED", "0")
+    try:
+        if int(value) >= 0:
+            return int(value)
+    except ValueError:  # not an integer
+        pass
+    raise ValueError(f"EOS_LAB_SEED must be an integer >= 0, not {value!r}")
 
 
 def _json_dump(obj, path: Path) -> None:
@@ -131,9 +138,9 @@ def _etas(value) -> list[float]:
 def _sweep(cfg: dict, out: Path, runs, write_one) -> list:
     """Write ``config.json``, then take the stepsizes' runs, in order, from
     ``runs(etas)``, which yields a Trajectory or the DivergenceError to
-    raise, and call ``write_one(eta, tag, traj)`` on each, where ``tag``
-    names eta in file names; returns the (x, y) that ``write_one`` returns
-    as one curve per stepsize."""
+    raise, and call ``write_one(tag, traj)`` on each, where ``tag`` names
+    the run's stepsize in file names; returns the (x, y) that ``write_one``
+    returns as one curve per stepsize."""
     etas = _etas(cfg["eta"])
     _json_dump(cfg, out / "config.json")
     curves = []
@@ -141,7 +148,7 @@ def _sweep(cfg: dict, out: Path, runs, write_one) -> list:
         if isinstance(traj, G.DivergenceError):
             raise traj
         label = format(eta, "g")
-        x, y = write_one(eta, label.replace(".", "p").replace("-", "m"), traj)
+        x, y = write_one(label.replace(".", "p").replace("-", "m"), traj)
         curves.append((f"eta={label}", x.tolist(), y.tolist()))
     return curves
 
@@ -163,13 +170,13 @@ def _run_gd(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
                                           record_every=int(cfg["record_every"]))
                                for eta in etas], ds)
 
-    def one(eta, tag, traj):
+    def one(tag, traj):
         G.write_trajectory_csv(traj, out / f"gd_eta{tag}.csv")
         if traj.dense and cert is not None:
-            phase = G.detect_phase(traj, loss, eta, ds.n, cert.gamma)
+            phase = G.detect_phase(traj, ds.n, cert.gamma)
             _json_dump(asdict(phase), out / f"gd_eta{tag}_phase.json")
             if check:
-                viol = A.compare_bounds(traj, cert.gamma, eta, ds.n, loss)
+                viol = A.compare_bounds(traj, cert.gamma, ds.n)
                 A.write_violations_csv(viol, out / f"gd_eta{tag}_violations.csv")
         return traj.steps, traj.loss
 
@@ -186,9 +193,9 @@ def _run_sgd(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
         # not batched
         return (G.run_sgd(ds, eta, int(cfg["steps"]), Rng(seed)) for eta in etas)
 
-    def one(eta, tag, traj):
+    def one(tag, traj):
         G.write_trajectory_csv(traj, out / f"sgd_eta{tag}_seed{seed}.csv")
-        phase = G.detect_phase(traj, traj.loss_spec, eta, ds.n, cert.gamma)
+        phase = G.detect_phase(traj, ds.n, cert.gamma)
         _json_dump(asdict(phase), out / f"sgd_eta{tag}_seed{seed}_phase.json")
         return traj.steps, traj.loss
 
@@ -210,15 +217,19 @@ def _run_ntk(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
     capped = auto and m < wmin
     net = N.init_net(m, ds.d, Rng(int(cfg["seed"])))
     _json_dump(cfg, out / "config.json")
-    traj, diag = N.run_gd_ntk(net, ds, loss, eta, T, gamma=cert.gamma, delta=delta)
+    traj = N.run_gd_ntk(net, ds, loss, eta, T)
     try:
         mhat = N.ntk_margin_hat(net, ds).gamma
     except D.NotSeparable:
         mhat = None
     G.write_trajectory_csv(traj, out / "ntk.csv")
-    _json_dump(dict(diag.as_dict(), ntk_margin_hat=mhat, width=m, width_capped=capped),
+    # how lazy the run was: its largest distance from w_0 against the radius
+    R = B.lazy_radius(loss, cert.gamma, eta, T, ds.n, delta)
+    max_dist = float(traj.dist_init.max())
+    _json_dump(dict(R=R, max_dist=max_dist, lazy_ok=max_dist <= R, width_min=wmin,
+                    ntk_margin_hat=mhat, width=m, width_capped=capped),
                out / "ntk_diagnostics.json")
-    phase = G.detect_phase(traj, loss, eta, ds.n, cert.gamma)
+    phase = G.detect_phase(traj, ds.n, cert.gamma)
     _json_dump(asdict(phase), out / "ntk_phase.json")
     curves = [("loss", traj.steps.tolist(), traj.loss.tolist()),
               ("dist_init", traj.steps.tolist(), traj.dist_init.tolist())]
@@ -237,7 +248,7 @@ def _run_accelerate(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
         raise A.InfeasibleBudget(T, plan.threshold)
     _json_dump(cfg, out / "config.json")
     if override is None:
-        score = A._score_plan(ds, T, plan)
+        score = A.acceleration_score(ds, T, plan)
     else:
         big = G.run_gd(G.GdConfig(eta=override, steps=T, loss=L.logistic()), ds)
         score = A.AccelerationScore(
@@ -268,11 +279,10 @@ def _run_rates(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
         return G.run_gd_batch([G.GdConfig(eta=eta, steps=int(cfg["steps"]), loss=loss)
                                for eta in etas], ds)
 
-    def one(eta, tag, traj):
+    def one(tag, traj):
         G.write_trajectory_csv(traj, out / f"rates_eta{tag}.csv")
-        fit = A.fit_rate(traj, eta, tail_fraction=tail)
-        fits[format(eta, "g")] = asdict(fit)
-        return traj.steps[1:], eta * traj.steps[1:] * traj.loss[1:]
+        fits[format(traj.eta, "g")] = asdict(A.fit_rate(traj, tail_fraction=tail))
+        return traj.steps[1:], traj.eta * traj.steps[1:] * traj.loss[1:]
 
     curves = _sweep(cfg, out, runs, one)
     _json_dump(fits, out / "rates.json")
@@ -292,11 +302,7 @@ def _run_bounds(args) -> int:
 
 def _run_check_loss(args) -> int:
     loss = L.loss_from_json(_loss_descriptor(args))
-    try:
-        rng = Rng(int(_env_seed()))
-    except ValueError:  # not an integer, or negative
-        raise ValueError(f"EOS_LAB_SEED must be an integer >= 0, not {_env_seed()!r}") from None
-    report = L.check_assumptions(loss, rng)
+    report = L.check_assumptions(loss, Rng(_env_seed()))
     out = dict(report.as_dict(), rho=[])
     for lam in (1.0, 10.0, 1e3, 1e6):
         exact = L.rho_exact(loss, lam)
@@ -370,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "rates":
             p.add_argument("--tail-fraction", type=float, default=0.5)
         if name in ("sgd", "ntk"):
-            p.add_argument("--seed", type=int, default=_env_seed())
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--no-svg", dest="svg", action="store_false")
 
     p = sub.add_parser("bounds", help="print bound reports as JSON lines")
@@ -406,6 +412,8 @@ def _config_from_args(args) -> dict:
             cfg["width"] = int(args.width)
     elif "eta" in cfg:
         cfg["eta"] = _etas(args.eta)
+    if cfg.get("seed", 0) is None:  # no --seed given
+        cfg["seed"] = _env_seed()
     return cfg
 
 
@@ -424,8 +432,10 @@ def main(argv=None) -> int:
         if args.command == "check-loss":
             return _run_check_loss(args)
         if args.config is not None:
-            # a fresh parser: one held through the run ages into the oldest GC generation
-            own = _config_from_args(_build_parser().parse_args([args.command]))
+            # a fresh parser: one held through the run ages into the oldest GC generation;
+            # with a --seed, as the config's own seed, not EOS_LAB_SEED, is the run's
+            bare = [args.command] + (["--seed", "0"] if hasattr(args, "seed") else [])
+            own = _config_from_args(_build_parser().parse_args(bare))
             cfg = _load_config(args.config, own)
         else:
             cfg = _config_from_args(args)

@@ -19,13 +19,14 @@ keep each step's margins, from which the series are evaluated once per
 block of at most ``_BLOCK_STEPS`` steps and ``_BLOCK_FLOATS`` floats of
 margins (one step's when larger); reruns reproduce every number bit for bit.
 
-A GD run recorded every k > 1 steps evaluates its loss at the recorded
-steps only.  For its guard, one screen stands in for the other steps of a
-block: every loss is non-negative and non-increasing, so no step's mean
-loss exceeds the loss at the block's smallest margin, and where that is
-finite and within half the guard's bar the guard cannot fire in the
-block.  A block the screen does not clear has every step's loss evaluated
-and walked, so the guard stops where, and as, it would on every step.
+A GD run evaluates its loss at its recorded steps only.  For the guard,
+one screen stands in for every step of a block: every loss is
+non-negative and non-increasing, so no step's mean loss exceeds the loss
+at the block's smallest margin, and where that is finite and within half
+the guard's bar the guard cannot fire in the block.  A block the screen
+does not clear has every step's loss walked (a run recorded every k > 1
+steps evaluates them first), so the guard stops where, and as, it would
+on every step.
 """
 
 from __future__ import annotations
@@ -197,8 +198,9 @@ def gd_engine(W, n: int, margins, gradient, loss: L.LossSpec, etas,
     ``Z = margins(W)``, for any number of rows.  Every ``record_every``-th
     step and T are recorded, ``dist_init`` from the rows of ``W`` as
     passed in; ``iterates``, if given, is (K, T+1, p) and receives every
-    iterate.  The loss is evaluated at the recorded steps, and at the
-    others only for a guard that :meth:`_DivergenceGuard.quiet` does not
+    iterate.  Each run's guard screens every block with
+    :meth:`_DivergenceGuard.quiet`; the loss is evaluated at the recorded
+    steps, and at the others only for a block that the screen does not
     clear.  A run its own guard rejects leaves the batch, which goes on bit
     for bit.  Returns each run's Trajectory or DivergenceError, in order."""
     W, origin = np.array(W, dtype=np.float64), np.array(W, dtype=np.float64)
@@ -242,20 +244,19 @@ def gd_engine(W, n: int, margins, gradient, loss: L.LossSpec, etas,
             rec[:, 0, k_start:k] = lrec.T
             rec[:, 1, k_start:k] = np.mean(np.abs(L.deriv(loss, Zr)), axis=2).T
             rec[:, 2, k_start:k] = np.mean(np.exp(-Zr), axis=2).T
-            # a sparse run evaluates its other losses only for a guard that
-            # the loss at the block's smallest margin does not quiet
-            sparse = record_every > 1
-            if sparse:
-                lmax = L.eval_loss(loss, np.min(Z, axis=(0, 2))).tolist()
-            lvals, keep = None if sparse else lrec, []
+            # a guard walks every step's loss of the block (a dense run's are
+            # its recorded ones) only where the loss at the block's smallest
+            # margin does not quiet it
+            lmax = L.eval_loss(loss, np.min(Z, axis=(0, 2))).tolist()
+            lvals, keep = lrec if record_every == 1 else None, []
             for row, i in enumerate(ids.tolist()):
                 guard = guards[i]
                 try:
-                    if sparse and start == 0:
+                    if start == 0:
                         # step 0, always recorded, sets L(w_0) for the screen;
                         # walking it again below changes nothing
                         guard.check(0, lrec[:1, row])
-                    if not (sparse and guard.quiet(lmax[row], n)):
+                    if not guard.quiet(lmax[row], n):
                         if lvals is None:
                             lvals = np.mean(L.eval_loss(loss, Z), axis=2)
                         guard.check(start, lvals[:, row])
@@ -326,11 +327,11 @@ def stable_criterion(loss: L.LossSpec, eta: float, n: int) -> float:
     return min(1.0 / (12.0 * loss.C_beta ** 2 * eta), loss.ell0 / n)
 
 
-def detect_phase(traj: Trajectory, loss: L.LossSpec, eta: float, n: int,
-                 gamma: float) -> PhaseReport:
-    """Locate the phase transition in a densely recorded trajectory."""
+def detect_phase(traj: Trajectory, n: int, gamma: float) -> PhaseReport:
+    """Locate the phase transition in a densely recorded trajectory, at the
+    run's own stepsize and loss, on n samples of margin gamma."""
     traj._require_dense()
-    crit = stable_criterion(loss, eta, n)
+    crit = stable_criterion(traj.loss_spec, traj.eta, n)
 
     below = np.nonzero(traj.loss <= crit)[0]
     s_theory = int(traj.steps[below[0]]) if below.size else None
@@ -339,7 +340,7 @@ def detect_phase(traj: Trajectory, loss: L.LossSpec, eta: float, n: int,
     s_empirical = int(traj.steps[ascents[-1]] + 1) if ascents.size else 0
 
     return PhaseReport(s_theory=s_theory, s_empirical=s_empirical,
-                       tau_bound=B.tau_bound(loss, gamma, eta, n),
+                       tau_bound=B.tau_bound(traj.loss_spec, gamma, traj.eta, n),
                        criterion_value=crit)
 
 

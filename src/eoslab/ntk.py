@@ -1,9 +1,8 @@
 """Width-m two-layer ReLU network trained by full-batch GD in the lazy
-(kernel) regime, with diagnostics for how lazy the run actually was.  The
-GD is descent's one engine, as a batch of one; this module supplies the
-network margins and gradient.  The gradient's output scale a_s/sqrt(m) is
-built once per net (so once per run), as the (m, d) array
-``NtkNet.out_scale``, and multiplied in elementwise at every step.
+(kernel) regime.  The GD is descent's one engine, as a batch of one; this
+module supplies the network margins and gradient.  The gradient's output
+scale a_s/sqrt(m) is built once per net (so once per run), as the (m, d)
+array ``NtkNet.out_scale``, and multiplied in elementwise at every step.
 
 The network is f(x; w) = (1/sqrt(m)) sum_s a_s relu(x^T w^(s)) with fixed
 output signs a_s in {+/-1}, trainable first-layer weights only, and the
@@ -11,28 +10,27 @@ ReLU subgradient at zero fixed to 0.  The signs alternate and sum to
 zero, so |sum_s a_s| <= C_a sqrt(m) with C_a = 1.  ``bounds.lazy_radius``
 and ``bounds.width_min`` give the closed-form conditions under which the
 run provably stays near its linearization; the width is a worst-case,
-astronomically large threshold, so runs at any width report their max
-distance from initialization against the radius, to be checked by eye.
+astronomically large threshold, so a run at any width records its
+distance from initialization (``dist_init``) for its callers to set
+against the radius.
 A net is immutable: every run starts at its w_0 and leaves it unchanged.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import losses as L
-from .bounds import lazy_radius, width_min
 from .data import Dataset, MarginCertificate, margin
 from .descent import DivergenceError, Trajectory, gd_engine
 from .numerics import Rng
 
 __all__ = [
     "NtkNet",
-    "NtkDiagnostics",
     "init_net",
     "grad_param",
     "ntk_grad",
@@ -62,22 +60,6 @@ class NtkNet:
         """(m, d) array whose row s is a_s/sqrt(m) repeated, the factor the
         output weights put on the gradient in w^(s); built once per net."""
         return np.repeat(self.a / math.sqrt(self.m), self.d).reshape(self.m, self.d)
-
-
-@dataclass(frozen=True)
-class NtkDiagnostics:
-    """Observed laziness of a run versus the certified radius."""
-
-    R: float
-    max_dist: float
-    width_min: float
-
-    @property
-    def lazy_ok(self) -> bool:
-        return self.max_dist <= self.R
-
-    def as_dict(self) -> dict:
-        return dict(asdict(self), lazy_ok=self.lazy_ok)
 
 
 def init_net(m: int, d: int, rng: Rng) -> NtkNet:
@@ -135,17 +117,15 @@ def _network_maps(net: NtkNet, ds: Dataset) -> tuple:
     return margins, lambda D: ntk_grad(net, ds, pre, D[0]).reshape(1, -1)
 
 
-def run_gd_ntk(net: NtkNet, ds: Dataset, loss: L.LossSpec, eta: float, T: int,
-               gamma: float,
-               delta: float = 0.1) -> tuple[Trajectory, NtkDiagnostics]:
-    """Full-batch GD on the network loss, with laziness diagnostics.
+def run_gd_ntk(net: NtkNet, ds: Dataset, loss: L.LossSpec, eta: float,
+               T: int) -> Trajectory:
+    """Full-batch GD on the network loss.
 
     Runs ``descent.gd_engine`` on a batch of one, the flattened weights,
     with the maps of :func:`_network_maps`, from ``net.w0``, recording
     every step and ``dist_init`` from ``net.w0``; the net is not changed.
-    ``gamma`` is the margin for the radius and width formulas (which take
-    C_a = 1).  A run at insufficient width reports max_dist > R rather
-    than failing.
+    A run at insufficient width leaves the lazy radius rather than
+    failing.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -156,11 +136,7 @@ def run_gd_ntk(net: NtkNet, ds: Dataset, loss: L.LossSpec, eta: float, T: int,
                        "network loss diverged (step {t})")
     if isinstance(traj, DivergenceError):
         raise traj
-    diag = NtkDiagnostics(
-        R=lazy_radius(loss, gamma, eta, T, ds.n, delta),
-        max_dist=float(traj.dist_init.max()),
-        width_min=width_min(loss, gamma, eta, T, ds.n, delta))
-    return traj, diag
+    return traj
 
 
 def ntk_margin_hat(net: NtkNet, ds: Dataset) -> MarginCertificate:

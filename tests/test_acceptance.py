@@ -83,7 +83,7 @@ def test_criterion_03_phase_transition_time(main_runs):
     ok = True
     details = []
     for eta, (traj, _) in main_runs.items():
-        ph = descent.detect_phase(traj, LOG, eta, NTOY.n, GAMMA)
+        ph = descent.detect_phase(traj, NTOY.n, GAMMA)
         tau = bounds.tau_logistic(GAMMA, eta, NTOY.n)
         good = (ph.s_theory is not None and ph.s_theory <= tau
                 and traj.F[ph.s_theory] <= 1.0 + REL)
@@ -129,7 +129,8 @@ def test_criterion_05_split_and_alignment_inequalities():
 
 def test_criterion_06_acceleration_budget():
     t0 = time.perf_counter()
-    score = analysis.acceleration_score(TOY, 12000)
+    plan = bounds.acceleration_plan(data.margin(TOY).gamma, TOY.n, 12000)
+    score = analysis.acceleration_score(TOY, 12000, plan)
     elapsed = time.perf_counter() - t0
     ok = (score.loss_large_eta <= score.bound
           and score.ratio is not None and score.ratio < 1.0
@@ -153,7 +154,7 @@ def test_criterion_07_slow_rate_floor():
             break
     assert chosen is not None, "no monotone stepsize found"
     eta, traj = chosen
-    fit = analysis.fit_rate(traj, eta, tail_fraction=0.9)
+    fit = analysis.fit_rate(traj, tail_fraction=0.9)
     tail = traj.steps[traj.steps >= 10_000]
     floor = float(np.min(tail * traj.loss[tail]))
     ok = (-1.15 <= fit.slope <= -0.85 and fit.plateau_cv < 0.5 and floor > 0.0)
@@ -169,7 +170,7 @@ def test_criterion_08_inverse_time_rate():
     trajs = descent.run_gd_batch([descent.GdConfig(eta=eta, steps=100_000, loss=LOG)
                                   for eta in etas], TOY)
     for eta, traj in zip(etas, trajs):
-        fit = analysis.fit_rate(traj, eta, tail_fraction=0.9)
+        fit = analysis.fit_rate(traj, tail_fraction=0.9)
         good = -1.15 <= fit.slope <= -0.85 and fit.plateau_cv < 0.5
         ok &= good
         details.append(f"eta={eta:g}: slope {fit.slope:.3f}, cv {fit.plateau_cv:.3f}")
@@ -217,7 +218,8 @@ def test_criterion_10_sgd_population_bounds():
 
 def test_criterion_11_wide_network_guarantees():
     eta, T, delta, n = 1.0, 200, 0.1, NTOY.n
-    wmin = ntk.width_min(LOG, GAMMA, eta, T, n, delta)
+    wmin = bounds.width_min(LOG, GAMMA, eta, T, n, delta)
+    R = bounds.lazy_radius(LOG, GAMMA, eta, T, n, delta)
     # ceil(width_min) ~ 1e20 parameters cannot be materialized on any
     # machine; the run uses the largest desk-scale width instead and the
     # checks are asserted there (they only get harder at smaller width)
@@ -225,25 +227,24 @@ def test_criterion_11_wide_network_guarantees():
     ok_log = 0
     for seed in range(10):
         net = ntk.init_net(m, 2, Rng(seed))
-        traj, diag = ntk.run_gd_ntk(net, NTOY, LOG, eta, T, gamma=GAMMA,
-                                    delta=delta)
+        traj = ntk.run_gd_ntk(net, NTOY, LOG, eta, T)
         eos = bounds.ntk_eos_bound(LOG, GAMMA, eta, T, n, delta)
-        ok_log += diag.lazy_ok and float(np.mean(traj.loss[:T])) <= eos
+        ok_log += traj.dist_init.max() <= R and float(np.mean(traj.loss[:T])) <= eos
 
     poly = losses.flattened_polynomial(2.0)
+    R_poly = bounds.lazy_radius(poly, GAMMA, eta, T, n, delta)
     ok_poly = 0
     for seed in range(10):
         net = ntk.init_net(m, 2, Rng(seed))
-        traj, diag = ntk.run_gd_ntk(net, NTOY, poly, eta, T, gamma=GAMMA,
-                                    delta=delta)
+        traj = ntk.run_gd_ntk(net, NTOY, poly, eta, T)
         eos = bounds.ntk_eos_bound(poly, GAMMA, eta, T, n, delta)
-        ok_poly += diag.lazy_ok and float(np.mean(traj.loss[:T])) <= eos
+        ok_poly += traj.dist_init.max() <= R_poly and float(np.mean(traj.loss[:T])) <= eos
 
     # width ordering across stepsize regimes (orders only, not constants)
     T_big = 1e8
-    w_const = ntk.width_min(LOG, 0.5, 1.0, T_big, n, delta)
-    w_sqrt = ntk.width_min(poly, 0.5, math.sqrt(T_big), T_big, n, delta)
-    w_linear = ntk.width_min(LOG, 0.5, 0.25 * T_big / 120.0, T_big, n, delta)
+    w_const = bounds.width_min(LOG, 0.5, 1.0, T_big, n, delta)
+    w_sqrt = bounds.width_min(poly, 0.5, math.sqrt(T_big), T_big, n, delta)
+    w_linear = bounds.width_min(LOG, 0.5, 0.25 * T_big / 120.0, T_big, n, delta)
     ordered = w_const < w_sqrt < w_linear
 
     ok = ok_log >= 9 and ok_poly >= 9 and ordered

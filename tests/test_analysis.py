@@ -29,7 +29,7 @@ class TestFitRate:
     def test_exact_inverse_law(self):
         eta = 4.0
         tr = synthetic_trajectory(lambda t: 1.0 / (eta * t), 2000, eta)
-        fit = analysis.fit_rate(tr, eta, tail_fraction=0.5)
+        fit = analysis.fit_rate(tr, tail_fraction=0.5)
         assert fit.slope == pytest.approx(-1.0, abs=1e-6)
         assert fit.plateau == pytest.approx(1.0, abs=1e-9)
         assert fit.plateau_cv == pytest.approx(0.0, abs=1e-9)
@@ -38,33 +38,33 @@ class TestFitRate:
     def test_exact_power_law_exponent_recovery(self):
         for p in (-0.5, -1.0, -2.0):
             tr = synthetic_trajectory(lambda t, p=p: float(t) ** p, 5000)
-            fit = analysis.fit_rate(tr, 1.0, tail_fraction=0.5)
+            fit = analysis.fit_rate(tr, tail_fraction=0.5)
             assert fit.slope == pytest.approx(p, abs=1e-6)
 
     def test_log_squared_correction(self):
         tr = synthetic_trajectory(lambda t: math.log(t + 1.0) ** 2 / t, 100_000)
-        fit = analysis.fit_rate(tr, 1.0, tail_fraction=0.5)
+        fit = analysis.fit_rate(tr, tail_fraction=0.5)
         assert -1.0 < fit.slope < -0.8
 
     def test_toy_run_slope_near_inverse(self):
         tr = descent.run_gd(descent.GdConfig(eta=8.0, steps=20_000, loss=LOG), TOY)
-        fit = analysis.fit_rate(tr, 8.0, tail_fraction=0.5)
+        fit = analysis.fit_rate(tr, tail_fraction=0.5)
         assert -1.15 <= fit.slope <= -0.85
 
     def test_non_monotone_tail_flagged(self):
         tr = synthetic_trajectory(lambda t: (1.0 + 0.5 * (t % 2)) / t, 500)
-        fit = analysis.fit_rate(tr, 1.0, tail_fraction=0.5)
+        fit = analysis.fit_rate(tr, tail_fraction=0.5)
         assert not fit.monotone_tail
 
     def test_window_too_small(self):
         tr = synthetic_trajectory(lambda t: 1.0 / t, 15)
         with pytest.raises(ValueError):
-            analysis.fit_rate(tr, 1.0, tail_fraction=0.5)
+            analysis.fit_rate(tr, tail_fraction=0.5)
 
     def test_bad_fraction(self):
         tr = synthetic_trajectory(lambda t: 1.0 / t, 100)
         with pytest.raises(ValueError):
-            analysis.fit_rate(tr, 1.0, tail_fraction=0.95)
+            analysis.fit_rate(tr, tail_fraction=0.95)
 
 
 def _reference_compare_bounds(traj, gamma, eta, n, loss):
@@ -110,8 +110,7 @@ class TestCompareBoundsMatchesReference:
     def test_inflated_runs(self, spec, eta):
         tr = descent.run_gd(descent.GdConfig(eta=eta, steps=1500, loss=spec), NTOY)
         for factor in (1.0, 3.0, 50.0, 1e4):
-            got = analysis.compare_bounds(inflate(tr, factor), NCERT.gamma, eta,
-                                          NTOY.n, spec)
+            got = analysis.compare_bounds(inflate(tr, factor), NCERT.gamma, NTOY.n)
             ref = _reference_compare_bounds(inflate(tr, factor), NCERT.gamma, eta,
                                             NTOY.n, spec)
             assert [(v.step, v.bound, v.observed, v.value) for v in got] == ref
@@ -121,7 +120,7 @@ class TestCompareBoundsMatchesReference:
     def test_gate_boundary_step_is_checked(self):
         # gamma^2 * eta = 0.5 exactly, so step 2 sits on the gate's boundary
         tr = synthetic_trajectory(lambda t: 10.0, 50, 2.0)
-        got = analysis.compare_bounds(tr, 0.5, 2.0, 4, LOG)
+        got = analysis.compare_bounds(tr, 0.5, 4)
         assert [(v.step, v.bound, v.observed, v.value) for v in got] == \
             _reference_compare_bounds(tr, 0.5, 2.0, 4, LOG)
         assert got[0].step == 2
@@ -130,7 +129,7 @@ class TestCompareBoundsMatchesReference:
     def test_unnormalized_toy(self, eta):
         tr = descent.run_gd(descent.GdConfig(eta=eta, steps=3000, loss=LOG), TOY)
         gamma = data.margin(TOY).gamma
-        got = analysis.compare_bounds(tr, gamma, eta, TOY.n, LOG)
+        got = analysis.compare_bounds(tr, gamma, TOY.n)
         assert [(v.step, v.bound, v.observed, v.value) for v in got] == \
             _reference_compare_bounds(tr, gamma, eta, TOY.n, LOG)
 
@@ -138,13 +137,13 @@ class TestCompareBoundsMatchesReference:
 class TestCompareBounds:
     def test_conformant_run_is_clean(self):
         tr = descent.run_gd(descent.GdConfig(eta=8.0, steps=2000, loss=LOG), NTOY)
-        assert analysis.compare_bounds(tr, NCERT.gamma, 8.0, NTOY.n, LOG) == []
+        assert analysis.compare_bounds(tr, NCERT.gamma, NTOY.n) == []
 
     def test_unnormalized_data_may_violate(self):
         # samples outside the unit ball void the certificate's premises;
         # violations are reported, not asserted against
         tr = descent.run_gd(descent.GdConfig(eta=8.0, steps=2000, loss=LOG), TOY)
-        out = analysis.compare_bounds(tr, 0.2, 8.0, TOY.n, LOG)
+        out = analysis.compare_bounds(tr, 0.2, TOY.n)
         assert isinstance(out, list)
 
     def test_inflated_losses_reported_with_steps(self):
@@ -154,7 +153,7 @@ class TestCompareBounds:
             param_norm=tr.param_norm, dist_init=tr.dist_init, G=tr.G, F=tr.F,
             eta=tr.eta, loss_spec=tr.loss_spec, record_every=1,
             w_final=tr.w_final)
-        out = analysis.compare_bounds(inflated, NCERT.gamma, 8.0, NTOY.n, LOG)
+        out = analysis.compare_bounds(inflated, NCERT.gamma, NTOY.n)
         assert out and all(v.step >= 1 for v in out)
         assert any(v.bound == "eos_avg_logistic" for v in out)
 
@@ -164,18 +163,18 @@ class TestCompareBounds:
         t_check = 40
         val = bounds.eos_avg_bound(gamma, eta, t_check)
         tr_ok = synthetic_trajectory(lambda t: val, 50, eta)
-        flagged = [v for v in analysis.compare_bounds(tr_ok, gamma, eta, 4, LOG)
+        flagged = [v for v in analysis.compare_bounds(tr_ok, gamma, 4)
                    if v.bound == "eos_avg_logistic" and v.step == t_check]
         assert not flagged
         tr_bad = synthetic_trajectory(lambda t: val * 1.001, 50, eta)
-        flagged = [v for v in analysis.compare_bounds(tr_bad, gamma, eta, 4, LOG)
+        flagged = [v for v in analysis.compare_bounds(tr_bad, gamma, 4)
                    if v.bound == "eos_avg_logistic"]
         assert flagged
 
     def test_general_loss_route(self):
         spec = losses.flattened_polynomial(2.0)
         tr = descent.run_gd(descent.GdConfig(eta=2.0, steps=800, loss=spec), NTOY)
-        out = analysis.compare_bounds(tr, NCERT.gamma, 2.0, NTOY.n, spec)
+        out = analysis.compare_bounds(tr, NCERT.gamma, NTOY.n)
         assert out == []
 
     def test_zero_one_curve(self):
@@ -207,7 +206,8 @@ class TestCompareBounds:
 
 class TestAccelerationScore:
     def test_toy_budget_experiment(self):
-        score = analysis.acceleration_score(TOY, 12000)
+        plan = bounds.acceleration_plan(data.margin(TOY).gamma, TOY.n, 12000)
+        score = analysis.acceleration_score(TOY, 12000, plan)
         assert score.eta_large == pytest.approx(4.0)
         assert score.loss_large_eta <= score.bound
         assert score.ratio is not None and score.ratio < 1.0
@@ -215,8 +215,9 @@ class TestAccelerationScore:
         assert score.eta_small_best < score.eta_large
 
     def test_infeasible_budget_raises_with_threshold(self):
+        plan = bounds.acceleration_plan(data.margin(TOY).gamma, TOY.n, 100)
         with pytest.raises(analysis.InfeasibleBudget) as exc:
-            analysis.acceleration_score(TOY, 100)
+            analysis.acceleration_score(TOY, 100, plan)
         assert exc.value.threshold == pytest.approx(12000.0)
         assert "12000" in str(exc.value)
 
@@ -229,5 +230,5 @@ class TestAccelerationScore:
         tail = np.arange(10_000, 20_001)
         scaled = tail * tr.loss[tail]
         assert float(scaled.min()) > 0.0
-        fit = analysis.fit_rate(tr, 8.0, tail_fraction=0.5)
+        fit = analysis.fit_rate(tr, tail_fraction=0.5)
         assert fit.plateau_cv < 0.5

@@ -4,6 +4,7 @@ reproducibility, and SVG well-formedness."""
 import ast
 import functools
 import importlib
+import inspect
 import json
 import math
 import pkgutil
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import eoslab
-from eoslab import analysis, data, descent
+from eoslab import analysis, bounds, data, descent, losses
 from eoslab.cli import main
 
 
@@ -302,7 +303,29 @@ class TestRunOptionDomains:
     def test_negative_env_seed(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("EOS_LAB_SEED", "-3")
         err = self.refused(capsys, tmp_path / "o", "sgd", "--steps", "5")
-        assert err == "error: seed must be >= 0\n"
+        assert err == "error: EOS_LAB_SEED must be an integer >= 0, not '-3'\n"
+
+    @pytest.mark.parametrize("value", ["abc", "-2"])
+    @pytest.mark.parametrize("argv", [("sgd",), ("ntk", "--width", "8")],
+                             ids=["sgd", "ntk"])
+    def test_bad_env_seed_is_named(self, tmp_path, capsys, monkeypatch, argv, value):
+        monkeypatch.setenv("EOS_LAB_SEED", value)
+        err = self.refused(capsys, tmp_path / "o", *argv, "--steps", "5")
+        assert err == f"error: EOS_LAB_SEED must be an integer >= 0, not {value!r}\n"
+
+    @pytest.mark.parametrize("value", ["abc", "-2"])
+    @pytest.mark.parametrize("command", ["sgd", "ntk"])
+    def test_bad_env_seed_unused(self, tmp_path, monkeypatch, command, value):
+        # EOS_LAB_SEED is refused only where it supplies the seed: a run
+        # given --seed, or rerun from a config, goes ahead
+        argv, csv = RUN_COMMANDS[command]
+        monkeypatch.setenv("EOS_LAB_SEED", value)
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run(*argv, "--seed", "4", "--out", str(first)) == 0
+        assert run(command, "--config", str(first / "config.json"),
+                   "--out", str(again)) == 0
+        assert (again / csv).read_bytes() == (first / csv).read_bytes()
+        assert json.loads((again / "config.json").read_text())["seed"] == 4
 
     def test_negative_seed_in_config(self, tmp_path, capsys):
         first = tmp_path / "first"
@@ -460,6 +483,28 @@ class TestNtk:
         diag = json.loads((out / "ntk_diagnostics.json").read_text())
         assert diag["width"] == 64 and not diag["width_capped"]
         assert diag["ntk_margin_hat"] > 0
+
+    @pytest.mark.parametrize("argv", [
+        ("--width", "64", "--steps", "40", "--seed", "2"),
+        ("--width", "2", "--steps", "30", "--eta", "8", "--delta", "0.5",
+         "--loss", "flat_exp", "--a", "1.5"),
+    ], ids=["logistic", "narrow-flat_exp"])
+    def test_diagnostics_values(self, tmp_path, argv):
+        # R and width_min are the bounds of the run's own arguments, and
+        # max_dist the largest distance from w_0 that ntk.csv records
+        out = tmp_path / "ntk"
+        assert run("ntk", "--normalize", *argv, "--no-svg", "--out", str(out)) == 0
+        cfg = json.loads((out / "config.json").read_text())
+        diag = json.loads((out / "ntk_diagnostics.json").read_text())
+        loss = losses.loss_from_json(cfg["loss"])
+        ds = data.dataset_from_json(cfg["dataset"])
+        given = (loss, data.margin(ds).gamma, cfg["eta"], cfg["steps"], ds.n, cfg["delta"])
+        assert diag["R"] == bounds.lazy_radius(*given)
+        assert diag["width_min"] == bounds.width_min(*given)
+        lines = (out / "ntk.csv").read_text().splitlines()
+        column = lines[0].split(",").index("dist_init")
+        assert diag["max_dist"] == max(float(row.split(",")[column]) for row in lines[1:])
+        assert diag["lazy_ok"] is (diag["max_dist"] <= diag["R"])
 
 
 class TestAccelerate:
@@ -682,3 +727,31 @@ def test_public_members_are_used_by_the_program():
                     and not fn.name.startswith("_")
                     and fn.name not in _loaded_by_the_program())
     assert unused == []
+
+
+@pytest.mark.parametrize("path", sorted(
+    (Path(__file__).resolve().parents[1] / "demos").glob("*.py")), ids=lambda p: p.stem)
+def test_demo_calls_bind_to_current_signatures(path):
+    # no test runs the demos: each call in one of a function or class that
+    # it imports from eoslab, or of one in a module it imports from eoslab,
+    # must bind to that callable's current signature
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name: getattr(importlib.import_module(node.module),
+                                                    alias.name)
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.module.split(".")[0] == "eoslab" for alias in node.names}
+    bound = 0
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        func = call.func
+        if isinstance(func, ast.Name) and func.id in imported:
+            target = imported[func.id]
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and inspect.ismodule(imported.get(func.value.id))):
+            target = getattr(imported[func.value.id], func.attr)
+        else:
+            continue
+        inspect.signature(target).bind(*call.args, **{kw.arg: kw for kw in call.keywords})
+        bound += 1
+    assert bound

@@ -112,7 +112,7 @@ class TestRunGd:
 
     def test_large_stepsize_oscillates_early(self):
         tr = descent.run_gd(descent.GdConfig(eta=32.0, steps=200, loss=LOG), TOY)
-        ph = descent.detect_phase(tr, LOG, 32.0, TOY.n, 0.2)
+        ph = descent.detect_phase(tr, TOY.n, 0.2)
         assert ph.s_empirical > 0
         assert ph.s_empirical <= bounds.tau_logistic(0.2, 32.0, TOY.n)
 
@@ -167,14 +167,14 @@ class TestRunGd:
 class TestDetectPhase:
     def test_monotone_run_has_zero_empirical(self):
         tr = descent.run_gd(descent.GdConfig(eta=0.5, steps=300, loss=LOG), NTOY)
-        ph = descent.detect_phase(tr, LOG, 0.5, NTOY.n, NCERT.gamma)
+        ph = descent.detect_phase(tr, NTOY.n, NCERT.gamma)
         assert ph.s_empirical == 0
 
     def test_tau_arithmetic(self):
         # (60/0.04) * max{8, 4, e, 1.5 ln 1.5} = 1500 * 8
         assert bounds.tau_logistic(0.2, 8.0, 4) == pytest.approx(12000.0)
         tr = descent.run_gd(descent.GdConfig(eta=8.0, steps=2000, loss=LOG), TOY)
-        ph = descent.detect_phase(tr, LOG, 8.0, TOY.n, 0.2)
+        ph = descent.detect_phase(tr, TOY.n, 0.2)
         assert ph.tau_bound == pytest.approx(12000.0)
         assert ph.s_theory is not None and ph.s_theory <= 12000
 
@@ -182,20 +182,20 @@ class TestDetectPhase:
         # two steps of a tiny-stepsize run never reach loss <= 1/32
         tr = descent.run_gd(descent.GdConfig(eta=32.0, steps=2, loss=LOG,
                                              init=np.zeros(2)), NTOY)
-        ph = descent.detect_phase(tr, LOG, 32.0, NTOY.n, NCERT.gamma)
+        ph = descent.detect_phase(tr, NTOY.n, NCERT.gamma)
         assert ph.s_theory is None
 
     def test_general_loss_criterion(self):
         spec = losses.flattened_polynomial(2.0)
         tr = descent.run_gd(descent.GdConfig(eta=2.0, steps=50, loss=spec), NTOY)
-        ph = descent.detect_phase(tr, spec, 2.0, NTOY.n, NCERT.gamma)
+        ph = descent.detect_phase(tr, NTOY.n, NCERT.gamma)
         expected = min(1.0 / (12.0 * spec.C_beta ** 2 * 2.0), spec.ell0 / NTOY.n)
         assert ph.criterion_value == pytest.approx(expected)
 
     def test_stable_from_max_of_both(self):
         for eta in (8.0, 32.0):
             tr = descent.run_gd(descent.GdConfig(eta=eta, steps=5000, loss=LOG), NTOY)
-            ph = descent.detect_phase(tr, LOG, eta, NTOY.n, NCERT.gamma)
+            ph = descent.detect_phase(tr, NTOY.n, NCERT.gamma)
             start = max(ph.s_theory or 0, ph.s_empirical)
             seg = tr.loss[start:]
             assert not np.any(seg[1:] > seg[:-1])
@@ -204,7 +204,7 @@ class TestDetectPhase:
         tr = descent.run_gd(descent.GdConfig(eta=1.0, steps=100, loss=LOG,
                                              record_every=10), NTOY)
         with pytest.raises(ValueError):
-            descent.detect_phase(tr, LOG, 1.0, NTOY.n, NCERT.gamma)
+            descent.detect_phase(tr, NTOY.n, NCERT.gamma)
 
 
 class TestRunSgd:
@@ -682,6 +682,34 @@ class TestGuardUnderSparseRecording:
         assert sum(counted) <= len(tr.steps) * ds.n + blocks < 10_001 * ds.n
 
 
+class TestGuardScreensDenseRuns:
+    """A densely recorded run's guard takes the same screen of each block
+    and walks the recorded losses of a block the screen does not clear; it
+    must stop where, and as, the step-by-step loop stops."""
+
+    @pytest.mark.parametrize("case", sorted(DIVERGENCES))
+    def test_divergence(self, case, monkeypatch, screens):
+        monkeypatch.setattr(descent, "_BLOCK_STEPS", 4)
+        ds, fields, step = DIVERGENCES[case]
+        cfg = descent.GdConfig(steps=3000, **fields)
+        got = _gd_divergence(descent.run_gd, cfg, ds)
+        ref = _reference_outcome(cfg, ds)
+        assert got == (ref.step, str(ref)) and got[0] == step
+        if case == "sustained-after-quiet":
+            assert screens[0]  # the first block, steps 0 to 3, passed the screen
+
+    def test_quiet_block_resets_the_count(self, monkeypatch, screens):
+        # the run of the sparse case, recorded at every step: over the bar
+        # at steps 1, 4 and 5, and the block of steps 2 and 3 between
+        # passes the screen, which must end the first streak
+        monkeypatch.setattr(descent, "_GUARD_FACTOR", 2.0)
+        monkeypatch.setattr(descent, "_GUARD_PATIENCE", 3)
+        monkeypatch.setattr(descent, "_BLOCK_STEPS", 2)
+        cfg = descent.GdConfig(eta=8.0, steps=300, loss=FLAT_POLY2)
+        _assert_same_run(descent.run_gd(cfg, TOY), _reference_outcome(cfg, TOY))
+        assert screens[:3] == [False, True, False]
+
+
 @pytest.fixture(scope="module")
 def runs():
     return {eta: descent.run_gd(descent.GdConfig(eta=eta, steps=2000, loss=LOG,
@@ -757,7 +785,7 @@ class TestPathwiseBounds:
         # (2 F(w_s) + ln^2(x)) / x with x = gamma^2 eta (t - s)
         tr = descent.run_gd(descent.GdConfig(eta=eta, steps=5000, loss=LOG), NTOY)
         gamma = NCERT.gamma
-        ph = descent.detect_phase(tr, LOG, eta, NTOY.n, gamma)
+        ph = descent.detect_phase(tr, NTOY.n, gamma)
         s = ph.s_theory
         assert s is not None
         F_s = tr.F[s]

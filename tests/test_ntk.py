@@ -153,38 +153,34 @@ class TestNtkGrad:
 class TestRunGdNtk:
     def test_lazy_ok_at_moderate_width(self):
         okc = 0
+        R = bounds.lazy_radius(LOG, GAMMA, 1.0, 200, NTOY.n, 0.1)
         for seed in range(10):
             net = ntk.init_net(1024, 2, Rng(seed))
-            traj, diag = ntk.run_gd_ntk(net, NTOY, LOG, 1.0, 200,
-                                        gamma=GAMMA, delta=0.1)
+            traj = ntk.run_gd_ntk(net, NTOY, LOG, 1.0, 200)
             eos = bounds.ntk_eos_bound(LOG, GAMMA, 1.0, 200, NTOY.n, 0.1)
-            if diag.lazy_ok and float(np.mean(traj.loss[:200])) <= eos:
+            if traj.dist_init.max() <= R and float(np.mean(traj.loss[:200])) <= eos:
                 okc += 1
         assert okc >= 9
 
     def test_tiny_net_reports_without_error(self):
         net = ntk.init_net(2, 2, Rng(0))
-        traj, diag = ntk.run_gd_ntk(net, NTOY, LOG, 1.0, 50, gamma=GAMMA)
-        assert math.isfinite(diag.max_dist)
-        assert isinstance(diag.lazy_ok, bool)
+        traj = ntk.run_gd_ntk(net, NTOY, LOG, 1.0, 50)
+        assert np.all(np.isfinite(traj.dist_init))
 
     def test_trajectory_is_dense_and_finite(self):
         net = ntk.init_net(32, 2, Rng(1))
-        traj, _ = ntk.run_gd_ntk(net, NTOY, LOG, 2.0, 60, gamma=GAMMA)
+        traj = ntk.run_gd_ntk(net, NTOY, LOG, 2.0, 60)
         assert traj.dense and len(traj.loss) == 61
         assert np.all(np.isfinite(traj.loss))
 
     def test_dist_init_recorded(self):
         net = ntk.init_net(64, 2, Rng(2))
-        traj, diag = ntk.run_gd_ntk(net, NTOY, LOG, 1.0, 30, gamma=GAMMA)
+        traj = ntk.run_gd_ntk(net, NTOY, LOG, 1.0, 30)
         assert traj.dist_init[0] == 0.0
-        assert diag.max_dist == pytest.approx(float(traj.dist_init.max()))
 
     def test_seed_determinism(self):
-        t1, _ = ntk.run_gd_ntk(ntk.init_net(64, 2, Rng(7)), NTOY, LOG, 1.0, 40,
-                               gamma=GAMMA)
-        t2, _ = ntk.run_gd_ntk(ntk.init_net(64, 2, Rng(7)), NTOY, LOG, 1.0, 40,
-                               gamma=GAMMA)
+        t1 = ntk.run_gd_ntk(ntk.init_net(64, 2, Rng(7)), NTOY, LOG, 1.0, 40)
+        t2 = ntk.run_gd_ntk(ntk.init_net(64, 2, Rng(7)), NTOY, LOG, 1.0, 40)
         np.testing.assert_array_equal(t1.loss, t2.loss)
 
 
@@ -222,13 +218,13 @@ class TestTangentMargin:
         assert cert.gamma > 0.0
 
 
-def _reference_gd_ntk(net, ds, loss, eta, T, gamma, delta=0.1, C_a=1.0):
+def _reference_gd_ntk(net, ds, loss, eta, T):
     """The network's own step loop, recording and guard, as run_gd_ntk ran
     them before it called descent's GD engine; the oracle for that call.
     Steps a local copy of net.w0."""
     rec = {k: np.empty(T + 1) for k in ("loss", "grad_norm", "param_norm",
                                         "dist_init", "G", "F")}
-    loss0, over, max_dist = None, 0, 0.0
+    loss0, over = None, 0
     w = net.w0.copy()
     for t in range(T + 1):
         z = ds.ys * network_outputs(net, w, ds.xs)
@@ -245,7 +241,6 @@ def _reference_gd_ntk(net, ds, loss, eta, T, gamma, delta=0.1, C_a=1.0):
         coeff = losses.deriv(loss, ds.ys * f) * ds.ys / ds.n
         gmat = (net.a[:, None] / math.sqrt(net.m)) * (((pre > 0.0) * coeff[:, None]).T @ ds.xs)
         dist = float(np.linalg.norm(w - net.w0))
-        max_dist = max(max_dist, dist)
         rec["loss"][t] = lval
         rec["grad_norm"][t] = float(np.linalg.norm(gmat))
         rec["param_norm"][t] = float(np.linalg.norm(w))
@@ -255,11 +250,7 @@ def _reference_gd_ntk(net, ds, loss, eta, T, gamma, delta=0.1, C_a=1.0):
             rec["F"][t] = float(np.mean(np.exp(-z)))
         if t < T:
             w = w - eta * gmat
-    diag = ntk.NtkDiagnostics(
-        R=ntk.lazy_radius(loss, gamma, eta, T, ds.n, delta, C_a),
-        max_dist=max_dist,
-        width_min=ntk.width_min(loss, gamma, eta, T, ds.n, delta, C_a))
-    return rec, w.ravel().copy(), diag
+    return rec, w.ravel().copy()
 
 
 def _ntk_outcome(run, net, *args):
@@ -283,24 +274,22 @@ def _conflict_net(scale):
 
 
 class TestRunGdNtkMatchesStepwiseReference:
-    """run_gd_ntk runs descent's GD engine; every series, w_final and the
-    diagnostics must equal the network's own step loop bit for bit."""
+    """run_gd_ntk runs descent's GD engine; every series and w_final must
+    equal the network's own step loop bit for bit."""
 
     @staticmethod
     def _assert_same(make_net, ds, loss, eta, T):
-        ref = _ntk_outcome(_reference_gd_ntk, make_net(), ds, loss, eta, T, GAMMA)
-        got = _ntk_outcome(ntk.run_gd_ntk, make_net(), ds, loss, eta, T, GAMMA)
+        ref = _ntk_outcome(_reference_gd_ntk, make_net(), ds, loss, eta, T)
+        traj = _ntk_outcome(ntk.run_gd_ntk, make_net(), ds, loss, eta, T)
         if not isinstance(ref[0], dict):
-            assert got == ref
+            assert traj == ref
             return ref
-        rec, w_final, diag = ref
-        traj, got_diag = got
+        rec, w_final = ref
         np.testing.assert_array_equal(traj.steps, np.arange(T + 1))
         for key, series in rec.items():
             assert np.array_equal(getattr(traj, key), series), key
         assert np.array_equal(traj.w_final, w_final)
         assert traj.record_every == 1 and traj.iterates is None
-        assert got_diag == diag
         return None
 
     @pytest.mark.parametrize("eta", [1.0, 8.0])
@@ -345,7 +334,7 @@ class TestRunGdNtkMatchesStepwiseReference:
 def test_run_rejects_stepsize_outside_domain(eta):
     net = ntk.init_net(8, NTOY.d, Rng(0))
     with pytest.raises(ValueError, match="eta"):
-        ntk.run_gd_ntk(net, NTOY, LOG, eta, 10, gamma=GAMMA)
+        ntk.run_gd_ntk(net, NTOY, LOG, eta, 10)
 
 
 def test_run_leaves_the_net_unchanged():
@@ -353,15 +342,15 @@ def test_run_leaves_the_net_unchanged():
     # nothing back, so a second run of the same net repeats the first
     net = ntk.init_net(16, 2, Rng(1))
     a, w0 = net.a.copy(), net.w0.copy()
-    first, _ = ntk.run_gd_ntk(net, NTOY, LOG, 4.0, 60, gamma=GAMMA)
+    first = ntk.run_gd_ntk(net, NTOY, LOG, 4.0, 60)
     assert np.array_equal(net.a, a) and np.array_equal(net.w0, w0)
-    second, _ = ntk.run_gd_ntk(net, NTOY, LOG, 4.0, 60, gamma=GAMMA)
+    second = ntk.run_gd_ntk(net, NTOY, LOG, 4.0, 60)
     assert np.array_equal(second.w_final, first.w_final)
 
     net = _conflict_net(1e9)
     a, w0 = net.a.copy(), net.w0.copy()
     with pytest.raises(descent.DivergenceError), np.errstate(over="ignore", invalid="ignore"):
-        ntk.run_gd_ntk(net, CONFLICT, LOG, 1e6, 300, gamma=GAMMA)
+        ntk.run_gd_ntk(net, CONFLICT, LOG, 1e6, 300)
     assert np.array_equal(net.a, a) and np.array_equal(net.w0, w0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         net.w0 = w0
