@@ -20,7 +20,7 @@ print(f"schedule: eta = gamma^2 T / 120 = {plan.eta:g} "
       f"(feasible from T >= {plan.threshold:g})")
 print(f"certified final-loss bound: {plan.bound:.4f}")
 
-score = analysis.acceleration_score(toy, T, plan)
+score = analysis.acceleration_score(toy, plan)
 print(f"\nscheduled run     : final loss {score.loss_large_eta:.3e} "
       f"at eta={score.eta_large:g}")
 print(f"best monotone run : final loss {score.loss_small_eta_best:.3e} "

@@ -9,6 +9,8 @@ upper bounds are what the bound evaluators consume.
 Run:  python3 demos/04_loss_families.py
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from eoslab import losses
@@ -40,7 +42,7 @@ for lam in (1.0, 10.0, 1e3, 1e6):
     print(f"{lam:>10g}  " + "  ".join(cells))
 
 print("\nnegative control: halving the self-boundedness constant is caught --")
-broken = losses.logistic().with_constants(C_beta=np.e / 4.0)
+broken = replace(losses.logistic(), C_beta=np.e / 4.0)
 report = losses.check_assumptions(broken, Rng(0))
 check = report.self_bounded_second
 print(f"self_bounded_second passed={check.passed}, worst residual "

@@ -194,9 +194,9 @@ def _is_monotone(traj: Trajectory) -> bool:
     return not bool(np.any(traj.loss[1:] > traj.loss[:-1]))
 
 
-def acceleration_score(ds: Dataset, T: int, plan: B.AccelerationPlan) -> AccelerationScore:
-    """Run the budget-T stepsize schedule of ``plan``, the
-    ``bounds.acceleration_plan`` of ds at T, and score it against the best
+def acceleration_score(ds: Dataset, plan: B.AccelerationPlan) -> AccelerationScore:
+    """Run the stepsize schedule of ``plan``, a ``bounds.acceleration_plan``
+    of ds, for the plan's budget of T steps, and score it against the best
     empirically monotone constant stepsize, both under the logistic loss.
 
     "Never enters the oscillatory regime" is operationalized as: not a
@@ -208,8 +208,8 @@ def acceleration_score(ds: Dataset, T: int, plan: B.AccelerationPlan) -> Acceler
     plan is not feasible (T below its certified threshold).
     """
     if not plan.feasible:
-        raise InfeasibleBudget(T, plan.threshold)
-    loss = L.logistic()
+        raise InfeasibleBudget(plan.T, plan.threshold)
+    loss, T = L.logistic(), plan.T
     k_hi = int(math.floor(math.log2(plan.eta / 2.0) + 1e-12))
     grid = [2.0 ** k for k in range(k_hi, -7, -1)]
     big, *tries = run_gd_batch([GdConfig(eta=eta, steps=T, loss=loss)

@@ -111,6 +111,7 @@ def tau_logistic(gamma: float, eta: float, n: float) -> float:
 class AccelerationPlan:
     """The budget-T stepsize schedule and its terminal-loss guarantee."""
 
+    T: float  # the budget, as passed
     eta: float
     bound: float
     feasible: bool
@@ -129,7 +130,7 @@ def acceleration_plan(gamma: float, n: float, T: float) -> AccelerationPlan:
     x = gamma ** 4 * T * T
     bound = 480.0 * math.log(x) ** 2 / x
     threshold = 120.0 * max(math.e, float(n)) / gamma ** 2
-    return AccelerationPlan(eta=eta, bound=bound, feasible=T >= threshold,
+    return AccelerationPlan(T=T, eta=eta, bound=bound, feasible=T >= threshold,
                             threshold=threshold)
 
 

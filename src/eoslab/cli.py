@@ -248,7 +248,7 @@ def _run_accelerate(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
         raise A.InfeasibleBudget(T, plan.threshold)
     _json_dump(cfg, out / "config.json")
     if override is None:
-        score = A.acceleration_score(ds, T, plan)
+        score = A.acceleration_score(ds, plan)
     else:
         big = G.run_gd(G.GdConfig(eta=override, steps=T, loss=L.logistic()), ds)
         score = A.AccelerationScore(
@@ -273,18 +273,19 @@ def _run_rates(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
     loss = L.loss_from_json(cfg["loss"])
     tail = float(cfg["tail_fraction"])
     A._tail_start(int(cfg["steps"]), tail)  # a dense run fits its steps 1..T
+    trajs = G.run_gd_batch([G.GdConfig(eta=eta, steps=int(cfg["steps"]), loss=loss)
+                            for eta in _etas(cfg["eta"])], ds)
     fits = {}
-
-    def runs(etas):
-        return G.run_gd_batch([G.GdConfig(eta=eta, steps=int(cfg["steps"]), loss=loss)
-                               for eta in etas], ds)
+    for traj in trajs:  # every fit up to the first divergence, before any write
+        if isinstance(traj, G.DivergenceError):
+            break
+        fits[format(traj.eta, "g")] = asdict(A.fit_rate(traj, tail_fraction=tail))
 
     def one(tag, traj):
         G.write_trajectory_csv(traj, out / f"rates_eta{tag}.csv")
-        fits[format(traj.eta, "g")] = asdict(A.fit_rate(traj, tail_fraction=tail))
         return traj.steps[1:], traj.eta * traj.steps[1:] * traj.loss[1:]
 
-    curves = _sweep(cfg, out, runs, one)
+    curves = _sweep(cfg, out, lambda etas: trajs, one)
     _json_dump(fits, out / "rates.json")
     return "rates.svg", curves, dict(title=f"eta*t*loss, {ds.name}",
                                      ylabel="eta * t * loss", logx=True)

@@ -21,7 +21,7 @@ regularization-path length rho(lambda) = min_z lambda*l(z) + z^2.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -77,10 +77,6 @@ class LossSpec:
             raise ValueError("C_g and C_beta must be positive")
         if self.C_e is not None and self.C_e <= 0:
             raise ValueError("C_e must be positive when present")
-
-    def with_constants(self, **kw) -> "LossSpec":
-        """Copy with overridden constants (for negative-control tests)."""
-        return replace(self, **kw)
 
 
 def logistic() -> LossSpec:

@@ -1,8 +1,10 @@
 """Width-m two-layer ReLU network trained by full-batch GD in the lazy
 (kernel) regime.  The GD is descent's one engine, as a batch of one; this
 module supplies the network margins and gradient.  The gradient's output
-scale a_s/sqrt(m) is built once per net (so once per run), as the (m, d)
-array ``NtkNet.out_scale``, and multiplied in elementwise at every step.
+scale a_s/sqrt(m) is built once per run, as an (m, d) array, and
+multiplied in elementwise at every step.  The tangent features at w_0
+take their ReLU mask from the same pre-activations ``X @ w_0.T`` that the
+run's first step computes.
 
 The network is f(x; w) = (1/sqrt(m)) sum_s a_s relu(x^T w^(s)) with fixed
 output signs a_s in {+/-1}, trainable first-layer weights only, and the
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -32,8 +33,6 @@ from .numerics import Rng
 __all__ = [
     "NtkNet",
     "init_net",
-    "grad_param",
-    "ntk_grad",
     "run_gd_ntk",
     "ntk_margin_hat",
 ]
@@ -44,7 +43,7 @@ class NtkNet:
     """Two-layer ReLU net: the output signs ``a`` and the initialization
     ``w0`` of the trainable (m, d) first layer, where every run starts."""
 
-    a: np.ndarray   # (m,) output signs, +/-1, fixed (out_scale is built from them once)
+    a: np.ndarray   # (m,) output signs, +/-1, fixed
     w0: np.ndarray  # (m, d) initialization, drawn once
 
     @property
@@ -54,12 +53,6 @@ class NtkNet:
     @property
     def d(self) -> int:
         return self.w0.shape[1]
-
-    @cached_property
-    def out_scale(self) -> np.ndarray:
-        """(m, d) array whose row s is a_s/sqrt(m) repeated, the factor the
-        output weights put on the gradient in w^(s); built once per net."""
-        return np.repeat(self.a / math.sqrt(self.m), self.d).reshape(self.m, self.d)
 
 
 def init_net(m: int, d: int, rng: Rng) -> NtkNet:
@@ -74,47 +67,29 @@ def init_net(m: int, d: int, rng: Rng) -> NtkNet:
     return NtkNet(a=a, w0=w0)
 
 
-def _readout(net: NtkNet, pre: np.ndarray) -> np.ndarray:
-    """The outputs from the (n, m) pre-activations ``X @ W.T``."""
-    return np.maximum(pre, 0.0) @ net.a / math.sqrt(net.m)
-
-
-def grad_param(net: NtkNet, x: np.ndarray) -> np.ndarray:
-    """Parameter gradient of f(x; .) at w_0, flattened to (m*d,).
-
-    Block s is (a_s/sqrt(m)) * 1[x^T w_0^(s) > 0] * x; the indicator is
-    strict at zero, matching the fixed subgradient choice.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    active = (net.w0 @ x > 0.0).astype(np.float64)
-    blocks = (net.a * active)[:, None] * x[None, :] / math.sqrt(net.m)
-    return blocks.ravel()
-
-
-def ntk_grad(net: NtkNet, ds: Dataset, pre: np.ndarray, dvec: np.ndarray) -> np.ndarray:
-    """(m, d) gradient of the mean loss in the first-layer weights w, from
-    their (n, m) pre-activations ``pre`` = ``ds.xs @ w.T`` and ``dvec`` =
-    l'(z_i) at the margins z_i = y_i f(x_i; w)."""
-    # a float mask scaled in place: the same values and signed zeros as the
-    # bool mask times coeff, without a cast inside the broadcast
-    mask = (pre > 0.0).astype(np.float64)      # (n, m)
-    mask *= (dvec * ds.ys / ds.n)[:, None]
-    return net.out_scale * (mask.T @ ds.xs)
-
-
 def _network_maps(net: NtkNet, ds: Dataset) -> tuple:
     """The maps that :func:`run_gd_ntk` steps with: ``margins(W)``, the
     (1, n) margins y_i f(x_i; w) at w, the one row of W; and
-    ``gradient(D)``, the (1, m*d) :func:`ntk_grad` from the (1, n) loss
-    derivatives D at the margins ``margins`` last returned."""
-    shape, pre = net.w0.shape, None
+    ``gradient(D)``, the (1, m*d) gradient of the mean loss in w from the
+    (1, n) loss derivatives D at the margins ``margins`` last returned."""
+    shape, root_m, pre = net.w0.shape, math.sqrt(net.m), None
+    # row s is a_s/sqrt(m) repeated: the factor the output weights put on
+    # the gradient in w^(s)
+    out_scale = np.repeat(net.a / root_m, net.d).reshape(shape)
 
     def margins(W):
         nonlocal pre
         pre = ds.xs @ W.reshape(shape).T  # the gradient at w takes its ReLU mask from these
-        return (ds.ys * _readout(net, pre))[None]
+        return (ds.ys * (np.maximum(pre, 0.0) @ net.a / root_m))[None]
 
-    return margins, lambda D: ntk_grad(net, ds, pre, D[0]).reshape(1, -1)
+    def gradient(D):
+        # a float mask scaled in place: the same values and signed zeros as
+        # the bool mask times coeff, without a cast inside the broadcast
+        mask = (pre > 0.0).astype(np.float64)  # (n, m)
+        mask *= (D[0] * ds.ys / ds.n)[:, None]
+        return (out_scale * (mask.T @ ds.xs)).reshape(1, -1)
+
+    return margins, gradient
 
 
 def run_gd_ntk(net: NtkNet, ds: Dataset, loss: L.LossSpec, eta: float,
@@ -146,7 +121,11 @@ def ntk_margin_hat(net: NtkNet, ds: Dataset) -> MarginCertificate:
     m*d dimensions.  Raises :class:`NotSeparable` when the tangent
     features are not linearly separable.
     """
-    feats = np.stack([ds.ys[i] * grad_param(net, ds.xs[i])
-                      for i in range(ds.n)])
+    # block s of sample i is y_i (a_s/sqrt(m)) 1[x_i^T w_0^(s) > 0] x_i,
+    # strict at zero as the fixed subgradient is; built in place
+    feats = (net.a * (ds.xs @ net.w0.T > 0.0))[:, :, None] * ds.xs[:, None, :]
+    feats /= math.sqrt(net.m)
+    feats = feats.reshape(ds.n, -1)
+    feats *= ds.ys[:, None]
     tangent = Dataset(feats, np.ones(ds.n), name=ds.name + "/tangent")
     return margin(tangent)

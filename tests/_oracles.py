@@ -1,7 +1,8 @@
 """Test oracles: central-difference gradients and their input check, the
 two-branch logistic derivative, the mean loss and gradient of linear and
 network GD at one point through the maps their engine steps with, the
-network outputs computed on their own, a certificate check, and the
+network outputs and tangent features computed on their own, a
+certificate check, and the
 split-comparator and margin-alignment inequalities of a stored run."""
 
 from __future__ import annotations
@@ -82,6 +83,25 @@ def network_outputs(net, w: np.ndarray, X: np.ndarray) -> np.ndarray:
     """f(x_i; w) = (1/sqrt(m)) sum_s a_s relu(x_i^T w^(s)) for the rows of
     X, at the (m, d) first-layer weights w, written out apart from ``ntk``."""
     return np.maximum(X @ w.T, 0.0) @ net.a / math.sqrt(net.m)
+
+
+def grad_param(net, x: np.ndarray) -> np.ndarray:
+    """Parameter gradient of f(x; .) at w_0, flattened to (m*d,), one sample
+    at a time.
+
+    Block s is (a_s/sqrt(m)) * 1[x^T w_0^(s) > 0] * x; the indicator is
+    strict at zero, matching the fixed subgradient choice.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    active = (net.w0 @ x > 0.0).astype(np.float64)
+    blocks = (net.a * active)[:, None] * x[None, :] / math.sqrt(net.m)
+    return blocks.ravel()
+
+
+def tangent_features(net, ds) -> np.ndarray:
+    """The (n, m*d) tangent features y_i * grad f(x_i; w_0), stacked from
+    :func:`grad_param` one sample at a time."""
+    return np.stack([ds.ys[i] * grad_param(net, ds.xs[i]) for i in range(ds.n)])
 
 
 def verify_margin(ds, cert, tol: float = 1e-9) -> bool:

@@ -130,7 +130,7 @@ def test_criterion_05_split_and_alignment_inequalities():
 def test_criterion_06_acceleration_budget():
     t0 = time.perf_counter()
     plan = bounds.acceleration_plan(data.margin(TOY).gamma, TOY.n, 12000)
-    score = analysis.acceleration_score(TOY, 12000, plan)
+    score = analysis.acceleration_score(TOY, plan)
     elapsed = time.perf_counter() - t0
     ok = (score.loss_large_eta <= score.bound
           and score.ratio is not None and score.ratio < 1.0
@@ -293,19 +293,23 @@ def test_criterion_13_rerun_determinism(tmp_path):
         (["sgd", "--dataset", "toy", "--eta", "4", "--steps", "500",
           "--seed", "7"], ["sgd_eta4_seed7.csv"]),
         (["ntk", "--dataset", "toy", "--normalize", "--width", "64",
-          "--eta", "1", "--steps", "50", "--seed", "3"], ["ntk.csv"]),
+          "--eta", "1", "--steps", "50", "--seed", "3"], ["ntk.csv", "ntk_diagnostics.json"]),
         (["accelerate", "--dataset", "toy", "--steps", "12000"],
-         ["accelerate_large.csv", "accelerate_baseline.csv"]),
+         ["accelerate_large.csv", "accelerate_baseline.csv", "accelerate.json"]),
         (["rates", "--dataset", "toy", "--eta", "8", "--steps", "200",
-          "--tail-fraction", "0.5"], ["rates_eta8.csv"]),
+          "--tail-fraction", "0.5"], ["rates_eta8.csv", "rates.json"]),
     ]
     ok = True
-    for argv, csvs in jobs:
+    for argv, names in jobs:
         a, b = tmp_path / (argv[0] + "_a"), tmp_path / (argv[0] + "_b")
         assert cli_main(argv + ["--out", str(a), "--no-svg"]) == 0
         assert cli_main([argv[0], "--config", str(a / "config.json"),
                          "--out", str(b)]) == 0
-        for name in csvs:
+        # every file the rerun writes, but the SVG that the first run skips
+        written = sorted(p.name for p in b.iterdir() if p.suffix != ".svg")
+        ok &= set(names) <= set(written)
+        ok &= written == sorted(p.name for p in a.iterdir())
+        for name in written:
             ok &= (a / name).read_bytes() == (b / name).read_bytes()
     report(13, ok, "re-running every command from its embedded config "
-                   "reproduces the trajectory CSVs byte for byte")
+                   "reproduces every file it writes byte for byte")

@@ -207,7 +207,7 @@ class TestCompareBounds:
 class TestAccelerationScore:
     def test_toy_budget_experiment(self):
         plan = bounds.acceleration_plan(data.margin(TOY).gamma, TOY.n, 12000)
-        score = analysis.acceleration_score(TOY, 12000, plan)
+        score = analysis.acceleration_score(TOY, plan)
         assert score.eta_large == pytest.approx(4.0)
         assert score.loss_large_eta <= score.bound
         assert score.ratio is not None and score.ratio < 1.0
@@ -217,9 +217,21 @@ class TestAccelerationScore:
     def test_infeasible_budget_raises_with_threshold(self):
         plan = bounds.acceleration_plan(data.margin(TOY).gamma, TOY.n, 100)
         with pytest.raises(analysis.InfeasibleBudget) as exc:
-            analysis.acceleration_score(TOY, 100, plan)
+            analysis.acceleration_score(TOY, plan)
         assert exc.value.threshold == pytest.approx(12000.0)
+        assert exc.value.T == 100
         assert "12000" in str(exc.value)
+
+    def test_runs_the_budget_of_its_plan(self):
+        # the plan carries its budget: a 12500-step plan runs 12500 steps at
+        # its own stepsize and reports its own bound
+        plan = bounds.acceleration_plan(data.margin(TOY).gamma, TOY.n, 12500)
+        assert plan.T == 12500
+        score = analysis.acceleration_score(TOY, plan)
+        assert score.traj_large.steps[-1] == 12500
+        assert score.traj_small_best.steps[-1] == 12500
+        assert (score.eta_large, score.bound) == (plan.eta, plan.bound)
+        assert score.eta_large == pytest.approx(12500 / 3000)
 
     def test_lower_bound_dataset_keeps_inverse_t_floor(self):
         # monotone runs on the two-point set: t * loss stays bounded away

@@ -96,6 +96,18 @@ class TestGd:
             "error: divergence guard: loss exceeded 1000 * L(w_0) for 50 "
             "consecutive steps (step 74)\n")
 
+    def test_rates_divergence_in_a_sweep_stops_the_writes(self, tmp_path, capsys):
+        # rates fits its runs before any write, up to the first divergence,
+        # and then writes as gd does
+        csv = tmp_path / "conflict.csv"
+        csv.write_text("1,1.0\n-1,0.3\n")
+        out = tmp_path / "d"
+        rc = run("rates", "--dataset", "csv", "--path", str(csv), "--loss", "flat_poly",
+                 "--a", "2", "--eta", "2,1e6,8", "--steps", "5000", "--out", str(out))
+        assert rc == 2
+        assert files_in(out) == ["config.json", "rates_eta2.csv"]
+        assert capsys.readouterr().err.startswith("error: divergence guard: ")
+
     def test_usage_error_exit_code(self, tmp_path, capsys):
         out = tmp_path / "u"
         assert run("gd", "--steps", "x", "--out", str(out)) == 3
@@ -359,6 +371,13 @@ class TestRunOptionDomains:
     def test_rates_tail_window(self, tmp_path, capsys, argv, points):
         err = self.refused(capsys, tmp_path / "o", "rates", *argv)
         assert err == f"error: tail window has {points} points; need >= 20\n"
+
+    def test_rates_run_too_short_to_fit(self, tmp_path, capsys):
+        # the eta=1000 run's loss underflows to 0 within a few steps, so only
+        # the finished run shows that its tail window is too short
+        err = self.refused(capsys, tmp_path / "o", "rates", "--normalize", "--loss",
+                           "flat_exp", "--a", "50", "--eta", "1000,1", "--steps", "100")
+        assert err == "error: tail window has 1 points; need >= 20\n"
 
     def test_accelerate_non_separable(self, tmp_path, capsys):
         csv = tmp_path / "flat.csv"

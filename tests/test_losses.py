@@ -3,6 +3,7 @@ constants, the regularization-path length rho, and the sampled
 conformance checker."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -226,7 +227,7 @@ class TestAssumptionChecker:
             assert report.exp_tail is not None and report.exp_tail.passed
 
     def test_broken_self_boundedness_fails_with_witness(self):
-        broken = L.logistic().with_constants(C_beta=math.e / 4.0)
+        broken = replace(L.logistic(), C_beta=math.e / 4.0)
         report = L.check_assumptions(broken, Rng(0))
         assert not report.self_bounded_second.passed
         assert report.self_bounded_second.residual > 1e-9
@@ -238,7 +239,7 @@ class TestAssumptionChecker:
         assert lhs - rhs == pytest.approx(report.self_bounded_second.residual)
 
     def test_broken_lipschitz_fails(self):
-        broken = L.flattened_exponential(2.0).with_constants(C_g=1.0)
+        broken = replace(L.flattened_exponential(2.0), C_g=1.0)
         report = L.check_assumptions(broken, Rng(0))
         assert not report.lipschitz.passed
 

@@ -11,7 +11,8 @@ import pytest
 from eoslab import bounds, data, descent, losses, ntk
 from eoslab.numerics import Rng
 
-from _oracles import finite_diff_grad, network_gd_maps, network_outputs, verify_margin
+from _oracles import (finite_diff_grad, grad_param, network_gd_maps, network_outputs,
+                      tangent_features, verify_margin)
 
 LOG = losses.logistic()
 NTOY = data.normalized(data.toy_dataset())
@@ -91,23 +92,25 @@ class TestForward:
 
 
 class TestGradParam:
+    """The reference tangent gradient of one sample, ``_oracles.grad_param``."""
+
     def test_norm_at_most_input_norm(self):
         rng = Rng(6)
         for _ in range(20):
             net = ntk.init_net(16, 4, rng)
             x = rng.normals(4)
-            g = ntk.grad_param(net, x)
+            g = grad_param(net, x)
             assert np.linalg.norm(g) <= np.linalg.norm(x) + 1e-12
 
     def test_all_negative_preactivations(self):
         net = dataclasses.replace(ntk.init_net(6, 2, Rng(1)), w0=np.tile([-1.0, 0.0], (6, 1)))
         x = np.array([1.0, 0.0])
-        assert np.all(ntk.grad_param(net, x) == 0.0)
+        assert np.all(grad_param(net, x) == 0.0)
 
     def test_subgradient_zero_at_kink(self):
         net = dataclasses.replace(ntk.init_net(2, 2, Rng(0)), w0=np.zeros((2, 2)))
         x = np.array([1.0, 1.0])
-        assert np.all(ntk.grad_param(net, x) == 0.0)
+        assert np.all(grad_param(net, x) == 0.0)
 
     def test_matches_finite_differences_away_from_kinks(self):
         rng = Rng(9)
@@ -123,7 +126,7 @@ class TestGradParam:
                 return _forward(net, x, v.reshape(net.m, net.d))
 
             fd = finite_diff_grad(f, flat, h=1e-6)
-            np.testing.assert_allclose(ntk.grad_param(net, x), fd, atol=1e-5)
+            np.testing.assert_allclose(grad_param(net, x), fd, atol=1e-5)
             checked += 1
 
 
@@ -193,16 +196,14 @@ class TestTangentMargin:
     @pytest.mark.parametrize("seed", range(8))
     def test_wide_certificate_verifies(self, seed):
         net = ntk.init_net(4096, 2, Rng(seed))
-        feats = np.stack([y * ntk.grad_param(net, x)
-                          for x, y in zip(NTOY.xs, NTOY.ys)])
-        tangent = data.Dataset(feats, np.ones(NTOY.n), name="tangent")
+        tangent = data.Dataset(tangent_features(net, NTOY), np.ones(NTOY.n), name="tangent")
         assert verify_margin(tangent, ntk.ntk_margin_hat(net, NTOY))
 
     def test_single_sample(self):
         one = data.Dataset(NTOY.xs[:1], NTOY.ys[:1], name="one")
         net = ntk.init_net(64, 2, Rng(3))
         cert = ntk.ntk_margin_hat(net, one)
-        g = ntk.grad_param(net, one.xs[0])
+        g = grad_param(net, one.xs[0])
         assert cert.gamma == pytest.approx(np.linalg.norm(g), rel=1e-9)
 
     def test_xor_style_data(self):
@@ -216,6 +217,45 @@ class TestTangentMargin:
         net = ntk.init_net(2048, 2, Rng(5))
         cert = ntk.ntk_margin_hat(net, xor)
         assert cert.gamma > 0.0
+
+
+def _certificate_bits(certify):
+    """(gamma, upper, w_star bytes) of ``certify()``, or its NotSeparable
+    message."""
+    try:
+        cert = certify()
+    except data.NotSeparable as exc:
+        return str(exc)
+    return cert.gamma, cert.upper, cert.w_star.tobytes()
+
+
+class TestTangentFeaturesMatchReference:
+    """ntk_margin_hat certifies exactly the reference tangent features:
+    the features it hands the solver, and so its certificate, equal
+    ``_oracles.tangent_features`` bit for bit, signed zeros included."""
+
+    @pytest.mark.parametrize("m", [2, 64, 4096])
+    def test_bit_identical(self, m, monkeypatch):
+        handed = []
+
+        def solve(tangent):
+            handed.append(tangent.xs)
+            return data.margin(tangent)
+
+        monkeypatch.setattr(ntk, "margin", solve)
+        gen = np.random.default_rng(m)
+        for trial in range(25):
+            n, d = int(gen.integers(1, 13)), int(gen.integers(1, 6))
+            xs = gen.standard_normal((n, d))
+            xs[gen.random((n, d)) < 0.2] = 0.0  # zero features, whole rows at d=1
+            ds = data.Dataset(xs, gen.choice([-1.0, 1.0], n), name=f"rand{trial}")
+            make = _random_sign_net if trial % 2 else ntk.init_net
+            net = make(m, d, Rng(trial))
+            ref = tangent_features(net, ds)
+            want = _certificate_bits(lambda: data.margin(
+                data.Dataset(ref, np.ones(ds.n), name=ds.name + "/tangent")))
+            assert _certificate_bits(lambda: ntk.ntk_margin_hat(net, ds)) == want
+            assert handed.pop().tobytes() == ref.tobytes()
 
 
 def _reference_gd_ntk(net, ds, loss, eta, T):
