@@ -106,22 +106,19 @@ class Violation:
     value: float
 
 
-# the recorded series (indexed by step t - 1) that each checked bound caps
-_CHECKED = {"eos_avg_logistic": "avg_loss", "avg_grad_potential": "avg_G",
-            "param_norm": "param_norm", "eos_avg": "avg_loss"}
-
-
 def compare_bounds(traj: Trajectory, gamma: float, n: int) -> list[Violation]:
     """Check every applicable bound at every recorded step, in step order,
     at the run's own stepsize and loss, on n samples of margin gamma.
 
-    Each recorded series is checked against the first ``bounds.BOUNDS`` row
-    that covers the run's loss and caps it: for logistic runs the
-    running-average loss, gradient potential and parameter norm; for other
-    losses the general average-loss bound, with the initialization terms
-    zeroed as appropriate for linear predictors started at zero.  Steps a
-    row's gate rejects (gamma^2*eta*t < 1) are skipped.  On unit-ball data
-    with a certified margin and logistic loss the returned list is empty.
+    Each recorded series (indexed by step t - 1) is checked against the
+    first ``bounds.BOUNDS`` row that covers the run's loss and names it in
+    ``caps``: the running-average loss ``avg_loss`` and gradient potential
+    ``avg_G`` and the parameter norm ``param_norm`` against the logistic
+    bounds for logistic runs; ``avg_loss`` against the general average-loss
+    bound for other losses, with the initialization terms zeroed as
+    appropriate for linear predictors started at zero.  Steps a row's gate
+    rejects (gamma^2*eta*t < 1) are skipped.  On unit-ball data with a
+    certified margin and logistic loss the returned list is empty.
     """
     traj._require_dense()
     series = {"avg_loss": traj.avg_loss(),
@@ -130,13 +127,10 @@ def compare_bounds(traj: Trajectory, gamma: float, n: int) -> list[Violation]:
     loss, eta = traj.loss_spec, traj.eta
     given = {"loss": loss, "gamma": gamma, "eta": eta, "n": n, "delta": 1.0, "C_a": 0.0}
     out: list[Violation] = []
-    checked = set()
     for row in B.BOUNDS:
-        key = _CHECKED.get(row.name)
-        if key is None or key in checked or loss.kind not in row.families:
+        if row.caps not in series or loss.kind not in row.families:
             continue
-        checked.add(key)
-        observed = series[key].tolist()
+        observed = series.pop(row.caps).tolist()  # checked by this row alone
         for t, value in row.over(traj.steps[1:], given):
             if observed[t - 1] > value * (1.0 + _REL_TOL):
                 out.append(Violation(step=t, bound=row.name,

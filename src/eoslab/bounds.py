@@ -16,8 +16,9 @@ Conventions shared by all evaluators:
   and their table rows are noted heuristic.
 
 Each ``BOUNDS`` row maps a reported bound name to its formula, the inputs
-its report shows, its gate, the loss families it covers and its note;
-formulas and gates take their inputs by parameter name.
+its report shows, its gate, the loss families it covers, its note and the
+recorded series it caps, if any; formulas and gates take their inputs by
+parameter name.
 """
 
 from __future__ import annotations
@@ -299,7 +300,9 @@ def _bind(fn: Callable, given: dict) -> Optional[dict]:
 
 
 class Bound(NamedTuple):
-    """One row of ``BOUNDS``; a ``gate`` of None means always applicable."""
+    """One row of ``BOUNDS``; a ``gate`` of None means always applicable.
+    ``caps`` names the series of ``analysis.compare_bounds`` that the row
+    bounds at every step (``avg_loss``, ``avg_G`` or ``param_norm``), if any."""
 
     name: str
     formula: Callable
@@ -307,6 +310,7 @@ class Bound(NamedTuple):
     gate: Optional[Callable]
     families: tuple[str, ...]
     note: str = ""
+    caps: Optional[str] = None
 
     def over(self, ts: np.ndarray, given: dict) -> Iterator[tuple[int, float]]:
         """(t, value) at each step t of ``ts`` that the gate admits, the
@@ -321,15 +325,16 @@ class Bound(NamedTuple):
 
 
 BOUNDS: tuple[Bound, ...] = (
-    Bound("eos_avg_logistic", eos_avg_bound, _BASE, _log_scale, _LOGISTIC),
-    Bound("avg_grad_potential", avg_grad_potential_bound, _BASE, _log_scale, _LOGISTIC),
-    Bound("param_norm", param_norm_bound, _BASE, _log_scale, _LOGISTIC),
+    Bound("eos_avg_logistic", eos_avg_bound, _BASE, _log_scale, _LOGISTIC, caps="avg_loss"),
+    Bound("avg_grad_potential", avg_grad_potential_bound, _BASE, _log_scale, _LOGISTIC,
+          caps="avg_G"),
+    Bound("param_norm", param_norm_bound, _BASE, _log_scale, _LOGISTIC, caps="param_norm"),
     Bound("stable_logistic", stable_bound, _BASE + ("s", "F_s"), _after_s, _LOGISTIC),
     Bound("tau_logistic", tau_logistic, _BASE + ("n",), None, _LOGISTIC),
     Bound("acceleration_plan", acceleration_plan, _BASE + ("n", "T"), None, _LOGISTIC),
     Bound("sgd_loss", sgd_loss_bound, _BASE + ("delta",), _log_scale, _LOGISTIC),
     Bound("sgd_error", sgd_error_bound, _BASE + ("delta",), _log_scale, _LOGISTIC),
-    Bound("eos_avg", ntk_eos_bound, _COMMON + ("C_a",), _log_scale, _ANY),
+    Bound("eos_avg", ntk_eos_bound, _COMMON + ("C_a",), _log_scale, _ANY, caps="avg_loss"),
     Bound("stable", ntk_stable_bound, _COMMON + ("s",), _after_s, _ANY),
     Bound("tau_general", tau_general, _COMMON + ("C1",), None, _ANY,
           "heuristic: C1 is caller-supplied, not derived"),

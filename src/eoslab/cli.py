@@ -30,7 +30,6 @@ from .numerics import Rng
 
 __all__ = ["main"]
 
-_DATASET_KEYS = {"kind", "gamma", "n", "d", "seed", "path", "normalize"}
 # parsed flags that are no config key of their own: the run location, and
 # the dataset and loss flags that fold into their descriptors
 _NOT_CONFIG = {"config", "out", "gamma", "n", "d", "data_seed", "path",
@@ -111,22 +110,31 @@ def _load_config(path: str, own: dict) -> dict:
         if kind != _kind(default) and not (kind == "number" and default in (None, "auto")):
             raise ValueError(f"config key {key!r} must be a {_kind(default)}, "
                              f"not {json.dumps(cfg[key])}")
-    bad_ds = set(cfg["dataset"]) - _DATASET_KEYS
-    if bad_ds:
-        raise ValueError(f"unknown dataset keys: {sorted(bad_ds)}")
     return cfg
 
 
+def _label(eta: float) -> str:
+    """The name of a stepsize in file names, plot legends and fit keys."""
+    return format(eta, "g")
+
+
 def _etas(value) -> list[float]:
-    """The stepsizes of a comma-separated ``--eta`` or a config's list."""
+    """The stepsizes of a comma-separated ``--eta`` or a config's list, no
+    two of which may share a label, as their files would then collide."""
     if not isinstance(value, list):
         value = [tok for tok in str(value).split(",") if tok.strip()]
     out = [float(v) for v in value]
     if not out:
         raise ValueError("at least one stepsize is required")
+    seen: dict = {}
     for eta in out:
         if not 0.0 < eta < math.inf:
             raise ValueError(f"a stepsize must be positive and finite, not {eta:g}")
+        label = _label(eta)
+        if label in seen:
+            raise ValueError(f"stepsizes {seen[label]!r} and {eta!r} share the label "
+                             f"{label!r} that names their files")
+        seen[label] = eta
     return out
 
 
@@ -147,7 +155,7 @@ def _sweep(cfg: dict, out: Path, runs, write_one) -> list:
     for eta, traj in zip(etas, runs(etas)):
         if isinstance(traj, G.DivergenceError):
             raise traj
-        label = format(eta, "g")
+        label = _label(eta)
         x, y = write_one(label.replace(".", "p").replace("-", "m"), traj)
         curves.append((f"eta={label}", x.tolist(), y.tolist()))
     return curves
@@ -258,12 +266,12 @@ def _run_accelerate(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
     _json_dump(score.as_dict(), out / "accelerate.json")
     big = score.traj_large
     G.write_trajectory_csv(big, out / "accelerate_large.csv")
-    curves = [(f"scheduled eta={format(score.eta_large, 'g')}",
+    curves = [(f"scheduled eta={_label(score.eta_large)}",
                big.steps.tolist(), big.loss.tolist())]
     small = score.traj_small_best
     if small is not None:
         G.write_trajectory_csv(small, out / "accelerate_baseline.csv")
-        curves.append((f"monotone eta={format(score.eta_small_best, 'g')}",
+        curves.append((f"monotone eta={_label(score.eta_small_best)}",
                        small.steps.tolist(), small.loss.tolist()))
     return "accelerate.svg", curves, dict(
         title=f"Budget {T}: scheduled vs monotone stepsize", ylabel="loss")
@@ -279,7 +287,7 @@ def _run_rates(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
     for traj in trajs:  # every fit up to the first divergence, before any write
         if isinstance(traj, G.DivergenceError):
             break
-        fits[format(traj.eta, "g")] = asdict(A.fit_rate(traj, tail_fraction=tail))
+        fits[_label(traj.eta)] = asdict(A.fit_rate(traj, tail_fraction=tail))
 
     def one(tag, traj):
         G.write_trajectory_csv(traj, out / f"rates_eta{tag}.csv")

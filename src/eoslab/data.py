@@ -299,9 +299,23 @@ def margin(ds: Dataset, trace: list | None = None) -> MarginCertificate:
     return MarginCertificate(gamma=gamma, w_star=w_star, upper=max(pnorm, gamma))
 
 
+# the keys of a dataset descriptor of each kind, besides "kind" and "normalize"
+_DESCRIPTOR_KEYS = {"toy": (), "lower_bound": ("gamma",),
+                    "synthetic": ("n", "d", "gamma", "seed"), "csv": ("path",)}
+
+
 def dataset_from_json(obj: dict) -> Dataset:
-    """Build a dataset from its config-JSON descriptor."""
+    """Build a dataset from its config-JSON descriptor: its ``kind``, the
+    keys of that kind and, optionally, ``"normalize": "max"``.  Raises
+    ValueError on any other key, kind or ``normalize`` value."""
     kind = obj.get("kind")
+    if kind not in _DESCRIPTOR_KEYS:
+        raise ValueError(f"unknown dataset kind {kind!r}")
+    unknown = set(obj) - {"kind", "normalize", *_DESCRIPTOR_KEYS[kind]}
+    if unknown:
+        raise ValueError(f"unknown keys of a {kind} dataset: {sorted(unknown)}")
+    if obj.get("normalize", "max") != "max":
+        raise ValueError(f'a dataset\'s "normalize" must be "max", not {obj["normalize"]!r}')
     if kind == "toy":
         ds = toy_dataset()
     elif kind == "lower_bound":
@@ -312,10 +326,8 @@ def dataset_from_json(obj: dict) -> Dataset:
             raise ValueError(f"synthetic dataset needs a value for {', '.join(unset)}")
         ds = synthetic_separable(int(obj["n"]), int(obj["d"]), float(obj["gamma"]),
                                  Rng(int(obj["seed"])))
-    elif kind == "csv":
+    else:  # csv
         ds = load_csv(obj["path"], normalize=obj.get("normalize"))
-    else:
-        raise ValueError(f"unknown dataset kind {kind!r}")
     if obj.get("normalize") == "max" and kind != "csv":
         ds = normalized(ds)
     return ds

@@ -92,7 +92,7 @@ class Trajectory:
     """Recorded series of one run; all arrays are aligned with ``steps``.
 
     ``iterates`` is the full (steps+1, d) parameter history and is only
-    present when the run stored it (memory scales with steps * d).
+    present when a GD run stored it (memory scales with steps * d).
     """
 
     steps: np.ndarray
@@ -108,7 +108,6 @@ class Trajectory:
     w_final: np.ndarray
     iterates: Optional[np.ndarray] = None
     zero_one: Optional[np.ndarray] = None   # population 0-1 error (SGD runs)
-    sample_idx: Optional[np.ndarray] = None  # drawn sample indices (SGD runs)
 
     @property
     def dense(self) -> bool:
@@ -344,8 +343,7 @@ def detect_phase(traj: Trajectory, n: int, gamma: float) -> PhaseReport:
                        criterion_value=crit)
 
 
-def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng,
-            store_iterates: bool = False) -> Trajectory:
+def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng) -> Trajectory:
     """One-sample-per-step SGD under the logistic loss on the empirical
     distribution of ``ds``.
 
@@ -354,7 +352,7 @@ def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng,
     step.  The step loop stores each iterate and its margins and applies
     the sampled-row update; the metrics are evaluated per block from those,
     bit for bit as step by step.  Memory is the block buffers plus the O(T)
-    series (O(T * d) with ``store_iterates``).
+    series; no iterate is kept past its block.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -368,14 +366,11 @@ def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng,
     T = steps
     # the whole index stream is drawn up front (one batched draw per run,
     # deterministic per seed)
-    idx = rng.integers(0, n, size=T)
-    picks = idx.tolist()
+    picks = rng.integers(0, n, size=T).tolist()
 
     rec = np.empty((6, T + 1))  # loss, grad_norm, param_norm, G, F, zero_one
-    iterates = np.empty((T + 1, ds.d)) if store_iterates else None
     block = min(_block_len(max(n, ds.d)), T + 1)
-    W_buf = np.empty((block, ds.d)) if iterates is None else None
-    Z_buf = np.empty((block, n))
+    W_buf, Z_buf = np.empty((block, ds.d)), np.empty((block, n))
     guard = _DivergenceGuard("population loss diverged (step {t})")
 
     # a block may run up to a block of steps past a divergence before the
@@ -383,8 +378,7 @@ def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng,
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for start in range(0, T + 1, block):
             stop = min(start + block, T + 1)
-            W = iterates[start:stop] if iterates is not None else W_buf[:stop - start]
-            Z = Z_buf[:stop - start]
+            W, Z = W_buf[:stop - start], Z_buf[:stop - start]
             for j, t in enumerate(range(start, stop)):
                 W[j] = w
                 np.matmul(Zy, w, out=Z[j])
@@ -417,7 +411,7 @@ def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng,
         steps=np.arange(T + 1, dtype=np.int64), loss=loss, grad_norm=grad_norm,
         param_norm=param_norm, dist_init=param_norm.copy(),  # w_0 = 0
         G=G, F=F, eta=eta, loss_spec=L.logistic(), record_every=1, w_final=w.copy(),
-        iterates=iterates, zero_one=zero_one, sample_idx=idx)
+        zero_one=zero_one)
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:

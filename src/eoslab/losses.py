@@ -101,15 +101,20 @@ def flattened_polynomial(a: float) -> LossSpec:
 
 
 def loss_from_json(obj: dict) -> LossSpec:
-    """Build a LossSpec from its config-JSON form {"kind": ..., "a": ...}."""
+    """Build a LossSpec from its config-JSON form: {"kind": "logistic"}, or
+    {"kind": ..., "a": ...} for a flattened loss.  Raises ValueError on any
+    other key or kind."""
     kind = obj.get("kind")
+    if kind not in (LOGISTIC, FLAT_EXP, FLAT_POLY):
+        raise ValueError(f"unknown loss kind {kind!r}")
+    unknown = set(obj) - ({"kind"} if kind == LOGISTIC else {"kind", "a"})
+    if unknown:
+        raise ValueError(f"unknown keys of a {kind} loss: {sorted(unknown)}")
     if kind == LOGISTIC:
         return logistic()
     if kind == FLAT_EXP:
         return flattened_exponential(float(obj["a"]))
-    if kind == FLAT_POLY:
-        return flattened_polynomial(float(obj["a"]))
-    raise ValueError(f"unknown loss kind {kind!r}")
+    return flattened_polynomial(float(obj["a"]))
 
 
 # -- pointwise evaluation ---------------------------------------------------
@@ -279,14 +284,13 @@ def _worst(points: np.ndarray, residuals: np.ndarray) -> ConditionCheck:
                           witness=tuple(points[i].tolist()))
 
 
-def check_assumptions(loss: LossSpec, rng: Rng | None = None) -> AssumptionReport:
+def check_assumptions(loss: LossSpec, rng: Rng) -> AssumptionReport:
     """Sampled verification of the loss conditions.
 
     All six inequalities are evaluated pointwise on a grid of 10001 points
-    over [-20, 20] plus 10000 random pairs with |z - x| < 1; this is a
-    sampled check with tolerance 1e-9, not a symbolic proof.
+    over [-20, 20] plus 10000 pairs with |z - x| < 1 drawn from ``rng``;
+    this is a sampled check with tolerance 1e-9, not a symbolic proof.
     """
-    rng = rng if rng is not None else Rng(0)
     zs = np.linspace(-20.0, 20.0, 10_001)
     lz = eval_loss(loss, zs)
     gz = g(loss, zs)

@@ -134,6 +134,59 @@ class TestCompareBoundsMatchesReference:
             _reference_compare_bounds(tr, gamma, eta, TOY.n, LOG)
 
 
+def one_step(spec, eta, avg_loss=0.0, avg_G=0.0, param_norm=0.0):
+    """A dense one-step trajectory whose series that compare_bounds checks
+    hold the given values at t = 1: there the running averages are the
+    recorded loss and G of step 0, and param_norm is recorded at t."""
+    zeros = np.zeros(2)
+    return descent.Trajectory(
+        steps=np.arange(2), loss=np.array([avg_loss, 0.0]), grad_norm=zeros,
+        param_norm=np.array([0.0, param_norm]), dist_init=zeros,
+        G=np.array([avg_G, 0.0]), F=zeros, eta=eta, loss_spec=spec, record_every=1,
+        w_final=np.zeros(2))
+
+
+FEXP, FPOLY = losses.flattened_exponential(1.5), losses.flattened_polynomial(2.0)
+GAMMA, ETA, N = 0.5, 8.0, 4  # gamma^2 * eta = 2: step 1 passes every gate
+
+
+class TestBoundCaps:
+    """Each series is checked by the one BOUNDS row that names it in caps,
+    first among the rows that cover the run's loss."""
+
+    @pytest.mark.parametrize("spec,name,series,value", [
+        (LOG, "eos_avg_logistic", "avg_loss", bounds.eos_avg_bound(GAMMA, ETA, 1)),
+        (LOG, "avg_grad_potential", "avg_G", bounds.avg_grad_potential_bound(GAMMA, ETA, 1)),
+        (LOG, "param_norm", "param_norm", bounds.param_norm_bound(GAMMA, ETA, 1)),
+        (FEXP, "eos_avg", "avg_loss", bounds.ntk_eos_bound(FEXP, GAMMA, ETA, 1, N, 1.0, 0.0)),
+        (FPOLY, "eos_avg", "avg_loss", bounds.ntk_eos_bound(FPOLY, GAMMA, ETA, 1, N, 1.0, 0.0)),
+    ], ids=["logistic-avg_loss", "logistic-avg_G", "logistic-param_norm",
+            "flat_exp-avg_loss", "flat_poly-avg_loss"])
+    def test_one_ulp_either_side_of_the_threshold(self, spec, name, series, value):
+        threshold = value * (1.0 + 1e-9)
+        for observed in (np.nextafter(threshold, 0.0), threshold,
+                         np.nextafter(threshold, math.inf)):
+            observed = float(observed)
+            got = analysis.compare_bounds(one_step(spec, ETA, **{series: observed}),
+                                          GAMMA, N)
+            assert got == ([analysis.Violation(step=1, bound=name, observed=observed,
+                                               value=value)]
+                           if observed > threshold else []), observed
+
+    @pytest.mark.parametrize("spec,checked", [
+        (LOG, ["eos_avg_logistic", "avg_grad_potential", "param_norm"]),
+        (FEXP, ["eos_avg"]), (FPOLY, ["eos_avg"])], ids=["logistic", "flat_exp", "flat_poly"])
+    def test_checked_rows_per_loss_family(self, spec, checked):
+        # every series far above every bound: each checked row reports once
+        tr = one_step(spec, ETA, avg_loss=1e300, avg_G=1e300, param_norm=1e300)
+        assert [v.bound for v in analysis.compare_bounds(tr, GAMMA, N)] == checked
+
+    def test_rows_that_cap_a_series(self):
+        # with the test above, a misspelt caps would fail here or there
+        assert [row.name for row in bounds.BOUNDS if row.caps is not None] == [
+            "eos_avg_logistic", "avg_grad_potential", "param_norm", "eos_avg"]
+
+
 class TestCompareBounds:
     def test_conformant_run_is_clean(self):
         tr = descent.run_gd(descent.GdConfig(eta=8.0, steps=2000, loss=LOG), NTOY)

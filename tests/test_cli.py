@@ -395,6 +395,38 @@ class TestRunOptionDomains:
                            "--gamma", "1e-60", "--width", "8", "--steps", "5")
         assert err == "error: the sufficient width overflows a float at gamma=1e-60\n"
 
+    @pytest.mark.parametrize("command,etas,shared", [
+        ("gd", "1.0000001,1.0000002", "1.0000001 and 1.0000002 share the label '1'"),
+        ("sgd", "1.0000001,1.0000002", "1.0000001 and 1.0000002 share the label '1'"),
+        ("rates", "8.0000001,8.0000002", "8.0000001 and 8.0000002 share the label '8'"),
+        ("gd", "2,0.5,2", "2.0 and 2.0 share the label '2'")],
+        ids=["gd", "sgd", "rates", "gd-repeated"])
+    def test_stepsizes_sharing_a_label(self, tmp_path, capsys, command, etas, shared):
+        # a stepsize's files (and its rates.json key) are named by its label,
+        # so a second stepsize of the same label would overwrite the first
+        err = self.refused(capsys, tmp_path / "o", command, "--eta", etas, "--steps", "100")
+        assert err == f"error: stepsizes {shared} that names their files\n"
+
+    @pytest.mark.parametrize("key,value,error", [
+        ("eta", [1.0000001, 1.0000002],
+         "stepsizes 1.0000001 and 1.0000002 share the label '1' that names their files"),
+        ("dataset", {"kind": "toy", "normalize": "min"},
+         'a dataset\'s "normalize" must be "max", not \'min\''),
+        ("dataset", {"kind": "toy", "n": 5}, "unknown keys of a toy dataset: ['n']"),
+        ("loss", {"kind": "logistic", "a": 2.0, "zzz": 1},
+         "unknown keys of a logistic loss: ['a', 'zzz']"),
+    ], ids=["eta-shared-label", "normalize-min", "toy-n", "logistic-a-zzz"])
+    def test_refused_by_its_reader_in_config(self, tmp_path, capsys, key, value, error):
+        # the code that reads a config value refuses what it would not act on
+        first = tmp_path / "first"
+        assert run("gd", "--eta", "2", "--steps", "5", "--out", str(first)) == 0
+        cfg = json.loads((first / "config.json").read_text())
+        cfg[key] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(cfg))
+        err = self.refused(capsys, tmp_path / "o", "gd", "--config", str(p))
+        assert err == f"error: {error}\n"
+
     def test_auto_width_within_an_odd_cap(self, tmp_path):
         out = tmp_path / "o"
         assert run("ntk", "--normalize", "--width-cap", "255", "--steps", "5",

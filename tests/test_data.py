@@ -296,3 +296,19 @@ class TestDatasetValidation:
         assert (ds.n, ds.d) == (10, 3)
         with pytest.raises(ValueError):
             data.dataset_from_json({"kind": "mnist"})
+
+    @pytest.mark.parametrize("desc,error", [
+        ({"kind": "toy", "n": 5}, "unknown keys of a toy dataset: ['n']"),
+        ({"kind": "csv", "path": "x.csv", "gamma": 0.1},
+         "unknown keys of a csv dataset: ['gamma']"),
+        ({"kind": "lower_bound", "gamma": 0.05, "seed": 0, "d": 2},
+         "unknown keys of a lower_bound dataset: ['d', 'seed']"),
+        ({"kind": "toy", "normalize": "min"},
+         'a dataset\'s "normalize" must be "max", not \'min\''),
+        ({"kind": "synthetic", "n": 10, "d": 3, "gamma": 0.2, "seed": 1, "normalize": None},
+         'a dataset\'s "normalize" must be "max", not None'),
+    ], ids=["toy-n", "csv-gamma", "lower_bound-seed-d", "normalize-min", "normalize-null"])
+    def test_descriptor_takes_only_the_keys_of_its_kind(self, desc, error):
+        with pytest.raises(ValueError) as exc:
+            data.dataset_from_json(desc)
+        assert str(exc.value) == error

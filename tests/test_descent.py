@@ -218,21 +218,24 @@ class TestRunSgd:
         a = descent.run_sgd(NTOY, 4.0, 300, Rng(12))
         b = descent.run_sgd(NTOY, 4.0, 300, Rng(12))
         np.testing.assert_array_equal(a.loss, b.loss)
-        np.testing.assert_array_equal(a.sample_idx, b.sample_idx)
 
     def test_population_metrics_exact_over_support(self):
-        tr = descent.run_sgd(NTOY, 1.0, 20, Rng(3), store_iterates=True)
+        # the iterates are the stepwise reference's, which run_sgd matches
+        tr = descent.run_sgd(NTOY, 1.0, 20, Rng(3))
+        _, iterates, _, _ = _reference_sgd(NTOY, 1.0, 20, Rng(3))
         k = 7
-        w = tr.iterates[k]
+        w = iterates[k]
         assert tr.loss[k] == pytest.approx(loss_value(LOG, NTOY, w), abs=1e-15)
         z = NTOY.signed() @ w
         assert tr.zero_one[k] == pytest.approx(float(np.mean(z <= 0.0)), abs=0)
 
     def test_pathwise_regret_inequality(self):
         # realized-sample inequality with the shifted comparator, checked
-        # per realization from the stored iterates and drawn indices
+        # per realization from the iterates and drawn indices of the
+        # stepwise reference, which run_sgd matches
         eta, T = 4.0, 400
-        tr = descent.run_sgd(NTOY, eta, T, Rng(8), store_iterates=True)
+        _, iterates, w_final, idx = _reference_sgd(NTOY, eta, T, Rng(8))
+        assert np.array_equal(descent.run_sgd(NTOY, eta, T, Rng(8)).w_final, w_final)
         Zy = NTOY.signed()
         gamma, w_star = NCERT.gamma, NCERT.w_star
         rng = Rng(99)
@@ -240,20 +243,19 @@ class TestRunSgd:
             u1 = rng.normals(2) * 2.0
             u = u1 + (eta / (2.0 * gamma)) * w_star
             for t in (1, 50, T):
-                zs = np.einsum("ij,ij->i",
-                               Zy[tr.sample_idx[:t]], tr.iterates[:t])
+                zs = np.einsum("ij,ij->i", Zy[idx[:t]], iterates[:t])
                 sampled = float(np.mean(np.logaddexp(0.0, -zs)))
-                zu = Zy[tr.sample_idx[:t]] @ u1
+                zu = Zy[idx[:t]] @ u1
                 sampled_u = float(np.mean(np.logaddexp(0.0, -zu)))
-                lhs = float(np.sum((tr.iterates[t] - u) ** 2)) / (2 * eta * t) + sampled
+                lhs = float(np.sum((iterates[t] - u) ** 2)) / (2 * eta * t) + sampled
                 rhs = sampled_u + float(np.sum(u ** 2)) / (2 * eta * t)
                 assert lhs <= rhs + 1e-9
 
 
 def _reference_sgd(ds, eta, steps, rng):
     """Step-by-step SGD loop that evaluates every metric at every step;
-    the oracle for run_sgd's per-block evaluation.  Always stores the
-    iterates."""
+    the oracle for run_sgd's per-block evaluation.  Returns the series, the
+    iterates, the final iterate and the drawn sample indices."""
     Zy = ds.signed()
     n, T = ds.n, steps
     w = np.zeros(ds.d)
@@ -318,20 +320,12 @@ class TestSgdMatchesStepwiseReference:
     @pytest.mark.parametrize("eta", [1.0, 100.0])
     @pytest.mark.parametrize("name", sorted(SGD_SETS))
     def test_bit_identical(self, name, eta, steps):
-        rec, iterates, w_final, idx = _reference_sgd(SGD_SETS[name], eta, steps,
-                                                     Rng(steps))
-        for store in (False, True):
-            tr = descent.run_sgd(SGD_SETS[name], eta, steps, Rng(steps),
-                                 store_iterates=store)
-            for key, ref in rec.items():
-                assert np.array_equal(getattr(tr, key), ref), key
-            assert np.array_equal(tr.dist_init, rec["param_norm"])
-            assert np.array_equal(tr.sample_idx, idx)
-            assert np.array_equal(tr.w_final, w_final)
-            if store:
-                assert np.array_equal(tr.iterates, iterates)
-            else:
-                assert tr.iterates is None
+        rec, _, w_final, _ = _reference_sgd(SGD_SETS[name], eta, steps, Rng(steps))
+        tr = descent.run_sgd(SGD_SETS[name], eta, steps, Rng(steps))
+        for key, ref in rec.items():
+            assert np.array_equal(getattr(tr, key), ref), key
+        assert np.array_equal(tr.dist_init, rec["param_norm"])
+        assert np.array_equal(tr.w_final, w_final)
 
     def test_guard_non_finite(self):
         ds = data.Dataset(np.array([[10.0], [10.0]]), np.array([1.0, -1.0]),

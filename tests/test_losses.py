@@ -156,6 +156,16 @@ class TestConstants:
         with pytest.raises(ValueError):
             L.loss_from_json({"kind": "exponential"})
 
+    @pytest.mark.parametrize("desc,error", [
+        ({"kind": "logistic", "a": 2.0}, "unknown keys of a logistic loss: ['a']"),
+        ({"kind": "flat_exp", "a": 1.0, "C_g": 1.0}, "unknown keys of a flat_exp loss: ['C_g']"),
+        ({"kind": "flat_poly", "a": 2.0, "zzz": 1}, "unknown keys of a flat_poly loss: ['zzz']"),
+    ], ids=["logistic-a", "flat_exp-C_g", "flat_poly-zzz"])
+    def test_descriptor_takes_only_the_keys_of_its_kind(self, desc, error):
+        with pytest.raises(ValueError) as exc:
+            L.loss_from_json(desc)
+        assert str(exc.value) == error
+
 
 class TestRho:
     def test_rho_bound_values(self):
