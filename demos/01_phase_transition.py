@@ -33,8 +33,7 @@ for eta, traj in zip(etas, trajs):
           f"{phase.s_empirical:3d}; criterion loss<=1/eta first met at "
           f"t={phase.s_theory} (bound tau={tau:.0f}); final loss "
           f"{traj.loss[-1]:.3e}")
-    curves.append((f"eta={eta:g}", traj.steps[:2000].tolist(),
-                   traj.loss[:2000].tolist()))
+    curves.append((f"eta={eta:g}", traj.steps[:2000], traj.loss[:2000]))
 
 write_line_plot("demos/out_phase_transition.svg", curves,
                 title="Stepsize sweep: early oscillation, then monotone descent",

@@ -25,7 +25,7 @@ for eta, traj in zip(etas, trajs):
           f"(cv {fit.plateau_cv:.3f})")
     sub = slice(1, None, 50)  # thin the curve for the figure
     scaled = eta * traj.steps[sub] * traj.loss[sub]
-    curves.append((f"eta={eta:g}", traj.steps[sub].tolist(), scaled.tolist()))
+    curves.append((f"eta={eta:g}", traj.steps[sub], scaled))
 
 write_line_plot("demos/out_asymptotic_rate.svg", curves,
                 title="eta * t * loss flattens: the tail decays like 1/(eta t)",

@@ -157,7 +157,7 @@ def _sweep(cfg: dict, out: Path, runs, write_one) -> list:
             raise traj
         label = _label(eta)
         x, y = write_one(label.replace(".", "p").replace("-", "m"), traj)
-        curves.append((f"eta={label}", x.tolist(), y.tolist()))
+        curves.append((f"eta={label}", x, y))
     return curves
 
 
@@ -239,8 +239,7 @@ def _run_ntk(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
                out / "ntk_diagnostics.json")
     phase = G.detect_phase(traj, ds.n, cert.gamma)
     _json_dump(asdict(phase), out / "ntk_phase.json")
-    curves = [("loss", traj.steps.tolist(), traj.loss.tolist()),
-              ("dist_init", traj.steps.tolist(), traj.dist_init.tolist())]
+    curves = [("loss", traj.steps, traj.loss), ("dist_init", traj.steps, traj.dist_init)]
     return "ntk_loss.svg", curves, dict(title=f"Wide-net GD, m={m}, {ds.name}",
                                         ylabel="value")
 
@@ -266,13 +265,12 @@ def _run_accelerate(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
     _json_dump(score.as_dict(), out / "accelerate.json")
     big = score.traj_large
     G.write_trajectory_csv(big, out / "accelerate_large.csv")
-    curves = [(f"scheduled eta={_label(score.eta_large)}",
-               big.steps.tolist(), big.loss.tolist())]
+    curves = [(f"scheduled eta={_label(score.eta_large)}", big.steps, big.loss)]
     small = score.traj_small_best
     if small is not None:
         G.write_trajectory_csv(small, out / "accelerate_baseline.csv")
-        curves.append((f"monotone eta={_label(score.eta_small_best)}",
-                       small.steps.tolist(), small.loss.tolist()))
+        curves.append((f"monotone eta={_label(score.eta_small_best)}", small.steps,
+                       small.loss))
     return "accelerate.svg", curves, dict(
         title=f"Budget {T}: scheduled vs monotone stepsize", ylabel="loss")
 
@@ -451,7 +449,8 @@ def main(argv=None) -> int:
         for key, low in (("steps", 1), ("record_every", 1), ("seed", 0)):
             if key in cfg and int(cfg[key]) < low:  # checked before any file is written
                 raise ValueError(f"{key} must be >= {low}")
-        if int(cfg["dataset"].get("seed") or 0) < 0:
+        data_seed = cfg["dataset"].get("seed")  # its type is dataset_from_json's check
+        if isinstance(data_seed, (int, float)) and data_seed < 0:
             raise ValueError('--data-seed (the dataset\'s "seed") must be >= 0')
         ds = D.dataset_from_json(cfg["dataset"])
         out = Path(args.out)

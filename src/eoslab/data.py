@@ -15,13 +15,14 @@ tolerance) and :class:`NotConverged` when it hits its iteration cap.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .numerics import Rng
+from .numerics import Rng, json_number
 
 __all__ = [
     "Dataset",
@@ -306,8 +307,10 @@ _DESCRIPTOR_KEYS = {"toy": (), "lower_bound": ("gamma",),
 
 def dataset_from_json(obj: dict) -> Dataset:
     """Build a dataset from its config-JSON descriptor: its ``kind``, the
-    keys of that kind and, optionally, ``"normalize": "max"``.  Raises
-    ValueError on any other key, kind or ``normalize`` value."""
+    keys of that kind and, optionally, ``"normalize": "max"``.  Its numbers
+    must be JSON numbers, and ``n``, ``d`` and ``seed`` whole ones (see
+    :func:`eoslab.numerics.json_number`), and a csv ``path`` a string.
+    Raises ValueError on any other key, kind or value."""
     kind = obj.get("kind")
     if kind not in _DESCRIPTOR_KEYS:
         raise ValueError(f"unknown dataset kind {kind!r}")
@@ -319,14 +322,19 @@ def dataset_from_json(obj: dict) -> Dataset:
     if kind == "toy":
         ds = toy_dataset()
     elif kind == "lower_bound":
-        ds = lower_bound_dataset(float(obj["gamma"]))
+        ds = lower_bound_dataset(json_number(obj, "gamma", "a lower_bound dataset"))
     elif kind == "synthetic":
         unset = [key for key in ("n", "d", "gamma", "seed") if obj.get(key) is None]
         if unset:
             raise ValueError(f"synthetic dataset needs a value for {', '.join(unset)}")
-        ds = synthetic_separable(int(obj["n"]), int(obj["d"]), float(obj["gamma"]),
-                                 Rng(int(obj["seed"])))
+        n, d, seed = (json_number(obj, key, "a synthetic dataset", integral=True)
+                      for key in ("n", "d", "seed"))
+        ds = synthetic_separable(n, d, json_number(obj, "gamma", "a synthetic dataset"),
+                                 Rng(seed))
     else:  # csv
+        if not isinstance(obj["path"], str):
+            raise ValueError(f'"path" of a csv dataset must be a string, '
+                             f'not {json.dumps(obj["path"])}')
         ds = load_csv(obj["path"], normalize=obj.get("normalize"))
     if obj.get("normalize") == "max" and kind != "csv":
         ds = normalized(ds)

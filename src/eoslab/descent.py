@@ -268,9 +268,10 @@ def gd_engine(W, n: int, margins, gradient, loss: L.LossSpec, etas,
                 if not keep:
                     break
 
+    # sqrt(v.dot(v)) is what np.linalg.norm computes for a vector
+    np.sqrt(rec[:, 3:], out=rec[:, 3:])
     for i, series, w, eta in zip(ids.tolist(), rec, W, etas[:, 0].tolist()):
-        # sqrt(v.dot(v)) is what np.linalg.norm computes for a vector
-        grad_norm, param_norm, dist_init = np.sqrt(series[3:])
+        grad_norm, param_norm, dist_init = series[3:]
         out[i] = Trajectory(
             steps=steps.copy(), loss=series[0], grad_norm=grad_norm,
             param_norm=param_norm, dist_init=dist_init, G=series[1], F=series[2],
@@ -415,10 +416,14 @@ def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng) -> Trajectory:
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
-    """Write the recorded series as CSV (round-trippable decimal text)."""
+    """Write the recorded series as CSV, each value as its ``repr``
+    (round-trippable decimal text).  Rows are formatted and written
+    ``_BLOCK_STEPS`` at a time from the series' arrays, so no whole column
+    is held as Python numbers."""
     cols = CSV_COLUMNS + (() if traj.zero_one is None else ("zero_one",))
     series = [traj.steps] + [getattr(traj, col) for col in cols[1:]]
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        for row in zip(*(s.tolist() for s in series)):
-            fh.write(",".join(map(repr, row)) + "\n")
+        for start in range(0, len(traj.steps), _BLOCK_STEPS):
+            text = [map(repr, s[start:start + _BLOCK_STEPS].tolist()) for s in series]
+            fh.write("\n".join(map(",".join, zip(*text))) + "\n")

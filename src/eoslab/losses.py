@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import Rng, minimize_1d
+from .numerics import Rng, json_number, minimize_1d
 
 __all__ = [
     "LossSpec",
@@ -102,8 +102,8 @@ def flattened_polynomial(a: float) -> LossSpec:
 
 def loss_from_json(obj: dict) -> LossSpec:
     """Build a LossSpec from its config-JSON form: {"kind": "logistic"}, or
-    {"kind": ..., "a": ...} for a flattened loss.  Raises ValueError on any
-    other key or kind."""
+    {"kind": ..., "a": ...} for a flattened loss, whose "a" is a JSON number.
+    Raises ValueError on any other key, kind or value of "a"."""
     kind = obj.get("kind")
     if kind not in (LOGISTIC, FLAT_EXP, FLAT_POLY):
         raise ValueError(f"unknown loss kind {kind!r}")
@@ -112,9 +112,8 @@ def loss_from_json(obj: dict) -> LossSpec:
         raise ValueError(f"unknown keys of a {kind} loss: {sorted(unknown)}")
     if kind == LOGISTIC:
         return logistic()
-    if kind == FLAT_EXP:
-        return flattened_exponential(float(obj["a"]))
-    return flattened_polynomial(float(obj["a"]))
+    a = json_number(obj, "a", f"a {kind} loss")
+    return flattened_exponential(a) if kind == FLAT_EXP else flattened_polynomial(a)
 
 
 # -- pointwise evaluation ---------------------------------------------------

@@ -1,5 +1,5 @@
 """Deterministic low-level numerics: seeded randomness, Gaussian sampling,
-and 1-D minimization.
+1-D minimization, and the number check of config-JSON descriptors.
 
 Everything here is 64-bit float and fully reproducible: the random stream
 is PCG64 (seeded) and normals come from Box-Muller on that stream, so the
@@ -8,6 +8,7 @@ same seed gives the same draws on every run.
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Callable
 
@@ -16,6 +17,7 @@ import numpy as np
 __all__ = [
     "Rng",
     "minimize_1d",
+    "json_number",
 ]
 
 # golden-section reduction factor
@@ -106,3 +108,15 @@ def minimize_1d(
     x = 0.5 * (a + b)
     return x, f(x)
 
+
+def json_number(obj: dict, key: str, what: str, integral: bool = False) -> float | int:
+    """``obj[key]`` of the config-JSON descriptor of ``what``: a JSON number
+    (never a bool, string or null), as a float, or as an int where
+    ``integral``, when it must be a whole number.  Raises ValueError on any
+    other value, before a run can take it for a number it is not."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f'"{key}" of {what} must be a number, not {json.dumps(value)}')
+    if integral and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f'"{key}" of {what} must be an integer, not {json.dumps(value)}')
+    return int(value) if integral else float(value)

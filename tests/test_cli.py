@@ -365,6 +365,33 @@ class TestRunOptionDomains:
         err = self.refused(capsys, tmp_path / "o", "gd", "--config", str(p))
         assert err == 'error: --data-seed (the dataset\'s "seed") must be >= 0\n'
 
+    @pytest.mark.parametrize("argv,part,key,value,error", [
+        (("gd", "--loss", "flat_exp", "--a", "2", "--steps", "5"), "loss", "a", None,
+         '"a" of a flat_exp loss must be a number, not null'),
+        (("gd", "--loss", "flat_exp", "--a", "2", "--steps", "5"), "loss", "a", True,
+         '"a" of a flat_exp loss must be a number, not true'),
+        (SYNTHETIC, "dataset", "seed", 2.5,
+         '"seed" of a synthetic dataset must be an integer, not 2.5'),
+        (SYNTHETIC, "dataset", "seed", True,
+         '"seed" of a synthetic dataset must be a number, not true'),
+        (SYNTHETIC, "dataset", "seed", "3",
+         '"seed" of a synthetic dataset must be a number, not "3"'),
+        (SYNTHETIC, "dataset", "gamma", "0.1",
+         '"gamma" of a synthetic dataset must be a number, not "0.1"'),
+    ], ids=["a-null", "a-true", "seed-2.5", "seed-true", "seed-str", "gamma-str"])
+    def test_descriptor_number_in_config(self, tmp_path, capsys, argv, part, key, value,
+                                         error):
+        # a descriptor's number must be a JSON number, and the seed a whole
+        # one: none is coerced into a run that its config.json misstates
+        first = tmp_path / "first"
+        assert run(*argv, "--out", str(first)) == 0
+        cfg = json.loads((first / "config.json").read_text())
+        cfg[part][key] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(cfg))
+        err = self.refused(capsys, tmp_path / "o", argv[0], "--config", str(p))
+        assert err == f"error: {error}\n"
+
     @pytest.mark.parametrize("argv,points", [
         (("--steps", "30"), 15), (("--steps", "200", "--tail-fraction", "0.05"), 10),
     ], ids=["short-run", "short-tail"])

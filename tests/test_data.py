@@ -312,3 +312,32 @@ class TestDatasetValidation:
         with pytest.raises(ValueError) as exc:
             data.dataset_from_json(desc)
         assert str(exc.value) == error
+
+    SYNTHETIC = {"kind": "synthetic", "n": 10, "d": 3, "gamma": 0.2, "seed": 1}
+
+    @pytest.mark.parametrize("key,value,error", [
+        ("seed", 2.5, "an integer, not 2.5"), ("seed", True, "a number, not true"),
+        ("seed", "3", 'a number, not "3"'), ("n", 10.5, "an integer, not 10.5"),
+        ("d", False, "a number, not false"), ("gamma", "0.1", 'a number, not "0.1"'),
+        ("gamma", True, "a number, not true"),
+    ], ids=["seed-2.5", "seed-true", "seed-str", "n-float", "d-bool", "gamma-str",
+            "gamma-bool"])
+    def test_synthetic_numbers_are_json_numbers(self, key, value, error):
+        with pytest.raises(ValueError) as exc:
+            data.dataset_from_json(dict(self.SYNTHETIC, **{key: value}))
+        assert str(exc.value) == f'"{key}" of a synthetic dataset must be {error}'
+
+    def test_integral_float_seed_is_the_int_seed(self):
+        ds = data.dataset_from_json(dict(self.SYNTHETIC, seed=1.0))
+        assert np.array_equal(ds.xs, data.dataset_from_json(self.SYNTHETIC).xs)
+
+    @pytest.mark.parametrize("desc,error", [
+        ({"kind": "lower_bound", "gamma": None},
+         '"gamma" of a lower_bound dataset must be a number, not null'),
+        ({"kind": "csv", "path": None}, '"path" of a csv dataset must be a string, not null'),
+        ({"kind": "csv", "path": 5}, '"path" of a csv dataset must be a string, not 5'),
+    ], ids=["lower_bound-gamma-null", "csv-path-null", "csv-path-number"])
+    def test_other_descriptor_values(self, desc, error):
+        with pytest.raises(ValueError) as exc:
+            data.dataset_from_json(desc)
+        assert str(exc.value) == error

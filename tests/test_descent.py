@@ -4,16 +4,19 @@ and determinism."""
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eoslab import bounds, data, descent, losses
 from eoslab.numerics import Rng
 
 from _oracles import (finite_diff_grad, linear_gd_maps, perceptron_potential_check,
-                      split_optimization_check)
+                      split_optimization_check, write_trajectory_csv_rows)
 
 LOG = losses.logistic()
 TOY = data.toy_dataset()
@@ -805,3 +808,62 @@ class TestCsvWriter:
         p = tmp_path / "s.csv"
         descent.write_trajectory_csv(tr, p)
         assert p.read_text().splitlines()[0].endswith(",zero_one")
+
+
+# values whose repr is hard: NaN, infinities, signed zero, subnormals, and
+# both sides of repr's switch to exponent notation (at 1e16 and below 1e-4)
+CSV_SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
+               1e16, math.nextafter(1e16, 0.0), math.nextafter(1e16, math.inf),
+               1e-4, math.nextafter(1e-4, 0.0), 1e-5, 9.999999999999999e15, 0.1, 1 / 3]
+
+
+def _csv_trajectory(rows: int, pool: list, seed: int, zero_one: bool) -> descent.Trajectory:
+    """A Trajectory of ``rows`` recorded steps, every series drawn from pool."""
+    rng = np.random.default_rng(seed)
+
+    def col():
+        return np.array(pool)[rng.integers(0, len(pool), rows)]
+
+    return descent.Trajectory(
+        steps=np.arange(rows, dtype=np.int64) * 10, loss=col(), grad_norm=col(),
+        param_norm=col(), dist_init=col(), G=col(), F=col(), eta=1.0, loss_spec=LOG,
+        record_every=10, w_final=np.zeros(2), zero_one=col() if zero_one else None)
+
+
+class TestCsvWriterMatchesRowOracle:
+    """The block writer's bytes are those of the row-by-row reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.one_of(st.sampled_from([1, 1023, 1024, 1025, 2049]),
+                          st.integers(1, 3000)),
+           pool=st.lists(st.one_of(st.floats(), st.sampled_from(CSV_SPECIAL)),
+                         min_size=1, max_size=12),
+           seed=st.integers(0, 2 ** 32 - 1), zero_one=st.booleans())
+    def test_same_bytes(self, tmp_path_factory, rows, pool, seed, zero_one):
+        tr = _csv_trajectory(rows, pool, seed, zero_one)
+        tmp = tmp_path_factory.mktemp("csv")
+        descent.write_trajectory_csv(tr, tmp / "block.csv")
+        write_trajectory_csv_rows(tr, tmp / "rows.csv")
+        assert (tmp / "block.csv").read_bytes() == (tmp / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize("zero_one", [False, True])
+    def test_run_outputs(self, tmp_path, zero_one):
+        tr = (descent.run_sgd(NTOY, 8.0, 3000, Rng(2)) if zero_one else
+              descent.run_gd(descent.GdConfig(eta=8.0, steps=3000, loss=LOG), NTOY))
+        descent.write_trajectory_csv(tr, tmp_path / "block.csv")
+        write_trajectory_csv_rows(tr, tmp_path / "rows.csv")
+        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_csv_writer_memory_does_not_grow_with_rows(tmp_path):
+    # 200,001 rows of seven series: the row-by-row writer held every column
+    # as Python numbers (about 44 MB); the block writer holds one block's text
+    tr = _csv_trajectory(200_001, [0.1, 1 / 3, 2.5e-7, 1e20], 0, False)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        descent.write_trajectory_csv(tr, tmp_path / "t.csv")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, peak

@@ -166,6 +166,12 @@ class TestConstants:
             L.loss_from_json(desc)
         assert str(exc.value) == error
 
+    @pytest.mark.parametrize("a", [None, True, "2", [2.0]], ids=["null", "bool", "str", "list"])
+    @pytest.mark.parametrize("kind", ["flat_exp", "flat_poly"])
+    def test_descriptor_a_must_be_a_number(self, kind, a):
+        with pytest.raises(ValueError, match=f'"a" of a {kind} loss must be a number'):
+            L.loss_from_json({"kind": kind, "a": a})
+
 
 class TestRho:
     def test_rho_bound_values(self):
