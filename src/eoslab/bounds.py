@@ -355,13 +355,16 @@ def bound_reports(loss: L.LossSpec, gamma: float, eta: float, t: int, *,
 
     A row is left out when its formula needs an input not given (``s``,
     ``d``); ``T`` defaults to ``t``.  A gated-out row, or one whose formula
-    rejects its inputs with ValueError, reports NaN, not applicable, with
-    the gate's note or the formula's message.  Raises ValueError unless
-    gamma, eta > 0, t, n >= 1, 0 < delta <= 1, T >= 1.
+    rejects its inputs (ValueError) or overflows on them (ArithmeticError),
+    reports NaN, not applicable, with the gate's note or the error's
+    message.  Raises ValueError unless gamma, eta, delta, F_s, C1, C2, C_a
+    are finite, gamma, eta > 0, t, n >= 1, 0 < delta <= 1 and T >= 1.
     """
-    for ok, need in ((gamma > 0, "gamma > 0"), (eta > 0, "eta > 0"), (t >= 1, "t >= 1"),
-                     (n >= 1, "n >= 1"), (0 < delta <= 1, "0 < delta <= 1"),
-                     (T is None or T >= 1, "T >= 1")):
+    reals = dict(gamma=gamma, eta=eta, delta=delta, F_s=F_s, C1=C1, C2=C2, C_a=C_a)
+    for ok, need in [(math.isfinite(v), f"finite {k}") for k, v in reals.items()] + [
+            (gamma > 0, "gamma > 0"), (eta > 0, "eta > 0"), (t >= 1, "t >= 1"),
+            (n >= 1, "n >= 1"), (0 < delta <= 1, "0 < delta <= 1"),
+            (T is None or T >= 1, "T >= 1")]:
         if not ok:
             raise ValueError(f"need {need}")
     given = {"loss": loss, "gamma": gamma, "eta": eta, "t": t, "n": n, "s": s,
@@ -378,7 +381,7 @@ def bound_reports(loss: L.LossSpec, gamma: float, eta: float, t: int, *,
         note = row.note if ok else _GATE_NOTES[row.gate]
         try:
             value = row.formula(**args) if ok else math.nan
-        except ValueError as exc:  # the inputs are outside the formula's domain
+        except (ValueError, ArithmeticError) as exc:  # outside the formula's domain
             ok, value, note = False, math.nan, str(exc)
         if isinstance(value, AccelerationPlan):  # its schedule joins the inputs
             plan, ok, value = value, value.feasible, value.bound

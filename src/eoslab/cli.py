@@ -345,7 +345,9 @@ def _add_loss_flags(p: argparse.ArgumentParser) -> None:
                    help="temperature/degree for the flattened losses")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(given_only: bool = False) -> argparse.ArgumentParser:
+    """The eos-lab parser; with ``given_only``, a run command's flags that
+    are not given parse to None, as no given flag does."""
     ap = argparse.ArgumentParser(
         prog="eos-lab",
         description="large-stepsize gradient descent experiments on "
@@ -385,6 +387,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if name in ("sgd", "ntk"):
             p.add_argument("--seed", type=int, default=None)
         p.add_argument("--no-svg", dest="svg", action="store_false")
+        if given_only:
+            p.set_defaults(**dict.fromkeys(vars(p.parse_args([]))))
 
     p = sub.add_parser("bounds", help="print bound reports as JSON lines")
     _add_loss_flags(p)
@@ -439,6 +443,11 @@ def main(argv=None) -> int:
         if args.command == "check-loss":
             return _run_check_loss(args)
         if args.config is not None:
+            given = vars(_build_parser(given_only=True).parse_args(argv)).items()
+            dropped = ["--no-svg" if k == "svg" else "--" + k.replace("_", "-") for k, v in given
+                       if v is not None and k not in ("command", "config", "out")]
+            if dropped:  # the config's values would override them
+                raise ValueError(f"--config takes no run flag but --out: {', '.join(dropped)}")
             # a fresh parser: one held through the run ages into the oldest GC generation;
             # with a --seed, as the config's own seed, not EOS_LAB_SEED, is the run's
             bare = [args.command] + (["--seed", "0"] if hasattr(args, "seed") else [])

@@ -163,12 +163,8 @@ def synthetic_separable(n: int, d: int, gamma: float, rng: Rng) -> Dataset:
     return Dataset(xs, ys, name=f"synthetic(n={n},d={d},gamma={gamma})")
 
 
-def load_csv(path: str | Path, normalize: str | None = None) -> Dataset:
-    """Parse a header-less ``label,x1,...,xd`` CSV.
-
-    ``normalize="max"`` divides every sample by the largest sample norm so
-    the unit-ball condition holds.
-    """
+def load_csv(path: str | Path) -> Dataset:
+    """Parse a header-less ``label,x1,...,xd`` CSV."""
     path = Path(path)
     rows = []
     with path.open("r", encoding="utf-8") as fh:
@@ -194,14 +190,9 @@ def load_csv(path: str | Path, normalize: str | None = None) -> Dataset:
             raise ValueError(f"{path}: row {lineno} has {len(r)} fields, expected {width}")
     arr = np.array(rows)
     try:
-        ds = Dataset(arr[:, 1:], arr[:, 0], name=path.stem)
+        return Dataset(arr[:, 1:], arr[:, 0], name=path.stem)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if normalize == "max":
-        ds = normalized(ds)
-    elif normalize is not None:
-        raise ValueError(f"unknown normalize mode {normalize!r}")
-    return ds
 
 
 def normalized(ds: Dataset) -> Dataset:
@@ -335,7 +326,5 @@ def dataset_from_json(obj: dict) -> Dataset:
         if not isinstance(obj["path"], str):
             raise ValueError(f'"path" of a csv dataset must be a string, '
                              f'not {json.dumps(obj["path"])}')
-        ds = load_csv(obj["path"], normalize=obj.get("normalize"))
-    if obj.get("normalize") == "max" and kind != "csv":
-        ds = normalized(ds)
-    return ds
+        ds = load_csv(obj["path"])
+    return ds if "normalize" not in obj else normalized(ds)

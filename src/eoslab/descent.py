@@ -6,9 +6,9 @@ runs, the rows of one (K, p) matrix, each bit for bit as alone: linear
 runs of ``run_gd_batch`` (``run_gd`` is a batch of one), and a network
 run of ``eoslab.ntk.run_gd_ntk``.  ``run_sgd`` is neither batched (its
 runs are written one by one, as each ends) nor run by the engine: it
-shares the block-length rule, the divergence guard and ``_sq_norms``, but
-records its own series, with G, F and the gradient norm taken from
-1/(1+e^z) and 1/e^z, which differ from the engine's in the last bit.
+shares the argument check, the block-length rule, the divergence guard and
+``_sq_norms``, but records its own series, with G, F and the gradient norm
+from 1/(1+e^z) and 1/e^z, which differ from the engine's in the last bit.
 
 A trajectory records, at every recorded step, the loss L, the gradient,
 parameter and distance-from-initialization norms, the gradient potential
@@ -69,6 +69,14 @@ class DivergenceError(RuntimeError):
         self.step = step
 
 
+def _check_run(eta: float, steps: int) -> None:
+    """The stepsize and step count every engine requires."""
+    if not 0.0 < eta < math.inf:
+        raise ValueError("eta must be positive and finite")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+
+
 @dataclass(frozen=True)
 class GdConfig:
     eta: float
@@ -79,10 +87,7 @@ class GdConfig:
     store_iterates: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.eta < math.inf:
-            raise ValueError("eta must be positive and finite")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        _check_run(self.eta, self.steps)
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -92,7 +97,8 @@ class Trajectory:
     """Recorded series of one run; all arrays are aligned with ``steps``.
 
     ``iterates`` is the full (steps+1, d) parameter history and is only
-    present when a GD run stored it (memory scales with steps * d).
+    present when a GD run stored it (memory scales with steps * d).  Every
+    array is read-only: runs of a batch share ``steps`` and engine buffers.
     """
 
     steps: np.ndarray
@@ -108,6 +114,11 @@ class Trajectory:
     w_final: np.ndarray
     iterates: Optional[np.ndarray] = None
     zero_one: Optional[np.ndarray] = None   # population 0-1 error (SGD runs)
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     @property
     def dense(self) -> bool:
@@ -149,11 +160,10 @@ class _DivergenceGuard:
     """The divergence guard of one run: :meth:`check`, fed the losses of
     steps start, start+1, ... in step order, raises
     :class:`DivergenceError` on a non-finite loss, or once the loss has
-    stayed above the factor times L(w_0) for patience steps in a row with
-    ``diverged`` formatted with ``t``, ``factor`` and ``patience``."""
+    stayed above the factor times L(w_0) for patience steps in a row."""
 
-    def __init__(self, diverged: str):
-        self.diverged, self.loss0, self.over = diverged, None, 0
+    def __init__(self):
+        self.loss0, self.over = None, 0
 
     def check(self, start: int, lvals: np.ndarray) -> None:
         for t, lval in enumerate(lvals.tolist(), start):
@@ -163,8 +173,8 @@ class _DivergenceGuard:
                 self.loss0 = lval
             self.over = self.over + 1 if lval > _GUARD_FACTOR * self.loss0 else 0
             if self.over >= _GUARD_PATIENCE:
-                raise DivergenceError(t, self.diverged.format(
-                    t=t, factor=_GUARD_FACTOR, patience=_GUARD_PATIENCE))
+                raise DivergenceError(t, f"loss exceeded {_GUARD_FACTOR:g} * L(w_0) for "
+                                         f"{_GUARD_PATIENCE} consecutive steps (step {t})")
 
     def quiet(self, lmax: float, n: int) -> bool:
         """Stands in for :meth:`check` on steps whose losses are each the
@@ -189,8 +199,7 @@ def _sq_norms(A: np.ndarray) -> np.ndarray:
 
 
 def gd_engine(W, n: int, margins, gradient, loss: L.LossSpec, etas,
-              T: int, record_every: int, iterates: Optional[np.ndarray],
-              diverged: str) -> list:
+              T: int, record_every: int, iterates: Optional[np.ndarray]) -> list:
     """The full-batch GD loop (internal) of :func:`run_gd_batch` and
     ``ntk.run_gd_ntk``: step t moves each run k, a row of the (K, p) matrix
     ``W``, to ``w_t - etas[k] * gradient(l'(Z))[k]`` at the (K, n) margins
@@ -209,10 +218,10 @@ def gd_engine(W, n: int, margins, gradient, loss: L.LossSpec, etas,
     # per run: loss, G, F and the squared gradient, parameter, distance norms
     rec = np.empty((K, 6, len(steps)))
     ids, out = np.arange(K), [None] * K
-    guards = [_DivergenceGuard(diverged) for _ in ids]
+    guards = [_DivergenceGuard() for _ in ids]
     block = min(_block_len(K * n), T + 1)
-    cap = max(1, _BLOCK_FLOATS // (K * p))  # recorded rows per pass of _sq_norms
-    Z_buf, WG_buf, k = np.empty((block, K, n)), np.empty((2, min(cap, block), K, p)), 0
+    Z_buf, k = np.empty((block, K, n)), 0
+    WG_buf = np.empty((2, min(_block_len(K * p), block), K, p))  # rows per pass of _sq_norms
 
     # a block may run up to a block of steps past a divergence before the
     # guard sees it; those steps' overflows and NaNs are discarded with it
@@ -273,9 +282,9 @@ def gd_engine(W, n: int, margins, gradient, loss: L.LossSpec, etas,
     for i, series, w, eta in zip(ids.tolist(), rec, W, etas[:, 0].tolist()):
         grad_norm, param_norm, dist_init = series[3:]
         out[i] = Trajectory(
-            steps=steps.copy(), loss=series[0], grad_norm=grad_norm,
+            steps=steps, loss=series[0], grad_norm=grad_norm,
             param_norm=param_norm, dist_init=dist_init, G=series[1], F=series[2],
-            eta=eta, loss_spec=loss, record_every=record_every, w_final=w.copy(),
+            eta=eta, loss_spec=loss, record_every=record_every, w_final=w,
             iterates=None if iterates is None else iterates[i])
     return out
 
@@ -308,8 +317,7 @@ def run_gd_batch(cfgs: list, ds: Dataset) -> list:
     return gd_engine(
         inits, ds.n, *_linear_maps(ds), cfg.loss, [c.eta for c in cfgs],
         cfg.steps, cfg.record_every,
-        np.empty((len(cfgs), cfg.steps + 1, ds.d)) if cfg.store_iterates else None,
-        "loss exceeded {factor:g} * L(w_0) for {patience} consecutive steps (step {t})")
+        np.empty((len(cfgs), cfg.steps + 1, ds.d)) if cfg.store_iterates else None)
 
 
 def run_gd(cfg: GdConfig, ds: Dataset) -> Trajectory:
@@ -355,10 +363,7 @@ def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng) -> Trajectory:
     bit for bit as step by step.  Memory is the block buffers plus the O(T)
     series; no iterate is kept past its block.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if not 0.0 < eta < math.inf:
-        raise ValueError("eta must be positive and finite")
+    _check_run(eta, steps)
     Zy = ds.signed()
     ZyT3 = Zy.T[None]
     rows = list(Zy)
@@ -372,7 +377,7 @@ def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng) -> Trajectory:
     rec = np.empty((6, T + 1))  # loss, grad_norm, param_norm, G, F, zero_one
     block = min(_block_len(max(n, ds.d)), T + 1)
     W_buf, Z_buf = np.empty((block, ds.d)), np.empty((block, n))
-    guard = _DivergenceGuard("population loss diverged (step {t})")
+    guard = _DivergenceGuard()
 
     # a block may run up to a block of steps past a divergence before the
     # guard sees it; those steps' overflows and NaNs are discarded with it
@@ -410,8 +415,8 @@ def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng) -> Trajectory:
     loss, grad_norm, param_norm, G, F, zero_one = rec
     return Trajectory(
         steps=np.arange(T + 1, dtype=np.int64), loss=loss, grad_norm=grad_norm,
-        param_norm=param_norm, dist_init=param_norm.copy(),  # w_0 = 0
-        G=G, F=F, eta=eta, loss_spec=L.logistic(), record_every=1, w_final=w.copy(),
+        param_norm=param_norm, dist_init=param_norm,  # w_0 = 0
+        G=G, F=F, eta=eta, loss_spec=L.logistic(), record_every=1, w_final=w,
         zero_one=zero_one)
 
 

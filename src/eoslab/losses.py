@@ -210,7 +210,7 @@ def psi(loss: LossSpec, lam: float) -> float:
 
 def psi_inverse(loss: LossSpec, y: float) -> float:
     """Smallest lambda >= 1 with psi(lambda) >= y, by bisection to a
-    relative tolerance of 1e-10.
+    relative tolerance of 1e-10; inf when no float lambda reaches y.
 
     rho(lambda)/lambda is non-increasing, so psi is non-decreasing and the
     crossing is unique once psi exceeds y.
@@ -221,12 +221,10 @@ def psi_inverse(loss: LossSpec, y: float) -> float:
     if y == psi1:
         return 1.0
     lo, hi = 1.0, 2.0
-    for _ in range(400):
-        if psi(loss, hi) >= y:
-            break
+    while not psi(loss, hi) >= y:
         lo, hi = hi, hi * 4.0
-    else:
-        raise RuntimeError("psi_inverse: upper bracket expansion failed")
+        if hi == math.inf:
+            return math.inf
     while (hi - lo) > 1e-10 * hi:
         mid = 0.5 * (lo + hi)
         if psi(loss, mid) >= y:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import losses as L
 from .data import Dataset, MarginCertificate, margin
-from .descent import DivergenceError, Trajectory, gd_engine
+from .descent import DivergenceError, Trajectory, _check_run, gd_engine
 from .numerics import Rng
 
 __all__ = [
@@ -102,13 +102,9 @@ def run_gd_ntk(net: NtkNet, ds: Dataset, loss: L.LossSpec, eta: float,
     A run at insufficient width leaves the lazy radius rather than
     failing.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if not 0.0 < eta < math.inf:
-        raise ValueError("eta must be positive and finite")
+    _check_run(eta, T)
     [traj] = gd_engine(net.w0.reshape(1, -1), ds.n,
-                       *_network_maps(net, ds), loss, [eta], T, 1, None,
-                       "network loss diverged (step {t})")
+                       *_network_maps(net, ds), loss, [eta], T, 1, None)
     if isinstance(traj, DivergenceError):
         raise traj
     return traj

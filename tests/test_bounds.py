@@ -6,6 +6,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eoslab import bounds as B
 from eoslab import losses as L
@@ -190,6 +192,32 @@ class TestNtkBoundFormulas:
         reps = B.bound_reports(L.flattened_polynomial(2.0), 0.5, 1.0, 100,
                                 s=10, T=200, n=4, delta=0.1)
         assert "tau_exp_tail" not in {r.name for r in reps}
+
+
+# finite reals drawn log-uniformly from 1e-300 to 1e308, and whole counts
+LOG_UNIFORM = st.floats(-300.0, 308.0).map(lambda e: 10.0 ** e)
+WHOLE = st.integers(1, 10 ** 9)
+FAMILIES = st.one_of(st.just(L.logistic()),
+                     st.floats(0.1, 10.0).map(L.flattened_exponential),
+                     st.floats(0.1, 10.0).map(L.flattened_polynomial))
+
+
+class TestBoundReportsTotal:
+    """On finite inputs bound_reports refuses them with ValueError or
+    returns its reports: no float overflow, underflow or division by zero
+    escapes a row."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(loss=FAMILIES, reals=st.tuples(*[LOG_UNIFORM] * 7), t=WHOLE, n=WHOLE,
+           T=st.none() | WHOLE, d=st.none() | WHOLE, s=st.none() | st.integers(0, 10 ** 9))
+    def test_reports_or_value_error(self, loss, reals, t, n, T, d, s):
+        gamma, eta, delta, F_s, C1, C2, C_a = reals
+        try:
+            reports = B.bound_reports(loss, gamma, eta, t, n=n, s=s, T=T, d=d, delta=delta,
+                                      F_s=F_s, C1=C1, C2=C2, C_a=C_a)
+        except ValueError:
+            return
+        assert reports and all(isinstance(r, B.BoundReport) for r in reports)
 
 
 class TestTauBound:

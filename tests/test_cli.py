@@ -250,6 +250,20 @@ class TestConfigSchema:
             assert run(command, "--config", str(p), "--out", str(out)) == 3, variant
             assert files_in(out) == []
 
+    @pytest.mark.parametrize("command", sorted(RUN_COMMANDS))
+    def test_run_flags_beside_config_refused(self, tmp_path, capsys, command):
+        # the config's own values would override them
+        argv, _ = RUN_COMMANDS[command]
+        first = tmp_path / "first"
+        assert run(*argv, "--out", str(first), "--no-svg") == 0
+        capsys.readouterr()
+        out = tmp_path / "again"
+        assert run(command, "--config", str(first / "config.json"), "--steps", "7",
+                   "--dataset", "toy", "--no-svg", "--out", str(out)) == 3
+        assert capsys.readouterr().err == (
+            "error: --config takes no run flag but --out: --dataset, --steps, --no-svg\n")
+        assert files_in(out) == []
+
 
 class TestRunOptionDomains:
     """An out-of-domain run option exits 3 with one error line before any
@@ -668,6 +682,24 @@ class TestBoundsCommand:
         assert row["precondition_note"] == (
             "the sufficient width overflows a float at gamma=1e-60")
 
+    @pytest.mark.parametrize("argv,row,note", [
+        ("--gamma 0.1 --eta 1e160 --t 100", "eos_avg", "(34, 'Numerical result out of range')"),
+        ("--gamma 1e-200 --eta 1 --t 100", "tau_logistic", "float division by zero"),
+    ])
+    def test_float_failure_row_not_applicable(self, capsys, argv, row, note):
+        assert run("bounds", *argv.split()) == 0
+        lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        [got] = [l for l in lines if l["name"] == row]
+        assert not got["applicable"] and math.isnan(got["value"])
+        assert got["precondition_note"] == note
+
+    def test_tau_beyond_every_float_is_inf(self, tmp_path):
+        # tau_general's lambda = psi^-1(eta + n) overflows a float
+        out = tmp_path / "o"
+        assert run("gd", "--loss", "flat_poly", "--a", "2", "--eta", "1e200",
+                   "--steps", "10", "--out", str(out)) == 0
+        assert json.loads((out / "gd_eta1e+200_phase.json").read_text())["tau_bound"] == math.inf
+
 
 # `eos-lab bounds` argument lists; tests/golden/bounds_<k>.jsonl holds the
 # exact stdout of the k-th (1-based).  The first eight were captured from
@@ -705,6 +737,9 @@ class TestBoundsGolden:
         "--gamma 0.2 --eta 8 --t 100 --T 0",
         "--gamma 0.2 --eta 8 --t 0",
         "--gamma 0.2 --eta 8 --t 100 --delta 0",
+        "--gamma 0.1 --eta inf --t 100",
+        "--gamma 0.1 --eta 1 --t 100 --C1 nan",
+        "--gamma inf --eta 1 --t 100",
     ])
     def test_out_of_domain_exit_code(self, argv, capsys):
         assert run("bounds", *argv.split()) == 3

@@ -272,8 +272,9 @@ class TestCsv:
     def test_normalization(self, tmp_path):
         p = tmp_path / "wide.csv"
         p.write_text("1,3.0,4.0\n-1,0.5,0.5\n")
-        ds = data.load_csv(p, normalize="max")
+        ds = data.dataset_from_json({"kind": "csv", "path": str(p), "normalize": "max"})
         assert ds.max_norm == pytest.approx(1.0, abs=1e-12)
+        assert ds.name == "wide/normalized"
 
 
 class TestDatasetValidation:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eoslab import bounds, data, descent, losses
+from eoslab import bounds, data, descent, losses, ntk
 from eoslab.numerics import Rng
 
 from _oracles import (finite_diff_grad, linear_gd_maps, perceptron_potential_check,
@@ -277,7 +277,9 @@ def _reference_sgd(ds, eta, steps, rng):
                 loss0 = lval
             over = over + 1 if lval > descent._GUARD_FACTOR * loss0 else 0
             if over >= descent._GUARD_PATIENCE:
-                raise descent.DivergenceError(t, f"population loss diverged (step {t})")
+                raise descent.DivergenceError(t, (
+                    f"loss exceeded {descent._GUARD_FACTOR:g} * L(w_0) for "
+                    f"{descent._GUARD_PATIENCE} consecutive steps (step {t})"))
             expz = np.exp(z)
             svec = 1.0 / (1.0 + expz)
             rec["loss"][t] = lval
@@ -342,7 +344,7 @@ class TestSgdMatchesStepwiseReference:
         ds = data.Dataset(np.array([[1.0], [0.3]]), np.array([1.0, -1.0]),
                           name="conflict")
         got = _divergence(descent.run_sgd, ds, 1e6, 1000, seed)
-        assert got == (50, "population loss diverged (step 50)")
+        assert got == (50, "loss exceeded 1000 * L(w_0) for 50 consecutive steps (step 50)")
         assert got == _divergence(_reference_sgd, ds, 1e6, 1000, seed)
 
 
@@ -550,6 +552,19 @@ class TestGdBatchMatchesAlone:
 
 
 CONFLICT = data.Dataset(np.array([[1.0], [0.3]]), np.array([1.0, -1.0]), name="conflict")
+def test_trajectories_share_read_only_arrays():
+    # the runs of one batch share one steps array, run_sgd's dist_init is
+    # its param_norm (w_0 = 0), and no engine's Trajectory can be written
+    batch = descent.run_gd_batch([_batch_cfg(NTOY, LOG, 7, 100, k) for k in range(3)], NTOY)
+    assert all(np.shares_memory(tr.steps, batch[0].steps) for tr in batch[1:])
+    sgd = descent.run_sgd(NTOY, 4.0, 100, Rng(0))
+    assert np.shares_memory(sgd.dist_init, sgd.param_norm)
+    net = ntk.init_net(8, NTOY.d, Rng(0))
+    for tr in batch + [sgd, ntk.run_gd_ntk(net, NTOY, LOG, 1.0, 100)]:
+        arrays = [v for v in vars(tr).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) >= 8 and not any(a.flags.writeable for a in arrays)
+
+
 FLAT_POLY2 = losses.flattened_polynomial(2.0)
 # the minimizer of the flattened polynomial loss (a = 2) on CONFLICT, where
 # (1 + w)^3 = 1/0.3: GD at eta 3e5 started beside it stays quiet for four

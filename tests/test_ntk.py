@@ -275,7 +275,9 @@ def _reference_gd_ntk(net, ds, loss, eta, T):
             loss0 = lval
         over = over + 1 if lval > descent._GUARD_FACTOR * loss0 else 0
         if over >= descent._GUARD_PATIENCE:
-            raise descent.DivergenceError(t, f"network loss diverged (step {t})")
+            raise descent.DivergenceError(t, (
+                f"loss exceeded {descent._GUARD_FACTOR:g} * L(w_0) for "
+                f"{descent._GUARD_PATIENCE} consecutive steps (step {t})"))
         pre = ds.xs @ w.T
         f = np.maximum(pre, 0.0) @ net.a / math.sqrt(net.m)
         coeff = losses.deriv(loss, ds.ys * f) * ds.ys / ds.n
@@ -355,12 +357,12 @@ class TestRunGdNtkMatchesStepwiseReference:
     @pytest.mark.parametrize("loss", NTK_LOSSES, ids=lambda spec: spec.kind)
     def test_sustained_divergence(self, loss):
         out = self._assert_same(lambda: _conflict_net(1e9), CONFLICT, loss, 1e6, 300)
-        assert out == (50, "network loss diverged (step 50)")
+        assert out == (50, "loss exceeded 1000 * L(w_0) for 50 consecutive steps (step 50)")
 
     def test_divergence_before_the_last_block(self):
         # the run leaves the engine in the first of two blocks
         out = self._assert_same(lambda: _conflict_net(1e9), CONFLICT, LOG, 1e6, 1500)
-        assert out == (50, "network loss diverged (step 50)")
+        assert out == (50, "loss exceeded 1000 * L(w_0) for 50 consecutive steps (step 50)")
 
     def test_non_finite_loss(self):
         def blown_up():
