@@ -116,9 +116,9 @@ def compare_bounds(traj: Trajectory, gamma: float, n: int) -> list[Violation]:
     ``avg_G`` and the parameter norm ``param_norm`` against the logistic
     bounds for logistic runs; ``avg_loss`` against the general average-loss
     bound for other losses, with the initialization terms zeroed as
-    appropriate for linear predictors started at zero.  Steps a row's gate
-    rejects (gamma^2*eta*t < 1) are skipped.  On unit-ball data with a
-    certified margin and logistic loss the returned list is empty.
+    appropriate for linear predictors started at zero.  Steps where a row's
+    formula raises (gamma^2*eta*t < 1, or an overflow) are skipped.  On
+    unit-ball data with a certified margin and logistic loss it is empty.
     """
     traj._require_dense()
     series = {"avg_loss": traj.avg_loss(),

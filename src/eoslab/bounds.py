@@ -9,16 +9,17 @@ Conventions shared by all evaluators:
   count, ``n`` the sample count, ``delta`` a failure probability;
 * the combination ``gamma**2 * eta * t`` is the natural time scale; when
   it falls below 1 the log-based formulas stop being meaningful upper
-  bounds, so their table rows are gated on it and reported
-  ``applicable=False`` instead of producing a negative-log artifact;
+  bounds, so they raise ValueError there (their rows report
+  ``applicable=False``) instead of producing a negative-log artifact;
 * the phase-transition constants ``C1``/``C2`` for general losses are not
   pinned down by the theory; they are caller-supplied knobs (default 1)
   and their table rows are noted heuristic.
 
 Each ``BOUNDS`` row maps a reported bound name to its formula, the inputs
-its report shows, its gate, the loss families it covers, its note and the
-recorded series it caps, if any; formulas and gates take their inputs by
-parameter name.
+its report shows, the loss families it covers, its note and the recorded
+series it caps, if any; formulas take their inputs by parameter name, and
+a formula that raises ValueError or ArithmeticError is not applicable at
+those inputs.
 """
 
 from __future__ import annotations
@@ -69,8 +70,15 @@ class BoundReport:
 
 def _scale(gamma: float, eta: float, t: float) -> float:
     x = gamma * gamma * eta * t
-    if x <= 0.0:
-        raise ValueError("gamma^2 * eta * t must be positive")
+    if not x >= 1.0:
+        raise ValueError("gamma^2*eta*t < 1: log-scale formulas not applicable")
+    return x
+
+
+def _scale_after(gamma: float, eta: float, t: float, s: float) -> float:
+    x = gamma * gamma * eta * (t - s)
+    if not (t > s and x >= 1.0):
+        raise ValueError("needs t > s and gamma^2*eta*(t-s) >= 1")
     return x
 
 
@@ -94,9 +102,7 @@ def param_norm_bound(gamma: float, eta: float, t: float) -> float:
 
 def stable_bound(gamma: float, eta: float, t: float, s: float, F_s: float) -> float:
     """Last-iterate loss bound after the stable phase is entered at step s."""
-    if t <= s:
-        raise ValueError("need t > s")
-    x = _scale(gamma, eta, t - s)
+    x = _scale_after(gamma, eta, t, s)
     return (2.0 * F_s + math.log(x) ** 2) / x
 
 
@@ -163,17 +169,15 @@ def ntk_eos_bound(loss: L.LossSpec, gamma: float, eta: float, t: float,
     """
     x = _scale(gamma, eta, t)
     init = C_a + math.sqrt(2.0 * math.log(2.0 * n / delta)) if delta < 1.0 else C_a
-    return 9.0 * (L.rho_bound(loss, max(x, 1.0)) + (init + eta * loss.C_g) ** 2) / x
+    return 9.0 * (L.rho_bound(loss, x) + (init + eta * loss.C_g) ** 2) / x
 
 
 def ntk_stable_bound(loss: L.LossSpec, gamma: float, eta: float,
                      t: float, s: float = 0) -> float:
     """Last-iterate bound after the general-loss stable criterion is met
     at step s (by default from the start)."""
-    if t <= s:
-        raise ValueError("need t > s")
-    x = _scale(gamma, eta, t - s)
-    return 15.0 * L.rho_bound(loss, max(x, 1.0)) / x
+    x = _scale_after(gamma, eta, t, s)
+    return 15.0 * L.rho_bound(loss, x) / x
 
 
 def tau_general(loss: L.LossSpec, gamma: float, eta: float, n: float,
@@ -266,18 +270,6 @@ def table1_regimes(loss: L.LossSpec, T: float) -> list[RegimeRow]:
 # -- the bound table ----------------------------------------------------------
 
 
-def _log_scale(gamma, eta, t):
-    return gamma * gamma * eta * t >= 1.0
-
-
-def _after_s(gamma, eta, t, s):
-    return (t > s) & (gamma * gamma * eta * (t - s) >= 1.0)
-
-
-# the gates (tests over named inputs, t possibly an array of steps) and the
-# note of a row each rejects
-_GATE_NOTES = {_log_scale: "gamma^2*eta*t < 1: log-scale formulas not applicable",
-               _after_s: "needs t > s and gamma^2*eta*(t-s) >= 1"}
 _LOGISTIC = (L.LOGISTIC,)
 _EXP_TAILED = (L.LOGISTIC, L.FLAT_EXP)  # the loss families with a C_e
 _ANY = (L.LOGISTIC, L.FLAT_EXP, L.FLAT_POLY)
@@ -300,50 +292,51 @@ def _bind(fn: Callable, given: dict) -> Optional[dict]:
 
 
 class Bound(NamedTuple):
-    """One row of ``BOUNDS``; a ``gate`` of None means always applicable.
-    ``caps`` names the series of ``analysis.compare_bounds`` that the row
-    bounds at every step (``avg_loss``, ``avg_G`` or ``param_norm``), if any."""
+    """One row of ``BOUNDS``.  ``caps`` names the series of
+    ``analysis.compare_bounds`` that the row bounds at every step
+    (``avg_loss``, ``avg_G`` or ``param_norm``), if any."""
 
     name: str
     formula: Callable
     inputs: tuple[str, ...]
-    gate: Optional[Callable]
     families: tuple[str, ...]
     note: str = ""
     caps: Optional[str] = None
 
     def over(self, ts: np.ndarray, given: dict) -> Iterator[tuple[int, float]]:
-        """(t, value) at each step t of ``ts`` that the gate admits, the
-        other inputs taken from ``given``."""
-        if self.gate is not None:
-            ts = ts[self.gate(**_bind(self.gate, {**given, "t": ts}))]
+        """(t, value) at each step t of ``ts`` where the formula applies (it
+        raises neither ValueError nor ArithmeticError), the other inputs
+        taken from ``given``."""
         args = _bind(self.formula, {**given, "t": ts})
         i, vals = list(args).index("t"), list(args.values())
         for t in ts.tolist():
             vals[i] = t
-            yield t, self.formula(*vals)
+            try:
+                value = self.formula(*vals)
+            except (ValueError, ArithmeticError):  # outside the formula's domain
+                continue
+            yield t, value
 
 
 BOUNDS: tuple[Bound, ...] = (
-    Bound("eos_avg_logistic", eos_avg_bound, _BASE, _log_scale, _LOGISTIC, caps="avg_loss"),
-    Bound("avg_grad_potential", avg_grad_potential_bound, _BASE, _log_scale, _LOGISTIC,
-          caps="avg_G"),
-    Bound("param_norm", param_norm_bound, _BASE, _log_scale, _LOGISTIC, caps="param_norm"),
-    Bound("stable_logistic", stable_bound, _BASE + ("s", "F_s"), _after_s, _LOGISTIC),
-    Bound("tau_logistic", tau_logistic, _BASE + ("n",), None, _LOGISTIC),
-    Bound("acceleration_plan", acceleration_plan, _BASE + ("n", "T"), None, _LOGISTIC),
-    Bound("sgd_loss", sgd_loss_bound, _BASE + ("delta",), _log_scale, _LOGISTIC),
-    Bound("sgd_error", sgd_error_bound, _BASE + ("delta",), _log_scale, _LOGISTIC),
-    Bound("eos_avg", ntk_eos_bound, _COMMON + ("C_a",), _log_scale, _ANY, caps="avg_loss"),
-    Bound("stable", ntk_stable_bound, _COMMON + ("s",), _after_s, _ANY),
-    Bound("tau_general", tau_general, _COMMON + ("C1",), None, _ANY,
+    Bound("eos_avg_logistic", eos_avg_bound, _BASE, _LOGISTIC, caps="avg_loss"),
+    Bound("avg_grad_potential", avg_grad_potential_bound, _BASE, _LOGISTIC, caps="avg_G"),
+    Bound("param_norm", param_norm_bound, _BASE, _LOGISTIC, caps="param_norm"),
+    Bound("stable_logistic", stable_bound, _BASE + ("s", "F_s"), _LOGISTIC),
+    Bound("tau_logistic", tau_logistic, _BASE + ("n",), _LOGISTIC),
+    Bound("acceleration_plan", acceleration_plan, _BASE + ("n", "T"), _LOGISTIC),
+    Bound("sgd_loss", sgd_loss_bound, _BASE + ("delta",), _LOGISTIC),
+    Bound("sgd_error", sgd_error_bound, _BASE + ("delta",), _LOGISTIC),
+    Bound("eos_avg", ntk_eos_bound, _COMMON + ("C_a",), _ANY, caps="avg_loss"),
+    Bound("stable", ntk_stable_bound, _COMMON + ("s",), _ANY),
+    Bound("tau_general", tau_general, _COMMON + ("C1",), _ANY,
           "heuristic: C1 is caller-supplied, not derived"),
-    Bound("tau_exp_tail", tau_exp_tail, _COMMON + ("C2",), None, _EXP_TAILED,
+    Bound("tau_exp_tail", tau_exp_tail, _COMMON + ("C2",), _EXP_TAILED,
           "heuristic: C2 is caller-supplied, not derived"),
-    Bound("lazy_radius", lazy_radius, _COMMON + ("T", "C_a"), None, _ANY),
-    Bound("width_min", width_min, _COMMON + ("T", "C_a"), None, _ANY),
-    Bound("vc", vc_bound, ("d", "n", "delta"), None, _ANY),
-    Bound("regime", table1_regimes, (), None, _ANY, "unit constants"),
+    Bound("lazy_radius", lazy_radius, _COMMON + ("T", "C_a"), _ANY),
+    Bound("width_min", width_min, _COMMON + ("T", "C_a"), _ANY),
+    Bound("vc", vc_bound, ("d", "n", "delta"), _ANY),
+    Bound("regime", table1_regimes, (), _ANY, "unit constants"),
 )
 
 
@@ -354,17 +347,20 @@ def bound_reports(loss: L.LossSpec, gamma: float, eta: float, t: int, *,
     """Reports of the ``BOUNDS`` rows that cover ``loss``, in table order.
 
     A row is left out when its formula needs an input not given (``s``,
-    ``d``); ``T`` defaults to ``t``.  A gated-out row, or one whose formula
-    rejects its inputs (ValueError) or overflows on them (ArithmeticError),
-    reports NaN, not applicable, with the gate's note or the error's
-    message.  Raises ValueError unless gamma, eta, delta, F_s, C1, C2, C_a
-    are finite, gamma, eta > 0, t, n >= 1, 0 < delta <= 1 and T >= 1.
+    ``d``); ``T`` defaults to ``t``.  A row whose formula rejects its inputs
+    (ValueError, as a log-scale formula below gamma^2*eta*t = 1) or
+    overflows on them (ArithmeticError) reports NaN, not applicable, with
+    the error's message.  Raises ValueError unless gamma, eta, delta, F_s,
+    C1, C2, C_a are finite, gamma, eta > 0, t, n >= 1, 0 < delta <= 1,
+    T >= 1, C_a, F_s >= 0, C1, C2 > 0, and d >= 1 and s >= 0 where given.
     """
     reals = dict(gamma=gamma, eta=eta, delta=delta, F_s=F_s, C1=C1, C2=C2, C_a=C_a)
     for ok, need in [(math.isfinite(v), f"finite {k}") for k, v in reals.items()] + [
             (gamma > 0, "gamma > 0"), (eta > 0, "eta > 0"), (t >= 1, "t >= 1"),
             (n >= 1, "n >= 1"), (0 < delta <= 1, "0 < delta <= 1"),
-            (T is None or T >= 1, "T >= 1")]:
+            (T is None or T >= 1, "T >= 1"), (C_a >= 0, "C_a >= 0"),
+            (F_s >= 0, "F_s >= 0"), (C1 > 0, "C1 > 0"), (C2 > 0, "C2 > 0"),
+            (d is None or d >= 1, "d >= 1"), (s is None or s >= 0, "s >= 0")]:
         if not ok:
             raise ValueError(f"need {need}")
     given = {"loss": loss, "gamma": gamma, "eta": eta, "t": t, "n": n, "s": s,
@@ -377,10 +373,9 @@ def bound_reports(loss: L.LossSpec, gamma: float, eta: float, t: int, *,
             continue
         known = {**given, **args}
         inputs = {k: known[k] for k in row.inputs}
-        ok = row.gate is None or row.gate(**_bind(row.gate, known))
-        note = row.note if ok else _GATE_NOTES[row.gate]
+        ok, note = True, row.note
         try:
-            value = row.formula(**args) if ok else math.nan
+            value = row.formula(**args)
         except (ValueError, ArithmeticError) as exc:  # outside the formula's domain
             ok, value, note = False, math.nan, str(exc)
         if isinstance(value, AccelerationPlan):  # its schedule joins the inputs

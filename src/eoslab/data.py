@@ -280,7 +280,12 @@ def margin(ds: Dataset, trace: list | None = None) -> MarginCertificate:
     Z = ds.signed()
     p = _wolfe_min_norm_point(Z, _MARGIN_TOL, trace=trace)
     pnorm = float(np.linalg.norm(p))
-    w_star = p / pnorm if pnorm > 0.0 else p  # p = 0 gives gamma = 0
+    if 0.0 < pnorm < 2.0 ** -500:  # p . p is subnormal: normalize p * 2^600 (exact)
+        p = p * 2.0 ** 600
+        pnorm = float(np.linalg.norm(p))
+        w_star, pnorm = p / pnorm, pnorm * 2.0 ** -600
+    else:
+        w_star = p / pnorm if pnorm > 0.0 else p  # p = 0 gives gamma = 0
     gamma = float(np.min(Z @ w_star))
     if not gamma > 0.0:
         raise NotSeparable(

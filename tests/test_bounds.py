@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from eoslab import bounds as B
 from eoslab import losses as L
+from eoslab.analysis import compare_bounds
+from eoslab.descent import Trajectory
 
 
 class TestEosAvgBound:
@@ -218,6 +220,21 @@ class TestBoundReportsTotal:
         except ValueError:
             return
         assert reports and all(isinstance(r, B.BoundReport) for r in reports)
+
+
+class TestCompareBoundsTotal:
+    """On finite gamma and eta compare_bounds returns its violations: a
+    checked row that overflows at a step skips that step, as does one below
+    the log scale, and no float error escapes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(loss=FAMILIES, gamma=LOG_UNIFORM, eta=LOG_UNIFORM, n=WHOLE)
+    def test_returns_a_list(self, loss, gamma, eta, n):
+        ones = np.ones(6)  # a dense five-step run
+        traj = Trajectory(steps=np.arange(6), loss=ones, grad_norm=ones, param_norm=ones,
+                          dist_init=ones, G=ones, F=ones, eta=eta, loss_spec=loss,
+                          record_every=1, w_final=np.zeros(2))
+        assert isinstance(compare_bounds(traj, gamma, n), list)
 
 
 class TestTauBound:

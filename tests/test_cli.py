@@ -149,6 +149,17 @@ class TestGd:
         lines = (out / "gd_eta8_violations.csv").read_text().splitlines()
         assert lines == ["step,bound,observed"]  # conformant run: no rows
 
+    @pytest.mark.parametrize("loss", [("flat_exp", "1"), ("flat_poly", "2")],
+                             ids=["flat_exp", "flat_poly"])
+    def test_check_bounds_skips_steps_whose_bound_overflows(self, tmp_path, loss):
+        # eta = 1e160: the general average-loss bound overflows a float at
+        # every step, so no step is checked
+        out = tmp_path / "cb"
+        assert run("gd", "--normalize", "--loss", loss[0], "--a", loss[1], "--eta", "1e160",
+                   "--steps", "5", "--check-bounds", "--out", str(out)) == 0
+        lines = (out / "gd_eta1e+160_violations.csv").read_text().splitlines()
+        assert lines == ["step,bound,observed"]
+
     @pytest.mark.parametrize("argv", [
         ("--normalize", "--eta", "8", "--steps", "300", "--record-every", "10"),
         ("--dataset", "csv", "--path", "conflict.csv", "--eta", "1", "--steps", "100"),
@@ -740,6 +751,12 @@ class TestBoundsGolden:
         "--gamma 0.1 --eta inf --t 100",
         "--gamma 0.1 --eta 1 --t 100 --C1 nan",
         "--gamma inf --eta 1 --t 100",
+        "--gamma 0.2 --eta 8 --t 100 --C-a -50",
+        "--gamma 0.2 --eta 8 --t 100 --s 40 --F-s -500",
+        "--gamma 0.2 --eta 8 --t 100 --C1 -1",
+        "--gamma 0.2 --eta 8 --t 100 --C2 -1",
+        "--gamma 0.2 --eta 8 --t 100 --d -5",
+        "--gamma 0.2 --eta 8 --t 100 --s -50",
     ])
     def test_out_of_domain_exit_code(self, argv, capsys):
         assert run("bounds", *argv.split()) == 3

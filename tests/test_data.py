@@ -3,6 +3,7 @@ direction-grid oracle in two dimensions, random separable sets and a
 scipy QP oracle."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -186,6 +187,22 @@ class TestMarginSolver:
         assert cert.gamma <= cert.upper
         assert cert.upper - cert.gamma <= 1e-9 * ds.max_norm
         assert verify_margin(ds, cert, tol=0.0)
+
+    @pytest.mark.parametrize("exponent", range(150, 171))
+    def test_tiny_margin_not_overstated(self, exponent):
+        # below a margin of about 1e-154 the min-norm point p has a subnormal
+        # p . p; the certificate is refused or claims no more than its
+        # direction, normalized, attains (squared, so the check is exact)
+        ds = data.lower_bound_dataset(10.0 ** -exponent)
+        try:
+            cert = data.margin(ds)
+        except data.NotSeparable:
+            return
+        w = [Fraction(x) for x in cert.w_star.tolist()]
+        attained = min(sum(Fraction(z) * wi for z, wi in zip(row, w))
+                       for row in ds.signed().tolist())
+        assert attained > 0
+        assert Fraction(cert.gamma) ** 2 * sum(wi * wi for wi in w) <= attained ** 2
 
     @pytest.mark.parametrize("seed", range(30))
     def test_upper_matches_qp_oracle(self, seed):
