@@ -143,22 +143,36 @@ def _etas(value) -> list[float]:
 # SVG file name, the curves, and the title and y label of write_line_plot.
 
 
-def _sweep(cfg: dict, out: Path, runs, write_one) -> list:
+def _write_run(out: Path, stem: str, traj: G.Trajectory, n: int,
+               cert: D.MarginCertificate | None = None, check: bool = False) -> None:
+    """Write a run's files: ``<stem>.csv``, and for a dense run with a
+    certificate ``<stem>_phase.json``, plus ``<stem>_violations.csv`` when
+    ``check`` asks for the bound checks."""
+    G.write_trajectory_csv(traj, out / f"{stem}.csv")
+    if traj.dense and cert is not None:
+        _json_dump(asdict(G.detect_phase(traj, n, cert.gamma)), out / f"{stem}_phase.json")
+        if check:
+            viol = A.compare_bounds(traj, cert.gamma, n)
+            A.write_violations_csv(viol, out / f"{stem}_violations.csv")
+
+
+def _sweep(cfg: dict, out: Path, runs, stem: str, n: int, cert=None, check=False) -> list:
     """Write ``config.json``, then take the stepsizes' runs, in order, from
     ``runs(etas)``, which yields a Trajectory or the DivergenceError to
-    raise, and call ``write_one(tag, traj)`` on each, where ``tag`` names
-    the run's stepsize in file names; returns the (x, y) that ``write_one``
-    returns as one curve per stepsize."""
+    raise, and write each with :func:`_write_run` as ``stem.format(tag)``,
+    where ``tag`` names the run's stepsize in file names; returns each
+    run's (legend, Trajectory)."""
     etas = _etas(cfg["eta"])
     _json_dump(cfg, out / "config.json")
-    curves = []
+    done = []
     for eta, traj in zip(etas, runs(etas)):
         if isinstance(traj, G.DivergenceError):
             raise traj
         label = _label(eta)
-        x, y = write_one(label.replace(".", "p").replace("-", "m"), traj)
-        curves.append((f"eta={label}", x, y))
-    return curves
+        _write_run(out, stem.format(label.replace(".", "p").replace("-", "m")), traj, n,
+                   cert, check)
+        done.append((f"eta={label}", traj))
+    return done
 
 
 def _run_gd(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
@@ -178,18 +192,9 @@ def _run_gd(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
                                           record_every=int(cfg["record_every"]))
                                for eta in etas], ds)
 
-    def one(tag, traj):
-        G.write_trajectory_csv(traj, out / f"gd_eta{tag}.csv")
-        if traj.dense and cert is not None:
-            phase = G.detect_phase(traj, ds.n, cert.gamma)
-            _json_dump(asdict(phase), out / f"gd_eta{tag}_phase.json")
-            if check:
-                viol = A.compare_bounds(traj, cert.gamma, ds.n)
-                A.write_violations_csv(viol, out / f"gd_eta{tag}_violations.csv")
-        return traj.steps, traj.loss
-
-    return "gd_loss.svg", _sweep(cfg, out, runs, one), dict(title=f"GD loss, {ds.name}",
-                                                            ylabel="loss")
+    done = _sweep(cfg, out, runs, "gd_eta{}", ds.n, cert, check)
+    return "gd_loss.svg", [(name, tr.steps, tr.loss) for name, tr in done], dict(
+        title=f"GD loss, {ds.name}", ylabel="loss")
 
 
 def _run_sgd(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
@@ -201,13 +206,8 @@ def _run_sgd(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
         # not batched
         return (G.run_sgd(ds, eta, int(cfg["steps"]), Rng(seed)) for eta in etas)
 
-    def one(tag, traj):
-        G.write_trajectory_csv(traj, out / f"sgd_eta{tag}_seed{seed}.csv")
-        phase = G.detect_phase(traj, ds.n, cert.gamma)
-        _json_dump(asdict(phase), out / f"sgd_eta{tag}_seed{seed}_phase.json")
-        return traj.steps, traj.loss
-
-    return "sgd_loss.svg", _sweep(cfg, out, runs, one), dict(
+    done = _sweep(cfg, out, runs, "sgd_eta{}_seed%d" % seed, ds.n, cert)
+    return "sgd_loss.svg", [(name, tr.steps, tr.loss) for name, tr in done], dict(
         title=f"SGD population loss, {ds.name}", ylabel="loss")
 
 
@@ -230,15 +230,13 @@ def _run_ntk(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
         mhat = N.ntk_margin_hat(net, ds).gamma
     except D.NotSeparable:
         mhat = None
-    G.write_trajectory_csv(traj, out / "ntk.csv")
+    _write_run(out, "ntk", traj, ds.n, cert)
     # how lazy the run was: its largest distance from w_0 against the radius
     R = B.lazy_radius(loss, cert.gamma, eta, T, ds.n, delta)
     max_dist = float(traj.dist_init.max())
     _json_dump(dict(R=R, max_dist=max_dist, lazy_ok=max_dist <= R, width_min=wmin,
                     ntk_margin_hat=mhat, width=m, width_capped=capped),
                out / "ntk_diagnostics.json")
-    phase = G.detect_phase(traj, ds.n, cert.gamma)
-    _json_dump(asdict(phase), out / "ntk_phase.json")
     curves = [("loss", traj.steps, traj.loss), ("dist_init", traj.steps, traj.dist_init)]
     return "ntk_loss.svg", curves, dict(title=f"Wide-net GD, m={m}, {ds.name}",
                                         ylabel="value")
@@ -287,11 +285,8 @@ def _run_rates(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
             break
         fits[_label(traj.eta)] = asdict(A.fit_rate(traj, tail_fraction=tail))
 
-    def one(tag, traj):
-        G.write_trajectory_csv(traj, out / f"rates_eta{tag}.csv")
-        return traj.steps[1:], traj.eta * traj.steps[1:] * traj.loss[1:]
-
-    curves = _sweep(cfg, out, lambda etas: trajs, one)
+    curves = [(name, tr.steps[1:], tr.eta * tr.steps[1:] * tr.loss[1:])
+              for name, tr in _sweep(cfg, out, lambda etas: trajs, "rates_eta{}", ds.n)]
     _json_dump(fits, out / "rates.json")
     return "rates.svg", curves, dict(title=f"eta*t*loss, {ds.name}",
                                      ylabel="eta * t * loss", logx=True)

@@ -10,7 +10,9 @@ margin its direction verifiably attains, min_i <y_i x_i, w_star>, a lower
 bound on the max margin; ``upper`` = ||p|| is an upper bound, at most a
 fixed 1e-10 times the largest sample norm above ``gamma``.  The solver
 raises :class:`NotSeparable` when the hull contains the origin (within
-tolerance) and :class:`NotConverged` when it hits its iteration cap.
+tolerance) and :class:`NotConverged` when it hits its iteration cap, or
+when roundoff stops it (the best vertex is already active) with a gap
+that the refinement step does not bring within tolerance.
 """
 
 from __future__ import annotations
@@ -164,7 +166,9 @@ def synthetic_separable(n: int, d: int, gamma: float, rng: Rng) -> Dataset:
 
 
 def load_csv(path: str | Path) -> Dataset:
-    """Parse a header-less ``label,x1,...,xd`` CSV."""
+    """Parse a header-less ``label,x1,...,xd`` CSV.  Refuses a file whose
+    largest |feature| lies outside [2^-500, 2^500], where sample norms
+    overflow or underflow; an all-zero file is kept."""
     path = Path(path)
     rows = []
     with path.open("r", encoding="utf-8") as fh:
@@ -190,9 +194,14 @@ def load_csv(path: str | Path) -> Dataset:
             raise ValueError(f"{path}: row {lineno} has {len(r)} fields, expected {width}")
     arr = np.array(rows)
     try:
-        return Dataset(arr[:, 1:], arr[:, 0], name=path.stem)
+        ds = Dataset(arr[:, 1:], arr[:, 0], name=path.stem)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    big = float(np.max(np.abs(ds.xs)))
+    if big and not 2.0 ** -500 <= big <= 2.0 ** 500:
+        raise ValueError(f"{path}: the largest |feature| is {big:.3e}, outside "
+                         f"[2^-500, 2^500]; rescale the features")
+    return ds
 
 
 def normalized(ds: Dataset) -> Dataset:
@@ -215,9 +224,12 @@ def _wolfe_min_norm_point(Z: np.ndarray, tol: float, max_iter: int = 10_000,
     min-norm point of the affine hull of S and drop rows whose weight
     would turn negative.  With R = max_i ||z_i||, stops when the duality
     gap <x, x> - min_i <z_i, x> is at most tol * R * ||x||, so that x/||x||
-    attains a margin within tol * R of ||x||, or when ||x|| <= tol * R.
-    Raises :class:`NotConverged` after ``max_iter`` major steps.  Iterate
-    norms are non-increasing; pass ``trace`` to collect one per major step.
+    attains a margin within tol * R of ||x||, or when ||x|| <= tol * R;
+    either way it returns x after one refinement step.  Where roundoff
+    stops it first (the best row is already active), it refines x and
+    tests again.  Raises :class:`NotConverged` if that test fails, or
+    after ``max_iter`` major steps.  Iterate norms are non-increasing;
+    pass ``trace`` to collect one per major step.
     """
     norms = np.linalg.norm(Z, axis=1)
     rmax = float(np.max(norms))
@@ -237,7 +249,16 @@ def _wolfe_min_norm_point(Z: np.ndarray, tol: float, max_iter: int = 10_000,
             # component of x along the affine hull of the active rows
             return x - B @ np.linalg.lstsq(B, x, rcond=None)[0]
         if j in active:
-            break  # roundoff: the affine solve no longer resolves the gap
+            # roundoff: the affine solve no longer resolves the gap; take
+            # the refinement step and test the gap again
+            x = x - B @ np.linalg.lstsq(B, x, rcond=None)[0]
+            xnorm = float(np.linalg.norm(x))
+            gap = float(x @ x) - float(np.min(Z @ x))
+            if gap <= tol * rmax * xnorm or xnorm <= tol * rmax:
+                return x
+            raise NotConverged(
+                f"margin solver stopped by roundoff with gap {gap:.3e} above its "
+                f"tolerance {tol * rmax * xnorm:.3e}, after refinement")
         active.append(j)
         weights = np.append(weights, 0.0)
         while True:
@@ -275,7 +296,8 @@ def margin(ds: Dataset, trace: list | None = None) -> MarginCertificate:
     step (``bench/tracing.py`` counts the iterations so).  Raises
     :class:`NotSeparable` when no positive margin can be certified (the
     signed-sample hull contains the origin, within tolerance), and
-    :class:`NotConverged` when the solver hits its iteration cap.
+    :class:`NotConverged` when the solver hits its iteration cap or stops
+    on roundoff short of its tolerance.
     """
     Z = ds.signed()
     p = _wolfe_min_norm_point(Z, _MARGIN_TOL, trace=trace)

@@ -82,7 +82,6 @@ class GdConfig:
     eta: float
     steps: int
     loss: L.LossSpec
-    init: Optional[np.ndarray] = None
     record_every: int = 1
     store_iterates: bool = False
 
@@ -301,22 +300,18 @@ def _linear_maps(ds: Dataset) -> tuple:
 
 
 def run_gd_batch(cfgs: list, ds: Dataset) -> list:
-    """Constant-stepsize GD runs on one dataset, advanced as one (K, d)
-    matrix: each config's Trajectory, or the DivergenceError it raises
-    alone, in order, bit for bit as :func:`run_gd` alone, stepped with the
-    maps of :func:`_linear_maps`.  The configs may differ in eta and init
-    only."""
+    """Constant-stepsize GD runs on one dataset, each started at w_0 = 0
+    and advanced as one (K, d) matrix: each config's Trajectory, or the
+    DivergenceError it raises alone, in order, bit for bit as
+    :func:`run_gd` alone, stepped with the maps of :func:`_linear_maps`.
+    The configs may differ in eta only."""
     if len({(c.steps, c.loss, c.record_every, c.store_iterates) for c in cfgs}) != 1:
         raise ValueError("batched runs must share steps, loss, record_every and "
                          "store_iterates")
-    inits = [np.zeros(ds.d) if c.init is None else np.asarray(c.init, dtype=np.float64)
-             for c in cfgs]
-    if any(w.shape != (ds.d,) for w in inits):
-        raise ValueError("init has the wrong dimension")
     cfg = cfgs[0]
     return gd_engine(
-        inits, ds.n, *_linear_maps(ds), cfg.loss, [c.eta for c in cfgs],
-        cfg.steps, cfg.record_every,
+        np.zeros((len(cfgs), ds.d)), ds.n, *_linear_maps(ds), cfg.loss,
+        [c.eta for c in cfgs], cfg.steps, cfg.record_every,
         np.empty((len(cfgs), cfg.steps + 1, ds.d)) if cfg.store_iterates else None)
 
 

@@ -133,6 +133,29 @@ class TestGd:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(csv) in err
 
+    @pytest.mark.parametrize("normalize", [[], ["--normalize"]], ids=["raw", "normalized"])
+    @pytest.mark.parametrize("rows", ["1,1.5e154,1\n-1,-1.5e154,1\n",
+                                      "1,1e-320,1e-320\n-1,-1e-320,1e-320\n"],
+                             ids=["huge", "tiny"])
+    def test_out_of_scale_features_refused(self, tmp_path, capsys, rows, normalize):
+        # row norms overflow (or underflow) here: refused before any write,
+        # not run as a non-separable (or all-zero) set
+        csv = tmp_path / "scale.csv"
+        csv.write_text(rows)
+        out = tmp_path / "s"
+        assert run("gd", "--dataset", "csv", "--path", str(csv), *normalize,
+                   "--steps", "5", "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {csv}: the largest |feature|") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_tiny_lower_bound_margin_certified(self, tmp_path):
+        # roundoff stops the margin solver here; its refinement step certifies
+        out = tmp_path / "lb"
+        assert run("gd", "--dataset", "lower_bound", "--gamma", "1e-8", "--steps", "50",
+                   "--out", str(out)) == 0
+        assert (out / "gd_eta1_phase.json").exists()
+
     def test_solver_not_converged_exit_code(self, tmp_path, capsys, monkeypatch):
         capped = functools.partial(data._wolfe_min_norm_point, max_iter=1)
         monkeypatch.setattr(data, "_wolfe_min_norm_point", capped)
@@ -237,6 +260,41 @@ RUN_COMMANDS = {
                    "accelerate_large.csv"),
     "rates": (["rates", "--eta", "8", "--steps", "100"], "rates_eta8.csv"),
 }
+
+
+# each run command's exact file set: a trajectory CSV per run, its phase
+# JSON where the run is dense and the margin certified, and its violations
+# CSV under --check-bounds
+FILE_SETS = {
+    "gd": (["gd", "--eta", "2,8", "--steps", "50"],
+           ["config.json", "gd_eta2.csv", "gd_eta2_phase.json", "gd_eta8.csv",
+            "gd_eta8_phase.json", "gd_loss.svg"]),
+    "gd-sparse": (["gd", "--eta", "8", "--steps", "50", "--record-every", "10"],
+                  ["config.json", "gd_eta8.csv", "gd_loss.svg"]),
+    "gd-check-bounds": (["gd", "--normalize", "--eta", "8", "--steps", "50",
+                         "--check-bounds"],
+                        ["config.json", "gd_eta8.csv", "gd_eta8_phase.json",
+                         "gd_eta8_violations.csv", "gd_loss.svg"]),
+    "gd-non-separable": (["gd", "--dataset", "csv", "--path", "conflict.csv", "--eta", "1",
+                          "--steps", "50"], ["config.json", "gd_eta1.csv", "gd_loss.svg"]),
+    "sgd": (["sgd", "--eta", "1,100", "--steps", "50", "--seed", "4"],
+            ["config.json", "sgd_eta100_seed4.csv", "sgd_eta100_seed4_phase.json",
+             "sgd_eta1_seed4.csv", "sgd_eta1_seed4_phase.json", "sgd_loss.svg"]),
+    "ntk": (["ntk", "--normalize", "--width", "8", "--steps", "20"],
+            ["config.json", "ntk.csv", "ntk_diagnostics.json", "ntk_loss.svg",
+             "ntk_phase.json"]),
+    "rates": (["rates", "--eta", "8", "--steps", "100"],
+              ["config.json", "rates.json", "rates.svg", "rates_eta8.csv"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_SETS))
+def test_run_file_set(tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "conflict.csv").write_text("1,1.0\n-1,0.3\n")
+    argv, names = FILE_SETS[case]
+    assert run(*argv, "--out", "out") == 0
+    assert files_in(tmp_path / "out") == names
 
 
 class TestConfigSchema:

@@ -180,6 +180,23 @@ class TestMarginSolver:
             data._wolfe_min_norm_point(Z, 1e-10, max_iter=1)
         assert "NotConverged" in data.__all__
 
+    @pytest.mark.parametrize("gamma", [1e-10, 3e-10, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 3e-7])
+    def test_roundoff_stop_refines_before_giving_up(self, gamma):
+        # on these sets roundoff stops the solver (its best row is already
+        # active) with a gap of about eps * R^2; the refinement step, as on
+        # success, brings it within tolerance
+        ds = data.lower_bound_dataset(gamma)
+        cert = data.margin(ds)
+        assert verify_margin(ds, cert, tol=0.0)
+        assert cert.upper - gamma <= 1e-10 * ds.max_norm
+
+    def test_roundoff_stop_names_its_cause(self):
+        # at a zero tolerance no gap passes, so roundoff stops every run
+        Z = data.lower_bound_dataset(1e-8).signed()
+        with pytest.raises(data.NotConverged, match="stopped by roundoff .* after "
+                                                    "refinement$"):
+            data._wolfe_min_norm_point(Z, 0.0)
+
     @settings(max_examples=200, deadline=None)
     @given(separable_sets())
     def test_certificate_brackets_the_margin(self, ds):
@@ -279,6 +296,22 @@ class TestCsv:
         p.write_text("1,0.5,0.25\n-1,nan,1.0\n")
         with pytest.raises(ValueError, match="holes.csv.*finite"):
             data.load_csv(p)
+
+    @pytest.mark.parametrize("scale", [1.5e154, 1e-320, 2.0 ** 500 * (1 + 2 ** -52),
+                                       2.0 ** -501])
+    def test_out_of_scale_features_refused(self, tmp_path, scale):
+        # sample norms overflow or underflow beyond [2^-500, 2^500]
+        p = tmp_path / "scale.csv"
+        p.write_text(f"1,{scale!r},1e-300\n-1,{-scale!r},0\n")
+        with pytest.raises(ValueError, match=r"scale.csv: the largest \|feature\| is .*"
+                                             r"outside \[2\^-500, 2\^500\]"):
+            data.load_csv(p)
+
+    @pytest.mark.parametrize("scale", [2.0 ** 500, 2.0 ** -500, 0.0])
+    def test_in_scale_and_all_zero_features_read(self, tmp_path, scale):
+        p = tmp_path / "scale.csv"
+        p.write_text(f"1,{scale!r},0\n-1,{-scale!r},0\n")
+        np.testing.assert_array_equal(data.load_csv(p).xs, [[scale, 0.0], [-scale, 0.0]])
 
     def test_ragged_rows(self, tmp_path):
         p = tmp_path / "ragged.csv"

@@ -87,9 +87,30 @@ class TestGrad:
                 np.testing.assert_allclose(grad(w), fd, atol=1e-6)
 
 
+def _gd_from(starts, cfgs, ds):
+    """run_gd_batch(cfgs, ds) with run k started at starts[k], not at 0:
+    gd_engine stepped with the linear maps, as run_gd_batch steps it."""
+    cfg = cfgs[0]
+    return descent.gd_engine(
+        np.array(starts, dtype=np.float64), ds.n, *descent._linear_maps(ds), cfg.loss,
+        [c.eta for c in cfgs], cfg.steps, cfg.record_every,
+        np.empty((len(cfgs), cfg.steps + 1, ds.d)) if cfg.store_iterates else None)
+
+
+def _run_gd(cfg, ds, start=None):
+    """run_gd(cfg, ds), or with a ``start`` the same run started there:
+    its Trajectory, or the DivergenceError raised."""
+    if start is None:
+        return descent.run_gd(cfg, ds)
+    [traj] = _gd_from([start], [cfg], ds)
+    if isinstance(traj, descent.DivergenceError):
+        raise traj
+    return traj
+
+
 def _potentials(w):
-    """(G, F) that run_gd records at w."""
-    tr = descent.run_gd(descent.GdConfig(eta=1.0, steps=1, loss=LOG, init=w), TOY)
+    """(G, F) that GD records at w."""
+    tr = _run_gd(descent.GdConfig(eta=1.0, steps=1, loss=LOG), TOY, w)
     return tr.G[0], tr.F[0]
 
 
@@ -155,9 +176,9 @@ class TestRunGd:
         ds = data.Dataset(np.array([[10.0]]), np.array([1.0]), name="one")
         with np.errstate(over="ignore"):
             with pytest.raises(descent.DivergenceError, match="non-finite"):
-                descent.run_gd(descent.GdConfig(
-                    eta=1.0, steps=10, loss=losses.flattened_exponential(1.0),
-                    init=np.array([-1e308])), ds)
+                _run_gd(descent.GdConfig(eta=1.0, steps=10,
+                                         loss=losses.flattened_exponential(1.0)),
+                        ds, np.array([-1e308]))
 
     def test_descent_lemma_regime(self):
         # once the loss is at or below 2/eta, the next step never ascends
@@ -183,8 +204,7 @@ class TestDetectPhase:
 
     def test_absent_theory_step(self):
         # two steps of a tiny-stepsize run never reach loss <= 1/32
-        tr = descent.run_gd(descent.GdConfig(eta=32.0, steps=2, loss=LOG,
-                                             init=np.zeros(2)), NTOY)
+        tr = descent.run_gd(descent.GdConfig(eta=32.0, steps=2, loss=LOG), NTOY)
         ph = descent.detect_phase(tr, NTOY.n, NCERT.gamma)
         assert ph.s_theory is None
 
@@ -348,11 +368,11 @@ class TestSgdMatchesStepwiseReference:
         assert got == _divergence(_reference_sgd, ds, 1e6, 1000, seed)
 
 
-def _reference_gd(cfg, ds):
-    """run_gd with the step-by-step loop that evaluated and recorded every
-    series at each recorded step; the oracle for gd_engine's per-block
-    recorder."""
-    w = np.zeros(ds.d) if cfg.init is None else np.array(cfg.init, dtype=np.float64)
+def _reference_gd(cfg, ds, start=None):
+    """run_gd, started at ``start`` (0 if None), with the step-by-step loop
+    that evaluated and recorded every series at each recorded step; the
+    oracle for gd_engine's per-block recorder."""
+    w = np.zeros(ds.d) if start is None else np.array(start, dtype=np.float64)
     Zy, n, T, origin = ds.signed(), ds.n, cfg.steps, w.copy()
     iterates = np.empty((cfg.steps + 1, ds.d)) if cfg.store_iterates else None
     rec_steps, rec = [], {k: [] for k in ("loss", "grad_norm", "param_norm",
@@ -404,13 +424,13 @@ GD_STEPS = [(name, T) for name, ds in sorted(GD_SETS.items())
             for T in sorted({1, B - 1, B, B + 1, 2 * B + 5})]
 
 
-def _gd_divergence(run, cfg, ds):
-    """(step, message) of the DivergenceError a GD run raises, with every
-    RuntimeWarning turned into an error."""
+def _gd_divergence(run, cfg, ds, start=None):
+    """(step, message) of the DivergenceError ``run(cfg, ds, start)``
+    raises, with every RuntimeWarning turned into an error."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(descent.DivergenceError) as exc:
-            run(cfg, ds)
+            run(cfg, ds, start)
     return exc.value.step, str(exc.value)
 
 
@@ -443,32 +463,35 @@ class TestGdMatchesStepwiseReference:
         ds = data.Dataset(np.array([[1.0], [0.3]]), np.array([1.0, -1.0]),
                           name="conflict")
         cfg = descent.GdConfig(eta=1e6, steps=5000, loss=losses.flattened_polynomial(2.0))
-        got = _gd_divergence(descent.run_gd, cfg, ds)
+        got = _gd_divergence(_run_gd, cfg, ds)
         assert got == (74, "loss exceeded 1000 * L(w_0) for 50 consecutive steps (step 74)")
         assert got == _gd_divergence(_reference_gd, cfg, ds)
 
     def test_guard_non_finite(self):
         ds = data.Dataset(np.array([[10.0]]), np.array([1.0]), name="one")
-        cfg = descent.GdConfig(eta=1.0, steps=10, loss=losses.flattened_exponential(1.0),
-                               init=np.array([-1e308]))
-        got = _gd_divergence(descent.run_gd, cfg, ds)
+        cfg = descent.GdConfig(eta=1.0, steps=10, loss=losses.flattened_exponential(1.0))
+        got = _gd_divergence(_run_gd, cfg, ds, np.array([-1e308]))
         assert got == (0, "non-finite loss at step 0")
         with np.errstate(over="ignore"):  # the step loop's matmul overflows
-            assert got == _gd_divergence(_reference_gd, cfg, ds)
+            assert got == _gd_divergence(_reference_gd, cfg, ds, np.array([-1e308]))
 
 
-# configs that differ in eta and init only, as a batch's configs may
-BATCH_POOL = [(1.0, None), (8.0, None), (32.0, None), (2.0, 0.5), (100.0, -0.25)]
+# (eta, start coordinate) of runs that differ in eta and start only
+BATCH_POOL = [(1.0, 0.0), (8.0, 0.0), (32.0, 0.0), (2.0, 0.5), (100.0, -0.25)]
 BATCH_SIZES = (1, 2, 3, 5)
 SERIES = ("steps", "loss", "grad_norm", "param_norm", "dist_init", "G", "F",
           "w_final", "iterates")
 
 
-def _batch_cfg(ds, loss, every, T, k):
-    eta, init = BATCH_POOL[k]
-    return descent.GdConfig(eta=eta, steps=T, loss=loss, record_every=every,
-                            init=None if init is None else np.full(ds.d, init),
+def _batch_cfg(loss, every, T, k):
+    return descent.GdConfig(eta=BATCH_POOL[k][0], steps=T, loss=loss, record_every=every,
                             store_iterates=True)
+
+
+def _batch(ds, loss, every, T, ks):
+    """The runs of the pool entries ks, as one batch from their starts."""
+    return _gd_from([np.full(ds.d, BATCH_POOL[k][1]) for k in ks],
+                    [_batch_cfg(loss, every, T, k) for k in ks], ds)
 
 
 def _assert_same_run(got, alone):
@@ -503,11 +526,10 @@ class TestGdBatchMatchesAlone:
             for T in (B - 1, B, B + 1, 2 * B + 5):
                 for k in range(K):
                     if (T, k) not in alone:
-                        alone[T, k] = descent.run_gd(_batch_cfg(ds, loss, every, T, k), ds)
+                        [alone[T, k]] = _batch(ds, loss, every, T, [k])
                 for shift in range(K if K > 1 else 0):  # each config at each place
                     order = [(shift + q) % K for q in range(K)]
-                    got = descent.run_gd_batch(
-                        [_batch_cfg(ds, loss, every, T, k) for k in order], ds)
+                    got = _batch(ds, loss, every, T, order)
                     for k, traj in zip(order, got):
                         _assert_same_run(traj, alone[T, k])
 
@@ -517,25 +539,20 @@ class TestGdBatchMatchesAlone:
         if case == "sustained":
             ds = data.Dataset(np.array([[1.0], [0.3]]), np.array([1.0, -1.0]),
                               name="conflict")
-            loss, bad, step = losses.flattened_polynomial(2.0), {"eta": 1e6}, 74
+            loss, bad, step = losses.flattened_polynomial(2.0), (1e6, [0.0]), 74
         else:
             ds = data.Dataset(np.array([[10.0]]), np.array([1.0]), name="one")
-            loss, step = losses.flattened_exponential(1.0), 0
-            bad = {"eta": 1.0, "init": np.array([-1e308])}
+            loss, bad, step = losses.flattened_exponential(1.0), (1.0, [-1e308]), 0
         # 2100 steps are three blocks: the others go on for two blocks after
-        cfgs = [descent.GdConfig(eta=eta, init=np.array([0.1]), steps=2100, loss=loss,
-                                 store_iterates=True) for eta in (0.5, 2.0)]
-        cfgs.insert(place, descent.GdConfig(**bad, steps=2100, loss=loss,
-                                            store_iterates=True))
-        alone = []
-        for cfg in cfgs:
-            try:
-                alone.append(descent.run_gd(cfg, ds))
-            except descent.DivergenceError as exc:
-                alone.append(exc)
+        runs = [(0.5, [0.1]), (2.0, [0.1])]
+        runs.insert(place, bad)
+        cfgs = [descent.GdConfig(eta=eta, steps=2100, loss=loss, store_iterates=True)
+                for eta, _ in runs]
+        starts = [start for _, start in runs]
+        alone = [_gd_from([start], [cfg], ds)[0] for cfg, start in zip(cfgs, starts)]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = descent.run_gd_batch(cfgs, ds)
+            got = _gd_from(starts, cfgs, ds)
         assert [isinstance(r, descent.DivergenceError) for r in got] == \
             [k == place for k in range(3)]
         assert got[place].step == step
@@ -544,7 +561,7 @@ class TestGdBatchMatchesAlone:
 
     @pytest.mark.parametrize("field", [{"steps": 11}, {"loss": LOG}, {"record_every": 2},
                                        {"store_iterates": True}])
-    def test_configs_must_share_all_but_eta_and_init(self, field):
+    def test_configs_must_share_all_but_eta(self, field):
         base = dict(eta=1.0, steps=10, loss=losses.flattened_polynomial(2.0))
         cfgs = [descent.GdConfig(**base), descent.GdConfig(**dict(base, **field))]
         with pytest.raises(ValueError, match="must share"):
@@ -555,7 +572,7 @@ CONFLICT = data.Dataset(np.array([[1.0], [0.3]]), np.array([1.0, -1.0]), name="c
 def test_trajectories_share_read_only_arrays():
     # the runs of one batch share one steps array, run_sgd's dist_init is
     # its param_norm (w_0 = 0), and no engine's Trajectory can be written
-    batch = descent.run_gd_batch([_batch_cfg(NTOY, LOG, 7, 100, k) for k in range(3)], NTOY)
+    batch = descent.run_gd_batch([_batch_cfg(LOG, 7, 100, k) for k in range(3)], NTOY)
     assert all(np.shares_memory(tr.steps, batch[0].steps) for tr in batch[1:])
     sgd = descent.run_sgd(NTOY, 4.0, 100, Rng(0))
     assert np.shares_memory(sgd.dist_init, sgd.param_norm)
@@ -570,26 +587,26 @@ FLAT_POLY2 = losses.flattened_polynomial(2.0)
 # (1 + w)^3 = 1/0.3: GD at eta 3e5 started beside it stays quiet for four
 # steps, then is thrown out and stays above the bar until the guard fires
 CONFLICT_MIN = (10.0 / 3.0) ** (1.0 / 3.0) - 1.0
-# (dataset, config fields, step) of runs the guard rejects
+# (dataset, config fields, start or None for 0, step) of runs the guard rejects
 DIVERGENCES = {
-    "sustained": (CONFLICT, dict(eta=1e6, loss=FLAT_POLY2), 74),
-    "sustained-after-quiet": (CONFLICT, dict(eta=3e5, loss=FLAT_POLY2,
-                                             init=np.array([CONFLICT_MIN + 1e-15])), 53),
+    "sustained": (CONFLICT, dict(eta=1e6, loss=FLAT_POLY2), None, 74),
+    "sustained-after-quiet": (CONFLICT, dict(eta=3e5, loss=FLAT_POLY2),
+                              np.array([CONFLICT_MIN + 1e-15]), 53),
     "non-finite": (data.Dataset(np.array([[10.0]]), np.array([1.0]), name="one"),
-                   dict(eta=1.0, loss=losses.flattened_exponential(1.0),
-                        init=np.array([-1e308])), 0),
+                   dict(eta=1.0, loss=losses.flattened_exponential(1.0)),
+                   np.array([-1e308]), 0),
     # the first step overflows the iterate
     "non-finite-later": (CONFLICT, dict(eta=1e308, loss=losses.flattened_exponential(10.0)),
-                         1),
+                         None, 1),
 }
 
 
-def _reference_outcome(cfg, ds):
+def _reference_outcome(cfg, ds, start=None):
     """_reference_gd's Trajectory or DivergenceError; its step loop
     overflows on the diverging runs."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            return _reference_gd(cfg, ds)
+            return _reference_gd(cfg, ds, start)
         except descent.DivergenceError as exc:
             return exc
 
@@ -618,10 +635,10 @@ class TestGuardUnderSparseRecording:
     @pytest.mark.parametrize("case", sorted(DIVERGENCES))
     def test_divergence(self, case, every, blocks, monkeypatch, screens):
         monkeypatch.setattr(descent, "_BLOCK_STEPS", blocks)
-        ds, fields, step = DIVERGENCES[case]
+        ds, fields, start, step = DIVERGENCES[case]
         cfg = descent.GdConfig(steps=3000, record_every=every, **fields)
-        got = _gd_divergence(descent.run_gd, cfg, ds)
-        ref = _reference_outcome(cfg, ds)
+        got = _gd_divergence(_run_gd, cfg, ds, start)
+        ref = _reference_outcome(cfg, ds, start)
         assert got == (ref.step, str(ref)) and got[0] == step
         if case == "sustained-after-quiet" and blocks == 4:
             assert screens[0]  # the first block, steps 0 to 3, passed the screen
@@ -643,7 +660,7 @@ class TestGuardUnderSparseRecording:
         if side == "below":
             _assert_same_run(descent.run_gd(cfg, TOY), ref)
         else:
-            assert _gd_divergence(descent.run_gd, cfg, TOY) == (peak, str(ref))
+            assert _gd_divergence(_run_gd, cfg, TOY) == (peak, str(ref))
         # of the blocks of steps 0-3, 4-7 and 8-11, the second alone
         # passed the screen
         assert screens[:3] == [False, True, False]
@@ -662,20 +679,21 @@ class TestGuardUnderSparseRecording:
     @pytest.mark.parametrize("place", [0, 1, 2])
     @pytest.mark.parametrize("case", sorted(DIVERGENCES))
     def test_batch_with_a_diverging_run(self, case, place):
-        ds, fields, step = DIVERGENCES[case]
-        cfgs = [descent.GdConfig(eta=eta, init=np.array([0.1]), steps=2100,
-                                 loss=fields["loss"], record_every=7, store_iterates=True)
-                for eta in (0.5, 2.0)]
+        ds, fields, start, step = DIVERGENCES[case]
+        cfgs = [descent.GdConfig(eta=eta, steps=2100, loss=fields["loss"], record_every=7,
+                                 store_iterates=True) for eta in (0.5, 2.0)]
         cfgs.insert(place, descent.GdConfig(steps=2100, record_every=7, store_iterates=True,
                                             **fields))
+        starts = [np.array([0.1])] * 2
+        starts.insert(place, np.zeros(ds.d) if start is None else start)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = descent.run_gd_batch(cfgs, ds)
+            got = _gd_from(starts, cfgs, ds)
         assert [isinstance(r, descent.DivergenceError) for r in got] == \
             [k == place for k in range(3)]
         assert got[place].step == step
-        for traj, cfg in zip(got, cfgs):
-            _assert_same_run(traj, _reference_outcome(cfg, ds))
+        for traj, cfg, w0 in zip(got, cfgs, starts):
+            _assert_same_run(traj, _reference_outcome(cfg, ds, w0))
 
     def test_loss_evaluated_at_recorded_steps(self, monkeypatch):
         # the synthetic-set run of the benchmark: its 10001 steps are 313
@@ -702,10 +720,10 @@ class TestGuardScreensDenseRuns:
     @pytest.mark.parametrize("case", sorted(DIVERGENCES))
     def test_divergence(self, case, monkeypatch, screens):
         monkeypatch.setattr(descent, "_BLOCK_STEPS", 4)
-        ds, fields, step = DIVERGENCES[case]
+        ds, fields, start, step = DIVERGENCES[case]
         cfg = descent.GdConfig(steps=3000, **fields)
-        got = _gd_divergence(descent.run_gd, cfg, ds)
-        ref = _reference_outcome(cfg, ds)
+        got = _gd_divergence(_run_gd, cfg, ds, start)
+        ref = _reference_outcome(cfg, ds, start)
         assert got == (ref.step, str(ref)) and got[0] == step
         if case == "sustained-after-quiet":
             assert screens[0]  # the first block, steps 0 to 3, passed the screen
@@ -762,9 +780,8 @@ class TestComparatorChecks:
     def test_perceptron_zero_gradient_fixed_point(self):
         # at a perfect fixed point the advance and the floor both vanish
         one = data.Dataset(np.array([[0.0, 1.0]]), np.array([1.0]), name="far")
-        tr = descent.run_gd(descent.GdConfig(
-            eta=1.0, steps=3, loss=LOG, init=np.array([0.0, 800.0]),
-            store_iterates=True), one)
+        tr = _run_gd(descent.GdConfig(eta=1.0, steps=3, loss=LOG, store_iterates=True),
+                     one, np.array([0.0, 800.0]))
         cert = data.MarginCertificate(gamma=1.0, w_star=np.array([0.0, 1.0]),
                                       upper=1.0)
         assert perceptron_potential_check(tr, cert) == pytest.approx(0.0, abs=1e-12)
