@@ -23,8 +23,7 @@ loss = losses.logistic()
 T = 20_000
 curves = []
 etas = (4.0, 8.0, 16.0, 32.0)
-trajs = descent.run_gd_batch([descent.GdConfig(eta=eta, steps=T, loss=loss)
-                              for eta in etas], toy)
+trajs = descent.run_gd_batch(toy, loss, etas, T)
 for eta, traj in zip(etas, trajs):
     phase = descent.detect_phase(traj, toy.n, cert.gamma)
     ascents = int(np.sum(traj.loss[1:] > traj.loss[:-1]))

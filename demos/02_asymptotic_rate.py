@@ -16,8 +16,7 @@ T = 100_000
 
 curves = []
 etas = (8.0, 32.0)
-trajs = descent.run_gd_batch([descent.GdConfig(eta=eta, steps=T, loss=loss)
-                              for eta in etas], toy)
+trajs = descent.run_gd_batch(toy, loss, etas, T)
 for eta, traj in zip(etas, trajs):
     fit = analysis.fit_rate(traj, tail_fraction=0.9)
     print(f"eta={eta:>3g}: log-log slope over the last decade "

@@ -20,9 +20,7 @@ loss = losses.logistic()
 print(f"{'eta':>5} {'last ascent':>12} {'criterion met':>14} "
       f"{'perfect from':>13} {'final loss':>12}")
 etas = (4.0, 8.0, 16.0, 32.0)
-trajs = descent.run_gd_batch([descent.GdConfig(eta=eta, steps=3000, loss=loss,
-                                               store_iterates=True)
-                              for eta in etas], toy)
+trajs = descent.run_gd_batch(toy, loss, etas, 3000, store_iterates=True)
 for eta, traj in zip(etas, trajs):
     err = analysis.zero_one_curve(traj, toy)
     phase = descent.detect_phase(traj, toy.n, cert.gamma)

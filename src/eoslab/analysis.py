@@ -14,7 +14,7 @@ import numpy as np
 from . import bounds as B
 from . import losses as L
 from .data import Dataset
-from .descent import DivergenceError, GdConfig, Trajectory, run_gd_batch
+from .descent import DivergenceError, Trajectory, run_gd_batch
 
 __all__ = [
     "RateFit",
@@ -197,25 +197,24 @@ def acceleration_score(ds: Dataset, plan: B.AccelerationPlan) -> AccelerationSco
     single strict loss ascent over the full recorded horizon.  The
     baseline is the largest stepsize of the dyadic grid 2^k, from half the
     scheduled stepsize down to 2^-6, that satisfies this; the largest one
-    runs in one batch with the schedule, and the rest one at a time, only
-    while none has satisfied it.  Raises :class:`InfeasibleBudget` when the
-    plan is not feasible (T below its certified threshold).
+    runs in one ``run_gd_batch`` with the schedule, and the rest one at a
+    time (batches of one), only while none has satisfied it.  Raises
+    :class:`InfeasibleBudget` when the plan is not feasible (T below its
+    certified threshold).
     """
     if not plan.feasible:
         raise InfeasibleBudget(plan.T, plan.threshold)
     loss, T = L.logistic(), plan.T
     k_hi = int(math.floor(math.log2(plan.eta / 2.0) + 1e-12))
     grid = [2.0 ** k for k in range(k_hi, -7, -1)]
-    big, *tries = run_gd_batch([GdConfig(eta=eta, steps=T, loss=loss)
-                                for eta in [plan.eta] + grid[:1]], ds)
+    big, *tries = run_gd_batch(ds, loss, [plan.eta] + grid[:1], T)
     if isinstance(big, DivergenceError):
         raise big
     loss_big = float(big.loss[-1])
 
     eta_best, loss_best, best = None, None, None
     for eta in grid:
-        traj = tries.pop() if tries else run_gd_batch(
-            [GdConfig(eta=eta, steps=T, loss=loss)], ds)[0]
+        traj = tries.pop() if tries else run_gd_batch(ds, loss, [eta], T)[0]
         if isinstance(traj, Trajectory) and _is_monotone(traj):
             eta_best, loss_best, best = eta, float(traj.loss[-1]), traj
             break

@@ -188,9 +188,7 @@ def _run_gd(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
         cert = None  # runs proceed; phase detection needs the margin
 
     def runs(etas):
-        return G.run_gd_batch([G.GdConfig(eta=eta, steps=int(cfg["steps"]), loss=loss,
-                                          record_every=int(cfg["record_every"]))
-                               for eta in etas], ds)
+        return G.run_gd_batch(ds, loss, etas, int(cfg["steps"]), int(cfg["record_every"]))
 
     done = _sweep(cfg, out, runs, "gd_eta{}", ds.n, cert, check)
     return "gd_loss.svg", [(name, tr.steps, tr.loss) for name, tr in done], dict(
@@ -255,7 +253,7 @@ def _run_accelerate(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
     if override is None:
         score = A.acceleration_score(ds, plan)
     else:
-        big = G.run_gd(G.GdConfig(eta=override, steps=T, loss=L.logistic()), ds)
+        big = G.run_gd(ds, L.logistic(), override, T)
         score = A.AccelerationScore(
             eta_large=override, loss_large_eta=float(big.loss[-1]),
             eta_small_best=None, loss_small_eta_best=None, ratio=None,
@@ -277,8 +275,7 @@ def _run_rates(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
     loss = L.loss_from_json(cfg["loss"])
     tail = float(cfg["tail_fraction"])
     A._tail_start(int(cfg["steps"]), tail)  # a dense run fits its steps 1..T
-    trajs = G.run_gd_batch([G.GdConfig(eta=eta, steps=int(cfg["steps"]), loss=loss)
-                            for eta in _etas(cfg["eta"])], ds)
+    trajs = G.run_gd_batch(ds, loss, _etas(cfg["eta"]), int(cfg["steps"]))
     fits = {}
     for traj in trajs:  # every fit up to the first divergence, before any write
         if isinstance(traj, G.DivergenceError):

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import Rng, json_number
+from .numerics import Rng, _sq_norms, json_number
 
 __all__ = [
     "Dataset",
@@ -53,6 +53,8 @@ class NotConverged(RuntimeError):
 _UNIT_TOL = 1e-10
 # the margin solver's duality-gap tolerance, relative to the largest sample norm
 _MARGIN_TOL = 1e-10
+# uniforms per draw of synthetic_separable, which keeps its temporaries small
+_DRAW_FLOATS = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -143,7 +145,10 @@ def synthetic_separable(n: int, d: int, gamma: float, rng: Rng) -> Dataset:
     is reflected and rescaled into [gamma, 1] and re-signed by the
     (Rademacher) label, then the remaining coordinates are rescaled so the
     sample stays on the unit sphere.  The pair (gamma, e_1) is therefore a
-    valid construction certificate.
+    valid construction certificate.  The samples are built many at a time,
+    bit for bit as one at a time from ``rng.normals(d)``, and in place:
+    besides the (n, d) result, the builder holds at most
+    ``_DRAW_FLOATS`` uniforms (or one sample's) and half as many normals.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
@@ -151,17 +156,33 @@ def synthetic_separable(n: int, d: int, gamma: float, rng: Rng) -> Dataset:
         raise ValueError("need d >= 2")
     ys = rng.rademacher(n)
     xs = np.empty((n, d))
-    for i in range(n):
-        v = rng.normals(d)
-        v /= np.linalg.norm(v)
-        first = gamma + (1.0 - gamma) * abs(v[0])
-        rest = v[1:]
-        rest_norm2 = float(rest @ rest)
-        target_rest2 = max(1.0 - first * first, 0.0)
-        if rest_norm2 > 0.0:
-            rest = rest * math.sqrt(target_rest2 / rest_norm2)
-        xs[i, 0] = ys[i] * first
-        xs[i, 1:] = rest
+    # the uniforms of per_draw consecutive rng.normals(d) calls, drawn in
+    # one call: each sample's u1 block, then its u2 block; Box-Muller as there
+    pairs = (d + 1) // 2
+    per_draw = max(1, _DRAW_FLOATS // (2 * pairs))
+    for x in (xs[i:i + per_draw] for i in range(0, n, per_draw)):
+        U = rng.uniform(len(x) * 2 * pairs).reshape(-1, 2, pairs)
+        r, theta = U[:, 0], U[:, 1]
+        np.subtract(1.0, r, out=r)
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta *= 2.0 * math.pi
+        z = np.cos(theta)
+        z *= r
+        x[:, 0::2] = z
+        np.sin(theta, out=theta)
+        theta *= r
+        x[:, 1::2] = theta[:, :d // 2]
+    xs /= np.sqrt(_sq_norms(xs))[:, None]
+    first = gamma + (1.0 - gamma) * np.abs(xs[:, 0])
+    rest = xs[:, 1:]
+    rest_norm2 = _sq_norms(rest)
+    target = np.maximum(1.0 - first * first, 0.0)
+    # a sample whose other coordinates are all zero keeps them
+    rest *= np.sqrt(np.divide(target, rest_norm2, out=np.ones(n),
+                              where=rest_norm2 > 0.0))[:, None]
+    xs[:, 0] = ys * first
     return Dataset(xs, ys, name=f"synthetic(n={n},d={d},gamma={gamma})")
 
 

@@ -2,9 +2,11 @@
 and phase-transition detection.
 
 ``gd_engine`` is the one full-batch GD loop.  It advances a batch of
-runs, the rows of one (K, p) matrix, each bit for bit as alone: linear
-runs of ``run_gd_batch`` (``run_gd`` is a batch of one), and a network
-run of ``eoslab.ntk.run_gd_ntk``.  ``run_sgd`` is neither batched (its
+runs, the rows of one (K, p) matrix, each bit for bit as alone: the
+linear runs of ``run_gd_batch(ds, loss, etas, steps)``, one per stepsize
+(``run_gd(ds, loss, eta, steps)`` is a batch of one), and a network run
+of ``eoslab.ntk.run_gd_ntk``.  Every engine takes its settings as
+arguments.  ``run_sgd`` is neither batched (its
 runs are written one by one, as each ends) nor run by the engine: it
 shares the argument check, the block-length rule, the divergence guard and
 ``_sq_norms``, but records its own series, with G, F and the gradient norm
@@ -15,9 +17,11 @@ parameter and distance-from-initialization norms, the gradient potential
 G(w) = mean_i |l'(y_i x_i^T w)| that drives the phase-transition bounds,
 and the exponential potential F(w) = mean_i exp(-y_i x_i^T w), the
 stable-phase initial-condition term of logistic runs.  The step loops
-keep each step's margins, from which the series are evaluated once per
-block of at most ``_BLOCK_STEPS`` steps and ``_BLOCK_FLOATS`` floats of
-margins (one step's when larger); reruns reproduce every number bit for bit.
+keep each step's margins (the GD loop also its l'(z) at the recorded
+steps, for G), from which the series are evaluated once per block of at
+most ``_BLOCK_STEPS`` steps and ``_BLOCK_FLOATS`` floats of margins (one
+step's when larger); reruns reproduce every number bit for bit.  A run
+from w_0 = 0 records one array as both ``param_norm`` and ``dist_init``.
 
 A GD run evaluates its loss at its recorded steps only.  For the guard,
 one screen stands in for every step of a block: every loss is
@@ -41,10 +45,10 @@ import numpy as np
 from . import bounds as B
 from . import losses as L
 from .data import Dataset
-from .numerics import Rng
+from .numerics import Rng, _sq_norms
 
 __all__ = [
-    "GdConfig", "Trajectory", "PhaseReport", "DivergenceError",
+    "Trajectory", "PhaseReport", "DivergenceError",
     "run_gd", "run_gd_batch", "detect_phase", "run_sgd", "write_trajectory_csv",
 ]
 
@@ -75,20 +79,6 @@ def _check_run(eta: float, steps: int) -> None:
         raise ValueError("eta must be positive and finite")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-
-
-@dataclass(frozen=True)
-class GdConfig:
-    eta: float
-    steps: int
-    loss: L.LossSpec
-    record_every: int = 1
-    store_iterates: bool = False
-
-    def __post_init__(self):
-        _check_run(self.eta, self.steps)
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -190,13 +180,6 @@ class _DivergenceGuard:
         return True
 
 
-def _sq_norms(A: np.ndarray) -> np.ndarray:
-    """v.dot(v) of each row v of the (..., p) array A, bit for bit: the
-    stacked matmul takes one dot per row."""
-    V = A.reshape(-1, 1, A.shape[-1])
-    return np.matmul(V, V.transpose(0, 2, 1)).reshape(A.shape[:-1])
-
-
 def gd_engine(W, n: int, margins, gradient, loss: L.LossSpec, etas,
               T: int, record_every: int, iterates: Optional[np.ndarray]) -> list:
     """The full-batch GD loop (internal) of :func:`run_gd_batch` and
@@ -204,22 +187,28 @@ def gd_engine(W, n: int, margins, gradient, loss: L.LossSpec, etas,
     ``W``, to ``w_t - etas[k] * gradient(l'(Z))[k]`` at the (K, n) margins
     ``Z = margins(W)``, for any number of rows.  Every ``record_every``-th
     step and T are recorded, ``dist_init`` from the rows of ``W`` as
-    passed in; ``iterates``, if given, is (K, T+1, p) and receives every
-    iterate.  Each run's guard screens every block with
+    passed in (for an all-zero start, ``dist_init`` is ``param_norm``'s
+    array); ``iterates``, if given, is (K, T+1, p) and receives every
+    iterate.  Each step's l'(Z) gives the step and, kept at the recorded
+    steps, G.  Each run's guard screens every block with
     :meth:`_DivergenceGuard.quiet`; the loss is evaluated at the recorded
     steps, and at the others only for a block that the screen does not
     clear.  A run its own guard rejects leaves the batch, which goes on bit
     for bit.  Returns each run's Trajectory or DivergenceError, in order."""
     W, origin = np.array(W, dtype=np.float64), np.array(W, dtype=np.float64)
     K, p = W.shape
+    at_zero = not W.any()  # then every distance from the start is the norm
     etas = np.array(etas, dtype=np.float64)[:, None]
     steps = np.append(np.arange(0, T, record_every), T)
-    # per run: loss, G, F and the squared gradient, parameter, distance norms
-    rec = np.empty((K, 6, len(steps)))
+    # per run: loss, G, F and the squared gradient, parameter and (unless
+    # at_zero) distance norms
+    rec = np.empty((K, 5 if at_zero else 6, len(steps)))
     ids, out = np.arange(K), [None] * K
     guards = [_DivergenceGuard() for _ in ids]
     block = min(_block_len(K * n), T + 1)
+    # each step's margins, and the loss derivatives of a block's recorded steps
     Z_buf, k = np.empty((block, K, n)), 0
+    D_buf = np.empty((min(block, -(-block // record_every) + 1), K, n))
     WG_buf = np.empty((2, min(_block_len(K * p), block), K, p))  # rows per pass of _sq_norms
 
     # a block may run up to a block of steps past a divergence before the
@@ -231,17 +220,21 @@ def gd_engine(W, n: int, margins, gradient, loss: L.LossSpec, etas,
             Z, (Wr, Gr) = Z_buf[:stop - start], WG_buf
             for j, t in enumerate(range(start, stop)):
                 Z[j] = margins(W)
-                Gm = gradient(L.deriv(loss, Z[j]))
+                D = L.deriv(loss, Z[j])
+                Gm = gradient(D)
                 if iterates is not None:
                     iterates[ids, t] = W
                 if t % record_every == 0 or t == T:
+                    D_buf[k - k_start] = D
                     Wr[r], Gr[r] = W, Gm
                     r, k = r + 1, k + 1
                 if r and (r == len(Wr) or t + 1 == stop):
                     V, sq = Wr[:r], rec[:, 3:, k - r:k]
                     sq[:, 0], sq[:, 1] = _sq_norms(Gr[:r]).T, _sq_norms(V).T
-                    V -= origin
-                    sq[:, 2], r = _sq_norms(V).T, 0
+                    if not at_zero:
+                        V -= origin
+                        sq[:, 2] = _sq_norms(V).T
+                    r = 0
                 if t < T:
                     W -= etas * Gm
 
@@ -249,7 +242,7 @@ def gd_engine(W, n: int, margins, gradient, loss: L.LossSpec, etas,
             Zr = Z[rows]
             lrec = np.mean(L.eval_loss(loss, Zr), axis=2)
             rec[:, 0, k_start:k] = lrec.T
-            rec[:, 1, k_start:k] = np.mean(np.abs(L.deriv(loss, Zr)), axis=2).T
+            rec[:, 1, k_start:k] = np.mean(np.abs(D_buf[:k - k_start]), axis=2).T
             rec[:, 2, k_start:k] = np.mean(np.exp(-Zr), axis=2).T
             # a guard walks every step's loss of the block (a dense run's are
             # its recorded ones) only where the loss at the block's smallest
@@ -272,17 +265,19 @@ def gd_engine(W, n: int, margins, gradient, loss: L.LossSpec, etas,
                     out[i] = exc
             if len(keep) < len(ids):
                 W, origin, etas, rec, ids = (a[keep] for a in (W, origin, etas, rec, ids))
-                Z_buf, WG_buf = Z_buf[:, keep], WG_buf[:, :, keep]  # contiguous copies
+                Z_buf, D_buf = Z_buf[:, keep], D_buf[:, keep]  # contiguous copies
+                WG_buf = WG_buf[:, :, keep]
                 if not keep:
                     break
 
     # sqrt(v.dot(v)) is what np.linalg.norm computes for a vector
     np.sqrt(rec[:, 3:], out=rec[:, 3:])
     for i, series, w, eta in zip(ids.tolist(), rec, W, etas[:, 0].tolist()):
-        grad_norm, param_norm, dist_init = series[3:]
+        grad_norm, param_norm, *dist = series[3:]
         out[i] = Trajectory(
             steps=steps, loss=series[0], grad_norm=grad_norm,
-            param_norm=param_norm, dist_init=dist_init, G=series[1], F=series[2],
+            param_norm=param_norm, dist_init=dist[0] if dist else param_norm,
+            G=series[1], F=series[2],
             eta=eta, loss_spec=loss, record_every=record_every, w_final=w,
             iterates=None if iterates is None else iterates[i])
     return out
@@ -299,25 +294,29 @@ def _linear_maps(ds: Dataset) -> tuple:
             lambda D: np.matmul(ZyT3, D[:, :, None])[:, :, 0] / n)
 
 
-def run_gd_batch(cfgs: list, ds: Dataset) -> list:
-    """Constant-stepsize GD runs on one dataset, each started at w_0 = 0
-    and advanced as one (K, d) matrix: each config's Trajectory, or the
-    DivergenceError it raises alone, in order, bit for bit as
-    :func:`run_gd` alone, stepped with the maps of :func:`_linear_maps`.
-    The configs may differ in eta only."""
-    if len({(c.steps, c.loss, c.record_every, c.store_iterates) for c in cfgs}) != 1:
-        raise ValueError("batched runs must share steps, loss, record_every and "
-                         "store_iterates")
-    cfg = cfgs[0]
+def run_gd_batch(ds: Dataset, loss: L.LossSpec, etas, steps: int,
+                 record_every: int = 1, store_iterates: bool = False) -> list:
+    """Constant-stepsize GD runs on one dataset, one per stepsize in
+    ``etas``, each started at w_0 = 0 and advanced as one (K, d) matrix:
+    each run's Trajectory, or the DivergenceError it raises alone, in order,
+    bit for bit as :func:`run_gd` alone, stepped with the maps of
+    :func:`_linear_maps`; no stepsize, no run."""
+    for eta in etas:
+        _check_run(eta, steps)
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
+    if len(etas) == 0:
+        return []
     return gd_engine(
-        np.zeros((len(cfgs), ds.d)), ds.n, *_linear_maps(ds), cfg.loss,
-        [c.eta for c in cfgs], cfg.steps, cfg.record_every,
-        np.empty((len(cfgs), cfg.steps + 1, ds.d)) if cfg.store_iterates else None)
+        np.zeros((len(etas), ds.d)), ds.n, *_linear_maps(ds), loss, etas, steps,
+        record_every, np.empty((len(etas), steps + 1, ds.d)) if store_iterates else None)
 
 
-def run_gd(cfg: GdConfig, ds: Dataset) -> Trajectory:
-    """Constant-stepsize full-batch GD: w_t = w_{t-1} - eta * grad L(w_{t-1})."""
-    [traj] = run_gd_batch([cfg], ds)
+def run_gd(ds: Dataset, loss: L.LossSpec, eta: float, steps: int,
+           record_every: int = 1, store_iterates: bool = False) -> Trajectory:
+    """Constant-stepsize full-batch GD: w_t = w_{t-1} - eta * grad L(w_{t-1}),
+    from w_0 = 0; the batch of one of :func:`run_gd_batch`."""
+    [traj] = run_gd_batch(ds, loss, [eta], steps, record_every, store_iterates)
     if isinstance(traj, DivergenceError):
         raise traj
     return traj
@@ -419,11 +418,20 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     """Write the recorded series as CSV, each value as its ``repr``
     (round-trippable decimal text).  Rows are formatted and written
     ``_BLOCK_STEPS`` at a time from the series' arrays, so no whole column
-    is held as Python numbers."""
+    is held as Python numbers; a column that is the same array as an
+    earlier one (a run's ``dist_init`` from w_0 = 0) reuses its text."""
     cols = CSV_COLUMNS + (() if traj.zero_one is None else ("zero_one",))
     series = [traj.steps] + [getattr(traj, col) for col in cols[1:]]
+    # the first column holding each series' array
+    first = [next(j for j, a in enumerate(series) if a is s) for s in series]
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
         for start in range(0, len(traj.steps), _BLOCK_STEPS):
-            text = [map(repr, s[start:start + _BLOCK_STEPS].tolist()) for s in series]
+            text = []
+            for i, s in enumerate(series):
+                if first[i] < i:
+                    text.append(text[first[i]])
+                else:
+                    t = map(repr, s[start:start + _BLOCK_STEPS].tolist())
+                    text.append(list(t) if i in first[i + 1:] else t)
             fh.write("\n".join(map(",".join, zip(*text))) + "\n")

@@ -1,5 +1,6 @@
 """Deterministic low-level numerics: seeded randomness, Gaussian sampling,
-1-D minimization, and the number check of config-JSON descriptors.
+exact row norms, 1-D minimization, and the number check of config-JSON
+descriptors.
 
 Everything here is 64-bit float and fully reproducible: the random stream
 is PCG64 (seeded) and normals come from Box-Muller on that stream, so the
@@ -74,6 +75,13 @@ class Rng:
         z[0::2] = r * np.cos(theta)
         z[1::2] = r * np.sin(theta)
         return z[:size]
+
+
+def _sq_norms(A: np.ndarray) -> np.ndarray:
+    """v.dot(v) of each row v of the (..., p) array A, bit for bit: the
+    stacked matmul takes one dot per row."""
+    V = A.reshape(-1, 1, A.shape[-1])
+    return np.matmul(V, V.transpose(0, 2, 1)).reshape(A.shape[:-1])
 
 
 def minimize_1d(

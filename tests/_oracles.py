@@ -1,8 +1,8 @@
 """Test oracles: central-difference gradients and their input check, the
 two-branch logistic derivative, the mean loss and gradient of linear and
 network GD at one point through the maps their engine steps with, the
-network outputs and tangent features computed on their own, a
-certificate check, the
+network outputs and tangent features computed on their own, the synthetic
+dataset built one sample at a time, a certificate check, the
 split-comparator and margin-alignment inequalities of a stored run, and the
 row-by-row CSV and list-based SVG writers whose bytes the streaming
 writers of ``descent`` and ``_svg`` must reproduce."""
@@ -16,7 +16,8 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from eoslab import descent, losses, ntk
+from eoslab import data, descent, losses, ntk
+from eoslab.numerics import Rng
 
 
 def as_vec(x: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -106,6 +107,25 @@ def tangent_features(net, ds) -> np.ndarray:
     """The (n, m*d) tangent features y_i * grad f(x_i; w_0), stacked from
     :func:`grad_param` one sample at a time."""
     return np.stack([ds.ys[i] * grad_param(net, ds.xs[i]) for i in range(ds.n)])
+
+
+def synthetic_separable_rows(n: int, d: int, gamma: float, rng: Rng) -> data.Dataset:
+    """``data.synthetic_separable`` one sample at a time, each from its own
+    ``rng.normals(d)``; the oracle for the builder's batched form."""
+    ys = rng.rademacher(n)
+    xs = np.empty((n, d))
+    for i in range(n):
+        v = rng.normals(d)
+        v /= np.linalg.norm(v)
+        first = gamma + (1.0 - gamma) * abs(v[0])
+        rest = v[1:]
+        rest_norm2 = float(rest @ rest)
+        target_rest2 = max(1.0 - first * first, 0.0)
+        if rest_norm2 > 0.0:
+            rest = rest * math.sqrt(target_rest2 / rest_norm2)
+        xs[i, 0] = ys[i] * first
+        xs[i, 1:] = rest
+    return data.Dataset(xs, ys, name=f"synthetic(n={n},d={d},gamma={gamma})")
 
 
 def verify_margin(ds, cert, tol: float = 1e-9) -> bool:

@@ -44,8 +44,7 @@ def main_runs():
     """Normalized-toy logistic runs for criteria 1-4, made as one batch, each
     with the batch's time."""
     t0 = time.perf_counter()
-    trajs = descent.run_gd_batch([descent.GdConfig(eta=eta, steps=HORIZON, loss=LOG)
-                                  for eta in ETAS], NTOY)
+    trajs = descent.run_gd_batch(NTOY, LOG, ETAS, HORIZON)
     elapsed = time.perf_counter() - t0
     return {eta: (traj, elapsed) for eta, traj in zip(ETAS, trajs)}
 
@@ -113,8 +112,7 @@ def test_criterion_05_split_and_alignment_inequalities():
     rng = Rng(17)
     worst_residual, worst_slack = -math.inf, math.inf
     for eta in ETAS:
-        traj = descent.run_gd(descent.GdConfig(eta=eta, steps=2000, loss=LOG,
-                                               store_iterates=True), NTOY)
+        traj = descent.run_gd(NTOY, LOG, eta, 2000, store_iterates=True)
         for _ in range(10):
             u1 = rng.normals(2) * 3.0
             t = int(1 + rng.integers(1, 2000))
@@ -146,8 +144,7 @@ def test_criterion_07_slow_rate_floor():
     chosen = None
     # the largest monotone of 16, 8, 4, 2, 1, tried two at a time
     for etas in ((16.0, 8.0), (4.0, 2.0), (1.0,)):
-        trajs = descent.run_gd_batch([descent.GdConfig(eta=eta, steps=100_000, loss=LOG)
-                                      for eta in etas], ds)
+        trajs = descent.run_gd_batch(ds, LOG, etas, 100_000)
         chosen = next(((eta, traj) for eta, traj in zip(etas, trajs)
                        if not np.any(traj.loss[1:] > traj.loss[:-1])), None)
         if chosen is not None:
@@ -167,8 +164,7 @@ def test_criterion_08_inverse_time_rate():
     ok = True
     details = []
     etas = (8.0, 32.0)
-    trajs = descent.run_gd_batch([descent.GdConfig(eta=eta, steps=100_000, loss=LOG)
-                                  for eta in etas], TOY)
+    trajs = descent.run_gd_batch(TOY, LOG, etas, 100_000)
     for eta, traj in zip(etas, trajs):
         fit = analysis.fit_rate(traj, tail_fraction=0.9)
         good = -1.15 <= fit.slope <= -0.85 and fit.plateau_cv < 0.5

@@ -47,7 +47,7 @@ class TestFitRate:
         assert -1.0 < fit.slope < -0.8
 
     def test_toy_run_slope_near_inverse(self):
-        tr = descent.run_gd(descent.GdConfig(eta=8.0, steps=20_000, loss=LOG), TOY)
+        tr = descent.run_gd(TOY, LOG, 8.0, 20_000)
         fit = analysis.fit_rate(tr, tail_fraction=0.5)
         assert -1.15 <= fit.slope <= -0.85
 
@@ -108,7 +108,7 @@ class TestCompareBoundsMatchesReference:
                              ids=lambda spec: spec.kind)
     @pytest.mark.parametrize("eta", [2.0, 8.0, 32.0])
     def test_inflated_runs(self, spec, eta):
-        tr = descent.run_gd(descent.GdConfig(eta=eta, steps=1500, loss=spec), NTOY)
+        tr = descent.run_gd(NTOY, spec, eta, 1500)
         for factor in (1.0, 3.0, 50.0, 1e4):
             got = analysis.compare_bounds(inflate(tr, factor), NCERT.gamma, NTOY.n)
             ref = _reference_compare_bounds(inflate(tr, factor), NCERT.gamma, eta,
@@ -127,7 +127,7 @@ class TestCompareBoundsMatchesReference:
 
     @pytest.mark.parametrize("eta", [4.0, 8.0, 16.0, 32.0])
     def test_unnormalized_toy(self, eta):
-        tr = descent.run_gd(descent.GdConfig(eta=eta, steps=3000, loss=LOG), TOY)
+        tr = descent.run_gd(TOY, LOG, eta, 3000)
         gamma = data.margin(TOY).gamma
         got = analysis.compare_bounds(tr, gamma, TOY.n)
         assert [(v.step, v.bound, v.observed, v.value) for v in got] == \
@@ -189,18 +189,18 @@ class TestBoundCaps:
 
 class TestCompareBounds:
     def test_conformant_run_is_clean(self):
-        tr = descent.run_gd(descent.GdConfig(eta=8.0, steps=2000, loss=LOG), NTOY)
+        tr = descent.run_gd(NTOY, LOG, 8.0, 2000)
         assert analysis.compare_bounds(tr, NCERT.gamma, NTOY.n) == []
 
     def test_unnormalized_data_may_violate(self):
         # samples outside the unit ball void the certificate's premises;
         # violations are reported, not asserted against
-        tr = descent.run_gd(descent.GdConfig(eta=8.0, steps=2000, loss=LOG), TOY)
+        tr = descent.run_gd(TOY, LOG, 8.0, 2000)
         out = analysis.compare_bounds(tr, 0.2, TOY.n)
         assert isinstance(out, list)
 
     def test_inflated_losses_reported_with_steps(self):
-        tr = descent.run_gd(descent.GdConfig(eta=8.0, steps=500, loss=LOG), NTOY)
+        tr = descent.run_gd(NTOY, LOG, 8.0, 500)
         inflated = descent.Trajectory(
             steps=tr.steps, loss=tr.loss * 50.0, grad_norm=tr.grad_norm,
             param_norm=tr.param_norm, dist_init=tr.dist_init, G=tr.G, F=tr.F,
@@ -226,13 +226,12 @@ class TestCompareBounds:
 
     def test_general_loss_route(self):
         spec = losses.flattened_polynomial(2.0)
-        tr = descent.run_gd(descent.GdConfig(eta=2.0, steps=800, loss=spec), NTOY)
+        tr = descent.run_gd(NTOY, spec, 2.0, 800)
         out = analysis.compare_bounds(tr, NCERT.gamma, NTOY.n)
         assert out == []
 
     def test_zero_one_curve(self):
-        tr = descent.run_gd(descent.GdConfig(eta=8.0, steps=200, loss=LOG,
-                                             store_iterates=True), TOY)
+        tr = descent.run_gd(TOY, LOG, 8.0, 200, store_iterates=True)
         err = analysis.zero_one_curve(tr, TOY)
         assert err.shape == (201,)
         assert err[0] == 1.0  # zero init misclassifies everything (margin 0)
@@ -243,7 +242,7 @@ class TestCompareBounds:
         assert err[k] == direct
 
     def test_zero_one_curve_needs_iterates(self):
-        tr = descent.run_gd(descent.GdConfig(eta=8.0, steps=50, loss=LOG), TOY)
+        tr = descent.run_gd(TOY, LOG, 8.0, 50)
         with pytest.raises(ValueError):
             analysis.zero_one_curve(tr, TOY)
 
@@ -290,7 +289,7 @@ class TestAccelerationScore:
         # monotone runs on the two-point set: t * loss stays bounded away
         # from zero over the tail
         ds = data.lower_bound_dataset(0.05)
-        tr = descent.run_gd(descent.GdConfig(eta=8.0, steps=20_000, loss=LOG), ds)
+        tr = descent.run_gd(ds, LOG, 8.0, 20_000)
         assert not np.any(tr.loss[1:] > tr.loss[:-1])
         tail = np.arange(10_000, 20_001)
         scaled = tail * tr.loss[tail]

@@ -700,17 +700,17 @@ class TestAccelerate:
     ], ids=["scheduled", "override"])
     def test_each_run_made_once(self, tmp_path, monkeypatch, argv, etas):
         # the CSVs come from the runs the score was computed from; a run is
-        # made by run_gd or as one config of a run_gd_batch
+        # made by run_gd or as one stepsize of a run_gd_batch
         calls = []
         real, real_batch = descent.run_gd, descent.run_gd_batch
 
-        def counting(cfg, ds):
-            calls.append(cfg.eta)
-            return real(cfg, ds)
+        def counting(ds, loss, eta, *args, **kwargs):
+            calls.append(eta)
+            return real(ds, loss, eta, *args, **kwargs)
 
-        def counting_batch(cfgs, ds):
-            calls.extend(cfg.eta for cfg in cfgs)
-            return real_batch(cfgs, ds)
+        def counting_batch(ds, loss, etas, *args, **kwargs):
+            calls.extend(etas)
+            return real_batch(ds, loss, etas, *args, **kwargs)
 
         monkeypatch.setattr(descent, "run_gd", counting)
         monkeypatch.setattr(analysis, "run_gd_batch", counting_batch)

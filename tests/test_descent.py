@@ -31,7 +31,9 @@ class TestStepsizeDomain:
     @pytest.mark.parametrize("eta", BAD_ETAS)
     def test_gd_config_rejects(self, eta):
         with pytest.raises(ValueError, match="eta"):
-            descent.GdConfig(eta=eta, steps=10, loss=LOG)
+            descent.run_gd(TOY, LOG, eta, 10)
+        with pytest.raises(ValueError, match="eta"):
+            descent.run_gd_batch(TOY, LOG, [1.0, eta], 10)
 
     @pytest.mark.parametrize("eta", BAD_ETAS)
     def test_sgd_rejects(self, eta):
@@ -87,22 +89,22 @@ class TestGrad:
                 np.testing.assert_allclose(grad(w), fd, atol=1e-6)
 
 
-def _gd_from(starts, cfgs, ds):
-    """run_gd_batch(cfgs, ds) with run k started at starts[k], not at 0:
-    gd_engine stepped with the linear maps, as run_gd_batch steps it."""
-    cfg = cfgs[0]
+def _gd_from(starts, ds, loss, etas, steps, record_every=1, store_iterates=False):
+    """run_gd_batch(ds, loss, etas, steps, ...) with run k started at
+    starts[k], not at 0: gd_engine stepped with the linear maps, as
+    run_gd_batch steps it."""
     return descent.gd_engine(
-        np.array(starts, dtype=np.float64), ds.n, *descent._linear_maps(ds), cfg.loss,
-        [c.eta for c in cfgs], cfg.steps, cfg.record_every,
-        np.empty((len(cfgs), cfg.steps + 1, ds.d)) if cfg.store_iterates else None)
+        np.array(starts, dtype=np.float64), ds.n, *descent._linear_maps(ds), loss,
+        etas, steps, record_every,
+        np.empty((len(etas), steps + 1, ds.d)) if store_iterates else None)
 
 
-def _run_gd(cfg, ds, start=None):
-    """run_gd(cfg, ds), or with a ``start`` the same run started there:
-    its Trajectory, or the DivergenceError raised."""
+def _run_gd(ds, loss, eta, steps, record_every=1, store_iterates=False, start=None):
+    """run_gd(ds, loss, eta, steps, ...), or with a ``start`` the same run
+    started there: its Trajectory, or the DivergenceError raised."""
     if start is None:
-        return descent.run_gd(cfg, ds)
-    [traj] = _gd_from([start], [cfg], ds)
+        return descent.run_gd(ds, loss, eta, steps, record_every, store_iterates)
+    [traj] = _gd_from([start], ds, loss, [eta], steps, record_every, store_iterates)
     if isinstance(traj, descent.DivergenceError):
         raise traj
     return traj
@@ -110,7 +112,7 @@ def _run_gd(cfg, ds, start=None):
 
 def _potentials(w):
     """(G, F) that GD records at w."""
-    tr = _run_gd(descent.GdConfig(eta=1.0, steps=1, loss=LOG), TOY, w)
+    tr = _run_gd(TOY, LOG, 1.0, 1, start=w)
     return tr.G[0], tr.F[0]
 
 
@@ -131,33 +133,30 @@ class TestPotentials:
 
 class TestRunGd:
     def test_small_stepsize_strictly_decreases(self):
-        tr = descent.run_gd(descent.GdConfig(eta=1e-3, steps=100, loss=LOG), TOY)
+        tr = descent.run_gd(TOY, LOG, 1e-3, 100)
         assert np.all(tr.loss[1:] < tr.loss[:-1])
 
     def test_large_stepsize_oscillates_early(self):
-        tr = descent.run_gd(descent.GdConfig(eta=32.0, steps=200, loss=LOG), TOY)
+        tr = descent.run_gd(TOY, LOG, 32.0, 200)
         ph = descent.detect_phase(tr, TOY.n, 0.2)
         assert ph.s_empirical > 0
         assert ph.s_empirical <= bounds.tau_logistic(0.2, 32.0, TOY.n)
 
     def test_one_step_value(self):
-        tr = descent.run_gd(descent.GdConfig(eta=8.0, steps=1, loss=LOG,
-                                             store_iterates=True), TOY)
+        tr = descent.run_gd(TOY, LOG, 8.0, 1, store_iterates=True)
         np.testing.assert_allclose(tr.iterates[1],
                                    (8.0 / 2.0) * TOY.signed().mean(axis=0),
                                    atol=1e-14)
 
     def test_recording_cadence(self):
-        tr = descent.run_gd(descent.GdConfig(eta=1.0, steps=103, loss=LOG,
-                                             record_every=10), TOY)
+        tr = descent.run_gd(TOY, LOG, 1.0, 103, record_every=10)
         assert tr.steps[0] == 0 and tr.steps[-1] == 103
         assert np.all(np.diff(tr.steps) > 0)
         assert not tr.dense
 
     def test_bit_identical_reruns(self):
-        cfg = descent.GdConfig(eta=8.0, steps=500, loss=LOG)
-        a = descent.run_gd(cfg, NTOY)
-        b = descent.run_gd(cfg, NTOY)
+        a = descent.run_gd(NTOY, LOG, 8.0, 500)
+        b = descent.run_gd(NTOY, LOG, 8.0, 500)
         np.testing.assert_array_equal(a.loss, b.loss)
         np.testing.assert_array_equal(a.w_final, b.w_final)
 
@@ -168,64 +167,61 @@ class TestRunGd:
         ds = data.Dataset(np.array([[1.0], [0.3]]), np.array([1.0, -1.0]),
                           name="conflict")
         with pytest.raises(descent.DivergenceError) as exc:
-            descent.run_gd(descent.GdConfig(eta=1e6, steps=5000,
-                                            loss=losses.flattened_polynomial(2.0)), ds)
+            descent.run_gd(ds, losses.flattened_polynomial(2.0), 1e6, 5000)
         assert exc.value.step > 0
 
     def test_divergence_guard_non_finite(self):
         ds = data.Dataset(np.array([[10.0]]), np.array([1.0]), name="one")
         with np.errstate(over="ignore"):
             with pytest.raises(descent.DivergenceError, match="non-finite"):
-                _run_gd(descent.GdConfig(eta=1.0, steps=10,
-                                         loss=losses.flattened_exponential(1.0)),
-                        ds, np.array([-1e308]))
+                _run_gd(ds, losses.flattened_exponential(1.0), 1.0, 10,
+                        start=np.array([-1e308]))
 
     def test_descent_lemma_regime(self):
         # once the loss is at or below 2/eta, the next step never ascends
         for eta in (2.0, 8.0, 32.0):
-            tr = descent.run_gd(descent.GdConfig(eta=eta, steps=2000, loss=LOG), NTOY)
+            tr = descent.run_gd(NTOY, LOG, eta, 2000)
             low = tr.loss[:-1] <= 2.0 / eta
             assert np.all(tr.loss[1:][low] <= tr.loss[:-1][low])
 
 
 class TestDetectPhase:
     def test_monotone_run_has_zero_empirical(self):
-        tr = descent.run_gd(descent.GdConfig(eta=0.5, steps=300, loss=LOG), NTOY)
+        tr = descent.run_gd(NTOY, LOG, 0.5, 300)
         ph = descent.detect_phase(tr, NTOY.n, NCERT.gamma)
         assert ph.s_empirical == 0
 
     def test_tau_arithmetic(self):
         # (60/0.04) * max{8, 4, e, 1.5 ln 1.5} = 1500 * 8
         assert bounds.tau_logistic(0.2, 8.0, 4) == pytest.approx(12000.0)
-        tr = descent.run_gd(descent.GdConfig(eta=8.0, steps=2000, loss=LOG), TOY)
+        tr = descent.run_gd(TOY, LOG, 8.0, 2000)
         ph = descent.detect_phase(tr, TOY.n, 0.2)
         assert ph.tau_bound == pytest.approx(12000.0)
         assert ph.s_theory is not None and ph.s_theory <= 12000
 
     def test_absent_theory_step(self):
         # two steps of a tiny-stepsize run never reach loss <= 1/32
-        tr = descent.run_gd(descent.GdConfig(eta=32.0, steps=2, loss=LOG), NTOY)
+        tr = descent.run_gd(NTOY, LOG, 32.0, 2)
         ph = descent.detect_phase(tr, NTOY.n, NCERT.gamma)
         assert ph.s_theory is None
 
     def test_general_loss_criterion(self):
         spec = losses.flattened_polynomial(2.0)
-        tr = descent.run_gd(descent.GdConfig(eta=2.0, steps=50, loss=spec), NTOY)
+        tr = descent.run_gd(NTOY, spec, 2.0, 50)
         ph = descent.detect_phase(tr, NTOY.n, NCERT.gamma)
         expected = min(1.0 / (12.0 * spec.C_beta ** 2 * 2.0), spec.ell0 / NTOY.n)
         assert ph.criterion_value == pytest.approx(expected)
 
     def test_stable_from_max_of_both(self):
         for eta in (8.0, 32.0):
-            tr = descent.run_gd(descent.GdConfig(eta=eta, steps=5000, loss=LOG), NTOY)
+            tr = descent.run_gd(NTOY, LOG, eta, 5000)
             ph = descent.detect_phase(tr, NTOY.n, NCERT.gamma)
             start = max(ph.s_theory or 0, ph.s_empirical)
             seg = tr.loss[start:]
             assert not np.any(seg[1:] > seg[:-1])
 
     def test_requires_dense_recording(self):
-        tr = descent.run_gd(descent.GdConfig(eta=1.0, steps=100, loss=LOG,
-                                             record_every=10), NTOY)
+        tr = descent.run_gd(NTOY, LOG, 1.0, 100, record_every=10)
         with pytest.raises(ValueError):
             descent.detect_phase(tr, NTOY.n, NCERT.gamma)
 
@@ -234,7 +230,7 @@ class TestRunSgd:
     def test_single_point_support_is_gd(self):
         one = data.Dataset(NTOY.xs[:1], NTOY.ys[:1], name="one")
         sgd = descent.run_sgd(one, 2.0, 50, Rng(0))
-        gd = descent.run_gd(descent.GdConfig(eta=2.0, steps=50, loss=LOG), one)
+        gd = descent.run_gd(one, LOG, 2.0, 50)
         np.testing.assert_allclose(sgd.loss, gd.loss, atol=1e-12)
 
     def test_seed_determinism(self):
@@ -368,19 +364,19 @@ class TestSgdMatchesStepwiseReference:
         assert got == _divergence(_reference_sgd, ds, 1e6, 1000, seed)
 
 
-def _reference_gd(cfg, ds, start=None):
+def _reference_gd(ds, loss, eta, steps, record_every=1, store_iterates=False, start=None):
     """run_gd, started at ``start`` (0 if None), with the step-by-step loop
     that evaluated and recorded every series at each recorded step; the
     oracle for gd_engine's per-block recorder."""
     w = np.zeros(ds.d) if start is None else np.array(start, dtype=np.float64)
-    Zy, n, T, origin = ds.signed(), ds.n, cfg.steps, w.copy()
-    iterates = np.empty((cfg.steps + 1, ds.d)) if cfg.store_iterates else None
+    Zy, n, T, origin = ds.signed(), ds.n, steps, w.copy()
+    iterates = np.empty((steps + 1, ds.d)) if store_iterates else None
     rec_steps, rec = [], {k: [] for k in ("loss", "grad_norm", "param_norm",
                                           "dist_init", "G", "F")}
     loss0, over = None, 0
     for t in range(T + 1):
         z = Zy @ w
-        lval = float(np.mean(losses.eval_loss(cfg.loss, z)))
+        lval = float(np.mean(losses.eval_loss(loss, z)))
         if not math.isfinite(lval):
             raise descent.DivergenceError(t, f"non-finite loss at step {t}")
         if loss0 is None:
@@ -390,11 +386,11 @@ def _reference_gd(cfg, ds, start=None):
             raise descent.DivergenceError(t, (
                 f"loss exceeded {descent._GUARD_FACTOR:g} * L(w_0) for "
                 f"{descent._GUARD_PATIENCE} consecutive steps (step {t})"))
-        dvec = losses.deriv(cfg.loss, z)
+        dvec = losses.deriv(loss, z)
         gvec = Zy.T @ dvec / n
         if iterates is not None:
             iterates[t] = w
-        if t % cfg.record_every == 0 or t == T:
+        if t % record_every == 0 or t == T:
             with np.errstate(over="ignore"):
                 Fv = float(np.mean(np.exp(-z)))
             rec_steps.append(t)
@@ -405,13 +401,13 @@ def _reference_gd(cfg, ds, start=None):
             rec["G"].append(float(np.mean(np.abs(dvec))))
             rec["F"].append(Fv)
         if t < T:
-            w = w - cfg.eta * gvec
+            w = w - eta * gvec
     return descent.Trajectory(
         steps=np.array(rec_steps, dtype=np.int64),
         loss=np.array(rec["loss"]), grad_norm=np.array(rec["grad_norm"]),
         param_norm=np.array(rec["param_norm"]), dist_init=np.array(rec["dist_init"]),
         G=np.array(rec["G"]), F=np.array(rec["F"]),
-        eta=cfg.eta, loss_spec=cfg.loss, record_every=cfg.record_every,
+        eta=eta, loss_spec=loss, record_every=record_every,
         w_final=w.copy(), iterates=iterates)
 
 
@@ -424,13 +420,14 @@ GD_STEPS = [(name, T) for name, ds in sorted(GD_SETS.items())
             for T in sorted({1, B - 1, B, B + 1, 2 * B + 5})]
 
 
-def _gd_divergence(run, cfg, ds, start=None):
-    """(step, message) of the DivergenceError ``run(cfg, ds, start)``
-    raises, with every RuntimeWarning turned into an error."""
+def _gd_divergence(run, ds, cfg, start=None):
+    """(step, message) of the DivergenceError ``run(ds, **cfg, start=start)``
+    raises, with every RuntimeWarning turned into an error; ``cfg`` holds
+    the run's settings, as run_gd's keyword arguments."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(descent.DivergenceError) as exc:
-            run(cfg, ds, start)
+            run(ds, **cfg, start=start)
     return exc.value.step, str(exc.value)
 
 
@@ -443,10 +440,9 @@ class TestGdMatchesStepwiseReference:
     @pytest.mark.parametrize("loss", GD_LOSSES, ids=lambda spec: spec.kind)
     @pytest.mark.parametrize("name,steps", GD_STEPS)
     def test_bit_identical(self, name, steps, loss, every):
-        cfg = descent.GdConfig(eta=8.0, steps=steps, loss=loss, record_every=every,
-                               store_iterates=True)
-        ref = _reference_gd(cfg, GD_SETS[name])
-        tr = descent.run_gd(cfg, GD_SETS[name])
+        cfg = dict(loss=loss, eta=8.0, steps=steps, record_every=every, store_iterates=True)
+        ref = _reference_gd(GD_SETS[name], **cfg)
+        tr = descent.run_gd(GD_SETS[name], **cfg)
         for key in ("steps", "loss", "grad_norm", "param_norm", "dist_init", "G", "F",
                     "w_final", "iterates"):
             assert np.array_equal(getattr(tr, key), getattr(ref, key)), key
@@ -462,18 +458,18 @@ class TestGdMatchesStepwiseReference:
     def test_guard_sustained(self):
         ds = data.Dataset(np.array([[1.0], [0.3]]), np.array([1.0, -1.0]),
                           name="conflict")
-        cfg = descent.GdConfig(eta=1e6, steps=5000, loss=losses.flattened_polynomial(2.0))
-        got = _gd_divergence(_run_gd, cfg, ds)
+        cfg = dict(loss=losses.flattened_polynomial(2.0), eta=1e6, steps=5000)
+        got = _gd_divergence(_run_gd, ds, cfg)
         assert got == (74, "loss exceeded 1000 * L(w_0) for 50 consecutive steps (step 74)")
-        assert got == _gd_divergence(_reference_gd, cfg, ds)
+        assert got == _gd_divergence(_reference_gd, ds, cfg)
 
     def test_guard_non_finite(self):
         ds = data.Dataset(np.array([[10.0]]), np.array([1.0]), name="one")
-        cfg = descent.GdConfig(eta=1.0, steps=10, loss=losses.flattened_exponential(1.0))
-        got = _gd_divergence(_run_gd, cfg, ds, np.array([-1e308]))
+        cfg = dict(loss=losses.flattened_exponential(1.0), eta=1.0, steps=10)
+        got = _gd_divergence(_run_gd, ds, cfg, np.array([-1e308]))
         assert got == (0, "non-finite loss at step 0")
         with np.errstate(over="ignore"):  # the step loop's matmul overflows
-            assert got == _gd_divergence(_reference_gd, cfg, ds, np.array([-1e308]))
+            assert got == _gd_divergence(_reference_gd, ds, cfg, np.array([-1e308]))
 
 
 # (eta, start coordinate) of runs that differ in eta and start only
@@ -483,15 +479,10 @@ SERIES = ("steps", "loss", "grad_norm", "param_norm", "dist_init", "G", "F",
           "w_final", "iterates")
 
 
-def _batch_cfg(loss, every, T, k):
-    return descent.GdConfig(eta=BATCH_POOL[k][0], steps=T, loss=loss, record_every=every,
-                            store_iterates=True)
-
-
 def _batch(ds, loss, every, T, ks):
     """The runs of the pool entries ks, as one batch from their starts."""
-    return _gd_from([np.full(ds.d, BATCH_POOL[k][1]) for k in ks],
-                    [_batch_cfg(loss, every, T, k) for k in ks], ds)
+    return _gd_from([np.full(ds.d, BATCH_POOL[k][1]) for k in ks], ds, loss,
+                    [BATCH_POOL[k][0] for k in ks], T, every, store_iterates=True)
 
 
 def _assert_same_run(got, alone):
@@ -533,6 +524,9 @@ class TestGdBatchMatchesAlone:
                     for k, traj in zip(order, got):
                         _assert_same_run(traj, alone[T, k])
 
+    def test_no_stepsize_no_run(self):
+        assert descent.run_gd_batch(TOY, LOG, [], 10) == []
+
     @pytest.mark.parametrize("place", [0, 1, 2])
     @pytest.mark.parametrize("case", ["sustained", "non_finite"])
     def test_diverging_run_leaves_the_rest_unchanged(self, case, place):
@@ -546,34 +540,29 @@ class TestGdBatchMatchesAlone:
         # 2100 steps are three blocks: the others go on for two blocks after
         runs = [(0.5, [0.1]), (2.0, [0.1])]
         runs.insert(place, bad)
-        cfgs = [descent.GdConfig(eta=eta, steps=2100, loss=loss, store_iterates=True)
-                for eta, _ in runs]
+        etas = [eta for eta, _ in runs]
         starts = [start for _, start in runs]
-        alone = [_gd_from([start], [cfg], ds)[0] for cfg, start in zip(cfgs, starts)]
+        alone = [_gd_from([start], ds, loss, [eta], 2100, store_iterates=True)[0]
+                 for eta, start in runs]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = _gd_from(starts, cfgs, ds)
+            got = _gd_from(starts, ds, loss, etas, 2100, store_iterates=True)
         assert [isinstance(r, descent.DivergenceError) for r in got] == \
             [k == place for k in range(3)]
         assert got[place].step == step
         for traj, ref in zip(got, alone):
             _assert_same_run(traj, ref)
 
-    @pytest.mark.parametrize("field", [{"steps": 11}, {"loss": LOG}, {"record_every": 2},
-                                       {"store_iterates": True}])
-    def test_configs_must_share_all_but_eta(self, field):
-        base = dict(eta=1.0, steps=10, loss=losses.flattened_polynomial(2.0))
-        cfgs = [descent.GdConfig(**base), descent.GdConfig(**dict(base, **field))]
-        with pytest.raises(ValueError, match="must share"):
-            descent.run_gd_batch(cfgs, TOY)
-
 
 CONFLICT = data.Dataset(np.array([[1.0], [0.3]]), np.array([1.0, -1.0]), name="conflict")
 def test_trajectories_share_read_only_arrays():
-    # the runs of one batch share one steps array, run_sgd's dist_init is
-    # its param_norm (w_0 = 0), and no engine's Trajectory can be written
-    batch = descent.run_gd_batch([_batch_cfg(LOG, 7, 100, k) for k in range(3)], NTOY)
+    # the runs of one batch share one steps array, a linear run's and
+    # run_sgd's dist_init is its param_norm (w_0 = 0), and no engine's
+    # Trajectory can be written
+    batch = descent.run_gd_batch(NTOY, LOG, [eta for eta, _ in BATCH_POOL[:3]], 100, 7,
+                                 store_iterates=True)
     assert all(np.shares_memory(tr.steps, batch[0].steps) for tr in batch[1:])
+    assert all(tr.dist_init is tr.param_norm for tr in batch)
     sgd = descent.run_sgd(NTOY, 4.0, 100, Rng(0))
     assert np.shares_memory(sgd.dist_init, sgd.param_norm)
     net = ntk.init_net(8, NTOY.d, Rng(0))
@@ -587,7 +576,7 @@ FLAT_POLY2 = losses.flattened_polynomial(2.0)
 # (1 + w)^3 = 1/0.3: GD at eta 3e5 started beside it stays quiet for four
 # steps, then is thrown out and stays above the bar until the guard fires
 CONFLICT_MIN = (10.0 / 3.0) ** (1.0 / 3.0) - 1.0
-# (dataset, config fields, start or None for 0, step) of runs the guard rejects
+# (dataset, run settings, start or None for 0, step) of runs the guard rejects
 DIVERGENCES = {
     "sustained": (CONFLICT, dict(eta=1e6, loss=FLAT_POLY2), None, 74),
     "sustained-after-quiet": (CONFLICT, dict(eta=3e5, loss=FLAT_POLY2),
@@ -601,12 +590,12 @@ DIVERGENCES = {
 }
 
 
-def _reference_outcome(cfg, ds, start=None):
-    """_reference_gd's Trajectory or DivergenceError; its step loop
-    overflows on the diverging runs."""
+def _reference_outcome(ds, cfg, start=None):
+    """_reference_gd's Trajectory or DivergenceError for the run settings
+    ``cfg``; its step loop overflows on the diverging runs."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            return _reference_gd(cfg, ds, start)
+            return _reference_gd(ds, **cfg, start=start)
         except descent.DivergenceError as exc:
             return exc
 
@@ -636,9 +625,9 @@ class TestGuardUnderSparseRecording:
     def test_divergence(self, case, every, blocks, monkeypatch, screens):
         monkeypatch.setattr(descent, "_BLOCK_STEPS", blocks)
         ds, fields, start, step = DIVERGENCES[case]
-        cfg = descent.GdConfig(steps=3000, record_every=every, **fields)
-        got = _gd_divergence(_run_gd, cfg, ds, start)
-        ref = _reference_outcome(cfg, ds, start)
+        cfg = dict(steps=3000, record_every=every, **fields)
+        got = _gd_divergence(_run_gd, ds, cfg, start)
+        ref = _reference_outcome(ds, cfg, start)
         assert got == (ref.step, str(ref)) and got[0] == step
         if case == "sustained-after-quiet" and blocks == 4:
             assert screens[0]  # the first block, steps 0 to 3, passed the screen
@@ -648,19 +637,19 @@ class TestGuardUnderSparseRecording:
     def test_unrecorded_peak_at_the_bar(self, side, every, monkeypatch, screens):
         # on the toy set this run's loss peaks at step 9, recorded by
         # neither cadence; the bar is put just above or just below the peak
-        cfg = descent.GdConfig(eta=16.0, steps=300, loss=FLAT_POLY2, record_every=every)
-        dense = _reference_gd(dataclasses.replace(cfg, record_every=1), TOY).loss
+        cfg = dict(loss=FLAT_POLY2, eta=16.0, steps=300, record_every=every)
+        dense = _reference_gd(TOY, **dict(cfg, record_every=1)).loss
         peak = int(np.argmax(dense))
         assert peak == 9
         factor = dense[peak] / dense[0] * (1.0 + 1e-9 if side == "below" else 1.0 - 1e-9)
         monkeypatch.setattr(descent, "_GUARD_FACTOR", factor)
         monkeypatch.setattr(descent, "_GUARD_PATIENCE", 1)
         monkeypatch.setattr(descent, "_BLOCK_STEPS", 4)
-        ref = _reference_outcome(cfg, TOY)
+        ref = _reference_outcome(TOY, cfg)
         if side == "below":
-            _assert_same_run(descent.run_gd(cfg, TOY), ref)
+            _assert_same_run(descent.run_gd(TOY, **cfg), ref)
         else:
-            assert _gd_divergence(_run_gd, cfg, TOY) == (peak, str(ref))
+            assert _gd_divergence(_run_gd, TOY, cfg) == (peak, str(ref))
         # of the blocks of steps 0-3, 4-7 and 8-11, the second alone
         # passed the screen
         assert screens[:3] == [False, True, False]
@@ -672,28 +661,27 @@ class TestGuardUnderSparseRecording:
         monkeypatch.setattr(descent, "_GUARD_FACTOR", 2.0)
         monkeypatch.setattr(descent, "_GUARD_PATIENCE", 3)
         monkeypatch.setattr(descent, "_BLOCK_STEPS", 2)
-        cfg = descent.GdConfig(eta=8.0, steps=300, loss=FLAT_POLY2, record_every=7)
-        _assert_same_run(descent.run_gd(cfg, TOY), _reference_outcome(cfg, TOY))
+        cfg = dict(loss=FLAT_POLY2, eta=8.0, steps=300, record_every=7)
+        _assert_same_run(descent.run_gd(TOY, **cfg), _reference_outcome(TOY, cfg))
         assert screens[:3] == [False, True, False]
 
     @pytest.mark.parametrize("place", [0, 1, 2])
     @pytest.mark.parametrize("case", sorted(DIVERGENCES))
     def test_batch_with_a_diverging_run(self, case, place):
         ds, fields, start, step = DIVERGENCES[case]
-        cfgs = [descent.GdConfig(eta=eta, steps=2100, loss=fields["loss"], record_every=7,
-                                 store_iterates=True) for eta in (0.5, 2.0)]
-        cfgs.insert(place, descent.GdConfig(steps=2100, record_every=7, store_iterates=True,
-                                            **fields))
+        loss, etas = fields["loss"], [0.5, 2.0]
+        etas.insert(place, fields["eta"])
         starts = [np.array([0.1])] * 2
         starts.insert(place, np.zeros(ds.d) if start is None else start)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = _gd_from(starts, cfgs, ds)
+            got = _gd_from(starts, ds, loss, etas, 2100, 7, store_iterates=True)
         assert [isinstance(r, descent.DivergenceError) for r in got] == \
             [k == place for k in range(3)]
         assert got[place].step == step
-        for traj, cfg, w0 in zip(got, cfgs, starts):
-            _assert_same_run(traj, _reference_outcome(cfg, ds, w0))
+        for traj, eta, w0 in zip(got, etas, starts):
+            cfg = dict(loss=loss, eta=eta, steps=2100, record_every=7, store_iterates=True)
+            _assert_same_run(traj, _reference_outcome(ds, cfg, w0))
 
     def test_loss_evaluated_at_recorded_steps(self, monkeypatch):
         # the synthetic-set run of the benchmark: its 10001 steps are 313
@@ -705,11 +693,25 @@ class TestGuardUnderSparseRecording:
             return eval_loss(loss, z)
 
         monkeypatch.setattr(losses, "eval_loss", counting)
-        tr = descent.run_gd(descent.GdConfig(eta=16.0, steps=10_000, loss=LOG,
-                                             record_every=10), ds)
+        tr = descent.run_gd(ds, LOG, 16.0, 10_000, record_every=10)
         blocks = math.ceil(10_001 / descent._block_len(ds.n))
         # the recorded steps' margins and one smallest margin a block
         assert sum(counted) <= len(tr.steps) * ds.n + blocks < 10_001 * ds.n
+
+    @pytest.mark.parametrize("name,etas,steps,every", [
+        ("synthetic", [16.0], 10_000, 10),   # the benchmark's sparse run
+        ("normalized", [2.0, 8.0, 32.0], 2000, 1)])
+    def test_derivative_evaluated_once_a_step(self, name, etas, steps, every, monkeypatch):
+        # l'(z) of each run's n margins at steps 0..T, for the step and G
+        ds, counted, deriv = GD_SETS[name], [], losses.deriv
+
+        def counting(loss, z):
+            counted.append(np.size(z))
+            return deriv(loss, z)
+
+        monkeypatch.setattr(losses, "deriv", counting)
+        descent.run_gd_batch(ds, LOG, etas, steps, every)
+        assert sum(counted) == len(etas) * ds.n * (steps + 1)
 
 
 class TestGuardScreensDenseRuns:
@@ -721,9 +723,9 @@ class TestGuardScreensDenseRuns:
     def test_divergence(self, case, monkeypatch, screens):
         monkeypatch.setattr(descent, "_BLOCK_STEPS", 4)
         ds, fields, start, step = DIVERGENCES[case]
-        cfg = descent.GdConfig(steps=3000, **fields)
-        got = _gd_divergence(_run_gd, cfg, ds, start)
-        ref = _reference_outcome(cfg, ds, start)
+        cfg = dict(steps=3000, **fields)
+        got = _gd_divergence(_run_gd, ds, cfg, start)
+        ref = _reference_outcome(ds, cfg, start)
         assert got == (ref.step, str(ref)) and got[0] == step
         if case == "sustained-after-quiet":
             assert screens[0]  # the first block, steps 0 to 3, passed the screen
@@ -735,15 +737,14 @@ class TestGuardScreensDenseRuns:
         monkeypatch.setattr(descent, "_GUARD_FACTOR", 2.0)
         monkeypatch.setattr(descent, "_GUARD_PATIENCE", 3)
         monkeypatch.setattr(descent, "_BLOCK_STEPS", 2)
-        cfg = descent.GdConfig(eta=8.0, steps=300, loss=FLAT_POLY2)
-        _assert_same_run(descent.run_gd(cfg, TOY), _reference_outcome(cfg, TOY))
+        cfg = dict(loss=FLAT_POLY2, eta=8.0, steps=300)
+        _assert_same_run(descent.run_gd(TOY, **cfg), _reference_outcome(TOY, cfg))
         assert screens[:3] == [False, True, False]
 
 
 @pytest.fixture(scope="module")
 def runs():
-    return {eta: descent.run_gd(descent.GdConfig(eta=eta, steps=2000, loss=LOG,
-                                                 store_iterates=True), NTOY)
+    return {eta: descent.run_gd(NTOY, LOG, eta, 2000, store_iterates=True)
             for eta in (2.0, 8.0, 32.0)}
 
 
@@ -780,14 +781,13 @@ class TestComparatorChecks:
     def test_perceptron_zero_gradient_fixed_point(self):
         # at a perfect fixed point the advance and the floor both vanish
         one = data.Dataset(np.array([[0.0, 1.0]]), np.array([1.0]), name="far")
-        tr = _run_gd(descent.GdConfig(eta=1.0, steps=3, loss=LOG, store_iterates=True),
-                     one, np.array([0.0, 800.0]))
+        tr = _run_gd(one, LOG, 1.0, 3, store_iterates=True, start=np.array([0.0, 800.0]))
         cert = data.MarginCertificate(gamma=1.0, w_star=np.array([0.0, 1.0]),
                                       upper=1.0)
         assert perceptron_potential_check(tr, cert) == pytest.approx(0.0, abs=1e-12)
 
     def test_needs_iterates(self):
-        tr = descent.run_gd(descent.GdConfig(eta=2.0, steps=10, loss=LOG), NTOY)
+        tr = descent.run_gd(NTOY, LOG, 2.0, 10)
         with pytest.raises(ValueError):
             split_optimization_check(tr, NTOY, NCERT, np.zeros(2), 5)
 
@@ -797,7 +797,7 @@ class TestPathwiseBounds:
 
     @pytest.mark.parametrize("eta", [2.0, 8.0, 32.0])
     def test_average_loss_and_potential_and_norm(self, eta):
-        tr = descent.run_gd(descent.GdConfig(eta=eta, steps=3000, loss=LOG), NTOY)
+        tr = descent.run_gd(NTOY, LOG, eta, 3000)
         gamma = NCERT.gamma
         avg_loss = tr.avg_loss()
         avg_G = np.cumsum(tr.G[:-1]) / np.arange(1, len(tr.G))
@@ -812,7 +812,7 @@ class TestPathwiseBounds:
     def test_stable_phase_last_iterate_bound(self, eta):
         # from the first criterion crossing s, the last-iterate loss obeys
         # (2 F(w_s) + ln^2(x)) / x with x = gamma^2 eta (t - s)
-        tr = descent.run_gd(descent.GdConfig(eta=eta, steps=5000, loss=LOG), NTOY)
+        tr = descent.run_gd(NTOY, LOG, eta, 5000)
         gamma = NCERT.gamma
         ph = descent.detect_phase(tr, NTOY.n, gamma)
         s = ph.s_theory
@@ -826,7 +826,7 @@ class TestPathwiseBounds:
 
 class TestCsvWriter:
     def test_columns_and_roundtrip_floats(self, tmp_path):
-        tr = descent.run_gd(descent.GdConfig(eta=2.0, steps=20, loss=LOG), NTOY)
+        tr = descent.run_gd(NTOY, LOG, 2.0, 20)
         p = tmp_path / "t.csv"
         descent.write_trajectory_csv(tr, p)
         lines = p.read_text().splitlines()
@@ -834,6 +834,16 @@ class TestCsvWriter:
         first = lines[1].split(",")
         assert int(first[0]) == 0
         assert float(first[1]) == tr.loss[0]  # repr round-trips exactly
+
+    def test_shared_column_as_a_copy(self, tmp_path):
+        # a dist_init that is param_norm's array is formatted once, with the
+        # bytes of a distinct equal copy; 3000 steps span three blocks
+        tr = descent.run_gd(NTOY, LOG, 8.0, 3000)
+        assert tr.dist_init is tr.param_norm
+        copy = dataclasses.replace(tr, dist_init=tr.param_norm.copy())
+        descent.write_trajectory_csv(tr, tmp_path / "shared.csv")
+        descent.write_trajectory_csv(copy, tmp_path / "copy.csv")
+        assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "copy.csv").read_bytes()
 
     def test_sgd_includes_error_column(self, tmp_path):
         tr = descent.run_sgd(NTOY, 1.0, 10, Rng(0))
@@ -881,7 +891,7 @@ class TestCsvWriterMatchesRowOracle:
     @pytest.mark.parametrize("zero_one", [False, True])
     def test_run_outputs(self, tmp_path, zero_one):
         tr = (descent.run_sgd(NTOY, 8.0, 3000, Rng(2)) if zero_one else
-              descent.run_gd(descent.GdConfig(eta=8.0, steps=3000, loss=LOG), NTOY))
+              descent.run_gd(NTOY, LOG, 8.0, 3000))
         descent.write_trajectory_csv(tr, tmp_path / "block.csv")
         write_trajectory_csv_rows(tr, tmp_path / "rows.csv")
         assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
