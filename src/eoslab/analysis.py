@@ -130,11 +130,12 @@ def compare_bounds(traj: Trajectory, gamma: float, n: int) -> list[Violation]:
     for row in B.BOUNDS:
         if row.caps not in series or loss.kind not in row.families:
             continue
-        observed = series.pop(row.caps).tolist()  # checked by this row alone
+        # checked by this row alone; observed(i) is element i as a Python float
+        observed = series.pop(row.caps).item
         for t, value in row.over(traj.steps[1:], given):
-            if observed[t - 1] > value * (1.0 + _REL_TOL):
+            if observed(t - 1) > value * (1.0 + _REL_TOL):
                 out.append(Violation(step=t, bound=row.name,
-                                     observed=observed[t - 1], value=value))
+                                     observed=observed(t - 1), value=value))
     out.sort(key=lambda v: v.step)  # stable: table order within a step
     return out
 

@@ -26,7 +26,7 @@ from . import descent as G
 from . import losses as L
 from . import ntk as N
 from ._svg import write_line_plot
-from .numerics import Rng
+from .numerics import Rng, json_number
 
 __all__ = ["main"]
 
@@ -96,7 +96,8 @@ def _load_config(path: str, own: dict) -> dict:
     """The config at ``path``, which must be for the command of ``own``, the
     config that this command writes, and carry exactly the keys of ``own``,
     each with the JSON type of its value in ``own``, where a number may
-    stand in for a null or "auto" default."""
+    stand in for a null or "auto" default; the keys written as integers must
+    hold whole numbers (or a width "auto")."""
     cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(cfg, dict):
         raise ValueError(f"a config must be a JSON object, not {json.dumps(cfg)}")
@@ -110,6 +111,9 @@ def _load_config(path: str, own: dict) -> dict:
         if kind != _kind(default) and not (kind == "number" and default in (None, "auto")):
             raise ValueError(f"config key {key!r} must be a {_kind(default)}, "
                              f"not {json.dumps(cfg[key])}")
+    for key in ("steps", "record_every", "seed", "width_cap", "width"):
+        if key in cfg and cfg[key] != "auto":
+            json_number(cfg, key, "the config", integral=True)
     return cfg
 
 

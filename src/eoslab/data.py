@@ -145,10 +145,11 @@ def synthetic_separable(n: int, d: int, gamma: float, rng: Rng) -> Dataset:
     is reflected and rescaled into [gamma, 1] and re-signed by the
     (Rademacher) label, then the remaining coordinates are rescaled so the
     sample stays on the unit sphere.  The pair (gamma, e_1) is therefore a
-    valid construction certificate.  The samples are built many at a time,
-    bit for bit as one at a time from ``rng.normals(d)``, and in place:
-    besides the (n, d) result, the builder holds at most
-    ``_DRAW_FLOATS`` uniforms (or one sample's) and half as many normals.
+    valid construction certificate.  The Gaussian directions are drawn one
+    chunk of rows at a time with ``rng.normals((rows, d))``, bit for bit as
+    one ``rng.normals(d)`` per sample, so that besides the (n, d) result
+    the builder's temporaries stay a few times ``_DRAW_FLOATS`` floats (or
+    one sample's draw).
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
@@ -156,24 +157,10 @@ def synthetic_separable(n: int, d: int, gamma: float, rng: Rng) -> Dataset:
         raise ValueError("need d >= 2")
     ys = rng.rademacher(n)
     xs = np.empty((n, d))
-    # the uniforms of per_draw consecutive rng.normals(d) calls, drawn in
-    # one call: each sample's u1 block, then its u2 block; Box-Muller as there
-    pairs = (d + 1) // 2
-    per_draw = max(1, _DRAW_FLOATS // (2 * pairs))
+    # the most rows whose 2 * ceil(d/2) uniforms each fit in _DRAW_FLOATS
+    per_draw = max(1, _DRAW_FLOATS // (2 * ((d + 1) // 2)))
     for x in (xs[i:i + per_draw] for i in range(0, n, per_draw)):
-        U = rng.uniform(len(x) * 2 * pairs).reshape(-1, 2, pairs)
-        r, theta = U[:, 0], U[:, 1]
-        np.subtract(1.0, r, out=r)
-        np.log(r, out=r)
-        r *= -2.0
-        np.sqrt(r, out=r)
-        theta *= 2.0 * math.pi
-        z = np.cos(theta)
-        z *= r
-        x[:, 0::2] = z
-        np.sin(theta, out=theta)
-        theta *= r
-        x[:, 1::2] = theta[:, :d // 2]
+        x[:] = rng.normals((len(x), d))
     xs /= np.sqrt(_sq_norms(xs))[:, None]
     first = gamma + (1.0 - gamma) * np.abs(xs[:, 0])
     rest = xs[:, 1:]

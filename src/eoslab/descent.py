@@ -323,10 +323,15 @@ def run_gd(ds: Dataset, loss: L.LossSpec, eta: float, steps: int,
 
 
 def stable_criterion(loss: L.LossSpec, eta: float, n: int) -> float:
-    """Loss level below which the run is certified to descend monotonically."""
+    """Loss level below which the run is certified to descend monotonically;
+    0.0 where C_beta^2 overflows a float, as the level then rounds to 0."""
     if loss.kind == L.LOGISTIC:
         return 1.0 / eta
-    return min(1.0 / (12.0 * loss.C_beta ** 2 * eta), loss.ell0 / n)
+    try:
+        beta2 = loss.C_beta ** 2
+    except OverflowError:
+        return 0.0
+    return min(1.0 / (12.0 * beta2 * eta), loss.ell0 / n)
 
 
 def detect_phase(traj: Trajectory, n: int, gamma: float) -> PhaseReport:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -71,12 +71,13 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in (LOGISTIC, FLAT_EXP, FLAT_POLY):
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.kind != LOGISTIC and not (self.a is not None and self.a > 0):
-            raise ValueError(f"{self.kind} requires a > 0")
-        if self.C_g <= 0 or self.C_beta <= 0:
-            raise ValueError("C_g and C_beta must be positive")
-        if self.C_e is not None and self.C_e <= 0:
-            raise ValueError("C_e must be positive when present")
+        if self.kind != LOGISTIC and not (self.a is not None and 0.0 < self.a < math.inf):
+            raise ValueError(f"{self.kind} requires a finite a > 0, not {self.a}")
+        for name in ("C_g", "C_beta", "C_e"):
+            value = getattr(self, name)
+            if not (value is None and name == "C_e" or 0.0 < value < math.inf):
+                raise ValueError(f"{self.kind} with a={self.a} has {name} = {value}; "
+                                 f"it must be positive and finite")
 
 
 def logistic() -> LossSpec:
@@ -84,19 +85,26 @@ def logistic() -> LossSpec:
                     ell0=math.log(2.0))
 
 
+def _or_inf(constant: Callable[[], float]) -> float:
+    """``constant()``, or inf where its float arithmetic overflows or divides
+    by zero, so that LossSpec refuses it by name rather than by traceback."""
+    try:
+        return constant()
+    except ArithmeticError:
+        return math.inf
+
+
 def flattened_exponential(a: float) -> LossSpec:
-    if a <= 0:
-        raise ValueError("temperature a must be positive")
-    return LossSpec(FLAT_EXP, float(a), C_g=float(a),
-                    C_beta=max(a, a * math.exp(a) / 2.0, 1.0),
-                    C_e=1.0 / a, ell0=1.0)
+    a = float(a)
+    return LossSpec(FLAT_EXP, a, C_g=a,
+                    C_beta=_or_inf(lambda: max(a, a * math.exp(a) / 2.0, 1.0)),
+                    C_e=_or_inf(lambda: 1.0 / a), ell0=1.0)
 
 
 def flattened_polynomial(a: float) -> LossSpec:
-    if a <= 0:
-        raise ValueError("degree a must be positive")
-    return LossSpec(FLAT_POLY, float(a), C_g=float(a),
-                    C_beta=max(a, (a + 1.0) * 2.0 ** a),
+    a = float(a)
+    return LossSpec(FLAT_POLY, a, C_g=a,
+                    C_beta=_or_inf(lambda: max(a, (a + 1.0) * 2.0 ** a)),
                     C_e=None, ell0=1.0)
 
 

@@ -3,8 +3,9 @@ exact row norms, 1-D minimization, and the number check of config-JSON
 descriptors.
 
 Everything here is 64-bit float and fully reproducible: the random stream
-is PCG64 (seeded) and normals come from Box-Muller on that stream, so the
-same seed gives the same draws on every run.
+is PCG64 (seeded) and normals come from Box-Muller on that stream, one
+sample or rows of samples at a time, so the same seed gives the same draws
+on every run.
 """
 
 from __future__ import annotations
@@ -32,7 +33,10 @@ class Rng:
     same seed always yields the same stream, independent of platform.
     Normal variates are produced by the Box-Muller transform on uniform
     draws from that stream rather than by ziggurat rejection, so the
-    mapping seed -> normals is pinned down by this module alone.
+    mapping seed -> normals is pinned down by this module alone:
+    :meth:`normals` is the package's one Box-Muller transform, and its
+    (rows, size) form draws many samples at once, with the bits of one
+    sample at a time.
 
     An ``Rng`` is single-owner mutable state: share datasets and configs
     freely between threads, but give each concurrent run its own ``Rng``.
@@ -58,23 +62,26 @@ class Rng:
         """Uniform +/-1 draws."""
         return 2.0 * self._gen.integers(0, 2, size=size).astype(np.float64) - 1.0
 
-    def normals(self, size: int) -> np.ndarray:
-        """Standard normal draws via Box-Muller.
+    def normals(self, size: int | tuple[int, int]) -> np.ndarray:
+        """Standard normal draws via Box-Muller: ``size`` of them, or a
+        (rows, size) array whose rows are, bit for bit, ``rows`` consecutive
+        ``normals(size)`` calls.
 
-        Draws ceil(size/2) uniform pairs and discards the spare when size
-        is odd, so the consumed stream length depends only on ``size``.
+        Each row draws its ceil(size/2) uniforms u1, then as many u2, and
+        discards the spare when size is odd, so the consumed stream length
+        depends only on the shape.
         """
+        rows, size = size if isinstance(size, tuple) else (None, size)
         if size < 1:
             raise ValueError("size must be >= 1")
         pairs = (size + 1) // 2
-        u1 = 1.0 - self._gen.random(pairs)  # in (0, 1]: keeps log finite
-        u2 = self._gen.random(pairs)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * math.pi * u2
-        z = np.empty(2 * pairs, dtype=np.float64)
-        z[0::2] = r * np.cos(theta)
-        z[1::2] = r * np.sin(theta)
-        return z[:size]
+        U = self._gen.random((1 if rows is None else rows) * 2 * pairs).reshape(-1, 2, pairs)
+        r = np.sqrt(-2.0 * np.log(1.0 - U[:, 0]))  # 1 - u in (0, 1]: log stays finite
+        theta = 2.0 * math.pi * U[:, 1]
+        z = np.empty((len(U), 2 * pairs), dtype=np.float64)
+        z[:, 0::2] = r * np.cos(theta)
+        z[:, 1::2] = r * np.sin(theta)
+        return z[0, :size] if rows is None else z[:, :size]
 
 
 def _sq_norms(A: np.ndarray) -> np.ndarray:

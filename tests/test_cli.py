@@ -237,16 +237,36 @@ class TestGd:
         ({"steps": [1]}, "error: config key 'steps' must be a number, not [1]\n"),
         ({"eta": [1.0, "x"]},
          "error: config key 'eta' must be a number list, not [1.0, \"x\"]\n"),
-    ], ids=["not-an-object", "steps-list", "eta-item-not-a-number"])
+        ({"steps": 50.7}, 'error: "steps" of the config must be an integer, not 50.7\n'),
+        ({"record_every": 1.9},
+         'error: "record_every" of the config must be an integer, not 1.9\n'),
+        ({"command": "ntk", "seed": 1.5},
+         'error: "seed" of the config must be an integer, not 1.5\n'),
+        ({"command": "ntk", "width": 8.9},
+         'error: "width" of the config must be an integer, not 8.9\n'),
+        ({"command": "ntk", "width": "8"},
+         'error: "width" of the config must be a number, not "8"\n'),
+        ({"command": "ntk", "width_cap": 7.5},
+         'error: "width_cap" of the config must be an integer, not 7.5\n'),
+    ], ids=["not-an-object", "steps-list", "eta-item-not-a-number", "steps-fraction",
+            "record-every-fraction", "ntk-seed-fraction", "ntk-width-fraction",
+            "ntk-width-string", "ntk-width-cap-fraction"])
     def test_config_of_the_wrong_type_rejected(self, tmp_path, capsys, cfg, error):
+        command = "gd"
         if isinstance(cfg, dict):
-            cfg = dict({"command": "gd", "dataset": {"kind": "toy"},
-                        "loss": {"kind": "logistic"}, "eta": [1.0], "steps": 10,
-                        "record_every": 1, "check_bounds": False, "svg": True}, **cfg)
+            command = cfg.pop("command", "gd")
+            base = {"command": "gd", "dataset": {"kind": "toy"},
+                    "loss": {"kind": "logistic"}, "eta": [1.0], "steps": 10,
+                    "record_every": 1, "check_bounds": False, "svg": True}
+            if command == "ntk":
+                base = {"command": "ntk", "dataset": {"kind": "toy", "normalize": "max"},
+                        "loss": {"kind": "logistic"}, "eta": 1.0, "steps": 10, "delta": 0.1,
+                        "seed": 0, "width": 8, "width_cap": 4096, "svg": True}
+            cfg = dict(base, **cfg)
         p = tmp_path / "typed.json"
         p.write_text(json.dumps(cfg))
         out = tmp_path / "t"
-        assert run("gd", "--config", str(p), "--out", str(out)) == 3
+        assert run(command, "--config", str(p), "--out", str(out)) == 3
         assert capsys.readouterr().err == error
         assert files_in(out) == []
 
@@ -543,6 +563,47 @@ class TestRunOptionDomains:
                    "--out", str(out)) == 0
         diag = json.loads((out / "ntk_diagnostics.json").read_text())
         assert diag["width"] == 254 and diag["width_capped"]
+
+
+# extreme but cheap inputs (steps <= 20, width <= 64, n <= 8): loss
+# parameters whose constants or whose C_beta^2 overflow, stepsizes at the
+# ends of the float range, and margins down to the smallest subnormal
+EXTREME_ARGVS = [
+    *([command, "--loss", loss, "--a", a, *rest]
+      for loss, avals in (("flat_exp", ("400", "709", "710", "1000", "inf")),
+                          ("flat_poly", ("600", "1023", "1025", "1100", "inf")))
+      for a in avals
+      for command, rest in (("gd", ["--steps", "20"]),
+                            ("bounds", ["--gamma", "0.1", "--eta", "1", "--t", "10"]),
+                            ("check-loss", []))),
+    ["gd", "--normalize", "--check-bounds", "--loss", "flat_exp", "--a", "400", "--steps", "20"],
+    ["ntk", "--normalize", "--width", "64", "--loss", "flat_poly", "--a", "600",
+     "--steps", "20"],
+    *([command, "--eta", eta, *rest] for eta in ("1e308", "1e-320")
+      for command, rest in (("gd", ["--steps", "20"]), ("sgd", ["--steps", "20"]),
+                            ("ntk", ["--normalize", "--width", "64", "--steps", "20"]),
+                            ("bounds", ["--gamma", "0.1", "--t", "10"]))),
+    *(argv for gamma in ("1e-8", "1e-160", "5e-324")
+      for argv in (["gd", "--dataset", "lower_bound", "--gamma", gamma, "--steps", "20"],
+                   ["ntk", "--dataset", "lower_bound", "--gamma", gamma, "--width", "64",
+                    "--steps", "20"],
+                   ["bounds", "--gamma", gamma, "--eta", "1", "--t", "10"])),
+]
+
+
+@pytest.mark.parametrize("argv", EXTREME_ARGVS, ids=" ".join)
+def test_extreme_inputs_exit_cleanly(tmp_path, monkeypatch, capsys, argv):
+    # success, the divergence guard or a refusal, never a traceback; a
+    # refusal is one error line and leaves no file
+    monkeypatch.chdir(tmp_path)
+    out = [] if argv[0] in ("bounds", "check-loss") else ["--out", "o"]
+    code = run(*argv, *out)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3) and "Traceback" not in err, (code, err)
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    if code == 3:
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == []
 
 
 CHECK = {"applicable", "passed", "residual", "witness"}

@@ -212,6 +212,15 @@ class TestDetectPhase:
         expected = min(1.0 / (12.0 * spec.C_beta ** 2 * 2.0), spec.ell0 / NTOY.n)
         assert ph.criterion_value == pytest.approx(expected)
 
+    @pytest.mark.parametrize("spec", [losses.flattened_exponential(400.0),
+                                      losses.flattened_polynomial(600.0)])
+    def test_criterion_where_beta_squared_overflows(self, spec):
+        # C_beta is finite but C_beta^2 is not: the level rounds to 0.0
+        assert math.isfinite(spec.C_beta)
+        tr = descent.run_gd(NTOY, spec, 2.0, 20)
+        ph = descent.detect_phase(tr, NTOY.n, NCERT.gamma)
+        assert ph.criterion_value == 0.0
+
     def test_stable_from_max_of_both(self):
         for eta in (8.0, 32.0):
             tr = descent.run_gd(NTOY, LOG, eta, 5000)

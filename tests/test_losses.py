@@ -3,6 +3,7 @@ constants, the regularization-path length rho, and the sampled
 conformance checker."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -147,6 +148,29 @@ class TestConstants:
             L.flattened_exponential(0.0)
         with pytest.raises(ValueError):
             L.flattened_polynomial(-1.0)
+
+    @pytest.mark.parametrize("factory,a,error", [
+        (L.flattened_exponential, 709.0, "flat_exp with a=709.0 has C_beta = inf"),
+        (L.flattened_exponential, 710.0, "flat_exp with a=710.0 has C_beta = inf"),
+        (L.flattened_exponential, 1e-320, "flat_exp with a=1e-320 has C_e = inf"),
+        (L.flattened_exponential, math.inf, "flat_exp requires a finite a > 0, not inf"),
+        (L.flattened_exponential, math.nan, "flat_exp requires a finite a > 0, not nan"),
+        (L.flattened_polynomial, 1023.0, "flat_poly with a=1023.0 has C_beta = inf"),
+        (L.flattened_polynomial, 1025.0, "flat_poly with a=1025.0 has C_beta = inf"),
+        (L.flattened_polynomial, math.inf, "flat_poly requires a finite a > 0, not inf"),
+        (L.flattened_polynomial, 0.0, "flat_poly requires a finite a > 0, not 0.0"),
+    ])
+    def test_constants_must_be_finite(self, factory, a, error):
+        # refused by name: no factory lets an OverflowError or a
+        # ZeroDivisionError escape, and no constant is infinite
+        with pytest.raises(ValueError, match=re.escape(error)):
+            factory(a)
+
+    def test_largest_constants_kept(self):
+        # C_beta is finite here although its square is not
+        fe, fp = L.flattened_exponential(700.0), L.flattened_polynomial(1010.0)
+        assert fe.C_beta == 700.0 * math.exp(700.0) / 2.0
+        assert fp.C_beta == 1011.0 * 2.0 ** 1010
 
     def test_json_round_trip(self):
         for spec in ALL_SPECS:

@@ -56,6 +56,30 @@ class TestRng:
         with pytest.raises(ValueError):
             Rng(0).normals(0)
 
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3, 50, 51])
+    def test_rows_are_consecutive_draws(self, d, k):
+        # bit for bit as k calls of normals(d), leaving the same stream behind
+        for seed in range(4):
+            a, b = Rng(seed), Rng(seed)
+            got = a.normals((k, d))
+            ref = np.stack([b.normals(d) for _ in range(k)])
+            assert got.shape == (k, d) and got.dtype == np.float64
+            assert got.tobytes() == ref.tobytes()
+            assert a.uniform() == b.uniform()
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5])
+    def test_rows_of_no_size_refused(self, k):
+        with pytest.raises(ValueError, match="size must be >= 1"):
+            Rng(0).normals((k, 0))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 50, 51])
+    def test_no_rows_draw_nothing(self, d):
+        a, b = Rng(9), Rng(9)
+        z = a.normals((0, d))
+        assert z.shape == (0, d) and z.dtype == np.float64
+        assert a.uniform() == b.uniform()
+
 
 class TestMinimize1d:
     def test_symmetric_quadratic(self):
