@@ -161,18 +161,16 @@ def _write_run(out: Path, stem: str, traj: G.Trajectory, n: int,
 
 
 def _sweep(cfg: dict, out: Path, runs, stem: str, n: int, cert=None, check=False) -> list:
-    """Write ``config.json``, then take the stepsizes' runs, in order, from
-    ``runs(etas)``, which yields a Trajectory or the DivergenceError to
-    raise, and write each with :func:`_write_run` as ``stem.format(tag)``,
-    where ``tag`` names the run's stepsize in file names; returns each
-    run's (legend, Trajectory)."""
-    etas = _etas(cfg["eta"])
+    """Write ``config.json``, then each of ``runs``, a Trajectory or the
+    DivergenceError to raise, in stepsize order, with :func:`_write_run` as
+    ``stem.format(tag)``, where ``tag`` names the run's own stepsize in file
+    names; returns each run's (legend, Trajectory)."""
     _json_dump(cfg, out / "config.json")
     done = []
-    for eta, traj in zip(etas, runs(etas)):
+    for traj in runs:
         if isinstance(traj, G.DivergenceError):
             raise traj
-        label = _label(eta)
+        label = _label(traj.eta)
         _write_run(out, stem.format(label.replace(".", "p").replace("-", "m")), traj, n,
                    cert, check)
         done.append((f"eta={label}", traj))
@@ -190,10 +188,8 @@ def _run_gd(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
         if check:
             raise ValueError(f"--check-bounds needs a certified margin: {exc}") from None
         cert = None  # runs proceed; phase detection needs the margin
-
-    def runs(etas):
-        return G.run_gd_batch(ds, loss, etas, int(cfg["steps"]), int(cfg["record_every"]))
-
+    runs = G.run_gd_batch(ds, loss, _etas(cfg["eta"]), int(cfg["steps"]),
+                          int(cfg["record_every"]))
     done = _sweep(cfg, out, runs, "gd_eta{}", ds.n, cert, check)
     return "gd_loss.svg", [(name, tr.steps, tr.loss) for name, tr in done], dict(
         title=f"GD loss, {ds.name}", ylabel="loss")
@@ -202,12 +198,9 @@ def _run_gd(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
 def _run_sgd(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
     cert = D.margin(ds)
     seed = int(cfg["seed"])
-
-    def runs(etas):
-        # one run at a time, each written as soon as it ends: SGD runs are
-        # not batched
-        return (G.run_sgd(ds, eta, int(cfg["steps"]), Rng(seed)) for eta in etas)
-
+    # one run at a time, each written as soon as it ends: SGD runs are not
+    # batched
+    runs = (G.run_sgd(ds, eta, int(cfg["steps"]), Rng(seed)) for eta in _etas(cfg["eta"]))
     done = _sweep(cfg, out, runs, "sgd_eta{}_seed%d" % seed, ds.n, cert)
     return "sgd_loss.svg", [(name, tr.steps, tr.loss) for name, tr in done], dict(
         title=f"SGD population loss, {ds.name}", ylabel="loss")
@@ -220,10 +213,10 @@ def _run_ntk(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
     delta, cap = float(cfg["delta"]), int(cfg["width_cap"])
     wmin = B.width_min(loss, cert.gamma, eta, T, ds.n, delta)
     auto = cfg["width"] == "auto"
-    # the certified sufficient width is astronomically conservative; "auto"
-    # runs at the least even width above it, or the largest within the cap,
-    # and reports both numbers
-    m = min(2 * math.ceil(wmin / 2), cap - cap % 2) if auto else int(cfg["width"])
+    # the certified sufficient width is astronomically conservative, even
+    # inf; "auto" runs at the least even width above it, or the largest
+    # within the cap, and reports both numbers
+    m = min(2 * math.ceil(min(wmin, cap) / 2), cap - cap % 2) if auto else int(cfg["width"])
     capped = auto and m < wmin
     net = N.init_net(m, ds.d, Rng(int(cfg["seed"])))
     _json_dump(cfg, out / "config.json")
@@ -287,17 +280,19 @@ def _run_rates(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
         fits[_label(traj.eta)] = asdict(A.fit_rate(traj, tail_fraction=tail))
 
     curves = [(name, tr.steps[1:], tr.eta * tr.steps[1:] * tr.loss[1:])
-              for name, tr in _sweep(cfg, out, lambda etas: trajs, "rates_eta{}", ds.n)]
+              for name, tr in _sweep(cfg, out, trajs, "rates_eta{}", ds.n)]
     _json_dump(fits, out / "rates.json")
     return "rates.svg", curves, dict(title=f"eta*t*loss, {ds.name}",
                                      ylabel="eta * t * loss", logx=True)
 
 
 def _run_bounds(args) -> int:
+    """Print the bound reports of the given flags as JSON lines; a flag not
+    given takes its default from :func:`eoslab.bounds.bound_reports`."""
     loss = L.loss_from_json(_loss_descriptor(args))
-    reports = B.bound_reports(loss, args.gamma, args.eta_single, args.t, n=args.n,
-                              s=args.s, T=args.T, d=args.d, delta=args.delta,
-                              F_s=args.F_s, C1=args.C1, C2=args.C2, C_a=args.C_a)
+    given = {key: value for key, value in vars(args).items()
+             if value is not None and key not in ("command", "loss", "a")}
+    reports = B.bound_reports(loss, **given)
     for rep in reports:
         print(json.dumps(asdict(rep), sort_keys=True))
     return 0
@@ -389,17 +384,17 @@ def _build_parser(given_only: bool = False) -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="print bound reports as JSON lines")
     _add_loss_flags(p)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--eta", dest="eta_single", type=float, required=True)
+    p.add_argument("--eta", type=float, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--T", type=int, default=None)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--F-s", type=float, default=1.0)
-    p.add_argument("--C1", type=float, default=1.0)
-    p.add_argument("--C2", type=float, default=1.0)
-    p.add_argument("--C-a", type=float, default=1.0)
+    p.add_argument("--s", type=int)
+    p.add_argument("--T", type=int)
+    p.add_argument("--n", type=int)
+    p.add_argument("--d", type=int)
+    p.add_argument("--delta", type=float)
+    p.add_argument("--F-s", type=float)
+    p.add_argument("--C1", type=float)
+    p.add_argument("--C2", type=float)
+    p.add_argument("--C-a", type=float)
 
     p = sub.add_parser("check-loss", help="verify the loss-condition suite")
     _add_loss_flags(p)
@@ -408,19 +403,24 @@ def _build_parser(given_only: bool = False) -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> dict:
-    """The config of a run command's flags, whose parser states every default."""
+    """The config of a run command's flags, whose parser states every
+    default.  A seed not given is EOS_LAB_SEED's, or with ``--config`` 0,
+    which only stands for the kind of the config's own seed."""
     cfg = {key: value for key, value in vars(args).items() if key not in _NOT_CONFIG}
     cfg["dataset"] = _dataset_descriptor(args)
     if "loss" in cfg:
         cfg["loss"] = _loss_descriptor(args)
+    if "eta" in cfg:
+        cfg["eta"] = _etas(args.eta)
     if cfg["command"] == "ntk":
-        cfg["eta"] = float(args.eta)
+        if len(cfg["eta"]) > 1:
+            raise ValueError(f"ntk runs one stepsize, not the {len(cfg['eta'])} of "
+                             f"--eta {args.eta}")
+        [cfg["eta"]] = cfg["eta"]
         if args.width != "auto":
             cfg["width"] = int(args.width)
-    elif "eta" in cfg:
-        cfg["eta"] = _etas(args.eta)
     if cfg.get("seed", 0) is None:  # no --seed given
-        cfg["seed"] = _env_seed()
+        cfg["seed"] = _env_seed() if args.config is None else 0
     return cfg
 
 
@@ -444,11 +444,7 @@ def main(argv=None) -> int:
                        if v is not None and k not in ("command", "config", "out")]
             if dropped:  # the config's values would override them
                 raise ValueError(f"--config takes no run flag but --out: {', '.join(dropped)}")
-            # a fresh parser: one held through the run ages into the oldest GC generation;
-            # with a --seed, as the config's own seed, not EOS_LAB_SEED, is the run's
-            bare = [args.command] + (["--seed", "0"] if hasattr(args, "seed") else [])
-            own = _config_from_args(_build_parser().parse_args(bare))
-            cfg = _load_config(args.config, own)
+            cfg = _load_config(args.config, _config_from_args(args))
         else:
             cfg = _config_from_args(args)
         for key, low in (("steps", 1), ("record_every", 1), ("seed", 0)):
@@ -470,8 +466,7 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"error: missing config key {exc}", file=sys.stderr)
         return 3
-    except (ValueError, A.InfeasibleBudget, D.NotSeparable, D.NotConverged,
-            OSError, json.JSONDecodeError) as exc:
+    except (ValueError, D.NotConverged, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

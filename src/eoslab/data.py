@@ -300,6 +300,8 @@ def margin(ds: Dataset, trace: list | None = None) -> MarginCertificate:
     ``gamma`` is the margin the returned direction attains; ``upper`` is
     the norm of the min-norm point, an upper bound on the true margin, and
     ``upper - gamma <= _MARGIN_TOL * max_i ||z_i||`` up to roundoff.
+    ``upper = max(||p||, gamma)`` is the float norm of a rounded hull
+    point, so it bounds the true margin only up to that rounding.
     ``trace``, if given, collects the solver's iterate norm at each major
     step (``bench/tracing.py`` counts the iterations so).  Raises
     :class:`NotSeparable` when no positive margin can be certified (the

@@ -360,7 +360,8 @@ def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng) -> Trajectory:
     step.  The step loop stores each iterate and its margins and applies
     the sampled-row update; the metrics are evaluated per block from those,
     bit for bit as step by step.  Memory is the block buffers plus the O(T)
-    series; no iterate is kept past its block.
+    series; no iterate is kept past its block, and neither the iterates
+    nor the drawn indices are returned.
     """
     _check_run(eta, steps)
     Zy = ds.signed()

@@ -174,12 +174,16 @@ def g(loss: LossSpec, z):
 
 
 def rho_bound(loss: LossSpec, lam: float) -> float:
-    """Closed-form upper bound on rho(lambda) for lambda >= 1."""
+    """Closed-form upper bound on rho(lambda) for lambda >= 1.  Where a
+    flat_exp ``a ** 2`` underflows to 0, its limit as a -> 0: 1 at
+    lambda = 1, inf above."""
     if lam < 1.0:
         raise ValueError("rho is defined for lambda >= 1")
     if loss.kind == LOGISTIC:
         return 1.0 + math.log(lam) ** 2
     if loss.kind == FLAT_EXP:
+        if loss.a ** 2 == 0.0:
+            return 1.0 if lam == 1.0 else math.inf
         return 1.0 + math.log(lam) ** 2 / loss.a ** 2
     return 2.0 * lam ** (2.0 / (loss.a + 2.0))
 
@@ -190,7 +194,11 @@ def rho_exact(loss: LossSpec, lam: float) -> float:
 
     The objective is strictly convex (convex loss plus z^2), so the
     bracket [-2, hi] is unimodal; hi is widened geometrically until the
-    minimizer is interior.
+    minimizer is interior.  Where that fails (a flat_exp ``a`` so small
+    that the objective is flat in float over the widened bracket), the
+    search runs on [0, lambda*C_g], which holds the minimizer z* as
+    2 z* = lambda g(z*) <= lambda C_g, to 1e-8 or 1e-12 of that bracket's
+    length, whichever is larger.
     """
     if lam < 1.0:
         raise ValueError("rho is defined for lambda >= 1")
@@ -208,7 +216,8 @@ def rho_exact(loss: LossSpec, lam: float) -> float:
         if x < hi - 100.0 * tol:
             return fx
         hi *= 2.0
-    raise RuntimeError("rho_exact: bracket expansion failed to enclose the minimizer")
+    hi = lam * loss.C_g
+    return minimize_1d(h, 0.0, hi, tol=max(tol, 1e-12 * hi))[1]
 
 
 def psi(loss: LossSpec, lam: float) -> float:

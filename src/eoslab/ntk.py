@@ -71,7 +71,8 @@ def _network_maps(net: NtkNet, ds: Dataset) -> tuple:
     """The maps that :func:`run_gd_ntk` steps with: ``margins(W)``, the
     (1, n) margins y_i f(x_i; w) at w, the one row of W; and
     ``gradient(D)``, the (1, m*d) gradient of the mean loss in w from the
-    (1, n) loss derivatives D at the margins ``margins`` last returned."""
+    (1, n) loss derivatives D at the margins ``margins`` last returned.
+    The gradient checks probe these same maps."""
     shape, root_m, pre = net.w0.shape, math.sqrt(net.m), None
     # row s is a_s/sqrt(m) repeated: the factor the output weights put on
     # the gradient in w^(s)

@@ -564,10 +564,63 @@ class TestRunOptionDomains:
         diag = json.loads((out / "ntk_diagnostics.json").read_text())
         assert diag["width"] == 254 and diag["width_capped"]
 
+    def test_auto_width_at_the_cap_of_an_infinite_width(self, tmp_path):
+        # a flat_exp a this small puts rho_bound, the lazy radius and the
+        # sufficient width at inf; "auto" runs at the cap
+        out = tmp_path / "o"
+        assert run("ntk", "--normalize", "--loss", "flat_exp", "--a", "1e-300",
+                   "--width-cap", "64", "--steps", "200", "--no-svg", "--out", str(out)) == 0
+        diag = json.loads((out / "ntk_diagnostics.json").read_text())
+        assert diag["width_min"] == math.inf and diag["R"] == math.inf
+        assert diag["width"] == 64 and diag["width_capped"]
 
-# extreme but cheap inputs (steps <= 20, width <= 64, n <= 8): loss
-# parameters whose constants or whose C_beta^2 overflow, stepsizes at the
-# ends of the float range, and margins down to the smallest subnormal
+    def test_ntk_takes_one_stepsize(self, tmp_path, capsys):
+        err = self.refused(capsys, tmp_path / "o", "ntk", "--eta", "1,2", "--width", "8",
+                           "--steps", "5")
+        assert err == "error: ntk runs one stepsize, not the 2 of --eta 1,2\n"
+
+    # --config files with two faults each: the refusal names the one that
+    # its runner checks first (check-bounds and record_every, then the loss,
+    # then the certificate, then the stepsizes), and no file is written
+    CONFLICT = {"kind": "csv", "path": "conflict.csv"}  # its hull holds the origin
+    HULL = "conflict: the signed-sample hull contains the origin (min-norm point has norm 0.000e+00)"
+    FLAT_EXP_0 = {"kind": "flat_exp", "a": 0}
+
+    @pytest.mark.parametrize("command,edits,error", [
+        ("gd", dict(check_bounds=True, record_every=2, eta=[0]),
+         "--check-bounds needs every step recorded (--record-every 1)"),
+        ("gd", dict(check_bounds=True, dataset=CONFLICT, eta=[0]),
+         f"--check-bounds needs a certified margin: {HULL}"),
+        ("gd", dict(loss=FLAT_EXP_0, eta=[0]), "flat_exp requires a finite a > 0, not 0.0"),
+        ("gd", dict(eta=[3, 3.0000001, 0]),
+         "stepsizes 3.0 and 3.0000001 share the label '3' that names their files"),
+        # without --check-bounds a gd run goes ahead on a set it cannot certify
+        ("gd", dict(dataset=CONFLICT, eta=[]), "at least one stepsize is required"),
+        ("sgd", dict(dataset=CONFLICT, eta=[0]), HULL),
+        ("rates", dict(tail_fraction=0.95, eta=[0]), "tail_fraction must lie in (0, 0.9]"),
+        ("rates", dict(loss=FLAT_EXP_0, tail_fraction=0.95),
+         "flat_exp requires a finite a > 0, not 0.0"),
+    ], ids=["gd-record-every", "gd-uncertified", "gd-loss", "gd-label", "gd-empty",
+            "sgd-uncertified", "rates-tail", "rates-loss"])
+    def test_refusal_order_in_config(self, tmp_path, capsys, monkeypatch, command, edits,
+                                     error):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "conflict.csv").write_text("1,1.0\n-1,0.3\n")
+        first = tmp_path / "first"
+        assert run(*RUN_COMMANDS[command][0], "--out", str(first)) == 0
+        cfg = json.loads((first / "config.json").read_text())
+        assert set(edits) <= set(cfg)
+        cfg.update(edits)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(cfg))
+        err = self.refused(capsys, tmp_path / "o", command, "--config", str(p))
+        assert err == f"error: {error}\n"
+
+
+# extreme but cheap inputs (steps <= 200, width <= 64, n <= 8): loss
+# parameters whose constants or whose C_beta^2 overflow, or so small that
+# a^2 or the lazy radius does, stepsizes at the ends of the float range,
+# margins down to the smallest subnormal, and a sweep given to ntk
 EXTREME_ARGVS = [
     *([command, "--loss", loss, "--a", a, *rest]
       for loss, avals in (("flat_exp", ("400", "709", "710", "1000", "inf")),
@@ -588,6 +641,14 @@ EXTREME_ARGVS = [
                    ["ntk", "--dataset", "lower_bound", "--gamma", gamma, "--width", "64",
                     "--steps", "20"],
                    ["bounds", "--gamma", gamma, "--eta", "1", "--t", "10"])),
+    *([command, "--loss", loss, "--a", a, *rest]
+      for loss in ("flat_exp", "flat_poly") for a in ("1e-153", "1e-155", "1e-162", "1e-300")
+      for command, rest in (("gd", ["--steps", "200"]),
+                            ("bounds", ["--gamma", "0.1", "--eta", "1", "--t", "10"]),
+                            ("check-loss", []),
+                            ("ntk", ["--normalize", "--width", "64", "--steps", "200"]),
+                            ("ntk", ["--normalize", "--width-cap", "64", "--steps", "200"]))),
+    ["ntk", "--eta", "1,2"],
 ]
 
 

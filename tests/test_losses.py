@@ -204,6 +204,23 @@ class TestRho:
         # exponent 2/(a+2) = 1/2 at a=2: 2*sqrt(16) = 8
         assert L.rho_bound(L.flattened_polynomial(2.0), 16.0) == pytest.approx(8.0)
 
+    @pytest.mark.parametrize("a", [1e-153, 1e-162, 1e-300, 5.6e-309])
+    def test_tiny_flat_exp_a(self, a):
+        # the objective lam*l(z) + z^2 is flat in float far past its
+        # minimizer z* <= lam*a/2, so the widened bracket cannot enclose it:
+        # the search runs on [0, lam*C_g], where rho is lam to the last bit
+        spec = L.flattened_exponential(a)
+        for lam in (1.0, 10.0, 1e6, 1e100):
+            assert L.rho_exact(spec, lam) == lam
+            assert L.rho_exact(spec, lam) <= L.rho_bound(spec, lam)
+
+    @pytest.mark.parametrize("a", [1e-162, 1e-300])
+    def test_rho_bound_where_a_squared_underflows(self, a):
+        # the limit of 1 + ln(lam)^2 / a^2 as a -> 0
+        spec = L.flattened_exponential(a)
+        assert L.rho_bound(spec, 1.0) == 1.0
+        assert L.rho_bound(spec, 1.0 + 1e-15) == L.rho_bound(spec, 1e6) == math.inf
+
     def test_rho_requires_lambda_at_least_one(self):
         with pytest.raises(ValueError):
             L.rho_bound(L.logistic(), 0.5)
