@@ -82,22 +82,42 @@ def _scale_after(gamma: float, eta: float, t: float, s: float) -> float:
     return x
 
 
+# The bodies of the formulas that cap a recorded series: each takes the
+# time scale x = gamma^2*eta*t of _scale and the log to use, math.log for
+# the formula at one step and np.log for analysis.compare_bounds's screen
+# of every step at once (see Bound.approx).
+
+
+def _eos_avg(x, log, eta):
+    return (1.0 + log(x) ** 2 + eta * eta / 4.0) / x
+
+
+def _avg_grad_potential(x, log, eta):
+    return (math.sqrt(2.0) + 2.0 * log(x) + eta) / x
+
+
+def _param_norm(x, log, gamma, eta):
+    return (math.sqrt(2.0) + 2.0 * log(x) + eta) / gamma
+
+
+def _ntk_eos(x, log, loss, eta, n, delta, C_a):
+    init = C_a + math.sqrt(2.0 * math.log(2.0 * n / delta)) if delta < 1.0 else C_a
+    return 9.0 * (L._rho(loss, x, log) + (init + eta * loss.C_g) ** 2) / x
+
+
 def eos_avg_bound(gamma: float, eta: float, t: float) -> float:
     """Upper bound on the running average loss, valid at every step."""
-    x = _scale(gamma, eta, t)
-    return (1.0 + math.log(x) ** 2 + eta * eta / 4.0) / x
+    return _eos_avg(_scale(gamma, eta, t), math.log, eta)
 
 
 def avg_grad_potential_bound(gamma: float, eta: float, t: float) -> float:
     """Upper bound on the running average of the gradient potential G."""
-    x = _scale(gamma, eta, t)
-    return (math.sqrt(2.0) + 2.0 * math.log(x) + eta) / x
+    return _avg_grad_potential(_scale(gamma, eta, t), math.log, eta)
 
 
 def param_norm_bound(gamma: float, eta: float, t: float) -> float:
     """Upper bound on ||w_t|| for zero-initialized logistic runs."""
-    x = _scale(gamma, eta, t)
-    return (math.sqrt(2.0) + 2.0 * math.log(x) + eta) / gamma
+    return _param_norm(_scale(gamma, eta, t), math.log, gamma, eta)
 
 
 def stable_bound(gamma: float, eta: float, t: float, s: float, F_s: float) -> float:
@@ -167,9 +187,7 @@ def ntk_eos_bound(loss: L.LossSpec, gamma: float, eta: float, t: float,
     For the linear zero-initialized case, pass C_a = 0 and delta = 1 so
     the initialization terms vanish.
     """
-    x = _scale(gamma, eta, t)
-    init = C_a + math.sqrt(2.0 * math.log(2.0 * n / delta)) if delta < 1.0 else C_a
-    return 9.0 * (L.rho_bound(loss, x) + (init + eta * loss.C_g) ** 2) / x
+    return _ntk_eos(_scale(gamma, eta, t), math.log, loss, eta, n, delta, C_a)
 
 
 def ntk_stable_bound(loss: L.LossSpec, gamma: float, eta: float,
@@ -317,6 +335,24 @@ class Bound(NamedTuple):
                 continue
             yield t, value
 
+    def approx(self, ts: np.ndarray, given: dict) -> np.ndarray:
+        """The formula's arithmetic at every step of ``ts`` in one pass over
+        the array, the other inputs taken from ``given``: np.log stands in
+        for math.log, so where the formula applies (:meth:`over` yields the
+        step) the values lie within a few ulps of its own.  Steps where it
+        does not apply get a value all the same.  NaN at every step for a
+        row with no array body or whose array evaluation raises, as where
+        a float overflows in it."""
+        body = _ARRAY_BODIES.get(self.formula)
+        if body is not None:
+            x = given["gamma"] * given["gamma"] * given["eta"] * ts  # _scale's bits
+            try:
+                with np.errstate(all="ignore"):
+                    return body(**_bind(body, {**given, "x": x, "log": np.log}))
+            except (ValueError, ArithmeticError):
+                pass
+        return np.full(len(ts), math.nan)
+
 
 BOUNDS: tuple[Bound, ...] = (
     Bound("eos_avg_logistic", eos_avg_bound, _BASE, _LOGISTIC, caps="avg_loss"),
@@ -338,6 +374,11 @@ BOUNDS: tuple[Bound, ...] = (
     Bound("vc", vc_bound, ("d", "n", "delta"), _ANY),
     Bound("regime", table1_regimes, (), _ANY, "unit constants"),
 )
+
+
+# the body, over _scale's x, of each formula that caps a series
+_ARRAY_BODIES = {eos_avg_bound: _eos_avg, avg_grad_potential_bound: _avg_grad_potential,
+                 param_norm_bound: _param_norm, ntk_eos_bound: _ntk_eos}
 
 
 def bound_reports(loss: L.LossSpec, gamma: float, eta: float, t: int, *,

@@ -52,6 +52,13 @@ def _json_dump(obj, path: Path) -> None:
                     encoding="utf-8")
 
 
+def _write_config(cfg: dict, out: Path) -> None:
+    """Write ``config.json``, a run's first file, making ``out`` for it: a
+    run refused before this leaves no directory behind."""
+    out.mkdir(parents=True, exist_ok=True)
+    _json_dump(cfg, out / "config.json")
+
+
 def _dataset_descriptor(args) -> dict:
     desc: dict = {"kind": args.dataset}
     if args.dataset == "lower_bound":
@@ -165,7 +172,7 @@ def _sweep(cfg: dict, out: Path, runs, stem: str, n: int, cert=None, check=False
     DivergenceError to raise, in stepsize order, with :func:`_write_run` as
     ``stem.format(tag)``, where ``tag`` names the run's own stepsize in file
     names; returns each run's (legend, Trajectory)."""
-    _json_dump(cfg, out / "config.json")
+    _write_config(cfg, out)
     done = []
     for traj in runs:
         if isinstance(traj, G.DivergenceError):
@@ -219,7 +226,7 @@ def _run_ntk(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
     m = min(2 * math.ceil(min(wmin, cap) / 2), cap - cap % 2) if auto else int(cfg["width"])
     capped = auto and m < wmin
     net = N.init_net(m, ds.d, Rng(int(cfg["seed"])))
-    _json_dump(cfg, out / "config.json")
+    _write_config(cfg, out)
     traj = N.run_gd_ntk(net, ds, loss, eta, T)
     try:
         mhat = N.ntk_margin_hat(net, ds).gamma
@@ -246,7 +253,7 @@ def _run_accelerate(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
     plan = B.acceleration_plan(D.margin(ds).gamma, ds.n, T)
     if override is None and not plan.feasible:
         raise A.InfeasibleBudget(T, plan.threshold)
-    _json_dump(cfg, out / "config.json")
+    _write_config(cfg, out)
     if override is None:
         score = A.acceleration_score(ds, plan)
     else:
@@ -455,7 +462,6 @@ def main(argv=None) -> int:
             raise ValueError('--data-seed (the dataset\'s "seed") must be >= 0')
         ds = D.dataset_from_json(cfg["dataset"])
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         svg_name, curves, plot = _RUNNERS[args.command](cfg, ds, out)
         if cfg["svg"]:
             write_line_plot(out / svg_name, curves, xlabel="step", logy=True, **plot)

@@ -16,12 +16,14 @@ A trajectory records, at every recorded step, the loss L, the gradient,
 parameter and distance-from-initialization norms, the gradient potential
 G(w) = mean_i |l'(y_i x_i^T w)| that drives the phase-transition bounds,
 and the exponential potential F(w) = mean_i exp(-y_i x_i^T w), the
-stable-phase initial-condition term of logistic runs.  The step loops
-keep each step's margins (the GD loop also its l'(z) at the recorded
-steps, for G), from which the series are evaluated once per block of at
-most ``_BLOCK_STEPS`` steps and ``_BLOCK_FLOATS`` floats of margins (one
-step's when larger); reruns reproduce every number bit for bit.  A run
-from w_0 = 0 records one array as both ``param_norm`` and ``dist_init``.
+stable-phase initial-condition term of logistic runs.  The GD loop
+writes each step's margins into its block buffer (and keeps l'(z) at the
+recorded steps, for G); the SGD loop keeps each step's iterate and takes
+the block's margins from them in one stacked product.  From these the
+series are evaluated once per block of at most ``_BLOCK_STEPS`` steps
+and ``_BLOCK_FLOATS`` floats of margins (one step's when larger); reruns
+reproduce every number bit for bit.  A run from w_0 = 0 records one
+array as both ``param_norm`` and ``dist_init``.
 
 A GD run evaluates its loss at its recorded steps only.  For the guard,
 one screen stands in for every step of a block: every loss is
@@ -185,12 +187,13 @@ def gd_engine(W, n: int, margins, gradient, loss: L.LossSpec, etas,
     """The full-batch GD loop (internal) of :func:`run_gd_batch` and
     ``ntk.run_gd_ntk``: step t moves each run k, a row of the (K, p) matrix
     ``W``, to ``w_t - etas[k] * gradient(l'(Z))[k]`` at the (K, n) margins
-    ``Z = margins(W)``, for any number of rows.  Every ``record_every``-th
-    step and T are recorded, ``dist_init`` from the rows of ``W`` as
-    passed in (for an all-zero start, ``dist_init`` is ``param_norm``'s
-    array); ``iterates``, if given, is (K, T+1, p) and receives every
-    iterate.  Each step's l'(Z) gives the step and, kept at the recorded
-    steps, G.  Each run's guard screens every block with
+    Z that ``margins(W, Z)`` writes, for any number of rows, through an
+    update buffer of W's shape.  Every ``record_every``-th step and T are
+    recorded, ``dist_init`` from the rows of ``W`` as passed in (for an
+    all-zero start, ``dist_init`` is ``param_norm``'s array);
+    ``iterates``, if given, is (K, T+1, p) and receives every iterate.
+    Each step's l'(Z) gives the step and, kept at the recorded steps, G.
+    Each run's guard screens every block with
     :meth:`_DivergenceGuard.quiet`; the loss is evaluated at the recorded
     steps, and at the others only for a block that the screen does not
     clear.  A run its own guard rejects leaves the batch, which goes on bit
@@ -210,6 +213,7 @@ def gd_engine(W, n: int, margins, gradient, loss: L.LossSpec, etas,
     Z_buf, k = np.empty((block, K, n)), 0
     D_buf = np.empty((min(block, -(-block // record_every) + 1), K, n))
     WG_buf = np.empty((2, min(_block_len(K * p), block), K, p))  # rows per pass of _sq_norms
+    S = np.empty((K, p))  # each step's update
 
     # a block may run up to a block of steps past a divergence before the
     # guard sees it; those steps' overflows and NaNs are discarded with it
@@ -219,7 +223,7 @@ def gd_engine(W, n: int, margins, gradient, loss: L.LossSpec, etas,
             k_start, r = k, 0
             Z, (Wr, Gr) = Z_buf[:stop - start], WG_buf
             for j, t in enumerate(range(start, stop)):
-                Z[j] = margins(W)
+                margins(W, Z[j])
                 D = L.deriv(loss, Z[j])
                 Gm = gradient(D)
                 if iterates is not None:
@@ -236,7 +240,7 @@ def gd_engine(W, n: int, margins, gradient, loss: L.LossSpec, etas,
                         sq[:, 2] = _sq_norms(V).T
                     r = 0
                 if t < T:
-                    W -= etas * Gm
+                    W -= np.multiply(etas, Gm, out=S)
 
             rows = steps[k_start:k] - start
             Zr = Z[rows]
@@ -264,7 +268,7 @@ def gd_engine(W, n: int, margins, gradient, loss: L.LossSpec, etas,
                 except DivergenceError as exc:
                     out[i] = exc
             if len(keep) < len(ids):
-                W, origin, etas, rec, ids = (a[keep] for a in (W, origin, etas, rec, ids))
+                W, origin, etas, rec, ids, S = (a[keep] for a in (W, origin, etas, rec, ids, S))
                 Z_buf, D_buf = Z_buf[:, keep], D_buf[:, keep]  # contiguous copies
                 WG_buf = WG_buf[:, :, keep]
                 if not keep:
@@ -284,14 +288,27 @@ def gd_engine(W, n: int, margins, gradient, loss: L.LossSpec, etas,
 
 
 def _linear_maps(ds: Dataset) -> tuple:
-    """The maps that :func:`run_gd_batch` steps with: ``margins(W)``, the
-    (K, n) margins of the rows of a (K, d) matrix W, and ``gradient(D)``,
-    the (K, d) mean-loss gradients from the (K, n) loss derivatives D at
-    those margins; one gemv per row (a gemm sums in another order)."""
+    """The maps that :func:`run_gd_batch` steps with: ``margins(W, out)``
+    writes the (K, n) margins of the rows of a (K, d) matrix W into
+    ``out``, and ``gradient(D)`` returns the (K, d) mean-loss gradients
+    from the (K, n) loss derivatives D at those margins.  Each takes one
+    gemv per row (a gemm sums in another order); a batch of one takes it
+    by a 2-D product, which dispatches faster, with the same bits."""
     Zy, n = ds.signed(), ds.n
-    Zy3, ZyT3 = Zy[None], Zy.T[None]
-    return (lambda W: np.matmul(Zy3, W[:, :, None])[:, :, 0],
-            lambda D: np.matmul(ZyT3, D[:, :, None])[:, :, 0] / n)
+    Zy3, ZyT, ZyT3 = Zy[None], Zy.T, Zy.T[None]
+
+    def margins(W, out):
+        if len(W) == 1:
+            np.matmul(Zy, W[0], out=out[0])
+        else:
+            np.matmul(Zy3, W[:, :, None], out=out[:, :, None])
+
+    def gradient(D):
+        if len(D) == 1:
+            return (ZyT @ D[0] / n)[None]
+        return np.matmul(ZyT3, D[:, :, None])[:, :, 0] / n
+
+    return margins, gradient
 
 
 def run_gd_batch(ds: Dataset, loss: L.LossSpec, etas, steps: int,
@@ -357,15 +374,16 @@ def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng) -> Trajectory:
 
     The sampling distribution has finite support, so the recorded
     population loss and zero-one error are exact over the support at every
-    step.  The step loop stores each iterate and its margins and applies
-    the sampled-row update; the metrics are evaluated per block from those,
-    bit for bit as step by step.  Memory is the block buffers plus the O(T)
-    series; no iterate is kept past its block, and neither the iterates
-    nor the drawn indices are returned.
+    step.  The step loop stores each iterate and applies the sampled-row
+    update; the margins, one gemv per iterate, and the metrics are
+    evaluated per block from the stored iterates, bit for bit as step by
+    step.  Memory is the block buffers plus the O(T) series; no iterate is
+    kept past its block, and neither the iterates nor the drawn indices
+    are returned.
     """
     _check_run(eta, steps)
     Zy = ds.signed()
-    ZyT3 = Zy.T[None]
+    Zy3, ZyT3 = Zy[None], Zy.T[None]
     rows = list(Zy)
     n = ds.n
     w = np.zeros(ds.d)
@@ -387,7 +405,6 @@ def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng) -> Trajectory:
             W, Z = W_buf[:stop - start], Z_buf[:stop - start]
             for j, t in enumerate(range(start, stop)):
                 W[j] = w
-                np.matmul(Zy, w, out=Z[j])
                 if t == T:
                     break
                 row = rows[picks[t]]
@@ -400,6 +417,9 @@ def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng) -> Trajectory:
                     coef = -1.0 / (1.0 + math.exp(zi))
                 w = w - (eta * coef) * row
 
+            # the block's margins, one gemv per iterate (a gemm sums in
+            # another order)
+            np.matmul(Zy3, W[:, :, None], out=Z[:, :, None])
             lvals = np.mean(np.logaddexp(0.0, -Z), axis=1)
             guard.check(start, lvals)
 

@@ -149,10 +149,11 @@ def deriv(loss: LossSpec, z):
     """l'(z), elementwise; both branches agree at the z = 0 seam."""
     z = np.asarray(z, dtype=np.float64)
     if loss.kind == LOGISTIC:
-        # -1/(1+e^z), computed stably on both tails: -e^-z/(1+e^-z) for
-        # z >= 0; negating before the one division is exact
-        ez = np.exp(-np.abs(z))
-        out = np.where(z >= 0.0, -ez, -1.0) / (1.0 + ez)
+        # -1/(1+e^z), computed stably on both tails: e^-z/-(1+e^-z) for
+        # z >= 0; with e = e^-|z| = exp(copysign(z, -1)), -1 - e = -(1+e)
+        # exactly, so the one division gives the negated quotient exactly
+        e = np.exp(np.copysign(z, -1.0))
+        out = np.where(z >= 0.0, e, 1.0) / (-1.0 - e)
     elif loss.kind == FLAT_EXP:
         pos = z > 0.0
         out = np.where(pos, -loss.a * np.exp(-loss.a * np.where(pos, z, 0.0)),
@@ -179,12 +180,20 @@ def rho_bound(loss: LossSpec, lam: float) -> float:
     lambda = 1, inf above."""
     if lam < 1.0:
         raise ValueError("rho is defined for lambda >= 1")
+    return _rho(loss, lam, math.log)
+
+
+def _rho(loss: LossSpec, lam, log: Callable):
+    """:func:`rho_bound`'s arithmetic at lambda >= 1, with ``log`` for the
+    natural log: at a float with ``math.log``, or at an array of them with
+    ``np.log``.  An array raises ValueError for a flat_exp whose a ** 2 is
+    0, as the limit there is written for one lambda."""
     if loss.kind == LOGISTIC:
-        return 1.0 + math.log(lam) ** 2
+        return 1.0 + log(lam) ** 2
     if loss.kind == FLAT_EXP:
         if loss.a ** 2 == 0.0:
             return 1.0 if lam == 1.0 else math.inf
-        return 1.0 + math.log(lam) ** 2 / loss.a ** 2
+        return 1.0 + log(lam) ** 2 / loss.a ** 2
     return 2.0 * lam ** (2.0 / (loss.a + 2.0))
 
 
@@ -198,7 +207,8 @@ def rho_exact(loss: LossSpec, lam: float) -> float:
     that the objective is flat in float over the widened bracket), the
     search runs on [0, lambda*C_g], which holds the minimizer z* as
     2 z* = lambda g(z*) <= lambda C_g, to 1e-8 or 1e-12 of that bracket's
-    length, whichever is larger.
+    length, whichever is larger.  Raises ValueError where floats near z*
+    lie farther apart than the tolerance, so that no bracket can meet it.
     """
     if lam < 1.0:
         raise ValueError("rho is defined for lambda >= 1")

@@ -68,20 +68,21 @@ def init_net(m: int, d: int, rng: Rng) -> NtkNet:
 
 
 def _network_maps(net: NtkNet, ds: Dataset) -> tuple:
-    """The maps that :func:`run_gd_ntk` steps with: ``margins(W)``, the
-    (1, n) margins y_i f(x_i; w) at w, the one row of W; and
-    ``gradient(D)``, the (1, m*d) gradient of the mean loss in w from the
-    (1, n) loss derivatives D at the margins ``margins`` last returned.
+    """The maps that :func:`run_gd_ntk` steps with: ``margins(W, out)``
+    writes the (1, n) margins y_i f(x_i; w) at w, the one row of W, into
+    ``out``; ``gradient(D)`` returns the (1, m*d) gradient of the mean loss
+    in w from the (1, n) loss derivatives D at the margins ``margins`` last
+    wrote.
     The gradient checks probe these same maps."""
     shape, root_m, pre = net.w0.shape, math.sqrt(net.m), None
     # row s is a_s/sqrt(m) repeated: the factor the output weights put on
     # the gradient in w^(s)
     out_scale = np.repeat(net.a / root_m, net.d).reshape(shape)
 
-    def margins(W):
+    def margins(W, out):
         nonlocal pre
         pre = ds.xs @ W.reshape(shape).T  # the gradient at w takes its ReLU mask from these
-        return (ds.ys * (np.maximum(pre, 0.0) @ net.a / root_m))[None]
+        np.multiply(ds.ys, np.maximum(pre, 0.0) @ net.a / root_m, out=out[0])
 
     def gradient(D):
         # a float mask scaled in place: the same values and signed zeros as

@@ -24,6 +24,9 @@ __all__ = [
 
 # golden-section reduction factor
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# golden-section steps before minimize_1d gives up on a bracket that no
+# longer narrows
+_MAX_ITER = 5000
 
 
 class Rng:
@@ -101,7 +104,10 @@ def minimize_1d(
 
     Returns (argmin, min value) with the argmin located within ``tol`` of
     a local minimizer.  Unimodality on the bracket is the caller's
-    responsibility.
+    responsibility.  Raises ValueError when the bracket is still wider
+    than ``tol`` after ``_MAX_ITER`` steps: a tol below the spacing of
+    floats near the minimizer stalls the bracket, while any tol >= 1e-8
+    is met from a float-sized bracket in about 1500.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -111,7 +117,13 @@ def minimize_1d(
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
+    taken = 0
     while (b - a) > tol:
+        if taken == _MAX_ITER:
+            raise ValueError(f"golden-section search stalled: the bracket [{a!r}, {b!r}] "
+                             f"is still wider than tol={tol:g} after {_MAX_ITER} steps; "
+                             f"floats there are {math.ulp(0.5 * (a + b)):g} apart")
+        taken += 1
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)

@@ -56,11 +56,13 @@ def logistic_deriv(z) -> np.ndarray:
     return np.where(z >= 0.0, -ez / (1.0 + ez), -1.0 / (1.0 + ez))
 
 
-def _gd_maps(loss: losses.LossSpec, margins, gradient) -> tuple:
+def _gd_maps(loss: losses.LossSpec, n: int, margins, gradient) -> tuple:
     """(mean_loss, grad) at one point w from an engine's maps, on a batch
-    of one."""
+    of one of n margins."""
     def z(w):
-        return margins(np.asarray(w, dtype=np.float64)[None])
+        Z = np.empty((1, n))
+        margins(np.asarray(w, dtype=np.float64)[None], Z)
+        return Z
 
     def mean_loss(w) -> float:
         return float(np.mean(losses.eval_loss(loss, z(w))))
@@ -74,14 +76,14 @@ def _gd_maps(loss: losses.LossSpec, margins, gradient) -> tuple:
 def linear_gd_maps(loss: losses.LossSpec, ds) -> tuple:
     """(mean_loss, grad): the mean loss at w and its gradient as GD steps
     with it, both through ``descent._linear_maps`` on a batch of one."""
-    return _gd_maps(loss, *descent._linear_maps(ds))
+    return _gd_maps(loss, ds.n, *descent._linear_maps(ds))
 
 
 def network_gd_maps(loss: losses.LossSpec, net, ds) -> tuple:
     """(mean_loss, grad) at the flattened first-layer weights w, as
     ``ntk.run_gd_ntk`` steps with them, both through ``ntk._network_maps``
     on a batch of one."""
-    return _gd_maps(loss, *ntk._network_maps(net, ds))
+    return _gd_maps(loss, ds.n, *ntk._network_maps(net, ds))
 
 
 def network_outputs(net, w: np.ndarray, X: np.ndarray) -> np.ndarray:

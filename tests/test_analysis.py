@@ -187,6 +187,95 @@ class TestBoundCaps:
             "eos_avg_logistic", "avg_grad_potential", "param_norm", "eos_avg"]
 
 
+def spiked(spec, eta, T, t, series, observed):
+    """A dense T-step trajectory whose series that compare_bounds checks is
+    ``observed`` at step t and 0 before: param_norm holds it at t, and a
+    running average takes it from a spike of observed * t at step t - 1,
+    exactly where t is a power of two."""
+    zeros, values = np.zeros(T + 1), np.zeros(T + 1)
+    if series == "param_norm":
+        values[t] = observed
+    else:
+        values[t - 1] = observed * t
+    return descent.Trajectory(
+        steps=np.arange(T + 1), loss=values if series == "avg_loss" else zeros,
+        grad_norm=zeros, param_norm=values if series == "param_norm" else zeros,
+        dist_init=zeros, G=values if series == "avg_G" else zeros, F=zeros, eta=eta,
+        loss_spec=spec, record_every=1, w_final=np.zeros(2))
+
+
+class TestScreenEdges:
+    """compare_bounds screens each row over all steps at once and leaves
+    the steps it cannot clear to the scalar formula; at the edges of the
+    screen its violations must still be the per-step loop's."""
+
+    # gamma^2 * eta = 1/8: steps 1 to 7 lie below the formulas' domain,
+    # step 8 on its edge
+    GAMMA, ETA, T = 0.25, 2.0, 64
+
+    @pytest.mark.parametrize("spec,series,formula", [
+        (LOG, "avg_loss", bounds.eos_avg_bound),
+        (LOG, "avg_G", bounds.avg_grad_potential_bound),
+        (LOG, "param_norm", bounds.param_norm_bound),
+        (FEXP, "avg_loss", lambda g, e, t: bounds.ntk_eos_bound(FEXP, g, e, t, N, 1.0, 0.0)),
+        (FPOLY, "avg_loss", lambda g, e, t: bounds.ntk_eos_bound(FPOLY, g, e, t, N, 1.0, 0.0)),
+        # a ** 2 underflows: the bound is inf past step 8, which the screen leaves
+        # to the scalar formula
+        (losses.flattened_exponential(1e-200), "avg_loss",
+         lambda g, e, t: bounds.ntk_eos_bound(losses.flattened_exponential(1e-200), g, e, t,
+                                              N, 1.0, 0.0)),
+    ], ids=["logistic-avg_loss", "logistic-avg_G", "logistic-param_norm",
+            "flat_exp-avg_loss", "flat_poly-avg_loss", "flat_exp-tiny-a-avg_loss"])
+    def test_one_ulp_either_side_of_each_step_threshold(self, spec, series, formula):
+        for t in (1, 2, 4, 8, 16, 32, 64):
+            try:
+                threshold = formula(self.GAMMA, self.ETA, t) * (1.0 + 1e-9)
+            except ValueError:  # below the domain: no value, and no check
+                threshold = math.nan
+            near = (np.nextafter(threshold, 0.0), threshold, np.nextafter(threshold, math.inf))
+            for observed in map(float, near if math.isfinite(threshold) else [1e300]):
+                tr = spiked(spec, self.ETA, self.T, t, series, observed)
+                got = analysis.compare_bounds(tr, self.GAMMA, N)
+                ref = _reference_compare_bounds(tr, self.GAMMA, self.ETA, N, spec)
+                assert [(v.step, v.bound, v.observed, v.value) for v in got] == ref
+                assert (t in [v.step for v in got]) == (observed > threshold), (t, observed)
+
+    @pytest.mark.parametrize("side", [-1, 0, 1])
+    def test_param_norm_one_ulp_from_the_threshold_at_every_step(self, side):
+        # np.log and math.log differ in the last bit at a few of these
+        # steps (27006 and 32042 with numpy 2.4 on x86-64 Linux), where the
+        # screen's bar lies an ulp above the formula's: every step one ulp
+        # above its threshold is still reported
+        T, gamma, eta = 33_000, 0.25, 2.0
+        ts = range(1, T + 1)
+        thresholds = [bounds.param_norm_bound(gamma, eta, t) * (1.0 + 1e-9)
+                      if gamma * gamma * eta * t >= 1.0 else 1e300 for t in ts]
+        norms = np.concatenate([[0.0], thresholds])
+        if side:
+            norms = np.nextafter(norms, side * math.inf)
+        tr = spiked(LOG, eta, T, 1, "param_norm", 0.0)
+        tr = descent.Trajectory(**{**vars(tr), "param_norm": norms})
+        got = analysis.compare_bounds(tr, gamma, N)
+        assert [(v.step, v.bound, v.observed, v.value) for v in got] == \
+            _reference_compare_bounds(tr, gamma, eta, N, LOG)
+        applicable = sum(gamma * gamma * eta * t >= 1.0 for t in ts)
+        assert [v.step for v in got] == (list(range(T - applicable + 1, T + 1))
+                                         if side == 1 else [])
+
+    def test_formula_that_overflows_at_every_step(self):
+        # at eta 1e160, eos_avg's (eta * C_g)^2 overflows a float at every
+        # step, which no step's check survives, though the running average
+        # loss is near 1e157 from step 2 on
+        tr = descent.run_gd(NTOY, FEXP, 1e160, 200)
+        assert tr.loss[1] > 1e159
+        with pytest.raises(OverflowError):  # as the per-step loop would
+            _reference_compare_bounds(tr, NCERT.gamma, 1e160, NTOY.n, FEXP)
+        for t in (1, 200):
+            with pytest.raises(OverflowError):
+                bounds.ntk_eos_bound(FEXP, NCERT.gamma, 1e160, t, NTOY.n, 1.0, 0.0)
+        assert analysis.compare_bounds(tr, NCERT.gamma, NTOY.n) == []
+
+
 class TestCompareBounds:
     def test_conformant_run_is_clean(self):
         tr = descent.run_gd(NTOY, LOG, 8.0, 2000)

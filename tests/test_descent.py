@@ -328,7 +328,9 @@ def _reference_sgd(ds, eta, steps, rng):
 
 
 SGD_SETS = {"toy": TOY, "normalized": NTOY,
-            "synthetic": data.synthetic_separable(300, 20, 0.1, Rng(0))}
+            "synthetic": data.synthetic_separable(300, 20, 0.1, Rng(0)),
+            # d = 50 > n/20: the block's margins are gemvs of 50 terms a row
+            "synthetic-d50": data.synthetic_separable(200, 50, 0.1, Rng(0))}
 BLOCK = descent._BLOCK_STEPS
 
 

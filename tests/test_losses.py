@@ -4,6 +4,7 @@ conformance checker."""
 
 import math
 import re
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -104,6 +105,19 @@ class TestLogisticDerivMatchesTwoBranchOracle:
         ref = logistic_deriv(z)
         self._assert_same_bits(L.deriv(L.logistic(), z), ref)
         self._assert_same_bits(L.g(L.logistic(), z), np.abs(ref))
+
+    def test_special_values(self):
+        # signed zeros, infinities, NaNs of either sign and with a payload,
+        # subnormals, and |z| past 745, where e^-|z| underflows to 0
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123,
+                         0xFFF0000000000001], dtype=np.uint64).view(np.float64)
+        z = np.concatenate([[0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+                             2.2e-308, -2.2e-308, 745.1, -745.1, 746.0, -746.0,
+                             1e308, -1e308], nans])
+        ref = logistic_deriv(z)
+        assert np.array_equal(L.deriv(L.logistic(), z).view(np.int64), ref.view(np.int64))
+        assert np.array_equal(L.g(L.logistic(), z).view(np.int64),
+                              np.abs(ref).view(np.int64))
 
     @settings(max_examples=300, deadline=None)
     @given(LOGISTIC_ARGS)
@@ -220,6 +234,14 @@ class TestRho:
         spec = L.flattened_exponential(a)
         assert L.rho_bound(spec, 1.0) == 1.0
         assert L.rho_bound(spec, 1.0 + 1e-15) == L.rho_bound(spec, 1e6) == math.inf
+
+    def test_rho_exact_stalls_with_an_error(self):
+        # z* ~ lam*a/2 = 5e9, where floats lie farther apart than the
+        # search's 1e-8 tolerance: the search gives up, and says so
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="stalled"):
+            L.rho_exact(L.flattened_exponential(1e-10), 1e20)
+        assert time.monotonic() - start < 5.0
 
     def test_rho_requires_lambda_at_least_one(self):
         with pytest.raises(ValueError):

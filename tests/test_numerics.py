@@ -103,6 +103,16 @@ class TestMinimize1d:
         assert fx <= 2.0
         assert fx == pytest.approx(oracle, abs=1e-6)
 
+    def test_tol_below_the_float_spacing_stalls(self):
+        # floats near 1e10 are 1.9e-6 apart, so no bracket there is 1e-8 wide
+        with pytest.raises(ValueError, match="stalled"):
+            minimize_1d(lambda z: (z - 1e10) ** 2, 0.0, 2e10, tol=1e-8)
+
+    def test_widest_bracket_meets_its_tol(self):
+        # about 1500 steps narrow [0, 1e308] to 1e-8 around 1
+        x, _ = minimize_1d(lambda z: abs(z - 1.0), 0.0, 1e308, tol=1e-8)
+        assert abs(x - 1.0) <= 1e-8
+
     def test_bad_bracket(self):
         with pytest.raises(ValueError):
             minimize_1d(lambda z: z * z, 1.0, -1.0)
