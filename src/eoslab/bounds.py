@@ -16,10 +16,10 @@ Conventions shared by all evaluators:
   and their table rows are noted heuristic.
 
 Each ``BOUNDS`` row maps a reported bound name to its formula, the inputs
-its report shows, the loss families it covers, its note and the recorded
-series it caps, if any; formulas take their inputs by parameter name, and
-a formula that raises ValueError or ArithmeticError is not applicable at
-those inputs.
+its report shows, the loss families it covers, its note, and the recorded
+series it caps with the formula's array body, if any; formulas take their
+inputs by parameter name, and a formula that raises ValueError or
+ArithmeticError is not applicable at those inputs.
 """
 
 from __future__ import annotations
@@ -82,10 +82,10 @@ def _scale_after(gamma: float, eta: float, t: float, s: float) -> float:
     return x
 
 
-# The bodies of the formulas that cap a recorded series: each takes the
-# time scale x = gamma^2*eta*t of _scale and the log to use, math.log for
-# the formula at one step and np.log for analysis.compare_bounds's screen
-# of every step at once (see Bound.approx).
+# The bodies of the formulas that cap a recorded series, each a capped
+# row's ``body``: each takes the time scale x = gamma^2*eta*t of _scale and
+# the log to use, math.log for the formula at one step and np.log for
+# analysis.compare_bounds's screen of every step at once (see Bound.approx).
 
 
 def _eos_avg(x, log, eta):
@@ -225,14 +225,14 @@ def width_min(loss: L.LossSpec, gamma: float, eta: float, T: float,
     """Sufficient width for the lazy-regime guarantees.
 
     Worst-case sufficiency only: the value is far beyond what empirical
-    laziness requires on small problems.  Raises ValueError when it
-    overflows a float.
+    laziness requires on small problems.  inf where no float width
+    suffices: where the power overflows, as where the lazy radius is inf.
     """
     R = lazy_radius(loss, gamma, eta, T, n, delta, C_a)
     try:
         return ((30.0 * R ** (1.0 / 3.0) + 10.0 * math.log(n / delta) ** 0.25) / gamma) ** 6
     except OverflowError:
-        raise ValueError(f"the sufficient width overflows a float at gamma={gamma:g}") from None
+        return math.inf
 
 
 def vc_bound(d: int, n: int, delta: float) -> float:
@@ -312,7 +312,8 @@ def _bind(fn: Callable, given: dict) -> Optional[dict]:
 class Bound(NamedTuple):
     """One row of ``BOUNDS``.  ``caps`` names the series of
     ``analysis.compare_bounds`` that the row bounds at every step
-    (``avg_loss``, ``avg_G`` or ``param_norm``), if any."""
+    (``avg_loss``, ``avg_G`` or ``param_norm``), if any; a capped row gives
+    its formula's ``body`` over _scale's x, and a new capped row must too."""
 
     name: str
     formula: Callable
@@ -320,6 +321,7 @@ class Bound(NamedTuple):
     families: tuple[str, ...]
     note: str = ""
     caps: Optional[str] = None
+    body: Optional[Callable] = None
 
     def over(self, ts: np.ndarray, given: dict) -> Iterator[tuple[int, float]]:
         """(t, value) at each step t of ``ts`` where the formula applies (it
@@ -336,34 +338,31 @@ class Bound(NamedTuple):
             yield t, value
 
     def approx(self, ts: np.ndarray, given: dict) -> np.ndarray:
-        """The formula's arithmetic at every step of ``ts`` in one pass over
-        the array, the other inputs taken from ``given``: np.log stands in
-        for math.log, so where the formula applies (:meth:`over` yields the
-        step) the values lie within a few ulps of its own.  Steps where it
-        does not apply get a value all the same.  NaN at every step for a
-        row with no array body or whose array evaluation raises, as where
-        a float overflows in it."""
-        body = _ARRAY_BODIES.get(self.formula)
-        if body is not None:
-            x = given["gamma"] * given["gamma"] * given["eta"] * ts  # _scale's bits
-            try:
-                with np.errstate(all="ignore"):
-                    return body(**_bind(body, {**given, "x": x, "log": np.log}))
-            except (ValueError, ArithmeticError):
-                pass
-        return np.full(len(ts), math.nan)
+        """The ``body`` of a capped row at every step of ``ts`` in one pass
+        over the array, the other inputs taken from ``given``: np.log stands
+        in for math.log, so where the formula applies (:meth:`over` yields
+        the step) the values lie within a few ulps of its own.  Steps where
+        it does not apply get a value all the same.  NaN at every step where
+        the array evaluation raises, as where a float overflows in it."""
+        try:
+            with np.errstate(all="ignore"):
+                x = given["gamma"] * given["gamma"] * given["eta"] * ts  # _scale's bits
+                return self.body(**_bind(self.body, {**given, "x": x, "log": np.log}))
+        except (ValueError, ArithmeticError):
+            return np.full(len(ts), math.nan)
 
 
 BOUNDS: tuple[Bound, ...] = (
-    Bound("eos_avg_logistic", eos_avg_bound, _BASE, _LOGISTIC, caps="avg_loss"),
-    Bound("avg_grad_potential", avg_grad_potential_bound, _BASE, _LOGISTIC, caps="avg_G"),
-    Bound("param_norm", param_norm_bound, _BASE, _LOGISTIC, caps="param_norm"),
+    Bound("eos_avg_logistic", eos_avg_bound, _BASE, _LOGISTIC, caps="avg_loss", body=_eos_avg),
+    Bound("avg_grad_potential", avg_grad_potential_bound, _BASE, _LOGISTIC, caps="avg_G",
+          body=_avg_grad_potential),
+    Bound("param_norm", param_norm_bound, _BASE, _LOGISTIC, caps="param_norm", body=_param_norm),
     Bound("stable_logistic", stable_bound, _BASE + ("s", "F_s"), _LOGISTIC),
     Bound("tau_logistic", tau_logistic, _BASE + ("n",), _LOGISTIC),
     Bound("acceleration_plan", acceleration_plan, _BASE + ("n", "T"), _LOGISTIC),
     Bound("sgd_loss", sgd_loss_bound, _BASE + ("delta",), _LOGISTIC),
     Bound("sgd_error", sgd_error_bound, _BASE + ("delta",), _LOGISTIC),
-    Bound("eos_avg", ntk_eos_bound, _COMMON + ("C_a",), _ANY, caps="avg_loss"),
+    Bound("eos_avg", ntk_eos_bound, _COMMON + ("C_a",), _ANY, caps="avg_loss", body=_ntk_eos),
     Bound("stable", ntk_stable_bound, _COMMON + ("s",), _ANY),
     Bound("tau_general", tau_general, _COMMON + ("C1",), _ANY,
           "heuristic: C1 is caller-supplied, not derived"),
@@ -374,11 +373,6 @@ BOUNDS: tuple[Bound, ...] = (
     Bound("vc", vc_bound, ("d", "n", "delta"), _ANY),
     Bound("regime", table1_regimes, (), _ANY, "unit constants"),
 )
-
-
-# the body, over _scale's x, of each formula that caps a series
-_ARRAY_BODIES = {eos_avg_bound: _eos_avg, avg_grad_potential_bound: _avg_grad_potential,
-                 param_norm_bound: _param_norm, ntk_eos_bound: _ntk_eos}
 
 
 def bound_reports(loss: L.LossSpec, gamma: float, eta: float, t: int, *,

@@ -156,9 +156,9 @@ def _etas(value) -> list[float]:
 
 def _write_run(out: Path, stem: str, traj: G.Trajectory, n: int,
                cert: D.MarginCertificate | None = None, check: bool = False) -> None:
-    """Write a run's files: ``<stem>.csv``, and for a dense run with a
-    certificate ``<stem>_phase.json``, plus ``<stem>_violations.csv`` when
-    ``check`` asks for the bound checks."""
+    """Write a run's files, for every run command: ``<stem>.csv``, and for
+    a dense run with a certificate ``<stem>_phase.json``, plus
+    ``<stem>_violations.csv`` when ``check`` asks for the bound checks."""
     G.write_trajectory_csv(traj, out / f"{stem}.csv")
     if traj.dense and cert is not None:
         _json_dump(asdict(G.detect_phase(traj, n, cert.gamma)), out / f"{stem}_phase.json")
@@ -264,11 +264,11 @@ def _run_accelerate(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
             bound=plan.bound, traj_large=big, traj_small_best=None)
     _json_dump(score.as_dict(), out / "accelerate.json")
     big = score.traj_large
-    G.write_trajectory_csv(big, out / "accelerate_large.csv")
+    _write_run(out, "accelerate_large", big, ds.n)
     curves = [(f"scheduled eta={_label(score.eta_large)}", big.steps, big.loss)]
     small = score.traj_small_best
     if small is not None:
-        G.write_trajectory_csv(small, out / "accelerate_baseline.csv")
+        _write_run(out, "accelerate_baseline", small, ds.n)
         curves.append((f"monotone eta={_label(score.eta_small_best)}", small.steps,
                        small.loss))
     return "accelerate.svg", curves, dict(

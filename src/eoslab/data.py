@@ -51,8 +51,10 @@ class NotConverged(RuntimeError):
 
 # how far a certificate direction's norm may be from 1
 _UNIT_TOL = 1e-10
-# the margin solver's duality-gap tolerance, relative to the largest sample norm
+# the margin solver's duality-gap tolerance, relative to the largest sample
+# norm, and its cap on major steps
 _MARGIN_TOL = 1e-10
+_MAX_MAJOR = 10_000
 # uniforms per draw of synthetic_separable, which keeps its temporaries small
 _DRAW_FLOATS = 2 ** 13
 
@@ -223,29 +225,28 @@ def normalized(ds: Dataset) -> Dataset:
 # -- max-margin certification ------------------------------------------------
 
 
-def _wolfe_min_norm_point(Z: np.ndarray, tol: float, max_iter: int = 10_000,
-                          trace: list | None = None) -> np.ndarray:
+def _wolfe_min_norm_point(Z: np.ndarray, trace: list | None = None) -> np.ndarray:
     """Min-norm point of conv(rows of Z) by Wolfe's method (Wolfe 1976).
 
     Keeps an active set S of rows with positive convex weights.  Each
     major step adds the row minimizing <z, x>; minor steps move toward the
     min-norm point of the affine hull of S and drop rows whose weight
-    would turn negative.  With R = max_i ||z_i||, stops when the duality
-    gap <x, x> - min_i <z_i, x> is at most tol * R * ||x||, so that x/||x||
-    attains a margin within tol * R of ||x||, or when ||x|| <= tol * R;
+    would turn negative.  With R = max_i ||z_i||, tol = ``_MARGIN_TOL``,
+    stops when the gap <x, x> - min_i <z_i, x> is at most tol * R * ||x||,
+    so x/||x|| attains a margin within tol * R of ||x||, or ||x|| <= tol * R;
     either way it returns x after one refinement step.  Where roundoff
     stops it first (the best row is already active), it refines x and
     tests again.  Raises :class:`NotConverged` if that test fails, or
-    after ``max_iter`` major steps.  Iterate norms are non-increasing;
+    after ``_MAX_MAJOR`` major steps.  Iterate norms are non-increasing;
     pass ``trace`` to collect one per major step.
     """
-    norms = np.linalg.norm(Z, axis=1)
+    tol, norms = _MARGIN_TOL, np.linalg.norm(Z, axis=1)
     rmax = float(np.max(norms))
     active = [int(np.argmin(norms))]
     weights = np.ones(1)
     x = Z[active[0]].copy()
     B = np.zeros((Z.shape[1], 0))  # the active rows minus the first, as columns
-    for _ in range(max_iter):
+    for _ in range(_MAX_MAJOR):
         xnorm = float(np.linalg.norm(x))
         if trace is not None:
             trace.append(xnorm)
@@ -291,7 +292,7 @@ def _wolfe_min_norm_point(Z: np.ndarray, tol: float, max_iter: int = 10_000,
         x = weights @ ZS
     raise NotConverged(
         f"margin solver stopped with gap {gap:.3e} above its tolerance "
-        f"{tol * rmax * xnorm:.3e} (cap {max_iter} major iterations)")
+        f"{tol * rmax * xnorm:.3e} (cap {_MAX_MAJOR} major iterations)")
 
 
 def margin(ds: Dataset, trace: list | None = None) -> MarginCertificate:
@@ -310,7 +311,7 @@ def margin(ds: Dataset, trace: list | None = None) -> MarginCertificate:
     on roundoff short of its tolerance.
     """
     Z = ds.signed()
-    p = _wolfe_min_norm_point(Z, _MARGIN_TOL, trace=trace)
+    p = _wolfe_min_norm_point(Z, trace)
     pnorm = float(np.linalg.norm(p))
     if 0.0 < pnorm < 2.0 ** -500:  # p . p is subnormal: normalize p * 2^600 (exact)
         p = p * 2.0 ** 600

@@ -316,8 +316,10 @@ def run_gd_batch(ds: Dataset, loss: L.LossSpec, etas, steps: int,
     """Constant-stepsize GD runs on one dataset, one per stepsize in
     ``etas``, each started at w_0 = 0 and advanced as one (K, d) matrix:
     each run's Trajectory, or the DivergenceError it raises alone, in order,
-    bit for bit as :func:`run_gd` alone, stepped with the maps of
-    :func:`_linear_maps`; no stepsize, no run."""
+    bit for bit as in a batch of its own, stepped with the maps of
+    :func:`_linear_maps`; no stepsize, no run.  Each run records every
+    ``record_every``-th step and the last, and all its iterates if
+    ``store_iterates``."""
     for eta in etas:
         _check_run(eta, steps)
     if record_every < 1:
@@ -329,11 +331,11 @@ def run_gd_batch(ds: Dataset, loss: L.LossSpec, etas, steps: int,
         record_every, np.empty((len(etas), steps + 1, ds.d)) if store_iterates else None)
 
 
-def run_gd(ds: Dataset, loss: L.LossSpec, eta: float, steps: int,
-           record_every: int = 1, store_iterates: bool = False) -> Trajectory:
+def run_gd(ds: Dataset, loss: L.LossSpec, eta: float, steps: int) -> Trajectory:
     """Constant-stepsize full-batch GD: w_t = w_{t-1} - eta * grad L(w_{t-1}),
-    from w_0 = 0; the batch of one of :func:`run_gd_batch`."""
-    [traj] = run_gd_batch(ds, loss, [eta], steps, record_every, store_iterates)
+    from w_0 = 0, every step recorded; the batch of one of
+    :func:`run_gd_batch`."""
+    [traj] = run_gd_batch(ds, loss, [eta], steps)
     if isinstance(traj, DivergenceError):
         raise traj
     return traj

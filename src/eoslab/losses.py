@@ -204,10 +204,10 @@ def rho_exact(loss: LossSpec, lam: float) -> float:
     The objective is strictly convex (convex loss plus z^2), so the
     bracket [-2, hi] is unimodal; hi is widened geometrically until the
     minimizer is interior.  Where that fails (a flat_exp ``a`` so small
-    that the objective is flat in float over the widened bracket), the
-    search runs on [0, lambda*C_g], which holds the minimizer z* as
-    2 z* = lambda g(z*) <= lambda C_g, to 1e-8 or 1e-12 of that bracket's
-    length, whichever is larger.  Raises ValueError where floats near z*
+    that the objective is flat in float over the widened bracket, or hi
+    passes the largest float), the search runs on [0, lambda*C_g], which
+    holds the minimizer z* as 2 z* = lambda g(z*) <= lambda C_g, to 1e-8
+    or 1e-12 of that bracket's length, whichever is larger.  Raises ValueError where floats near z*
     lie farther apart than the tolerance, so that no bracket can meet it.
     """
     if lam < 1.0:
@@ -222,6 +222,8 @@ def rho_exact(loss: LossSpec, lam: float) -> float:
     else:
         hi = max(10.0, 3.0 * lam)
     for _ in range(60):
+        if hi == math.inf:
+            break
         x, fx = minimize_1d(h, lo, hi, tol=tol)
         if x < hi - 100.0 * tol:
             return fx

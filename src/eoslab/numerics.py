@@ -46,19 +46,14 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        self._gen = np.random.Generator(np.random.PCG64(int(seed)))
 
-    def uniform(self, size: int | None = None):
-        """Uniform draws in [0, 1)."""
-        if size is None:
-            return float(self._gen.random())
+    def uniform(self, size: int) -> np.ndarray:
+        """``size`` uniform draws in [0, 1)."""
         return self._gen.random(size)
 
-    def integers(self, low: int, high: int, size: int | None = None):
-        """Integer draws in [low, high)."""
-        if size is None:
-            return int(self._gen.integers(low, high))
+    def integers(self, low: int, high: int, size: int) -> np.ndarray:
+        """``size`` integer draws in [low, high)."""
         return self._gen.integers(low, high, size=size)
 
     def rademacher(self, size: int) -> np.ndarray:
@@ -104,13 +99,16 @@ def minimize_1d(
 
     Returns (argmin, min value) with the argmin located within ``tol`` of
     a local minimizer.  Unimodality on the bracket is the caller's
-    responsibility.  Raises ValueError when the bracket is still wider
-    than ``tol`` after ``_MAX_ITER`` steps: a tol below the spacing of
-    floats near the minimizer stalls the bracket, while any tol >= 1e-8
-    is met from a float-sized bracket in about 1500.
+    responsibility.  Raises ValueError, before calling f, on a bracket
+    wider than the largest float, and when it is still wider than ``tol``
+    after ``_MAX_ITER`` steps: a tol below the spacing of floats near the
+    minimizer stalls the bracket, while any tol >= 1e-8 is met from a
+    float-sized bracket in about 1500.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"the bracket [{lo!r}, {hi!r}] is wider than the largest float")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     a, b = float(lo), float(hi)

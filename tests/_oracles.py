@@ -1,20 +1,26 @@
 """Test oracles: central-difference gradients and their input check, the
-two-branch logistic derivative, the mean loss and gradient of linear and
-network GD at one point through the maps their engine steps with, the
-network outputs and tangent features computed on their own, the synthetic
-dataset built one sample at a time, a certificate check, the
-split-comparator and margin-alignment inequalities of a stored run, and the
-row-by-row CSV and list-based SVG writers whose bytes the streaming
-writers of ``descent`` and ``_svg`` must reproduce."""
+two-branch logistic derivative, the one divergence guard fed a loss at a
+time and the one GD loop stepped a step at a time, whose runs the linear,
+network and SGD engines must reproduce bit for bit, with linear and network
+maps written apart from the package, and the two helpers that take a run's
+outcome; the mean loss and gradient of linear and network GD at one point
+through the maps their engine steps with, the network outputs and tangent
+features computed on their own, the synthetic dataset built one sample at
+a time, a certificate check, the split-comparator and margin-alignment
+inequalities of a stored run, and the row-by-row CSV and list-based SVG
+writers whose bytes the streaming writers of ``descent`` and ``_svg`` must
+reproduce.  Every function and class here is used by a test."""
 
 from __future__ import annotations
 
 import math
+import warnings
 from pathlib import Path
 from typing import Callable, Sequence
 from xml.sax.saxutils import escape
 
 import numpy as np
+import pytest
 
 from eoslab import data, descent, losses, ntk
 from eoslab.numerics import Rng
@@ -54,6 +60,108 @@ def logistic_deriv(z) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     ez = np.exp(-np.abs(z))
     return np.where(z >= 0.0, -ez / (1.0 + ez), -1.0 / (1.0 + ez))
+
+
+class StepwiseGuard:
+    """The divergence guard fed one loss at a time: :meth:`check` raises
+    ``descent.DivergenceError`` on a non-finite loss, or once the loss has
+    stayed above ``descent._GUARD_FACTOR`` times L(w_0) for
+    ``descent._GUARD_PATIENCE`` steps in a row."""
+
+    def __init__(self):
+        self.loss0, self.over = None, 0
+
+    def check(self, t: int, lval: float) -> None:
+        if not math.isfinite(lval):
+            raise descent.DivergenceError(t, f"non-finite loss at step {t}")
+        if self.loss0 is None:
+            self.loss0 = lval
+        self.over = self.over + 1 if lval > descent._GUARD_FACTOR * self.loss0 else 0
+        if self.over >= descent._GUARD_PATIENCE:
+            raise descent.DivergenceError(t, (
+                f"loss exceeded {descent._GUARD_FACTOR:g} * L(w_0) for "
+                f"{descent._GUARD_PATIENCE} consecutive steps (step {t})"))
+
+
+def stepwise_gd(loss: losses.LossSpec, eta: float, steps: int, w0, margins, gradient,
+                record_every: int = 1, store_iterates: bool = False) -> descent.Trajectory:
+    """GD from w0 one step at a time, the oracle for ``descent.gd_engine``:
+    at step t the margins z = margins(w) and their mean loss, which a
+    :class:`StepwiseGuard` checks, then w - eta * gradient(w, l'(z)).  Every
+    series is evaluated and recorded at every ``record_every``-th step and
+    the last; the iterates, if asked, at every step."""
+    w = np.array(w0, dtype=np.float64)
+    origin, T, guard = w.copy(), steps, StepwiseGuard()
+    iterates = np.empty((T + 1, w.size)) if store_iterates else None
+    rec = {k: [] for k in ("steps", "loss", "grad_norm", "param_norm", "dist_init", "G", "F")}
+    for t in range(T + 1):
+        z = margins(w)
+        lval = float(np.mean(losses.eval_loss(loss, z)))
+        guard.check(t, lval)
+        dvec = losses.deriv(loss, z)
+        gvec = gradient(w, dvec)
+        if iterates is not None:
+            iterates[t] = w
+        if t % record_every == 0 or t == T:
+            with np.errstate(over="ignore"):
+                Fv = float(np.mean(np.exp(-z)))
+            for key, value in zip(rec, (t, lval, np.linalg.norm(gvec), np.linalg.norm(w),
+                                        np.linalg.norm(w - origin), np.mean(np.abs(dvec)), Fv)):
+                rec[key].append(value)
+        if t < T:
+            w = w - eta * gvec
+    return descent.Trajectory(
+        steps=np.array(rec.pop("steps"), dtype=np.int64),
+        **{key: np.array(series) for key, series in rec.items()},
+        eta=eta, loss_spec=loss, record_every=record_every, w_final=w.copy(),
+        iterates=iterates)
+
+
+def linear_maps(ds) -> tuple:
+    """(margins, gradient) of :func:`stepwise_gd` for linear GD on ds,
+    written apart from ``descent``: the margins y_i x_i^T w, and the
+    mean-loss gradient in w from the loss derivatives D at them."""
+    Zy = ds.signed()
+    return (lambda w: Zy @ w), (lambda w, D: Zy.T @ D / ds.n)
+
+
+def network_maps(net, ds) -> tuple:
+    """(margins, gradient) of :func:`stepwise_gd` for GD on the
+    flattened first-layer weights w of ``net``, written apart from ``ntk``:
+    the margins y_i f(x_i; w), and the mean-loss gradient in w from the
+    loss derivatives D at them, ReLU mask and all taken afresh at w."""
+    shape, scale = net.w0.shape, net.a[:, None] / math.sqrt(net.m)
+
+    def margins(w):
+        return ds.ys * network_outputs(net, w.reshape(shape), ds.xs)
+
+    def gradient(w, D):
+        pre = ds.xs @ w.reshape(shape).T
+        coeff = D * ds.ys / ds.n
+        return (scale * (((pre > 0.0) * coeff[:, None]).T @ ds.xs)).ravel()
+
+    return margins, gradient
+
+
+def divergence(run, *args, **kwargs) -> tuple[int, str]:
+    """(step, message) of the DivergenceError that ``run(*args, **kwargs)``
+    raises, with every RuntimeWarning turned into an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(descent.DivergenceError) as exc:
+            run(*args, **kwargs)
+    return exc.value.step, str(exc.value)
+
+
+def outcome(run, *args, **kwargs):
+    """What ``run(*args, **kwargs)`` returns, or the DivergenceError it
+    raises, with numpy's floating-point errors ignored: a stepwise loop
+    overflows on a diverging run."""
+    with np.errstate(all="ignore"):
+        try:
+            return run(*args, **kwargs)
+        except descent.DivergenceError as exc:
+            return exc
 
 
 def _gd_maps(loss: losses.LossSpec, n: int, margins, gradient) -> tuple:

@@ -112,10 +112,10 @@ def test_criterion_05_split_and_alignment_inequalities():
     rng = Rng(17)
     worst_residual, worst_slack = -math.inf, math.inf
     for eta in ETAS:
-        traj = descent.run_gd(NTOY, LOG, eta, 2000, store_iterates=True)
+        [traj] = descent.run_gd_batch(NTOY, LOG, [eta], 2000, store_iterates=True)
         for _ in range(10):
             u1 = rng.normals(2) * 3.0
-            t = int(1 + rng.integers(1, 2000))
+            t = int(1 + rng.integers(1, 2000, 1)[0])
             worst_residual = max(worst_residual,
                                  split_optimization_check(traj, NTOY, NCERT, u1, t))
         worst_slack = min(worst_slack, perceptron_potential_check(traj, NCERT))
@@ -256,7 +256,7 @@ def test_criterion_12_gradient_correctness():
     # linear predictors
     for _ in range(50):
         w = rng.normals(2) * 2.0
-        spec = LOG if rng.uniform() < 0.5 else losses.flattened_polynomial(2.0)
+        spec = LOG if rng.uniform(1)[0] < 0.5 else losses.flattened_polynomial(2.0)
         mean_loss, grad = linear_gd_maps(spec, NTOY)
         fd = finite_diff_grad(mean_loss, w, h=1e-6)
         g = grad(w)

@@ -320,7 +320,7 @@ class TestCompareBounds:
         assert out == []
 
     def test_zero_one_curve(self):
-        tr = descent.run_gd(TOY, LOG, 8.0, 200, store_iterates=True)
+        [tr] = descent.run_gd_batch(TOY, LOG, [8.0], 200, store_iterates=True)
         err = analysis.zero_one_curve(tr, TOY)
         assert err.shape == (201,)
         assert err[0] == 1.0  # zero init misclassifies everything (margin 0)

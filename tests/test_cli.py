@@ -157,8 +157,7 @@ class TestGd:
         assert (out / "gd_eta1_phase.json").exists()
 
     def test_solver_not_converged_exit_code(self, tmp_path, capsys, monkeypatch):
-        capped = functools.partial(data._wolfe_min_norm_point, max_iter=1)
-        monkeypatch.setattr(data, "_wolfe_min_norm_point", capped)
+        monkeypatch.setattr(data, "_MAX_MAJOR", 1)
         rc = run("gd", "--dataset", "synthetic", "--n", "50", "--d", "5",
                  "--eta", "1", "--steps", "10", "--out", str(tmp_path / "nc"))
         assert rc == 3
@@ -520,10 +519,15 @@ class TestRunOptionDomains:
         err = self.refused(capsys, tmp_path / "o", "accelerate", "--steps", "100")
         assert "12000" in err and "gamma" in err
 
-    def test_ntk_width_overflow(self, tmp_path, capsys):
-        err = self.refused(capsys, tmp_path / "o", "ntk", "--dataset", "lower_bound",
-                           "--gamma", "1e-60", "--width", "8", "--steps", "5")
-        assert err == "error: the sufficient width overflows a float at gamma=1e-60\n"
+    def test_ntk_width_overflow(self, tmp_path):
+        # the sufficient width's power overflows a float: it is inf, as where
+        # the lazy radius is inf, and the run at its given width goes ahead
+        out = tmp_path / "o"
+        assert run("ntk", "--dataset", "lower_bound", "--gamma", "1e-60", "--width", "8",
+                   "--steps", "5", "--out", str(out)) == 0
+        text = (out / "ntk_diagnostics.json").read_text()
+        assert '"width_min": Infinity' in text
+        assert math.isfinite(json.loads(text)["R"])
 
     @pytest.mark.parametrize("command,etas,shared", [
         ("gd", "1.0000001,1.0000002", "1.0000001 and 1.0000002 share the label '1'"),
@@ -865,13 +869,13 @@ class TestBoundsCommand:
         eos = next(l for l in lines if l["name"] == "eos_avg_logistic")
         assert eos["value"] == pytest.approx(0.9066, abs=5e-4)
 
-    def test_overflowing_width_row_not_applicable(self, capsys):
+    def test_overflowing_width_row_is_inf(self, capsys):
+        # no float width suffices: the row applies, with the value inf
         assert run("bounds", "--gamma", "1e-60", "--eta", "1", "--t", "10") == 0
         lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
         [row] = [l for l in lines if l["name"] == "width_min"]
-        assert not row["applicable"] and math.isnan(row["value"])
-        assert row["precondition_note"] == (
-            "the sufficient width overflows a float at gamma=1e-60")
+        assert row["applicable"] and row["value"] == math.inf
+        assert row["precondition_note"] == ""
 
     @pytest.mark.parametrize("argv,row,note", [
         ("--gamma 0.1 --eta 1e160 --t 100", "eos_avg", "(34, 'Numerical result out of range')"),
@@ -1022,6 +1026,20 @@ def test_exported_names_are_used_by_the_program():
     unused = sorted(name for m in pkgutil.iter_modules(eoslab.__path__)
                     for name in importlib.import_module(f"eoslab.{m.name}").__all__
                     if name not in _loaded_by_the_program())
+    assert unused == []
+
+
+def test_oracles_are_used_by_the_tests():
+    # every top-level function or class of tests/_oracles.py is loaded by a
+    # test module or by another oracle: no reference outlives its tests
+    tests = Path(__file__).resolve().parent
+    oracles = ast.parse((tests / "_oracles.py").read_text(encoding="utf-8"))
+    loaded = set(_loaded_names(oracles)).union(*(
+        _loaded_names(ast.parse(path.read_text(encoding="utf-8")))
+        for path in tests.glob("test_*.py")))
+    unused = sorted(node.name for node in oracles.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name not in loaded)
     assert unused == []
 
 

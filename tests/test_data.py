@@ -146,7 +146,7 @@ class TestSyntheticSeparable:
             ref = synthetic_separable_rows(n, d, gamma, b)
             assert got.xs.tobytes() == ref.xs.tobytes()
             assert got.ys.tobytes() == ref.ys.tobytes() and got.name == ref.name
-            assert a.uniform() == b.uniform()
+            assert a.uniform(1)[0] == b.uniform(1)[0]
 
 
 class TestMarginSolver:
@@ -191,10 +191,11 @@ class TestMarginSolver:
         assert verify_margin(ds, cert, tol=0.0)
         assert cert.gamma >= 0.1
 
-    def test_iteration_cap_raises_not_converged(self):
+    def test_iteration_cap_raises_not_converged(self, monkeypatch):
         Z = data.synthetic_separable(200, 10, 0.1, Rng(1)).signed()
+        monkeypatch.setattr(data, "_MAX_MAJOR", 1)
         with pytest.raises(data.NotConverged, match="cap 1 "):
-            data._wolfe_min_norm_point(Z, 1e-10, max_iter=1)
+            data._wolfe_min_norm_point(Z)
         assert "NotConverged" in data.__all__
 
     @pytest.mark.parametrize("gamma", [1e-10, 3e-10, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 3e-7])
@@ -207,12 +208,13 @@ class TestMarginSolver:
         assert verify_margin(ds, cert, tol=0.0)
         assert cert.upper - gamma <= 1e-10 * ds.max_norm
 
-    def test_roundoff_stop_names_its_cause(self):
+    def test_roundoff_stop_names_its_cause(self, monkeypatch):
         # at a zero tolerance no gap passes, so roundoff stops every run
         Z = data.lower_bound_dataset(1e-8).signed()
+        monkeypatch.setattr(data, "_MARGIN_TOL", 0.0)
         with pytest.raises(data.NotConverged, match="stopped by roundoff .* after "
                                                     "refinement$"):
-            data._wolfe_min_norm_point(Z, 0.0)
+            data._wolfe_min_norm_point(Z)
 
     @settings(max_examples=200, deadline=None)
     @given(separable_sets())

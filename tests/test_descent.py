@@ -9,14 +9,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eoslab import bounds, data, descent, losses, ntk
 from eoslab.numerics import Rng
 
-from _oracles import (finite_diff_grad, linear_gd_maps, perceptron_potential_check,
-                      split_optimization_check, write_trajectory_csv_rows)
+from _oracles import (StepwiseGuard, divergence, finite_diff_grad, linear_gd_maps, linear_maps,
+                      outcome, perceptron_potential_check, split_optimization_check,
+                      stepwise_gd, write_trajectory_csv_rows)
 
 LOG = losses.logistic()
 TOY = data.toy_dataset()
@@ -100,14 +101,23 @@ def _gd_from(starts, ds, loss, etas, steps, record_every=1, store_iterates=False
 
 
 def _run_gd(ds, loss, eta, steps, record_every=1, store_iterates=False, start=None):
-    """run_gd(ds, loss, eta, steps, ...), or with a ``start`` the same run
-    started there: its Trajectory, or the DivergenceError raised."""
+    """run_gd(ds, loss, eta, steps) with run_gd_batch's recording settings,
+    or with a ``start`` the same run started there: its Trajectory, or the
+    DivergenceError raised."""
     if start is None:
-        return descent.run_gd(ds, loss, eta, steps, record_every, store_iterates)
-    [traj] = _gd_from([start], ds, loss, [eta], steps, record_every, store_iterates)
+        [traj] = descent.run_gd_batch(ds, loss, [eta], steps, record_every, store_iterates)
+    else:
+        [traj] = _gd_from([start], ds, loss, [eta], steps, record_every, store_iterates)
     if isinstance(traj, descent.DivergenceError):
         raise traj
     return traj
+
+
+def _stepwise(ds, loss, eta, steps, record_every=1, store_iterates=False, start=None):
+    """The run of :func:`_run_gd`'s arguments by the stepwise oracle, on
+    its own linear maps."""
+    w0 = np.zeros(ds.d) if start is None else start
+    return stepwise_gd(loss, eta, steps, w0, *linear_maps(ds), record_every, store_iterates)
 
 
 def _potentials(w):
@@ -143,13 +153,13 @@ class TestRunGd:
         assert ph.s_empirical <= bounds.tau_logistic(0.2, 32.0, TOY.n)
 
     def test_one_step_value(self):
-        tr = descent.run_gd(TOY, LOG, 8.0, 1, store_iterates=True)
+        tr = _run_gd(TOY, LOG, 8.0, 1, store_iterates=True)
         np.testing.assert_allclose(tr.iterates[1],
                                    (8.0 / 2.0) * TOY.signed().mean(axis=0),
                                    atol=1e-14)
 
     def test_recording_cadence(self):
-        tr = descent.run_gd(TOY, LOG, 1.0, 103, record_every=10)
+        tr = _run_gd(TOY, LOG, 1.0, 103, record_every=10)
         assert tr.steps[0] == 0 and tr.steps[-1] == 103
         assert np.all(np.diff(tr.steps) > 0)
         assert not tr.dense
@@ -230,7 +240,7 @@ class TestDetectPhase:
             assert not np.any(seg[1:] > seg[:-1])
 
     def test_requires_dense_recording(self):
-        tr = descent.run_gd(NTOY, LOG, 1.0, 100, record_every=10)
+        tr = _run_gd(NTOY, LOG, 1.0, 100, record_every=10)
         with pytest.raises(ValueError):
             descent.detect_phase(tr, NTOY.n, NCERT.gamma)
 
@@ -290,21 +300,12 @@ def _reference_sgd(ds, eta, steps, rng):
     idx = rng.integers(0, n, size=T)
     rec = {k: np.empty(T + 1) for k in ("loss", "grad_norm", "param_norm",
                                         "G", "F", "zero_one")}
-    iterates = np.empty((T + 1, ds.d))
-    loss0, over = None, 0
+    iterates, guard = np.empty((T + 1, ds.d)), StepwiseGuard()
     with np.errstate(over="ignore", divide="ignore"):
         for t in range(T + 1):
             z = Zy @ w
             lval = float(np.mean(np.logaddexp(0.0, -z)))
-            if not math.isfinite(lval):
-                raise descent.DivergenceError(t, f"non-finite loss at step {t}")
-            if loss0 is None:
-                loss0 = lval
-            over = over + 1 if lval > descent._GUARD_FACTOR * loss0 else 0
-            if over >= descent._GUARD_PATIENCE:
-                raise descent.DivergenceError(t, (
-                    f"loss exceeded {descent._GUARD_FACTOR:g} * L(w_0) for "
-                    f"{descent._GUARD_PATIENCE} consecutive steps (step {t})"))
+            guard.check(t, lval)
             expz = np.exp(z)
             svec = 1.0 / (1.0 + expz)
             rec["loss"][t] = lval
@@ -334,16 +335,6 @@ SGD_SETS = {"toy": TOY, "normalized": NTOY,
 BLOCK = descent._BLOCK_STEPS
 
 
-def _divergence(run, ds, eta, steps, seed):
-    """(step, message) of the DivergenceError a run raises, with every
-    RuntimeWarning turned into an error."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(descent.DivergenceError) as exc:
-            run(ds, eta, steps, Rng(seed))
-    return exc.value.step, str(exc.value)
-
-
 class TestSgdMatchesStepwiseReference:
     """run_sgd evaluates its metrics per block; every recorded number must
     equal the step-by-step loop's bit for bit."""
@@ -362,64 +353,17 @@ class TestSgdMatchesStepwiseReference:
     def test_guard_non_finite(self):
         ds = data.Dataset(np.array([[10.0], [10.0]]), np.array([1.0, -1.0]),
                           name="pair")
-        got = _divergence(descent.run_sgd, ds, 1e308, 100, 0)
+        got = divergence(descent.run_sgd, ds, 1e308, 100, Rng(0))
         assert got == (1, "non-finite loss at step 1")
-        assert got == _divergence(_reference_sgd, ds, 1e308, 100, 0)
+        assert got == divergence(_reference_sgd, ds, 1e308, 100, Rng(0))
 
     @pytest.mark.parametrize("seed", [0, 2])
     def test_guard_sustained(self, seed):
         ds = data.Dataset(np.array([[1.0], [0.3]]), np.array([1.0, -1.0]),
                           name="conflict")
-        got = _divergence(descent.run_sgd, ds, 1e6, 1000, seed)
+        got = divergence(descent.run_sgd, ds, 1e6, 1000, Rng(seed))
         assert got == (50, "loss exceeded 1000 * L(w_0) for 50 consecutive steps (step 50)")
-        assert got == _divergence(_reference_sgd, ds, 1e6, 1000, seed)
-
-
-def _reference_gd(ds, loss, eta, steps, record_every=1, store_iterates=False, start=None):
-    """run_gd, started at ``start`` (0 if None), with the step-by-step loop
-    that evaluated and recorded every series at each recorded step; the
-    oracle for gd_engine's per-block recorder."""
-    w = np.zeros(ds.d) if start is None else np.array(start, dtype=np.float64)
-    Zy, n, T, origin = ds.signed(), ds.n, steps, w.copy()
-    iterates = np.empty((steps + 1, ds.d)) if store_iterates else None
-    rec_steps, rec = [], {k: [] for k in ("loss", "grad_norm", "param_norm",
-                                          "dist_init", "G", "F")}
-    loss0, over = None, 0
-    for t in range(T + 1):
-        z = Zy @ w
-        lval = float(np.mean(losses.eval_loss(loss, z)))
-        if not math.isfinite(lval):
-            raise descent.DivergenceError(t, f"non-finite loss at step {t}")
-        if loss0 is None:
-            loss0 = lval
-        over = over + 1 if lval > descent._GUARD_FACTOR * loss0 else 0
-        if over >= descent._GUARD_PATIENCE:
-            raise descent.DivergenceError(t, (
-                f"loss exceeded {descent._GUARD_FACTOR:g} * L(w_0) for "
-                f"{descent._GUARD_PATIENCE} consecutive steps (step {t})"))
-        dvec = losses.deriv(loss, z)
-        gvec = Zy.T @ dvec / n
-        if iterates is not None:
-            iterates[t] = w
-        if t % record_every == 0 or t == T:
-            with np.errstate(over="ignore"):
-                Fv = float(np.mean(np.exp(-z)))
-            rec_steps.append(t)
-            rec["loss"].append(lval)
-            rec["grad_norm"].append(float(np.linalg.norm(gvec)))
-            rec["param_norm"].append(float(np.linalg.norm(w)))
-            rec["dist_init"].append(float(np.linalg.norm(w - origin)))
-            rec["G"].append(float(np.mean(np.abs(dvec))))
-            rec["F"].append(Fv)
-        if t < T:
-            w = w - eta * gvec
-    return descent.Trajectory(
-        steps=np.array(rec_steps, dtype=np.int64),
-        loss=np.array(rec["loss"]), grad_norm=np.array(rec["grad_norm"]),
-        param_norm=np.array(rec["param_norm"]), dist_init=np.array(rec["dist_init"]),
-        G=np.array(rec["G"]), F=np.array(rec["F"]),
-        eta=eta, loss_spec=loss, record_every=record_every,
-        w_final=w.copy(), iterates=iterates)
+        assert got == divergence(_reference_sgd, ds, 1e6, 1000, Rng(seed))
 
 
 GD_SETS = {"toy": TOY, "normalized": NTOY,
@@ -429,17 +373,6 @@ GD_LOSSES = [LOG, losses.flattened_exponential(1.5), losses.flattened_polynomial
 GD_STEPS = [(name, T) for name, ds in sorted(GD_SETS.items())
             for B in [descent._block_len(ds.n)]
             for T in sorted({1, B - 1, B, B + 1, 2 * B + 5})]
-
-
-def _gd_divergence(run, ds, cfg, start=None):
-    """(step, message) of the DivergenceError ``run(ds, **cfg, start=start)``
-    raises, with every RuntimeWarning turned into an error; ``cfg`` holds
-    the run's settings, as run_gd's keyword arguments."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(descent.DivergenceError) as exc:
-            run(ds, **cfg, start=start)
-    return exc.value.step, str(exc.value)
 
 
 class TestGdMatchesStepwiseReference:
@@ -452,8 +385,8 @@ class TestGdMatchesStepwiseReference:
     @pytest.mark.parametrize("name,steps", GD_STEPS)
     def test_bit_identical(self, name, steps, loss, every):
         cfg = dict(loss=loss, eta=8.0, steps=steps, record_every=every, store_iterates=True)
-        ref = _reference_gd(GD_SETS[name], **cfg)
-        tr = descent.run_gd(GD_SETS[name], **cfg)
+        ref = _stepwise(GD_SETS[name], **cfg)
+        tr = _run_gd(GD_SETS[name], **cfg)
         for key in ("steps", "loss", "grad_norm", "param_norm", "dist_init", "G", "F",
                     "w_final", "iterates"):
             assert np.array_equal(getattr(tr, key), getattr(ref, key)), key
@@ -470,17 +403,17 @@ class TestGdMatchesStepwiseReference:
         ds = data.Dataset(np.array([[1.0], [0.3]]), np.array([1.0, -1.0]),
                           name="conflict")
         cfg = dict(loss=losses.flattened_polynomial(2.0), eta=1e6, steps=5000)
-        got = _gd_divergence(_run_gd, ds, cfg)
+        got = divergence(_run_gd, ds, **cfg)
         assert got == (74, "loss exceeded 1000 * L(w_0) for 50 consecutive steps (step 74)")
-        assert got == _gd_divergence(_reference_gd, ds, cfg)
+        assert got == divergence(_stepwise, ds, **cfg)
 
     def test_guard_non_finite(self):
         ds = data.Dataset(np.array([[10.0]]), np.array([1.0]), name="one")
         cfg = dict(loss=losses.flattened_exponential(1.0), eta=1.0, steps=10)
-        got = _gd_divergence(_run_gd, ds, cfg, np.array([-1e308]))
+        got = divergence(_run_gd, ds, **cfg, start=np.array([-1e308]))
         assert got == (0, "non-finite loss at step 0")
         with np.errstate(over="ignore"):  # the step loop's matmul overflows
-            assert got == _gd_divergence(_reference_gd, ds, cfg, np.array([-1e308]))
+            assert got == divergence(_stepwise, ds, **cfg, start=np.array([-1e308]))
 
 
 # (eta, start coordinate) of runs that differ in eta and start only
@@ -601,16 +534,6 @@ DIVERGENCES = {
 }
 
 
-def _reference_outcome(ds, cfg, start=None):
-    """_reference_gd's Trajectory or DivergenceError for the run settings
-    ``cfg``; its step loop overflows on the diverging runs."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            return _reference_gd(ds, **cfg, start=start)
-        except descent.DivergenceError as exc:
-            return exc
-
-
 @pytest.fixture
 def screens(monkeypatch):
     """The outcomes, in order, of every screen the GD guards take."""
@@ -637,8 +560,8 @@ class TestGuardUnderSparseRecording:
         monkeypatch.setattr(descent, "_BLOCK_STEPS", blocks)
         ds, fields, start, step = DIVERGENCES[case]
         cfg = dict(steps=3000, record_every=every, **fields)
-        got = _gd_divergence(_run_gd, ds, cfg, start)
-        ref = _reference_outcome(ds, cfg, start)
+        got = divergence(_run_gd, ds, **cfg, start=start)
+        ref = outcome(_stepwise, ds, **cfg, start=start)
         assert got == (ref.step, str(ref)) and got[0] == step
         if case == "sustained-after-quiet" and blocks == 4:
             assert screens[0]  # the first block, steps 0 to 3, passed the screen
@@ -649,18 +572,18 @@ class TestGuardUnderSparseRecording:
         # on the toy set this run's loss peaks at step 9, recorded by
         # neither cadence; the bar is put just above or just below the peak
         cfg = dict(loss=FLAT_POLY2, eta=16.0, steps=300, record_every=every)
-        dense = _reference_gd(TOY, **dict(cfg, record_every=1)).loss
+        dense = _stepwise(TOY, **dict(cfg, record_every=1)).loss
         peak = int(np.argmax(dense))
         assert peak == 9
         factor = dense[peak] / dense[0] * (1.0 + 1e-9 if side == "below" else 1.0 - 1e-9)
         monkeypatch.setattr(descent, "_GUARD_FACTOR", factor)
         monkeypatch.setattr(descent, "_GUARD_PATIENCE", 1)
         monkeypatch.setattr(descent, "_BLOCK_STEPS", 4)
-        ref = _reference_outcome(TOY, cfg)
+        ref = outcome(_stepwise, TOY, **cfg)
         if side == "below":
-            _assert_same_run(descent.run_gd(TOY, **cfg), ref)
+            _assert_same_run(_run_gd(TOY, **cfg), ref)
         else:
-            assert _gd_divergence(_run_gd, TOY, cfg) == (peak, str(ref))
+            assert divergence(_run_gd, TOY, **cfg) == (peak, str(ref))
         # of the blocks of steps 0-3, 4-7 and 8-11, the second alone
         # passed the screen
         assert screens[:3] == [False, True, False]
@@ -673,7 +596,7 @@ class TestGuardUnderSparseRecording:
         monkeypatch.setattr(descent, "_GUARD_PATIENCE", 3)
         monkeypatch.setattr(descent, "_BLOCK_STEPS", 2)
         cfg = dict(loss=FLAT_POLY2, eta=8.0, steps=300, record_every=7)
-        _assert_same_run(descent.run_gd(TOY, **cfg), _reference_outcome(TOY, cfg))
+        _assert_same_run(_run_gd(TOY, **cfg), outcome(_stepwise, TOY, **cfg))
         assert screens[:3] == [False, True, False]
 
     @pytest.mark.parametrize("place", [0, 1, 2])
@@ -692,7 +615,7 @@ class TestGuardUnderSparseRecording:
         assert got[place].step == step
         for traj, eta, w0 in zip(got, etas, starts):
             cfg = dict(loss=loss, eta=eta, steps=2100, record_every=7, store_iterates=True)
-            _assert_same_run(traj, _reference_outcome(ds, cfg, w0))
+            _assert_same_run(traj, outcome(_stepwise, ds, **cfg, start=w0))
 
     def test_loss_evaluated_at_recorded_steps(self, monkeypatch):
         # the synthetic-set run of the benchmark: its 10001 steps are 313
@@ -704,7 +627,7 @@ class TestGuardUnderSparseRecording:
             return eval_loss(loss, z)
 
         monkeypatch.setattr(losses, "eval_loss", counting)
-        tr = descent.run_gd(ds, LOG, 16.0, 10_000, record_every=10)
+        tr = _run_gd(ds, LOG, 16.0, 10_000, record_every=10)
         blocks = math.ceil(10_001 / descent._block_len(ds.n))
         # the recorded steps' margins and one smallest margin a block
         assert sum(counted) <= len(tr.steps) * ds.n + blocks < 10_001 * ds.n
@@ -725,6 +648,57 @@ class TestGuardUnderSparseRecording:
         assert sum(counted) == len(etas) * ds.n * (steps + 1)
 
 
+GUARD_LOSSES = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 500.0, 1000.0, 1000.5, 2000.0, 1e305, 1e308, math.inf,
+                     math.nan]),
+    st.floats(min_value=0.0, allow_infinity=True))
+
+
+def _guarded(feed):
+    """(step, message) of the DivergenceError that ``feed()`` raises, or None."""
+    try:
+        feed()
+    except descent.DivergenceError as exc:
+        return exc.step, str(exc)
+    return None
+
+
+class TestGuardMatchesStepwiseOracle:
+    """The guard fed blocks of losses, each block either walked by check or
+    cleared by quiet, stops where, and as, the oracle fed one loss at a
+    time stops, or neither stops."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(runs=st.lists(st.tuples(GUARD_LOSSES, st.integers(1, 60)), min_size=1, max_size=10),
+           cuts=st.lists(st.integers(1, 600), max_size=10),
+           screen=st.lists(st.booleans(), min_size=1, max_size=10), n=st.integers(1, 10 ** 6))
+    # a streak over the bar that crosses a block boundary
+    @example(runs=[(1.0, 1), (2000.0, 60)], cuts=[30], screen=[True], n=4)
+    # NaN as a block's first loss
+    @example(runs=[(1.0, 3), (math.nan, 1), (1.0, 2)], cuts=[3], screen=[True], n=4)
+    # a quiet block between two stretches over the bar
+    @example(runs=[(1.0, 1), (2000.0, 30), (0.5, 5), (2000.0, 30)], cuts=[31, 36],
+             screen=[True], n=4)
+    def test_blocks_match_the_oracle(self, runs, cuts, screen, n):
+        lvals = np.repeat([v for v, _ in runs], [k for _, k in runs])
+        edges = sorted({0, len(lvals), *(c for c in cuts if c < len(lvals))})
+        guard, oracle = descent._DivergenceGuard(), StepwiseGuard()
+
+        def blocks():
+            for i, (start, stop) in enumerate(zip(edges, edges[1:])):
+                block = lvals[start:stop]
+                # quiet stands in for check only on a block that lmax bounds
+                if screen[i % len(screen)] and not np.isnan(block).any():
+                    if start == 0:  # as gd_engine does, step 0 sets L(w_0) first
+                        guard.check(0, block[:1])
+                    if guard.quiet(float(block.max()), n):
+                        continue
+                guard.check(start, block)
+
+        want = _guarded(lambda: [oracle.check(t, lval) for t, lval in enumerate(lvals.tolist())])
+        assert _guarded(blocks) == want
+
+
 class TestGuardScreensDenseRuns:
     """A densely recorded run's guard takes the same screen of each block
     and walks the recorded losses of a block the screen does not clear; it
@@ -735,8 +709,8 @@ class TestGuardScreensDenseRuns:
         monkeypatch.setattr(descent, "_BLOCK_STEPS", 4)
         ds, fields, start, step = DIVERGENCES[case]
         cfg = dict(steps=3000, **fields)
-        got = _gd_divergence(_run_gd, ds, cfg, start)
-        ref = _reference_outcome(ds, cfg, start)
+        got = divergence(_run_gd, ds, **cfg, start=start)
+        ref = outcome(_stepwise, ds, **cfg, start=start)
         assert got == (ref.step, str(ref)) and got[0] == step
         if case == "sustained-after-quiet":
             assert screens[0]  # the first block, steps 0 to 3, passed the screen
@@ -749,13 +723,13 @@ class TestGuardScreensDenseRuns:
         monkeypatch.setattr(descent, "_GUARD_PATIENCE", 3)
         monkeypatch.setattr(descent, "_BLOCK_STEPS", 2)
         cfg = dict(loss=FLAT_POLY2, eta=8.0, steps=300)
-        _assert_same_run(descent.run_gd(TOY, **cfg), _reference_outcome(TOY, cfg))
+        _assert_same_run(descent.run_gd(TOY, **cfg), outcome(_stepwise, TOY, **cfg))
         assert screens[:3] == [False, True, False]
 
 
 @pytest.fixture(scope="module")
 def runs():
-    return {eta: descent.run_gd(NTOY, LOG, eta, 2000, store_iterates=True)
+    return {eta: _run_gd(NTOY, LOG, eta, 2000, store_iterates=True)
             for eta in (2.0, 8.0, 32.0)}
 
 
@@ -766,7 +740,7 @@ class TestComparatorChecks:
         for eta, tr in runs.items():
             for _ in range(10):
                 u1 = rng.normals(2) * 3.0
-                t = int(1 + rng.integers(1, 2000))
+                t = int(1 + rng.integers(1, 2000, 1)[0])
                 assert split_optimization_check(tr, NTOY, NCERT, u1, t) <= 1e-9
 
     def test_split_with_scaled_comparator(self, runs):

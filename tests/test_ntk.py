@@ -11,8 +11,8 @@ import pytest
 from eoslab import bounds, data, descent, losses, ntk
 from eoslab.numerics import Rng
 
-from _oracles import (finite_diff_grad, grad_param, network_gd_maps, network_outputs,
-                      tangent_features, verify_margin)
+from _oracles import (finite_diff_grad, grad_param, network_gd_maps, network_maps, outcome,
+                      stepwise_gd, tangent_features, verify_margin)
 
 LOG = losses.logistic()
 NTOY = data.normalized(data.toy_dataset())
@@ -262,52 +262,6 @@ class TestTangentFeaturesMatchReference:
             assert handed.pop().tobytes() == ref.tobytes()
 
 
-def _reference_gd_ntk(net, ds, loss, eta, T):
-    """The network's own step loop, recording and guard, as run_gd_ntk ran
-    them before it called descent's GD engine; the oracle for that call.
-    Steps a local copy of net.w0."""
-    rec = {k: np.empty(T + 1) for k in ("loss", "grad_norm", "param_norm",
-                                        "dist_init", "G", "F")}
-    loss0, over = None, 0
-    w = net.w0.copy()
-    for t in range(T + 1):
-        z = ds.ys * network_outputs(net, w, ds.xs)
-        lval = float(np.mean(losses.eval_loss(loss, z)))
-        if not math.isfinite(lval):
-            raise descent.DivergenceError(t, f"non-finite loss at step {t}")
-        if loss0 is None:
-            loss0 = lval
-        over = over + 1 if lval > descent._GUARD_FACTOR * loss0 else 0
-        if over >= descent._GUARD_PATIENCE:
-            raise descent.DivergenceError(t, (
-                f"loss exceeded {descent._GUARD_FACTOR:g} * L(w_0) for "
-                f"{descent._GUARD_PATIENCE} consecutive steps (step {t})"))
-        pre = ds.xs @ w.T
-        f = np.maximum(pre, 0.0) @ net.a / math.sqrt(net.m)
-        coeff = losses.deriv(loss, ds.ys * f) * ds.ys / ds.n
-        gmat = (net.a[:, None] / math.sqrt(net.m)) * (((pre > 0.0) * coeff[:, None]).T @ ds.xs)
-        dist = float(np.linalg.norm(w - net.w0))
-        rec["loss"][t] = lval
-        rec["grad_norm"][t] = float(np.linalg.norm(gmat))
-        rec["param_norm"][t] = float(np.linalg.norm(w))
-        rec["dist_init"][t] = dist
-        rec["G"][t] = float(np.mean(losses.g(loss, z)))
-        with np.errstate(over="ignore"):
-            rec["F"][t] = float(np.mean(np.exp(-z)))
-        if t < T:
-            w = w - eta * gmat
-    return rec, w.ravel().copy()
-
-
-def _ntk_outcome(run, net, *args):
-    """The result, or (step, message) of the DivergenceError."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return run(net, *args)
-    except descent.DivergenceError as exc:
-        return exc.step, str(exc)
-
-
 NTK_LOSSES = [LOG, losses.flattened_exponential(1.5), losses.flattened_polynomial(2.0)]
 CONFLICT = data.Dataset(np.array([[1.0], [0.3]]), np.array([1.0, -1.0]), name="conflict")
 
@@ -321,20 +275,20 @@ def _conflict_net(scale):
 
 class TestRunGdNtkMatchesStepwiseReference:
     """run_gd_ntk runs descent's GD engine; every series and w_final must
-    equal the network's own step loop bit for bit."""
+    equal the stepwise oracle's run on the network maps bit for bit."""
 
     @staticmethod
     def _assert_same(make_net, ds, loss, eta, T):
-        ref = _ntk_outcome(_reference_gd_ntk, make_net(), ds, loss, eta, T)
-        traj = _ntk_outcome(ntk.run_gd_ntk, make_net(), ds, loss, eta, T)
-        if not isinstance(ref[0], dict):
-            assert traj == ref
-            return ref
-        rec, w_final = ref
+        net = make_net()
+        ref = outcome(stepwise_gd, loss, eta, T, net.w0.ravel(), *network_maps(net, ds))
+        traj = outcome(ntk.run_gd_ntk, make_net(), ds, loss, eta, T)
+        if isinstance(ref, descent.DivergenceError):
+            assert (traj.step, str(traj)) == (ref.step, str(ref))
+            return ref.step, str(ref)
         np.testing.assert_array_equal(traj.steps, np.arange(T + 1))
-        for key, series in rec.items():
-            assert np.array_equal(getattr(traj, key), series), key
-        assert np.array_equal(traj.w_final, w_final)
+        for key in ("steps", "loss", "grad_norm", "param_norm", "dist_init", "G", "F"):
+            assert np.array_equal(getattr(traj, key), getattr(ref, key)), key
+        assert np.array_equal(traj.w_final, ref.w_final)
         assert traj.record_every == 1 and traj.iterates is None
         return None
 

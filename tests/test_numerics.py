@@ -66,7 +66,7 @@ class TestRng:
             ref = np.stack([b.normals(d) for _ in range(k)])
             assert got.shape == (k, d) and got.dtype == np.float64
             assert got.tobytes() == ref.tobytes()
-            assert a.uniform() == b.uniform()
+            assert a.uniform(1)[0] == b.uniform(1)[0]
 
     @pytest.mark.parametrize("k", [0, 1, 2, 5])
     def test_rows_of_no_size_refused(self, k):
@@ -78,7 +78,7 @@ class TestRng:
         a, b = Rng(9), Rng(9)
         z = a.normals((0, d))
         assert z.shape == (0, d) and z.dtype == np.float64
-        assert a.uniform() == b.uniform()
+        assert a.uniform(1)[0] == b.uniform(1)[0]
 
 
 class TestMinimize1d:
@@ -114,14 +114,20 @@ class TestMinimize1d:
         assert abs(x - 1.0) <= 1e-8
 
     def test_bad_bracket(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need lo < hi"):
             minimize_1d(lambda z: z * z, 1.0, -1.0)
+        # hi - lo overflows, where the search used to return (inf, inf): it
+        # is refused before f is called
+        seen = []
+        with pytest.raises(ValueError, match=r"bracket \[-1e\+308, 1e\+308\] is wider than"):
+            minimize_1d(lambda z: seen.append(z) or abs(z - 1.0), -1e308, 1e308, tol=1e-8)
+        assert seen == []
 
     def test_random_convex_quadratics(self):
         rng = Rng(11)
         for _ in range(25):
-            c = float(10.0 * rng.uniform() - 5.0)
-            a = float(rng.uniform()) + 0.1
+            c = float(10.0 * rng.uniform(1)[0] - 5.0)
+            a = float(rng.uniform(1)[0]) + 0.1
             x, _ = minimize_1d(lambda z: a * (z - c) ** 2, -10.0, 10.0, tol=1e-9)
             assert x == pytest.approx(c, abs=1e-7)
 
