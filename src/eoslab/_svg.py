@@ -1,6 +1,6 @@
-"""Minimal self-contained SVG line plots: axes, optional log scales, one
-polyline per series, and a small legend.  No external assets, no plotting
-dependency; the output is valid standalone XML.
+"""Minimal self-contained SVG line plots: a log y axis and an optional log
+x axis, one polyline per series, and a small legend.  No external assets,
+no plotting dependency; the output is valid standalone XML.
 
 The writer works on the series' arrays and writes each element as it is
 made, its polylines' points a block at a time, so its memory is a few
@@ -87,19 +87,18 @@ def _axis(lo: float, hi: float, log: bool) -> tuple[float, float, list[float]]:
 
 def write_line_plot(path: str | Path, series: list[tuple[str, list[float], list[float]]],
                     title: str = "", xlabel: str = "", ylabel: str = "",
-                    logx: bool = False, logy: bool = False) -> None:
+                    logx: bool = False) -> None:
     """Write one plot with a polyline per (label, xs, ys) series, where xs
-    and ys are equal-length lists or numpy arrays.
+    and ys are equal-length lists or numpy arrays, on a log y axis.
 
     A point is plotted when both coordinates lie within +/-1e300, and at or
     above 1e-300 on a log axis, so NaN, infinities and values that a log
     axis cannot show are left out; raises ValueError when no point is left.
     """
-    x_min, y_min = (_TINY if logx else -_HUGE), (_TINY if logy else -_HUGE)
-    kept = []
+    x_min, kept = (_TINY if logx else -_HUGE), []
     for _, xs, ys in series:
         xs, ys = np.asarray(xs), np.asarray(ys)
-        ok = (x_min <= xs) & (xs <= _HUGE) & (y_min <= ys) & (ys <= _HUGE)
+        ok = (x_min <= xs) & (xs <= _HUGE) & (_TINY <= ys) & (ys <= _HUGE)
         kept.append((xs, ys) if ok.all() else (xs[ok], ys[ok]))
     shown = [(xs, ys) for xs, ys in kept if len(xs)]
     if not shown:
@@ -107,7 +106,7 @@ def write_line_plot(path: str | Path, series: list[tuple[str, list[float], list[
     x_lo, x_hi, x_ticks = _axis(min(float(xs.min()) for xs, _ in shown),
                                 max(float(xs.max()) for xs, _ in shown), logx)
     y_lo, y_hi, y_ticks = _axis(min(float(ys.min()) for _, ys in shown),
-                                max(float(ys.max()) for _, ys in shown), logy)
+                                max(float(ys.max()) for _, ys in shown), True)
 
     pw, ph = _W - _ML - _MR, _H - _MT - _MB
 
@@ -141,7 +140,7 @@ def write_line_plot(path: str | Path, series: list[tuple[str, list[float], list[
                 put(f'<text x="{px:.1f}" y="{_MT + ph + 18}" '
                     f'text-anchor="middle">{escape(_fmt(tv))}</text>')
         for tv in y_ticks:
-            py = sy(math.log10(tv) if logy else tv)
+            py = sy(math.log10(tv))
             if _MT - 1 <= py <= _MT + ph + 1:
                 put(f'<line x1="{_ML - 5}" y1="{py:.1f}" x2="{_ML}" '
                     f'y2="{py:.1f}" stroke="black"/>')
@@ -161,7 +160,7 @@ def write_line_plot(path: str | Path, series: list[tuple[str, list[float], list[
             for start in range(0, len(xs), _BLOCK_POINTS):
                 bx, by = xs[start:start + _BLOCK_POINTS], ys[start:start + _BLOCK_POINTS]
                 fh.write((" " if start else "") + _points(sx(_log10(bx) if logx else bx),
-                                                          sy(_log10(by) if logy else by)))
+                                                          sy(_log10(by))))
             put('"/>')
             ly = _MT + 16 + 16 * i
             put(f'<line x1="{_W - _MR - 150}" y1="{ly - 4}" '

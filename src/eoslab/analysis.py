@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -157,8 +158,6 @@ def compare_bounds(traj: Trajectory, gamma: float, n: int) -> list[Violation]:
 def write_violations_csv(violations: list[Violation], path) -> None:
     """Write a violation list as ``step,bound,observed`` rows (the bound
     column is the numeric bound value; names stay on the API objects)."""
-    from pathlib import Path
-
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("step,bound,observed\n")
         for v in violations:

@@ -11,13 +11,16 @@ fired, 3 invalid configuration or an infeasible request.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
 import sys
+import typing
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 
 from . import analysis as A
 from . import bounds as B
@@ -103,8 +106,8 @@ def _load_config(path: str, own: dict) -> dict:
     """The config at ``path``, which must be for the command of ``own``, the
     config that this command writes, and carry exactly the keys of ``own``,
     each with the JSON type of its value in ``own``, where a number may
-    stand in for a null or "auto" default; the keys written as integers must
-    hold whole numbers (or a width "auto")."""
+    stand in for a null or "auto" default; the keys that ``own`` holds as
+    integers or "auto" must hold whole numbers (or "auto")."""
     cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(cfg, dict):
         raise ValueError(f"a config must be a JSON object, not {json.dumps(cfg)}")
@@ -118,8 +121,8 @@ def _load_config(path: str, own: dict) -> dict:
         if kind != _kind(default) and not (kind == "number" and default in (None, "auto")):
             raise ValueError(f"config key {key!r} must be a {_kind(default)}, "
                              f"not {json.dumps(cfg[key])}")
-    for key in ("steps", "record_every", "seed", "width_cap", "width"):
-        if key in cfg and cfg[key] != "auto":
+    for key, default in own.items():
+        if (type(default) is int or default == "auto") and cfg[key] != "auto":
             json_number(cfg, key, "the config", integral=True)
     return cfg
 
@@ -286,8 +289,10 @@ def _run_rates(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
             break
         fits[_label(traj.eta)] = asdict(A.fit_rate(traj, tail_fraction=tail))
 
-    curves = [(name, tr.steps[1:], tr.eta * tr.steps[1:] * tr.loss[1:])
-              for name, tr in _sweep(cfg, out, trajs, "rates_eta{}", ds.n)]
+    done = _sweep(cfg, out, trajs, "rates_eta{}", ds.n)
+    with np.errstate(over="ignore"):  # the plot leaves out a point that overflows
+        curves = [(name, tr.steps[1:], tr.eta * tr.steps[1:] * tr.loss[1:])
+                  for name, tr in done]
     _json_dump(fits, out / "rates.json")
     return "rates.svg", curves, dict(title=f"eta*t*loss, {ds.name}",
                                      ylabel="eta * t * loss", logx=True)
@@ -390,18 +395,12 @@ def _build_parser(given_only: bool = False) -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="print bound reports as JSON lines")
     _add_loss_flags(p)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--s", type=int)
-    p.add_argument("--T", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--F-s", type=float)
-    p.add_argument("--C1", type=float)
-    p.add_argument("--C2", type=float)
-    p.add_argument("--C-a", type=float)
+    # a flag per parameter of bound_reports after the loss: see _run_bounds
+    hints = typing.get_type_hints(B.bound_reports)
+    for name, param in list(inspect.signature(B.bound_reports).parameters.items())[1:]:
+        whole = int in (hints[name], *typing.get_args(hints[name]))  # int, Optional[int]
+        p.add_argument("--" + name.replace("_", "-"), type=int if whole else float,
+                       required=param.default is param.empty)
 
     p = sub.add_parser("check-loss", help="verify the loss-condition suite")
     _add_loss_flags(p)
@@ -464,7 +463,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         svg_name, curves, plot = _RUNNERS[args.command](cfg, ds, out)
         if cfg["svg"]:
-            write_line_plot(out / svg_name, curves, xlabel="step", logy=True, **plot)
+            write_line_plot(out / svg_name, curves, xlabel="step", **plot)
         return 0
     except G.DivergenceError as exc:
         print(f"error: divergence guard: {exc}", file=sys.stderr)

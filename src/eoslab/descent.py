@@ -6,11 +6,11 @@ runs, the rows of one (K, p) matrix, each bit for bit as alone: the
 linear runs of ``run_gd_batch(ds, loss, etas, steps)``, one per stepsize
 (``run_gd(ds, loss, eta, steps)`` is a batch of one), and a network run
 of ``eoslab.ntk.run_gd_ntk``.  Every engine takes its settings as
-arguments.  ``run_sgd`` is neither batched (its
-runs are written one by one, as each ends) nor run by the engine: it
-shares the argument check, the block-length rule, the divergence guard and
-``_sq_norms``, but records its own series, with G, F and the gradient norm
-from 1/(1+e^z) and 1/e^z, which differ from the engine's in the last bit.
+arguments.  ``run_sgd`` is neither batched (its runs are written one by
+one, as each ends) nor run by the engine: it shares the argument check,
+the block-length rule, the linear maps, the loss, the divergence guard
+and ``_sq_norms``, but records its own series, with G, F and the gradient
+norm from 1/(1+e^z) and 1/e^z, which differ from the engine's in the last bit.
 
 A trajectory records, at every recorded step, the loss L, the gradient,
 parameter and distance-from-initialization norms, the gradient potential
@@ -19,7 +19,7 @@ and the exponential potential F(w) = mean_i exp(-y_i x_i^T w), the
 stable-phase initial-condition term of logistic runs.  The GD loop
 writes each step's margins into its block buffer (and keeps l'(z) at the
 recorded steps, for G); the SGD loop keeps each step's iterate and takes
-the block's margins from them in one stacked product.  From these the
+the block's margins from them through the linear maps.  From these the
 series are evaluated once per block of at most ``_BLOCK_STEPS`` steps
 and ``_BLOCK_FLOATS`` floats of margins (one step's when larger); reruns
 reproduce every number bit for bit.  A run from w_0 = 0 records one
@@ -288,12 +288,12 @@ def gd_engine(W, n: int, margins, gradient, loss: L.LossSpec, etas,
 
 
 def _linear_maps(ds: Dataset) -> tuple:
-    """The maps that :func:`run_gd_batch` steps with: ``margins(W, out)``
-    writes the (K, n) margins of the rows of a (K, d) matrix W into
-    ``out``, and ``gradient(D)`` returns the (K, d) mean-loss gradients
-    from the (K, n) loss derivatives D at those margins.  Each takes one
-    gemv per row (a gemm sums in another order); a batch of one takes it
-    by a 2-D product, which dispatches faster, with the same bits."""
+    """The maps that :func:`run_gd_batch` steps with and :func:`run_sgd`
+    evaluates with: ``margins(W, out)`` writes the (K, n) margins of the
+    rows of a (K, d) matrix W into ``out``, and ``gradient(D)`` returns the
+    (K, d) mean-loss gradients from the (K, n) loss derivatives D there.
+    Each takes one gemv per row (a gemm sums in another order); one row
+    takes a 2-D product, which dispatches faster, with the same bits."""
     Zy, n = ds.signed(), ds.n
     Zy3, ZyT, ZyT3 = Zy[None], Zy.T, Zy.T[None]
 
@@ -377,16 +377,16 @@ def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng) -> Trajectory:
     The sampling distribution has finite support, so the recorded
     population loss and zero-one error are exact over the support at every
     step.  The step loop stores each iterate and applies the sampled-row
-    update; the margins, one gemv per iterate, and the metrics are
-    evaluated per block from the stored iterates, bit for bit as step by
-    step.  Memory is the block buffers plus the O(T) series; no iterate is
-    kept past its block, and neither the iterates nor the drawn indices
-    are returned.
+    update; the metrics are evaluated per block from the stored iterates,
+    through the maps of :func:`_linear_maps` and ``losses.eval_loss``, bit
+    for bit as step by step.  Memory is the block buffers plus the O(T)
+    series; no iterate is kept past its block, and neither the iterates nor
+    the drawn indices are returned.
     """
     _check_run(eta, steps)
-    Zy = ds.signed()
-    Zy3, ZyT3 = Zy[None], Zy.T[None]
-    rows = list(Zy)
+    margins, gradient = _linear_maps(ds)
+    spec = L.logistic()
+    rows = list(ds.signed())
     n = ds.n
     w = np.zeros(ds.d)
     T = steps
@@ -419,16 +419,13 @@ def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng) -> Trajectory:
                     coef = -1.0 / (1.0 + math.exp(zi))
                 w = w - (eta * coef) * row
 
-            # the block's margins, one gemv per iterate (a gemm sums in
-            # another order)
-            np.matmul(Zy3, W[:, :, None], out=Z[:, :, None])
-            lvals = np.mean(np.logaddexp(0.0, -Z), axis=1)
+            margins(W, Z)
+            lvals = np.mean(L.eval_loss(spec, Z), axis=1)
             guard.check(start, lvals)
 
             expz = np.exp(Z)
             S = 1.0 / (1.0 + expz)             # = |l'(z)| for the logistic loss
-            # one gemv per step, not a gemm: a gemm sums in another order
-            Gr = np.matmul(ZyT3, S[:, :, None])[:, :, 0] / n
+            Gr = gradient(S)
             # sqrt(v.dot(v)) is what np.linalg.norm computes for a vector
             rec[:, start:stop] = (lvals, np.sqrt(_sq_norms(Gr)), np.sqrt(_sq_norms(W)),
                                   np.mean(S, axis=1), np.mean(1.0 / expz, axis=1),
@@ -438,7 +435,7 @@ def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng) -> Trajectory:
     return Trajectory(
         steps=np.arange(T + 1, dtype=np.int64), loss=loss, grad_norm=grad_norm,
         param_norm=param_norm, dist_init=param_norm,  # w_0 = 0
-        G=G, F=F, eta=eta, loss_spec=L.logistic(), record_every=1, w_final=w,
+        G=G, F=F, eta=eta, loss_spec=spec, record_every=1, w_final=w,
         zero_one=zero_one)
 
 

@@ -203,12 +203,15 @@ def rho_exact(loss: LossSpec, lam: float) -> float:
 
     The objective is strictly convex (convex loss plus z^2), so the
     bracket [-2, hi] is unimodal; hi is widened geometrically until the
-    minimizer is interior.  Where that fails (a flat_exp ``a`` so small
-    that the objective is flat in float over the widened bracket, or hi
-    passes the largest float), the search runs on [0, lambda*C_g], which
-    holds the minimizer z* as 2 z* = lambda g(z*) <= lambda C_g, to 1e-8
-    or 1e-12 of that bracket's length, whichever is larger.  Raises ValueError where floats near z*
-    lie farther apart than the tolerance, so that no bracket can meet it.
+    minimizer is interior at a finite value.  Where that fails (a flat_exp
+    ``a`` so small that the objective is flat in float over the widened
+    bracket, a search whose z^2 overflows, or hi passing the largest
+    float), the search runs on a bracket that holds the minimizer z*, to
+    1e-8 or 1e-12 of that bracket's length, whichever is larger: for
+    flat_poly [0, (lambda*a/2)^(1/(a+2))], as 2 z* (1+z*)^(a+1) = lambda*a,
+    and otherwise [0, lambda*C_g], as 2 z* = lambda g(z*) <= lambda C_g.
+    Raises ValueError where floats near z* lie farther apart than the
+    tolerance, so that no bracket can meet it.
     """
     if lam < 1.0:
         raise ValueError("rho is defined for lambda >= 1")
@@ -221,15 +224,21 @@ def rho_exact(loss: LossSpec, lam: float) -> float:
         hi = max(10.0, 3.0 * loss.C_e * math.log(max(lam, math.e)))
     else:
         hi = max(10.0, 3.0 * lam)
-    for _ in range(60):
-        if hi == math.inf:
-            break
-        x, fx = minimize_1d(h, lo, hi, tol=tol)
-        if x < hi - 100.0 * tol:
-            return fx
-        hi *= 2.0
-    hi = lam * loss.C_g
-    return minimize_1d(h, 0.0, hi, tol=max(tol, 1e-12 * hi))[1]
+    # far out in z, eval_loss overflows in a branch it discards (1 - a*z),
+    # or on the way to a loss of 0
+    with np.errstate(over="ignore"):
+        for _ in range(60):
+            if hi == math.inf:
+                break
+            x, fx = minimize_1d(h, lo, hi, tol=tol)
+            if fx == math.inf:  # no wider bracket finds a finite value
+                break
+            if x < hi - 100.0 * tol:
+                return fx
+            hi *= 2.0
+        hi = (math.exp((math.log(0.5 * lam) + math.log(loss.a)) / (loss.a + 2.0))
+              if loss.kind == FLAT_POLY else lam * loss.C_g)
+        return minimize_1d(h, 0.0, hi, tol=max(tol, 1e-12 * hi))[1]
 
 
 def psi(loss: LossSpec, lam: float) -> float:

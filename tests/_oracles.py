@@ -355,20 +355,21 @@ def _axis(vals: list[float], log: bool) -> tuple[float, float, list[float]]:
 
 def write_line_plot_lists(path: str | Path, series: list[tuple[str, list[float], list[float]]],
                     title: str = "", xlabel: str = "", ylabel: str = "",
-                    logx: bool = False, logy: bool = False) -> None:
-    """Write one plot with a polyline per (label, xs, ys) series.
+                    logx: bool = False) -> None:
+    """Write one plot with a polyline per (label, xs, ys) series, on a log y
+    axis.
 
     A point is plotted when both coordinates lie within +/-1e300, and at or
     above 1e-300 on a log axis, so NaN, infinities and values that a log
     axis cannot show are left out; raises ValueError when no point is left.
     """
-    x_min, y_min = (_TINY if logx else -_HUGE), (_TINY if logy else -_HUGE)
-    kept = [[(x, y) for x, y in zip(xs, ys) if x_min <= x <= _HUGE and y_min <= y <= _HUGE]
+    x_min = _TINY if logx else -_HUGE
+    kept = [[(x, y) for x, y in zip(xs, ys) if x_min <= x <= _HUGE and _TINY <= y <= _HUGE]
             for _, xs, ys in series]
     if not any(kept):
         raise ValueError("nothing to plot")
     x_lo, x_hi, x_ticks = _axis([x for pts in kept for x, _ in pts], logx)
-    y_lo, y_hi, y_ticks = _axis([y for pts in kept for _, y in pts], logy)
+    y_lo, y_hi, y_ticks = _axis([y for pts in kept for _, y in pts], True)
 
     pw, ph = _W - _ML - _MR, _H - _MT - _MB
 
@@ -377,8 +378,7 @@ def write_line_plot_lists(path: str | Path, series: list[tuple[str, list[float],
         return _ML + (v - x_lo) / (x_hi - x_lo) * pw
 
     def sy(y: float) -> float:
-        v = math.log10(y) if logy else y
-        return _MT + ph - (v - y_lo) / (y_hi - y_lo) * ph
+        return _MT + ph - (math.log10(y) - y_lo) / (y_hi - y_lo) * ph
 
     el = ['<?xml version="1.0" encoding="UTF-8"?>',
           f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '

@@ -339,16 +339,30 @@ class TestSgdMatchesStepwiseReference:
     """run_sgd evaluates its metrics per block; every recorded number must
     equal the step-by-step loop's bit for bit."""
 
-    @pytest.mark.parametrize("steps", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5])
-    @pytest.mark.parametrize("eta", [1.0, 100.0])
-    @pytest.mark.parametrize("name", sorted(SGD_SETS))
-    def test_bit_identical(self, name, eta, steps):
-        rec, _, w_final, _ = _reference_sgd(SGD_SETS[name], eta, steps, Rng(steps))
-        tr = descent.run_sgd(SGD_SETS[name], eta, steps, Rng(steps))
+    @staticmethod
+    def _assert_bit_identical(ds, eta, steps):
+        rec, _, w_final, _ = _reference_sgd(ds, eta, steps, Rng(steps))
+        tr = descent.run_sgd(ds, eta, steps, Rng(steps))
         for key, ref in rec.items():
             assert np.array_equal(getattr(tr, key), ref), key
         assert np.array_equal(tr.dist_init, rec["param_norm"])
         assert np.array_equal(tr.w_final, w_final)
+
+    @pytest.mark.parametrize("steps", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5])
+    @pytest.mark.parametrize("eta", [1.0, 100.0])
+    @pytest.mark.parametrize("name", sorted(SGD_SETS))
+    def test_bit_identical(self, name, eta, steps):
+        self._assert_bit_identical(SGD_SETS[name], eta, steps)
+
+    @pytest.mark.parametrize("eta", [1.0, 100.0])
+    @pytest.mark.parametrize("name", ["synthetic", "synthetic-d50"])
+    def test_one_row_final_block(self, name, eta):
+        # T a multiple of the set's block: the T+1 recorded steps leave one
+        # row to the last block, which the linear maps take by 2-D products
+        ds = SGD_SETS[name]
+        block = descent._block_len(max(ds.n, ds.d))
+        assert block < BLOCK
+        self._assert_bit_identical(ds, eta, 2 * block)
 
     def test_guard_non_finite(self):
         ds = data.Dataset(np.array([[10.0], [10.0]]), np.array([1.0, -1.0]),

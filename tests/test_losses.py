@@ -5,6 +5,7 @@ conformance checker."""
 import math
 import re
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -234,6 +235,18 @@ class TestRho:
         spec = L.flattened_exponential(a)
         assert L.rho_bound(spec, 1.0) == 1.0
         assert L.rho_bound(spec, 1.0 + 1e-15) == L.rho_bound(spec, 1e6) == math.inf
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 10.0, 1000.0])
+    def test_flat_poly_rho_finite_up_to_the_largest_lambda(self, a):
+        # z^2 overflows in searches this wide, and lam*C_g passes the
+        # largest float at the top: the search falls back to the bracket
+        # [0, (lam*a/2)^(1/(a+2))], which holds z*, without a float warning
+        spec = L.flattened_polynomial(a)
+        for lam in (1e155, 1e160, 1e200, 1e250, 1e300, 5e307, 1e308, 1.7e308):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rho = L.rho_exact(spec, lam)
+            assert 0.0 < rho <= L.rho_bound(spec, lam) * (1.0 + 1e-12), lam
 
     def test_rho_exact_stalls_with_an_error(self):
         # z* ~ lam*a/2 = 5e9, where floats lie farther apart than the

@@ -1,8 +1,8 @@
-"""The SVG line-plot writer over arbitrary series: well-formed XML, every
-polyline point inside the plot frame, "nothing to plot" exactly when
-no point is plottable, the bytes of the list-based reference writer from
-lists and arrays alike, memory that does not grow with Python objects per
-point, and an import that loads no network stack."""
+"""The SVG line-plot writer, on its log y axis, over arbitrary series:
+well-formed XML, every polyline point inside the plot frame, "nothing to
+plot" exactly when no point is plottable, the bytes of the list-based
+reference writer from lists and arrays alike, memory that does not grow
+with Python objects per point, and an import that loads no network stack."""
 
 import math
 import subprocess
@@ -37,25 +37,24 @@ def plottable(v: float, log: bool) -> bool:
     return (1e-300 if log else -1e300) <= v <= 1e300
 
 
-def write(curves, logx, logy) -> ET.Element:
+def write(curves, logx) -> ET.Element:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "plot.svg"
-        write_line_plot(path, curves, title="t & <T>", xlabel="x", ylabel="y",
-                        logx=logx, logy=logy)
+        write_line_plot(path, curves, title="t & <T>", xlabel="x", ylabel="y", logx=logx)
         return ET.fromstring(path.read_bytes())
 
 
 @settings(max_examples=200, deadline=None)
-@given(series, st.booleans(), st.booleans())
-def test_points_inside_frame(raw, logx, logy):
+@given(series, st.booleans())
+def test_points_inside_frame(raw, logx):
     curves = [(label, [x for x, _ in pts], [y for _, y in pts]) for label, pts in raw]
-    kept = [sum(plottable(x, logx) and plottable(y, logy) for x, y in pts)
+    kept = [sum(plottable(x, logx) and plottable(y, True) for x, y in pts)
             for _, pts in raw]
     if not any(kept):
         with pytest.raises(ValueError, match="nothing to plot"):
-            write(curves, logx, logy)
+            write(curves, logx)
         return
-    root = write(curves, logx, logy)
+    root = write(curves, logx)
     frame = root.findall("svg:rect", NS)[1]
     x0, y0 = float(frame.get("x")), float(frame.get("y"))
     x1, y1 = x0 + float(frame.get("width")), y0 + float(frame.get("height"))
@@ -75,7 +74,7 @@ def test_points_inside_frame(raw, logx, logy):
     ([-1e300, 1e300], [1.0, 2.0]),          # the widest plotted extent
 ])
 def test_degenerate_extents_plot_inside_frame(xs, ys):
-    root = write([("s", xs, ys)], False, False)
+    root = write([("s", xs, ys)], False)
     [line] = root.findall("svg:polyline", NS)
     px = [float(p.split(",")[0]) for p in line.get("points").split()]
     assert all(70 - SLACK <= v <= 740 + SLACK for v in px)
@@ -100,9 +99,8 @@ any_series = st.lists(st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(any_series, st.booleans(), st.booleans(), st.lists(st.booleans(), min_size=4,
-                                                          max_size=4))
-def test_same_bytes_as_list_writer(raw, logx, logy, as_array):
+@given(any_series, st.booleans(), st.lists(st.booleans(), min_size=4, max_size=4))
+def test_same_bytes_as_list_writer(raw, logx, as_array):
     # each series as lists of Python numbers (the reference's input) and,
     # for the writer, as lists or numpy arrays: float64, or int64 for
     # integer x
@@ -110,10 +108,8 @@ def test_same_bytes_as_list_writer(raw, logx, logy, as_array):
     passed = [(label, np.array(xs), np.array(ys, dtype=np.float64)) if arr else (label, xs, ys)
               for (label, xs, ys), arr in zip(lists, as_array)]
     with tempfile.TemporaryDirectory() as tmp:
-        ref = _plot_bytes(write_line_plot_lists, lists, Path(tmp), "ref.svg",
-                          logx=logx, logy=logy)
-        got = _plot_bytes(write_line_plot, passed, Path(tmp), "got.svg",
-                          logx=logx, logy=logy)
+        ref = _plot_bytes(write_line_plot_lists, lists, Path(tmp), "ref.svg", logx=logx)
+        got = _plot_bytes(write_line_plot, passed, Path(tmp), "got.svg", logx=logx)
     assert got == ref
 
 
@@ -126,9 +122,8 @@ def test_same_bytes_as_list_writer_over_blocks(tmp_path, n, logx):
     curves = [("a", steps, loss), ("b & c", steps[::2], loss[::2] * 3.0), ("empty", [], [])]
     lists = [(label, np.asarray(xs).tolist(), np.asarray(ys).tolist())
              for label, xs, ys in curves]
-    assert (_plot_bytes(write_line_plot, curves, tmp_path, "got.svg", logx=logx, logy=True)
-            == _plot_bytes(write_line_plot_lists, lists, tmp_path, "ref.svg", logx=logx,
-                           logy=True))
+    assert (_plot_bytes(write_line_plot, curves, tmp_path, "got.svg", logx=logx)
+            == _plot_bytes(write_line_plot_lists, lists, tmp_path, "ref.svg", logx=logx))
 
 
 def test_plot_memory_does_not_grow_with_python_objects(tmp_path):
@@ -143,7 +138,7 @@ def test_plot_memory_does_not_grow_with_python_objects(tmp_path):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        write_line_plot(tmp_path / "big.svg", curves, xlabel="step", logy=True)
+        write_line_plot(tmp_path / "big.svg", curves, xlabel="step")
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
