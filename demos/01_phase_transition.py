@@ -36,5 +36,5 @@ for eta, traj in zip(etas, trajs):
 
 write_line_plot("demos/out_phase_transition.svg", curves,
                 title="Stepsize sweep: early oscillation, then monotone descent",
-                xlabel="step", ylabel="loss")
+                ylabel="loss")
 print("wrote demos/out_phase_transition.svg")

@@ -28,5 +28,5 @@ for eta, traj in zip(etas, trajs):
 
 write_line_plot("demos/out_asymptotic_rate.svg", curves,
                 title="eta * t * loss flattens: the tail decays like 1/(eta t)",
-                xlabel="step", ylabel="eta * t * loss", logx=True)
+                ylabel="eta * t * loss", logx=True)
 print("wrote demos/out_asymptotic_rate.svg")

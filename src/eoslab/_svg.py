@@ -1,6 +1,7 @@
-"""Minimal self-contained SVG line plots: a log y axis and an optional log
-x axis, one polyline per series, and a small legend.  No external assets,
-no plotting dependency; the output is valid standalone XML.
+"""Minimal self-contained SVG line plots: a log y axis over an x axis
+labelled "step", linear or log, one polyline per series, and a small
+legend.  No external assets, no plotting dependency; the output is valid
+standalone XML.
 
 The writer works on the series' arrays and writes each element as it is
 made, its polylines' points a block at a time, so its memory is a few
@@ -46,8 +47,8 @@ def _points(px: np.ndarray, py: np.ndarray) -> str:
     return " ".join(["%.2f,%.2f"] * len(pts)) % tuple(pts.ravel().tolist())
 
 
-def _ticks_linear(lo: float, hi: float, n: int = 6) -> list[float]:
-    raw = (hi - lo) / n
+def _ticks_linear(lo: float, hi: float) -> list[float]:
+    raw = (hi - lo) / 6
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min((s for s in (1.0, 2.0, 5.0, 10.0) if s * mag >= raw),
                default=10.0) * mag
@@ -86,10 +87,10 @@ def _axis(lo: float, hi: float, log: bool) -> tuple[float, float, list[float]]:
 
 
 def write_line_plot(path: str | Path, series: list[tuple[str, list[float], list[float]]],
-                    title: str = "", xlabel: str = "", ylabel: str = "",
-                    logx: bool = False) -> None:
-    """Write one plot with a polyline per (label, xs, ys) series, where xs
-    and ys are equal-length lists or numpy arrays, on a log y axis.
+                    title: str, ylabel: str, logx: bool = False) -> None:
+    """Write one plot titled ``title`` with a polyline per (label, xs, ys)
+    series, where xs and ys are equal-length lists or numpy arrays, on a
+    log y axis labelled ``ylabel`` over an x axis labelled "step".
 
     A point is plotted when both coordinates lie within +/-1e300, and at or
     above 1e-300 on a log axis, so NaN, infinities and values that a log
@@ -128,9 +129,8 @@ def write_line_plot(path: str | Path, series: list[tuple[str, list[float], list[
         put(f'<rect width="{_W}" height="{_H}" fill="white"/>')
         put(f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" fill="none" '
             'stroke="black" stroke-width="1"/>')
-        if title:
-            put(f'<text x="{_W/2:.1f}" y="20" text-anchor="middle" '
-                f'font-size="14">{escape(title)}</text>')
+        put(f'<text x="{_W/2:.1f}" y="20" text-anchor="middle" '
+            f'font-size="14">{escape(title)}</text>')
 
         for tv in x_ticks:
             px = sx(math.log10(tv) if logx else tv)
@@ -146,12 +146,9 @@ def write_line_plot(path: str | Path, series: list[tuple[str, list[float], list[
                     f'y2="{py:.1f}" stroke="black"/>')
                 put(f'<text x="{_ML - 8}" y="{py + 4:.1f}" '
                     f'text-anchor="end">{escape(_fmt(tv))}</text>')
-        if xlabel:
-            put(f'<text x="{_ML + pw/2:.1f}" y="{_H - 12}" '
-                f'text-anchor="middle">{escape(xlabel)}</text>')
-        if ylabel:
-            put(f'<text x="16" y="{_MT + ph/2:.1f}" text-anchor="middle" '
-                f'transform="rotate(-90 16 {_MT + ph/2:.1f})">{escape(ylabel)}</text>')
+        put(f'<text x="{_ML + pw/2:.1f}" y="{_H - 12}" text-anchor="middle">step</text>')
+        put(f'<text x="16" y="{_MT + ph/2:.1f}" text-anchor="middle" '
+            f'transform="rotate(-90 16 {_MT + ph/2:.1f})">{escape(ylabel)}</text>')
 
         for i, ((label, _, _), (xs, ys)) in enumerate(zip(series, kept)):
             color = _COLORS[i % len(_COLORS)]

@@ -290,7 +290,7 @@ def table1_regimes(loss: L.LossSpec, T: float) -> list[RegimeRow]:
 
 _LOGISTIC = (L.LOGISTIC,)
 _EXP_TAILED = (L.LOGISTIC, L.FLAT_EXP)  # the loss families with a C_e
-_ANY = (L.LOGISTIC, L.FLAT_EXP, L.FLAT_POLY)
+_ANY = L.KINDS
 _BASE = ("gamma", "eta", "t")
 _COMMON = _BASE + ("n", "delta")
 

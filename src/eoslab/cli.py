@@ -329,8 +329,7 @@ def _run_check_loss(args) -> int:
 
 
 def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dataset", default="toy",
-                   choices=["toy", "lower_bound", "synthetic", "csv"])
+    p.add_argument("--dataset", default="toy", choices=list(D._DESCRIPTOR_KEYS))
     p.add_argument("--gamma", type=float, default=None,
                    help="margin parameter for lower_bound/synthetic datasets")
     p.add_argument("--n", type=int, default=100)
@@ -342,8 +341,7 @@ def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_loss_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--loss", default="logistic",
-                   choices=[L.LOGISTIC, L.FLAT_EXP, L.FLAT_POLY])
+    p.add_argument("--loss", default="logistic", choices=L.KINDS)
     p.add_argument("--a", type=float, default=None,
                    help="temperature/degree for the flattened losses")
 
@@ -463,7 +461,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         svg_name, curves, plot = _RUNNERS[args.command](cfg, ds, out)
         if cfg["svg"]:
-            write_line_plot(out / svg_name, curves, xlabel="step", **plot)
+            write_line_plot(out / svg_name, curves, **plot)
         return 0
     except G.DivergenceError as exc:
         print(f"error: divergence guard: {exc}", file=sys.stderr)

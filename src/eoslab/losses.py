@@ -49,6 +49,7 @@ __all__ = [
 LOGISTIC = "logistic"
 FLAT_EXP = "flat_exp"
 FLAT_POLY = "flat_poly"
+KINDS = (LOGISTIC, FLAT_EXP, FLAT_POLY)
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ class LossSpec:
     ell0: float
 
     def __post_init__(self):
-        if self.kind not in (LOGISTIC, FLAT_EXP, FLAT_POLY):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
         if self.kind != LOGISTIC and not (self.a is not None and 0.0 < self.a < math.inf):
             raise ValueError(f"{self.kind} requires a finite a > 0, not {self.a}")
@@ -113,7 +114,7 @@ def loss_from_json(obj: dict) -> LossSpec:
     {"kind": ..., "a": ...} for a flattened loss, whose "a" is a JSON number.
     Raises ValueError on any other key, kind or value of "a"."""
     kind = obj.get("kind")
-    if kind not in (LOGISTIC, FLAT_EXP, FLAT_POLY):
+    if kind not in KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
     unknown = set(obj) - ({"kind"} if kind == LOGISTIC else {"kind", "a"})
     if unknown:
@@ -205,13 +206,15 @@ def rho_exact(loss: LossSpec, lam: float) -> float:
     bracket [-2, hi] is unimodal; hi is widened geometrically until the
     minimizer is interior at a finite value.  Where that fails (a flat_exp
     ``a`` so small that the objective is flat in float over the widened
-    bracket, a search whose z^2 overflows, or hi passing the largest
-    float), the search runs on a bracket that holds the minimizer z*, to
-    1e-8 or 1e-12 of that bracket's length, whichever is larger: for
-    flat_poly [0, (lambda*a/2)^(1/(a+2))], as 2 z* (1+z*)^(a+1) = lambda*a,
-    and otherwise [0, lambda*C_g], as 2 z* = lambda g(z*) <= lambda C_g.
-    Raises ValueError where floats near z* lie farther apart than the
-    tolerance, so that no bracket can meet it.
+    bracket, a search whose z^2 overflows, hi passing the largest float,
+    or a flat_poly search that stalls), the search runs on a bracket that
+    holds the minimizer z*, to 1e-8 or 1e-12 of that bracket's length,
+    whichever is larger: for flat_poly [0, (lambda*a/2)^(1/(a+2))], as
+    2 z* (1+z*)^(a+1) = lambda*a, and otherwise [0, lambda*C_g], as
+    2 z* = lambda g(z*) <= lambda C_g.  Raises ValueError where, for
+    another loss, floats near z* lie farther apart than 1e-8, so that the
+    widening search stalls; its fallback bracket is too wide to answer to
+    that tolerance.
     """
     if lam < 1.0:
         raise ValueError("rho is defined for lambda >= 1")
@@ -230,7 +233,12 @@ def rho_exact(loss: LossSpec, lam: float) -> float:
         for _ in range(60):
             if hi == math.inf:
                 break
-            x, fx = minimize_1d(h, lo, hi, tol=tol)
+            try:
+                x, fx = minimize_1d(h, lo, hi, tol=tol)
+            except ValueError:  # stalled: floats near z* lie more than tol apart
+                if loss.kind != FLAT_POLY:
+                    raise
+                break
             if fx == math.inf:  # no wider bracket finds a finite value
                 break
             if x < hi - 100.0 * tol:

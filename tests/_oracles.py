@@ -14,7 +14,6 @@ reproduce.  Every function and class here is used by a test."""
 from __future__ import annotations
 
 import math
-import warnings
 from pathlib import Path
 from typing import Callable, Sequence
 from xml.sax.saxutils import escape
@@ -145,11 +144,9 @@ def network_maps(net, ds) -> tuple:
 
 def divergence(run, *args, **kwargs) -> tuple[int, str]:
     """(step, message) of the DivergenceError that ``run(*args, **kwargs)``
-    raises, with every RuntimeWarning turned into an error."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(descent.DivergenceError) as exc:
-            run(*args, **kwargs)
+    raises."""
+    with pytest.raises(descent.DivergenceError) as exc:
+        run(*args, **kwargs)
     return exc.value.step, str(exc.value)
 
 
@@ -313,8 +310,8 @@ _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 _HUGE, _TINY = 1e300, 1e-300
 
 
-def _ticks_linear(lo: float, hi: float, n: int = 6) -> list[float]:
-    raw = (hi - lo) / n
+def _ticks_linear(lo: float, hi: float) -> list[float]:
+    raw = (hi - lo) / 6
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min((s for s in (1.0, 2.0, 5.0, 10.0) if s * mag >= raw),
                default=10.0) * mag
@@ -354,10 +351,10 @@ def _axis(vals: list[float], log: bool) -> tuple[float, float, list[float]]:
 
 
 def write_line_plot_lists(path: str | Path, series: list[tuple[str, list[float], list[float]]],
-                    title: str = "", xlabel: str = "", ylabel: str = "",
-                    logx: bool = False) -> None:
-    """Write one plot with a polyline per (label, xs, ys) series, on a log y
-    axis.
+                          title: str, ylabel: str, logx: bool = False) -> None:
+    """Write one plot titled ``title`` with a polyline per (label, xs, ys)
+    series, on a log y axis labelled ``ylabel`` over an x axis labelled
+    "step".
 
     A point is plotted when both coordinates lie within +/-1e300, and at or
     above 1e-300 on a log axis, so NaN, infinities and values that a log
@@ -386,9 +383,8 @@ def write_line_plot_lists(path: str | Path, series: list[tuple[str, list[float],
           f'<rect width="{_W}" height="{_H}" fill="white"/>',
           f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" fill="none" '
           'stroke="black" stroke-width="1"/>']
-    if title:
-        el.append(f'<text x="{_W/2:.1f}" y="20" text-anchor="middle" '
-                  f'font-size="14">{escape(title)}</text>')
+    el.append(f'<text x="{_W/2:.1f}" y="20" text-anchor="middle" '
+              f'font-size="14">{escape(title)}</text>')
 
     for tv in x_ticks:
         px = sx(tv)
@@ -404,12 +400,9 @@ def write_line_plot_lists(path: str | Path, series: list[tuple[str, list[float],
                       f'y2="{py:.1f}" stroke="black"/>')
             el.append(f'<text x="{_ML - 8}" y="{py + 4:.1f}" '
                       f'text-anchor="end">{escape(_fmt(tv))}</text>')
-    if xlabel:
-        el.append(f'<text x="{_ML + pw/2:.1f}" y="{_H - 12}" '
-                  f'text-anchor="middle">{escape(xlabel)}</text>')
-    if ylabel:
-        el.append(f'<text x="16" y="{_MT + ph/2:.1f}" text-anchor="middle" '
-                  f'transform="rotate(-90 16 {_MT + ph/2:.1f})">{escape(ylabel)}</text>')
+    el.append(f'<text x="{_ML + pw/2:.1f}" y="{_H - 12}" text-anchor="middle">step</text>')
+    el.append(f'<text x="16" y="{_MT + ph/2:.1f}" text-anchor="middle" '
+              f'transform="rotate(-90 16 {_MT + ph/2:.1f})">{escape(ylabel)}</text>')
 
     for i, ((label, _, _), pts) in enumerate(zip(series, kept)):
         color = _COLORS[i % len(_COLORS)]

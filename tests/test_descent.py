@@ -1,11 +1,11 @@
-"""GD/SGD engines: loss and gradient values, trajectory instrumentation,
-phase detection, the split-comparator and margin-alignment inequalities,
-and determinism."""
+"""GD/SGD engines: the stepsize domain of every engine, loss and gradient
+values, trajectory instrumentation, the divergence guard against the
+stepwise loop, phase detection, the split-comparator and margin-alignment
+inequalities, and determinism."""
 
 import dataclasses
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -25,21 +25,15 @@ NTOY = data.normalized(TOY)
 NCERT = data.margin(NTOY)
 
 
-BAD_ETAS = [math.nan, math.inf, 0.0, -1.0]
-
-
-class TestStepsizeDomain:
-    @pytest.mark.parametrize("eta", BAD_ETAS)
-    def test_gd_config_rejects(self, eta):
-        with pytest.raises(ValueError, match="eta"):
-            descent.run_gd(TOY, LOG, eta, 10)
-        with pytest.raises(ValueError, match="eta"):
-            descent.run_gd_batch(TOY, LOG, [1.0, eta], 10)
-
-    @pytest.mark.parametrize("eta", BAD_ETAS)
-    def test_sgd_rejects(self, eta):
-        with pytest.raises(ValueError, match="eta"):
-            descent.run_sgd(NTOY, eta, 10, Rng(0))
+@pytest.mark.parametrize("eta", [math.nan, math.inf, 0.0, -1.0])
+def test_engines_refuse_a_stepsize_outside_the_domain(eta):
+    net = ntk.init_net(8, NTOY.d, Rng(0))
+    for run in (lambda: descent.run_gd(TOY, LOG, eta, 10),
+                lambda: descent.run_gd_batch(TOY, LOG, [1.0, eta], 10),
+                lambda: descent.run_sgd(NTOY, eta, 10, Rng(0)),
+                lambda: ntk.run_gd_ntk(net, NTOY, LOG, eta, 10)):
+        with pytest.raises(ValueError, match="^eta must be positive and finite$"):
+            run()
 
 
 def loss_value(loss, ds, w):
@@ -169,23 +163,6 @@ class TestRunGd:
         b = descent.run_gd(NTOY, LOG, 8.0, 500)
         np.testing.assert_array_equal(a.loss, b.loss)
         np.testing.assert_array_equal(a.w_final, b.w_final)
-
-    def test_divergence_guard_sustained_blowup(self):
-        # non-separable data under the flattened polynomial loss: a huge
-        # stepsize keeps the orbit far out where the loss stays above
-        # 1e3 * L(w_0) step after step
-        ds = data.Dataset(np.array([[1.0], [0.3]]), np.array([1.0, -1.0]),
-                          name="conflict")
-        with pytest.raises(descent.DivergenceError) as exc:
-            descent.run_gd(ds, losses.flattened_polynomial(2.0), 1e6, 5000)
-        assert exc.value.step > 0
-
-    def test_divergence_guard_non_finite(self):
-        ds = data.Dataset(np.array([[10.0]]), np.array([1.0]), name="one")
-        with np.errstate(over="ignore"):
-            with pytest.raises(descent.DivergenceError, match="non-finite"):
-                _run_gd(ds, losses.flattened_exponential(1.0), 1.0, 10,
-                        start=np.array([-1e308]))
 
     def test_descent_lemma_regime(self):
         # once the loss is at or below 2/eta, the next step never ascends
@@ -413,22 +390,6 @@ class TestGdMatchesStepwiseReference:
             assert 1 <= B <= 1024 and B * width <= max(2 ** 15, width)
         assert descent._block_len(1000) == 32
 
-    def test_guard_sustained(self):
-        ds = data.Dataset(np.array([[1.0], [0.3]]), np.array([1.0, -1.0]),
-                          name="conflict")
-        cfg = dict(loss=losses.flattened_polynomial(2.0), eta=1e6, steps=5000)
-        got = divergence(_run_gd, ds, **cfg)
-        assert got == (74, "loss exceeded 1000 * L(w_0) for 50 consecutive steps (step 74)")
-        assert got == divergence(_stepwise, ds, **cfg)
-
-    def test_guard_non_finite(self):
-        ds = data.Dataset(np.array([[10.0]]), np.array([1.0]), name="one")
-        cfg = dict(loss=losses.flattened_exponential(1.0), eta=1.0, steps=10)
-        got = divergence(_run_gd, ds, **cfg, start=np.array([-1e308]))
-        assert got == (0, "non-finite loss at step 0")
-        with np.errstate(over="ignore"):  # the step loop's matmul overflows
-            assert got == divergence(_stepwise, ds, **cfg, start=np.array([-1e308]))
-
 
 # (eta, start coordinate) of runs that differ in eta and start only
 BATCH_POOL = [(1.0, 0.0), (8.0, 0.0), (32.0, 0.0), (2.0, 0.5), (100.0, -0.25)]
@@ -502,9 +463,7 @@ class TestGdBatchMatchesAlone:
         starts = [start for _, start in runs]
         alone = [_gd_from([start], ds, loss, [eta], 2100, store_iterates=True)[0]
                  for eta, start in runs]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            got = _gd_from(starts, ds, loss, etas, 2100, store_iterates=True)
+        got = _gd_from(starts, ds, loss, etas, 2100, store_iterates=True)
         assert [isinstance(r, descent.DivergenceError) for r in got] == \
             [k == place for k in range(3)]
         assert got[place].step == step
@@ -561,14 +520,15 @@ def screens(monkeypatch):
     return seen
 
 
-class TestGuardUnderSparseRecording:
-    """A sparse run evaluates its loss at recorded steps and screens the
-    rest of each block; its guard must stop where the step-by-step loop,
-    which evaluates every step, stops, with the same message, and leave
-    every other run as the loop does."""
+class TestGuardUnderAnyRecording:
+    """A run screens each block of its losses and walks the losses it
+    evaluated in a block the screen does not clear: a dense run every
+    step's, a sparse run its recorded steps'.  Its guard must stop where the
+    step-by-step loop, which evaluates every step, stops, with the same
+    message, and leave every other run as the loop does."""
 
     @pytest.mark.parametrize("blocks", [4, BLOCK])
-    @pytest.mark.parametrize("every", [7, 10])
+    @pytest.mark.parametrize("every", [1, 7, 10])
     @pytest.mark.parametrize("case", sorted(DIVERGENCES))
     def test_divergence(self, case, every, blocks, monkeypatch, screens):
         monkeypatch.setattr(descent, "_BLOCK_STEPS", blocks)
@@ -602,14 +562,16 @@ class TestGuardUnderSparseRecording:
         # passed the screen
         assert screens[:3] == [False, True, False]
 
-    def test_quiet_block_resets_the_count(self, monkeypatch, screens):
+    @pytest.mark.parametrize("every", [1, 7])
+    def test_quiet_block_resets_the_count(self, every, monkeypatch, screens):
         # with the bar at 2 * L(w_0), this toy run is over it at steps 1, 4
-        # and 5 alone, recorded by no 7-step cadence; the block of steps 2
-        # and 3 between passes the screen and must end the first streak
+        # and 5 alone, which a 7-step cadence does not record; the block of
+        # steps 2 and 3 between passes the screen and must end the first
+        # streak, whether the run records every step or every 7th
         monkeypatch.setattr(descent, "_GUARD_FACTOR", 2.0)
         monkeypatch.setattr(descent, "_GUARD_PATIENCE", 3)
         monkeypatch.setattr(descent, "_BLOCK_STEPS", 2)
-        cfg = dict(loss=FLAT_POLY2, eta=8.0, steps=300, record_every=7)
+        cfg = dict(loss=FLAT_POLY2, eta=8.0, steps=300, record_every=every)
         _assert_same_run(_run_gd(TOY, **cfg), outcome(_stepwise, TOY, **cfg))
         assert screens[:3] == [False, True, False]
 
@@ -621,9 +583,7 @@ class TestGuardUnderSparseRecording:
         etas.insert(place, fields["eta"])
         starts = [np.array([0.1])] * 2
         starts.insert(place, np.zeros(ds.d) if start is None else start)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            got = _gd_from(starts, ds, loss, etas, 2100, 7, store_iterates=True)
+        got = _gd_from(starts, ds, loss, etas, 2100, 7, store_iterates=True)
         assert [isinstance(r, descent.DivergenceError) for r in got] == \
             [k == place for k in range(3)]
         assert got[place].step == step
@@ -711,34 +671,6 @@ class TestGuardMatchesStepwiseOracle:
 
         want = _guarded(lambda: [oracle.check(t, lval) for t, lval in enumerate(lvals.tolist())])
         assert _guarded(blocks) == want
-
-
-class TestGuardScreensDenseRuns:
-    """A densely recorded run's guard takes the same screen of each block
-    and walks the recorded losses of a block the screen does not clear; it
-    must stop where, and as, the step-by-step loop stops."""
-
-    @pytest.mark.parametrize("case", sorted(DIVERGENCES))
-    def test_divergence(self, case, monkeypatch, screens):
-        monkeypatch.setattr(descent, "_BLOCK_STEPS", 4)
-        ds, fields, start, step = DIVERGENCES[case]
-        cfg = dict(steps=3000, **fields)
-        got = divergence(_run_gd, ds, **cfg, start=start)
-        ref = outcome(_stepwise, ds, **cfg, start=start)
-        assert got == (ref.step, str(ref)) and got[0] == step
-        if case == "sustained-after-quiet":
-            assert screens[0]  # the first block, steps 0 to 3, passed the screen
-
-    def test_quiet_block_resets_the_count(self, monkeypatch, screens):
-        # the run of the sparse case, recorded at every step: over the bar
-        # at steps 1, 4 and 5, and the block of steps 2 and 3 between
-        # passes the screen, which must end the first streak
-        monkeypatch.setattr(descent, "_GUARD_FACTOR", 2.0)
-        monkeypatch.setattr(descent, "_GUARD_PATIENCE", 3)
-        monkeypatch.setattr(descent, "_BLOCK_STEPS", 2)
-        cfg = dict(loss=FLAT_POLY2, eta=8.0, steps=300)
-        _assert_same_run(descent.run_gd(TOY, **cfg), outcome(_stepwise, TOY, **cfg))
-        assert screens[:3] == [False, True, False]
 
 
 @pytest.fixture(scope="module")

@@ -238,11 +238,14 @@ class TestRho:
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 10.0, 1000.0])
     def test_flat_poly_rho_finite_up_to_the_largest_lambda(self, a):
-        # z^2 overflows in searches this wide, and lam*C_g passes the
-        # largest float at the top: the search falls back to the bracket
-        # [0, (lam*a/2)^(1/(a+2))], which holds z*, without a float warning
+        # z^2 overflows in searches this wide, lam*C_g passes the largest
+        # float at the top, and from 1e21 the widening search stalls where
+        # floats near z* lie more than 1e-8 apart: the search falls back to
+        # the bracket [0, (lam*a/2)^(1/(a+2))], which holds z*, without a
+        # float warning
         spec = L.flattened_polynomial(a)
-        for lam in (1e155, 1e160, 1e200, 1e250, 1e300, 5e307, 1e308, 1.7e308):
+        for lam in (1e21, 1e24, 1e32, 1e39, 1e50, 1e94, 1e100, 1e154,
+                    1e155, 1e160, 1e200, 1e250, 1e300, 5e307, 1e308, 1.7e308):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 rho = L.rho_exact(spec, lam)
