@@ -617,6 +617,12 @@ class TestSgd:
         cfg = json.loads((out / "config.json").read_text())
         assert cfg["seed"] == 42
 
+    @pytest.mark.parametrize("command", ["sgd", "ntk"])
+    def test_invalid_env_seed_exit_code(self, tmp_path, monkeypatch, command):
+        monkeypatch.setenv("EOS_LAB_SEED", "abc")
+        out = tmp_path / "bad"
+        assert run(command, "--steps", "5", "--out", str(out)) == 3
+        assert files_in(out) == []
 
 
 class TestNtk:
@@ -673,6 +679,13 @@ class TestAccelerate:
         assert summary["loss_large_eta"] <= summary["bound"]
         assert (out / "accelerate_large.csv").exists()
         assert (out / "accelerate_baseline.csv").exists()
+
+    def test_infeasible_budget_exit_and_message(self, tmp_path, capsys):
+        rc = run("accelerate", "--dataset", "toy", "--steps", "100",
+                 "--out", str(tmp_path / "acc"))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "12000" in err and "gamma" in err
 
     def test_eta_override(self, tmp_path):
         out = tmp_path / "ablate"

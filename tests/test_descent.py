@@ -1,5 +1,4 @@
-"""GD/SGD engines: the stepsize domain of every engine, loss and gradient
-values, trajectory instrumentation, the divergence guard against the
+"""GD/SGD engines: the stepsize domain, loss and gradient values, trajectory instrumentation, the divergence guard against the
 stepwise loop, phase detection, the split-comparator and margin-alignment
 inequalities, and determinism."""
 
@@ -25,15 +24,22 @@ NTOY = data.normalized(TOY)
 NCERT = data.margin(NTOY)
 
 
-@pytest.mark.parametrize("eta", [math.nan, math.inf, 0.0, -1.0])
-def test_engines_refuse_a_stepsize_outside_the_domain(eta):
-    net = ntk.init_net(8, NTOY.d, Rng(0))
-    for run in (lambda: descent.run_gd(TOY, LOG, eta, 10),
-                lambda: descent.run_gd_batch(TOY, LOG, [1.0, eta], 10),
-                lambda: descent.run_sgd(NTOY, eta, 10, Rng(0)),
-                lambda: ntk.run_gd_ntk(net, NTOY, LOG, eta, 10)):
-        with pytest.raises(ValueError, match="^eta must be positive and finite$"):
-            run()
+BAD_ETAS = [math.nan, math.inf, 0.0, -1.0]
+ETA_DOMAIN = "^eta must be positive and finite$"
+
+
+class TestStepsizeDomain:
+    @pytest.mark.parametrize("eta", BAD_ETAS)
+    def test_gd_config_rejects(self, eta):
+        with pytest.raises(ValueError, match=ETA_DOMAIN):
+            descent.run_gd(TOY, LOG, eta, 10)
+        with pytest.raises(ValueError, match=ETA_DOMAIN):
+            descent.run_gd_batch(TOY, LOG, [1.0, eta], 10)
+
+    @pytest.mark.parametrize("eta", BAD_ETAS)
+    def test_sgd_rejects(self, eta):
+        with pytest.raises(ValueError, match=ETA_DOMAIN):
+            descent.run_sgd(NTOY, eta, 10, Rng(0))
 
 
 def loss_value(loss, ds, w):
@@ -163,6 +169,23 @@ class TestRunGd:
         b = descent.run_gd(NTOY, LOG, 8.0, 500)
         np.testing.assert_array_equal(a.loss, b.loss)
         np.testing.assert_array_equal(a.w_final, b.w_final)
+
+    def test_divergence_guard_sustained_blowup(self):
+        # non-separable data under the flattened polynomial loss: a huge
+        # stepsize keeps the orbit far out where the loss stays above
+        # 1e3 * L(w_0) step after step
+        ds = data.Dataset(np.array([[1.0], [0.3]]), np.array([1.0, -1.0]),
+                          name="conflict")
+        with pytest.raises(descent.DivergenceError) as exc:
+            descent.run_gd(ds, losses.flattened_polynomial(2.0), 1e6, 5000)
+        assert exc.value.step > 0
+
+    def test_divergence_guard_non_finite(self):
+        ds = data.Dataset(np.array([[10.0]]), np.array([1.0]), name="one")
+        with np.errstate(over="ignore"):
+            with pytest.raises(descent.DivergenceError, match="non-finite"):
+                _run_gd(ds, losses.flattened_exponential(1.0), 1.0, 10,
+                        start=np.array([-1e308]))
 
     def test_descent_lemma_regime(self):
         # once the loss is at or below 2/eta, the next step never ascends
@@ -389,6 +412,22 @@ class TestGdMatchesStepwiseReference:
             B = descent._block_len(width)
             assert 1 <= B <= 1024 and B * width <= max(2 ** 15, width)
         assert descent._block_len(1000) == 32
+
+    def test_guard_sustained(self):
+        ds = data.Dataset(np.array([[1.0], [0.3]]), np.array([1.0, -1.0]),
+                          name="conflict")
+        cfg = dict(loss=losses.flattened_polynomial(2.0), eta=1e6, steps=5000)
+        got = divergence(_run_gd, ds, **cfg)
+        assert got == (74, "loss exceeded 1000 * L(w_0) for 50 consecutive steps (step 74)")
+        assert got == divergence(_stepwise, ds, **cfg)
+
+    def test_guard_non_finite(self):
+        ds = data.Dataset(np.array([[10.0]]), np.array([1.0]), name="one")
+        cfg = dict(loss=losses.flattened_exponential(1.0), eta=1.0, steps=10)
+        got = divergence(_run_gd, ds, **cfg, start=np.array([-1e308]))
+        assert got == (0, "non-finite loss at step 0")
+        with np.errstate(over="ignore"):  # the step loop's matmul overflows
+            assert got == divergence(_stepwise, ds, **cfg, start=np.array([-1e308]))
 
 
 # (eta, start coordinate) of runs that differ in eta and start only

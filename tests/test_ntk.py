@@ -330,6 +330,13 @@ class TestRunGdNtkMatchesStepwiseReference:
         assert out == (0, "non-finite loss at step 0")
 
 
+@pytest.mark.parametrize("eta", [math.nan, math.inf, 0.0, -1.0])
+def test_run_rejects_stepsize_outside_domain(eta):
+    net = ntk.init_net(8, NTOY.d, Rng(0))
+    with pytest.raises(ValueError, match="^eta must be positive and finite$"):
+        ntk.run_gd_ntk(net, NTOY, LOG, eta, 10)
+
+
 def test_run_leaves_the_net_unchanged():
     # a run, to its end or into a divergence, starts at net.w0 and writes
     # nothing back, so a second run of the same net repeats the first
