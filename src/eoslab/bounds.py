@@ -149,14 +149,16 @@ def acceleration_plan(gamma: float, n: float, T: float) -> AccelerationPlan:
     """Stepsize eta = gamma^2 T / 120 and its terminal loss bound.
 
     The terminal bound is certified only when T >= 120 max{e, n}/gamma^2;
-    below that the plan is still reported but flagged infeasible.
+    below that the plan is still reported but flagged infeasible.  Where
+    gamma^4 T^2 (or gamma^2) underflows to 0, the bound (or the threshold)
+    is inf, as it is where they are subnormal.
     """
     if T < 1:
         raise ValueError("need T >= 1")
     eta = gamma * gamma * T / 120.0
-    x = gamma ** 4 * T * T
-    bound = 480.0 * math.log(x) ** 2 / x
-    threshold = 120.0 * max(math.e, float(n)) / gamma ** 2
+    x, g2 = gamma ** 4 * T * T, gamma ** 2
+    bound = 480.0 * math.log(x) ** 2 / x if x > 0.0 else math.inf
+    threshold = 120.0 * max(math.e, float(n)) / g2 if g2 > 0.0 else math.inf
     return AccelerationPlan(T=T, eta=eta, bound=bound, feasible=T >= threshold,
                             threshold=threshold)
 

@@ -9,7 +9,7 @@ of ``eoslab.ntk.run_gd_ntk``.  Every engine takes its settings as
 arguments.  ``run_sgd`` is neither batched (its runs are written one by
 one, as each ends) nor run by the engine: it shares the argument check,
 the block-length rule, the linear maps, the loss, the divergence guard
-and ``_sq_norms``, but records its own series, with G, F and the gradient
+and ``_norms``, but records its own series, with G, F and the gradient
 norm from 1/(1+e^z) and 1/e^z, which differ from the engine's in the last bit.
 
 A trajectory records, at every recorded step, the loss L, the gradient,
@@ -47,7 +47,7 @@ import numpy as np
 from . import bounds as B
 from . import losses as L
 from .data import Dataset
-from .numerics import Rng, _sq_norms
+from .numerics import Rng, _norms
 
 __all__ = [
     "Trajectory", "PhaseReport", "DivergenceError",
@@ -203,8 +203,8 @@ def gd_engine(W, n: int, margins, gradient, loss: L.LossSpec, etas,
     at_zero = not W.any()  # then every distance from the start is the norm
     etas = np.array(etas, dtype=np.float64)[:, None]
     steps = np.append(np.arange(0, T, record_every), T)
-    # per run: loss, G, F and the squared gradient, parameter and (unless
-    # at_zero) distance norms
+    # per run: loss, G, F and the gradient, parameter and (unless at_zero)
+    # distance norms
     rec = np.empty((K, 5 if at_zero else 6, len(steps)))
     ids, out = np.arange(K), [None] * K
     guards = [_DivergenceGuard() for _ in ids]
@@ -212,7 +212,8 @@ def gd_engine(W, n: int, margins, gradient, loss: L.LossSpec, etas,
     # each step's margins, and the loss derivatives of a block's recorded steps
     Z_buf, k = np.empty((block, K, n)), 0
     D_buf = np.empty((min(block, -(-block // record_every) + 1), K, n))
-    WG_buf = np.empty((2, min(_block_len(K * p), block), K, p))  # rows per pass of _sq_norms
+    # the recorded gradients and iterates, rows per pass of _norms
+    WG_buf = np.empty((2, min(_block_len(K * p), block), K, p))
     S = np.empty((K, p))  # each step's update
 
     # a block may run up to a block of steps past a divergence before the
@@ -221,7 +222,7 @@ def gd_engine(W, n: int, margins, gradient, loss: L.LossSpec, etas,
         for start in range(0, T + 1, block):
             stop = min(start + block, T + 1)
             k_start, r = k, 0
-            Z, (Wr, Gr) = Z_buf[:stop - start], WG_buf
+            Z, (Gr, Wr) = Z_buf[:stop - start], WG_buf
             for j, t in enumerate(range(start, stop)):
                 margins(W, Z[j])
                 D = L.deriv(loss, Z[j])
@@ -230,14 +231,14 @@ def gd_engine(W, n: int, margins, gradient, loss: L.LossSpec, etas,
                     iterates[ids, t] = W
                 if t % record_every == 0 or t == T:
                     D_buf[k - k_start] = D
-                    Wr[r], Gr[r] = W, Gm
+                    Gr[r], Wr[r] = Gm, W
                     r, k = r + 1, k + 1
                 if r and (r == len(Wr) or t + 1 == stop):
-                    V, sq = Wr[:r], rec[:, 3:, k - r:k]
-                    sq[:, 0], sq[:, 1] = _sq_norms(Gr[:r]).T, _sq_norms(V).T
+                    norms = rec[:, 3:, k - r:k]
+                    norms[:, :2] = _norms(WG_buf[:, :r]).transpose(2, 0, 1)
                     if not at_zero:
-                        V -= origin
-                        sq[:, 2] = _sq_norms(V).T
+                        Wr[:r] -= origin
+                        norms[:, 2] = _norms(Wr[:r]).T
                     r = 0
                 if t < T:
                     W -= np.multiply(etas, Gm, out=S)
@@ -274,8 +275,6 @@ def gd_engine(W, n: int, margins, gradient, loss: L.LossSpec, etas,
                 if not keep:
                     break
 
-    # sqrt(v.dot(v)) is what np.linalg.norm computes for a vector
-    np.sqrt(rec[:, 3:], out=rec[:, 3:])
     for i, series, w, eta in zip(ids.tolist(), rec, W, etas[:, 0].tolist()):
         grad_norm, param_norm, *dist = series[3:]
         out[i] = Trajectory(
@@ -426,8 +425,7 @@ def run_sgd(ds: Dataset, eta: float, steps: int, rng: Rng) -> Trajectory:
             expz = np.exp(Z)
             S = 1.0 / (1.0 + expz)             # = |l'(z)| for the logistic loss
             Gr = gradient(S)
-            # sqrt(v.dot(v)) is what np.linalg.norm computes for a vector
-            rec[:, start:stop] = (lvals, np.sqrt(_sq_norms(Gr)), np.sqrt(_sq_norms(W)),
+            rec[:, start:stop] = (lvals, _norms(Gr), _norms(W),
                                   np.mean(S, axis=1), np.mean(1.0 / expz, axis=1),
                                   np.mean(Z <= 0.0, axis=1))
 

@@ -27,6 +27,8 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # golden-section steps before minimize_1d gives up on a bracket that no
 # longer narrows
 _MAX_ITER = 5000
+# the smallest normal float: a square below it has lost bits
+_TINY = 2.0 ** -1022
 
 
 class Rng:
@@ -87,6 +89,25 @@ def _sq_norms(A: np.ndarray) -> np.ndarray:
     stacked matmul takes one dot per row."""
     V = A.reshape(-1, 1, A.shape[-1])
     return np.matmul(V, V.transpose(0, 2, 1)).reshape(A.shape[:-1])
+
+
+def _norms(A: np.ndarray) -> np.ndarray:
+    """||v|| of each row v of the (..., p) array A: sqrt(v.dot(v)) from
+    :func:`_sq_norms`, bit for bit, which is what np.linalg.norm computes
+    for a vector; but a finite nonzero row whose square overflows, or falls
+    below the smallest normal float, is first scaled by an exact power of
+    two, so that its norm is not inf, or 0, or short of bits, where the
+    norm itself is a float."""
+    sq = _sq_norms(A)
+    norms = np.sqrt(sq)
+    if _TINY <= sq.min() and sq.max() < math.inf:
+        return norms
+    rows, sq, norms = A.reshape(-1, A.shape[-1]), sq.reshape(-1), norms.reshape(-1)
+    big = np.max(np.abs(rows), axis=1, initial=0.0)
+    fix = ((sq < _TINY) | (sq == math.inf)) & (0.0 < big) & (big < math.inf)
+    e = np.frexp(big[fix])[1]
+    norms[fix] = np.ldexp(np.sqrt(_sq_norms(np.ldexp(rows[fix], -e[:, None]))), e)
+    return norms.reshape(A.shape[:-1])
 
 
 def minimize_1d(

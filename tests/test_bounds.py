@@ -109,6 +109,12 @@ class TestAccelerationPlan:
             assert plan.feasible
             assert B.tau_logistic(gamma, plan.eta, n) <= T / 2.0 + 1e-9
 
+    @pytest.mark.parametrize("gamma", [1e-80, 1e-90, 1e-160, 1e-170, 5e-324])
+    def test_tiny_margin_is_infeasible(self, gamma):
+        # gamma^4 T^2 underflows below about 1e-85, and gamma^2 below 1e-162
+        plan = B.acceleration_plan(gamma, 4, 12000)
+        assert not plan.feasible and plan.bound == math.inf
+
 
 class TestSgdBounds:
     def test_delta_one_drops_concentration(self):

@@ -41,15 +41,6 @@ class TestGd:
         for eta in ("4", "8", "16", "32"):
             assert (out / f"gd_eta{eta}.csv").exists()
 
-    def test_rerun_from_embedded_config_is_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert run("gd", "--dataset", "toy", "--normalize", "--eta", "2,8",
-                   "--steps", "400", "--out", str(a)) == 0
-        assert run("gd", "--config", str(a / "config.json"),
-                   "--out", str(b)) == 0
-        for name in ("gd_eta2.csv", "gd_eta8.csv"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
-
     def test_divergence_exit_code(self, tmp_path):
         # a huge stepsize under the flattened polynomial loss on a
         # non-separable CSV trips the guard
@@ -130,6 +121,15 @@ class TestGd:
         lines = (out / "gd_eta1e+160_violations.csv").read_text().splitlines()
         assert lines == ["step,bound,observed"]
 
+    def test_check_bounds_on_norms_whose_squares_overflow(self, tmp_path):
+        # from step 1 the toy run's iterate norm is about 2.7e159, under its
+        # bound of 5e160, though its square overflows a float
+        out = tmp_path / "cb"
+        assert run("gd", "--eta", "1e160", "--steps", "50", "--check-bounds",
+                   "--out", str(out)) == 0
+        lines = (out / "gd_eta1e+160_violations.csv").read_text().splitlines()
+        assert lines == ["step,bound,observed"]
+
 
 # one short run of each command, with the file its config.json is rerun against
 RUN_COMMANDS = {
@@ -143,9 +143,15 @@ RUN_COMMANDS = {
 
 
 # each run command's exact file set: a trajectory CSV per run, its phase
-# JSON where the run is dense and the margin certified, and its violations
-# CSV under --check-bounds
+# JSON where the run is dense and the margin certified (accelerate writes
+# its score JSON instead), and its violations CSV under --check-bounds
 FILE_SETS = {
+    "accelerate": (["accelerate", "--steps", "12000"],
+                   ["accelerate.json", "accelerate.svg", "accelerate_baseline.csv",
+                    "accelerate_large.csv", "config.json"]),
+    "accelerate-override": (["accelerate", "--steps", "50", "--eta-override", "2"],
+                            ["accelerate.json", "accelerate.svg", "accelerate_large.csv",
+                             "config.json"]),
     "gd": (["gd", "--eta", "2,8", "--steps", "50"],
            ["config.json", "gd_eta2.csv", "gd_eta2_phase.json", "gd_eta8.csv",
             "gd_eta8_phase.json", "gd_loss.svg"]),
@@ -283,6 +289,11 @@ REFUSALS = {
     "accelerate-infeasible-budget": (
         "accelerate --steps 100", None,
         "budget T=100 is below the certified threshold T >= 120 max{e, n}/gamma^2 = 12000"),
+    # gamma^4 T^2 underflows to 0: the plan's bound is inf, not a math domain error
+    "accelerate-tiny-margin": (
+        "accelerate --dataset lower_bound --gamma 1e-90 --steps 12000", None,
+        "budget T=12000 is below the certified threshold "
+        "T >= 120 max{e, n}/gamma^2 = 3.26194e+182"),
     # a stepsize's files (and its rates.json key) are named by its label,
     # so a second stepsize of the same label would overwrite the first
     "gd-shared-label": ("gd --eta 1.0000001,1.0000002 --steps 100", None,
@@ -598,16 +609,6 @@ class TestJsonKeySets:
 
 
 class TestSgd:
-    def test_files_and_seed_stability(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        for out in (a, b):
-            assert run("sgd", "--dataset", "toy", "--eta", "2", "--steps",
-                       "500", "--seed", "11", "--out", str(out)) == 0
-        assert (a / "sgd_eta2_seed11.csv").read_bytes() == \
-               (b / "sgd_eta2_seed11.csv").read_bytes()
-        header = (a / "sgd_eta2_seed11.csv").read_text().splitlines()[0]
-        assert header.endswith("zero_one")
-
     def test_env_var_default_seed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EOS_LAB_SEED", "42")
         out = tmp_path / "env"
@@ -616,13 +617,6 @@ class TestSgd:
         assert (out / "sgd_eta2_seed42.csv").exists()
         cfg = json.loads((out / "config.json").read_text())
         assert cfg["seed"] == 42
-
-    @pytest.mark.parametrize("command", ["sgd", "ntk"])
-    def test_invalid_env_seed_exit_code(self, tmp_path, monkeypatch, command):
-        monkeypatch.setenv("EOS_LAB_SEED", "abc")
-        out = tmp_path / "bad"
-        assert run(command, "--steps", "5", "--out", str(out)) == 3
-        assert files_in(out) == []
 
 
 class TestNtk:
@@ -677,15 +671,6 @@ class TestAccelerate:
         summary = json.loads((out / "accelerate.json").read_text())
         assert summary["ratio"] < 1.0
         assert summary["loss_large_eta"] <= summary["bound"]
-        assert (out / "accelerate_large.csv").exists()
-        assert (out / "accelerate_baseline.csv").exists()
-
-    def test_infeasible_budget_exit_and_message(self, tmp_path, capsys):
-        rc = run("accelerate", "--dataset", "toy", "--steps", "100",
-                 "--out", str(tmp_path / "acc"))
-        assert rc == 3
-        err = capsys.readouterr().err
-        assert "12000" in err and "gamma" in err
 
     def test_eta_override(self, tmp_path):
         out = tmp_path / "ablate"
@@ -733,17 +718,6 @@ class TestRates:
 
 
 class TestBoundsCommand:
-    def test_json_lines(self, capsys):
-        assert run("bounds", "--loss", "logistic", "--gamma", "0.2",
-                   "--eta", "8", "--t", "100", "--n", "4", "--d", "2",
-                   "--T", "12000") == 0
-        lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
-        names = {l["name"] for l in lines}
-        assert {"eos_avg_logistic", "tau_logistic", "acceleration_plan",
-                "lazy_radius", "width_min", "vc", "regime"} <= names
-        eos = next(l for l in lines if l["name"] == "eos_avg_logistic")
-        assert eos["value"] == pytest.approx(0.9066, abs=5e-4)
-
     def test_overflowing_width_row_is_inf(self, capsys):
         # no float width suffices: the row applies, with the value inf
         assert run("bounds", "--gamma", "1e-60", "--eta", "1", "--t", "10") == 0
@@ -798,20 +772,6 @@ class TestBoundsGolden:
         assert run("bounds", *BOUNDS_GOLDEN[k - 1].split()) == 0
         expected = (GOLDEN_DIR / f"bounds_{k}.jsonl").read_text(encoding="utf-8")
         assert capsys.readouterr().out == expected
-
-
-
-class TestCheckLoss:
-    def test_logistic_passes(self, capsys):
-        assert run("check-loss", "--loss", "logistic") == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["passed"] and report["exp_tail"]["applicable"]
-
-    def test_flat_poly_exp_tail_not_applicable(self, capsys):
-        assert run("check-loss", "--loss", "flat_poly", "--a", "2") == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["passed"] and not report["exp_tail"]["applicable"]
-
 
 
 class TestSvgSelfContained:

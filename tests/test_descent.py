@@ -5,6 +5,7 @@ inequalities, and determinism."""
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,22 +25,20 @@ NTOY = data.normalized(TOY)
 NCERT = data.margin(NTOY)
 
 
-BAD_ETAS = [math.nan, math.inf, 0.0, -1.0]
-ETA_DOMAIN = "^eta must be positive and finite$"
+# each engine's run at a stepsize eta
+ENGINES = {
+    "run_gd": lambda eta: descent.run_gd(TOY, LOG, eta, 10),
+    "run_gd_batch": lambda eta: descent.run_gd_batch(TOY, LOG, [1.0, eta], 10),
+    "run_sgd": lambda eta: descent.run_sgd(NTOY, eta, 10, Rng(0)),
+    "run_gd_ntk": lambda eta: ntk.run_gd_ntk(ntk.init_net(8, NTOY.d, Rng(0)), NTOY, LOG, eta, 10),
+}
 
 
-class TestStepsizeDomain:
-    @pytest.mark.parametrize("eta", BAD_ETAS)
-    def test_gd_config_rejects(self, eta):
-        with pytest.raises(ValueError, match=ETA_DOMAIN):
-            descent.run_gd(TOY, LOG, eta, 10)
-        with pytest.raises(ValueError, match=ETA_DOMAIN):
-            descent.run_gd_batch(TOY, LOG, [1.0, eta], 10)
-
-    @pytest.mark.parametrize("eta", BAD_ETAS)
-    def test_sgd_rejects(self, eta):
-        with pytest.raises(ValueError, match=ETA_DOMAIN):
-            descent.run_sgd(NTOY, eta, 10, Rng(0))
+@pytest.mark.parametrize("eta", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_engines_refuse_a_stepsize_outside_the_domain(engine, eta):
+    with pytest.raises(ValueError, match="^eta must be positive and finite$"):
+        ENGINES[engine](eta)
 
 
 def loss_value(loss, ds, w):
@@ -164,36 +163,6 @@ class TestRunGd:
         assert np.all(np.diff(tr.steps) > 0)
         assert not tr.dense
 
-    def test_bit_identical_reruns(self):
-        a = descent.run_gd(NTOY, LOG, 8.0, 500)
-        b = descent.run_gd(NTOY, LOG, 8.0, 500)
-        np.testing.assert_array_equal(a.loss, b.loss)
-        np.testing.assert_array_equal(a.w_final, b.w_final)
-
-    def test_divergence_guard_sustained_blowup(self):
-        # non-separable data under the flattened polynomial loss: a huge
-        # stepsize keeps the orbit far out where the loss stays above
-        # 1e3 * L(w_0) step after step
-        ds = data.Dataset(np.array([[1.0], [0.3]]), np.array([1.0, -1.0]),
-                          name="conflict")
-        with pytest.raises(descent.DivergenceError) as exc:
-            descent.run_gd(ds, losses.flattened_polynomial(2.0), 1e6, 5000)
-        assert exc.value.step > 0
-
-    def test_divergence_guard_non_finite(self):
-        ds = data.Dataset(np.array([[10.0]]), np.array([1.0]), name="one")
-        with np.errstate(over="ignore"):
-            with pytest.raises(descent.DivergenceError, match="non-finite"):
-                _run_gd(ds, losses.flattened_exponential(1.0), 1.0, 10,
-                        start=np.array([-1e308]))
-
-    def test_descent_lemma_regime(self):
-        # once the loss is at or below 2/eta, the next step never ascends
-        for eta in (2.0, 8.0, 32.0):
-            tr = descent.run_gd(NTOY, LOG, eta, 2000)
-            low = tr.loss[:-1] <= 2.0 / eta
-            assert np.all(tr.loss[1:][low] <= tr.loss[:-1][low])
-
 
 class TestDetectPhase:
     def test_monotone_run_has_zero_empirical(self):
@@ -251,11 +220,6 @@ class TestRunSgd:
         sgd = descent.run_sgd(one, 2.0, 50, Rng(0))
         gd = descent.run_gd(one, LOG, 2.0, 50)
         np.testing.assert_allclose(sgd.loss, gd.loss, atol=1e-12)
-
-    def test_seed_determinism(self):
-        a = descent.run_sgd(NTOY, 4.0, 300, Rng(12))
-        b = descent.run_sgd(NTOY, 4.0, 300, Rng(12))
-        np.testing.assert_array_equal(a.loss, b.loss)
 
     def test_population_metrics_exact_over_support(self):
         # the iterates are the stepwise reference's, which run_sgd matches
@@ -380,6 +344,25 @@ class TestSgdMatchesStepwiseReference:
         assert got == divergence(_reference_sgd, ds, 1e6, 1000, Rng(seed))
 
 
+def _within_an_ulp_of_the_norm(r, w):
+    """Whether r is within one ulp of the exact Euclidean norm of w."""
+    sq, ulp = sum(Fraction(x) ** 2 for x in w.tolist()), Fraction(math.ulp(r))
+    return max(Fraction(r) - ulp, 0) ** 2 <= sq <= (Fraction(r) + ulp) ** 2
+
+
+@pytest.mark.parametrize("eta", [1e155, 1e160])
+def test_norms_recorded_where_their_squares_overflow(eta):
+    # past about 1.3e154 an iterate's w.dot(w) overflows, and its norm
+    # taken as sqrt(w.dot(w)) is inf
+    gd = _run_gd(TOY, LOG, eta, 20, store_iterates=True)
+    sgd = descent.run_sgd(TOY, eta, 20, Rng(0))
+    _, sgd_iterates, _, _ = _reference_sgd(TOY, eta, 20, Rng(0))
+    assert gd.param_norm.max() > 1e154 and sgd.param_norm.max() > 1e154
+    for tr, iterates in ((gd, gd.iterates), (sgd, sgd_iterates)):
+        assert all(_within_an_ulp_of_the_norm(r, w)
+                   for r, w in zip(tr.param_norm.tolist(), iterates))
+
+
 GD_SETS = {"toy": TOY, "normalized": NTOY,
            "synthetic": data.synthetic_separable(1000, 50, 0.1, Rng(0))}
 GD_LOSSES = [LOG, losses.flattened_exponential(1.5), losses.flattened_polynomial(2.0)]
@@ -412,22 +395,6 @@ class TestGdMatchesStepwiseReference:
             B = descent._block_len(width)
             assert 1 <= B <= 1024 and B * width <= max(2 ** 15, width)
         assert descent._block_len(1000) == 32
-
-    def test_guard_sustained(self):
-        ds = data.Dataset(np.array([[1.0], [0.3]]), np.array([1.0, -1.0]),
-                          name="conflict")
-        cfg = dict(loss=losses.flattened_polynomial(2.0), eta=1e6, steps=5000)
-        got = divergence(_run_gd, ds, **cfg)
-        assert got == (74, "loss exceeded 1000 * L(w_0) for 50 consecutive steps (step 74)")
-        assert got == divergence(_stepwise, ds, **cfg)
-
-    def test_guard_non_finite(self):
-        ds = data.Dataset(np.array([[10.0]]), np.array([1.0]), name="one")
-        cfg = dict(loss=losses.flattened_exponential(1.0), eta=1.0, steps=10)
-        got = divergence(_run_gd, ds, **cfg, start=np.array([-1e308]))
-        assert got == (0, "non-finite loss at step 0")
-        with np.errstate(over="ignore"):  # the step loop's matmul overflows
-            assert got == divergence(_stepwise, ds, **cfg, start=np.array([-1e308]))
 
 
 # (eta, start coordinate) of runs that differ in eta and start only
@@ -484,30 +451,6 @@ class TestGdBatchMatchesAlone:
 
     def test_no_stepsize_no_run(self):
         assert descent.run_gd_batch(TOY, LOG, [], 10) == []
-
-    @pytest.mark.parametrize("place", [0, 1, 2])
-    @pytest.mark.parametrize("case", ["sustained", "non_finite"])
-    def test_diverging_run_leaves_the_rest_unchanged(self, case, place):
-        if case == "sustained":
-            ds = data.Dataset(np.array([[1.0], [0.3]]), np.array([1.0, -1.0]),
-                              name="conflict")
-            loss, bad, step = losses.flattened_polynomial(2.0), (1e6, [0.0]), 74
-        else:
-            ds = data.Dataset(np.array([[10.0]]), np.array([1.0]), name="one")
-            loss, bad, step = losses.flattened_exponential(1.0), (1.0, [-1e308]), 0
-        # 2100 steps are three blocks: the others go on for two blocks after
-        runs = [(0.5, [0.1]), (2.0, [0.1])]
-        runs.insert(place, bad)
-        etas = [eta for eta, _ in runs]
-        starts = [start for _, start in runs]
-        alone = [_gd_from([start], ds, loss, [eta], 2100, store_iterates=True)[0]
-                 for eta, start in runs]
-        got = _gd_from(starts, ds, loss, etas, 2100, store_iterates=True)
-        assert [isinstance(r, descent.DivergenceError) for r in got] == \
-            [k == place for k in range(3)]
-        assert got[place].step == step
-        for traj, ref in zip(got, alone):
-            _assert_same_run(traj, ref)
 
 
 CONFLICT = data.Dataset(np.array([[1.0], [0.3]]), np.array([1.0, -1.0]), name="conflict")
@@ -615,19 +558,21 @@ class TestGuardUnderAnyRecording:
         assert screens[:3] == [False, True, False]
 
     @pytest.mark.parametrize("place", [0, 1, 2])
+    @pytest.mark.parametrize("every", [1, 7])
     @pytest.mark.parametrize("case", sorted(DIVERGENCES))
-    def test_batch_with_a_diverging_run(self, case, place):
+    def test_batch_with_a_diverging_run(self, case, every, place):
+        # 2100 steps are three blocks: the others go on for two blocks after
         ds, fields, start, step = DIVERGENCES[case]
         loss, etas = fields["loss"], [0.5, 2.0]
         etas.insert(place, fields["eta"])
         starts = [np.array([0.1])] * 2
         starts.insert(place, np.zeros(ds.d) if start is None else start)
-        got = _gd_from(starts, ds, loss, etas, 2100, 7, store_iterates=True)
+        got = _gd_from(starts, ds, loss, etas, 2100, every, store_iterates=True)
         assert [isinstance(r, descent.DivergenceError) for r in got] == \
             [k == place for k in range(3)]
         assert got[place].step == step
         for traj, eta, w0 in zip(got, etas, starts):
-            cfg = dict(loss=loss, eta=eta, steps=2100, record_every=7, store_iterates=True)
+            cfg = dict(loss=loss, eta=eta, steps=2100, record_every=every, store_iterates=True)
             _assert_same_run(traj, outcome(_stepwise, ds, **cfg, start=w0))
 
     def test_loss_evaluated_at_recorded_steps(self, monkeypatch):
@@ -720,14 +665,6 @@ def runs():
 
 class TestComparatorChecks:
 
-    def test_split_residual_nonpositive(self, runs):
-        rng = Rng(7)
-        for eta, tr in runs.items():
-            for _ in range(10):
-                u1 = rng.normals(2) * 3.0
-                t = int(1 + rng.integers(1, 2000, 1)[0])
-                assert split_optimization_check(tr, NTOY, NCERT, u1, t) <= 1e-9
-
     def test_split_with_scaled_comparator(self, runs):
         tr = runs[8.0]
         t = 500
@@ -764,19 +701,6 @@ class TestComparatorChecks:
 
 class TestPathwiseBounds:
     """Closed-form inequalities hold at every applicable recorded step."""
-
-    @pytest.mark.parametrize("eta", [2.0, 8.0, 32.0])
-    def test_average_loss_and_potential_and_norm(self, eta):
-        tr = descent.run_gd(NTOY, LOG, eta, 3000)
-        gamma = NCERT.gamma
-        avg_loss = tr.avg_loss()
-        avg_G = np.cumsum(tr.G[:-1]) / np.arange(1, len(tr.G))
-        for t in range(1, 3001):
-            if gamma * gamma * eta * t < 1.0:
-                continue
-            assert avg_loss[t - 1] <= bounds.eos_avg_bound(gamma, eta, t) * (1 + 1e-9)
-            assert avg_G[t - 1] <= bounds.avg_grad_potential_bound(gamma, eta, t) * (1 + 1e-9)
-            assert tr.param_norm[t] <= bounds.param_norm_bound(gamma, eta, t) * (1 + 1e-9)
 
     @pytest.mark.parametrize("eta", [2.0, 8.0, 32.0])
     def test_stable_phase_last_iterate_bound(self, eta):

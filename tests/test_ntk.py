@@ -185,11 +185,6 @@ class TestRunGdNtk:
         traj = ntk.run_gd_ntk(net, NTOY, LOG, 1.0, 30)
         assert traj.dist_init[0] == 0.0
 
-    def test_seed_determinism(self):
-        t1 = ntk.run_gd_ntk(ntk.init_net(64, 2, Rng(7)), NTOY, LOG, 1.0, 40)
-        t2 = ntk.run_gd_ntk(ntk.init_net(64, 2, Rng(7)), NTOY, LOG, 1.0, 40)
-        np.testing.assert_array_equal(t1.loss, t2.loss)
-
 
 class TestTangentMargin:
     def test_separable_data_has_positive_margin(self):
@@ -328,13 +323,6 @@ class TestRunGdNtkMatchesStepwiseReference:
             return dataclasses.replace(net, w0=net.w0 * np.inf)
         out = self._assert_same(blown_up, NTOY, LOG, 1.0, 10)
         assert out == (0, "non-finite loss at step 0")
-
-
-@pytest.mark.parametrize("eta", [math.nan, math.inf, 0.0, -1.0])
-def test_run_rejects_stepsize_outside_domain(eta):
-    net = ntk.init_net(8, NTOY.d, Rng(0))
-    with pytest.raises(ValueError, match="^eta must be positive and finite$"):
-        ntk.run_gd_ntk(net, NTOY, LOG, eta, 10)
 
 
 def test_run_leaves_the_net_unchanged():

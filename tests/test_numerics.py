@@ -1,5 +1,6 @@
-"""Low-level numerics: the seeded random stream and golden-section
-minimization; and the tests' finite-difference oracle with its input check."""
+"""Low-level numerics: the seeded random stream, row norms and
+golden-section minimization; and the tests' finite-difference oracle with
+its input check."""
 
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from eoslab import data, losses
-from eoslab.numerics import Rng, minimize_1d
+from eoslab.numerics import Rng, _norms, minimize_1d
 
 from _oracles import as_vec, finite_diff_grad, linear_gd_maps
 
@@ -79,6 +80,20 @@ class TestRng:
         z = a.normals((0, d))
         assert z.shape == (0, d) and z.dtype == np.float64
         assert a.uniform(1)[0] == b.uniform(1)[0]
+
+
+class TestNorms:
+    def test_rows_whose_square_leaves_the_normal_range(self):
+        # rows whose v.dot(v) overflows, is subnormal or underflows to 0, and
+        # whose norms are floats, beside a normal row that keeps its bits
+        A = np.array([[3 * 2.0 ** 700, 4 * 2.0 ** 700], [3 * 2.0 ** -700, 4 * 2.0 ** -700],
+                      [2.0 ** -1074, 0.0], [1e308, 1e308], [1.7e308, 1.7e308], [0.0, -0.0],
+                      [math.inf, 1.0], [math.nan, 1.0], [0.3, 0.4]])
+        with np.errstate(over="ignore"):
+            got = _norms(A)
+        want = [5 * 2.0 ** 700, 5 * 2.0 ** -700, 2.0 ** -1074, math.sqrt(2.0) * 1e308,
+                math.inf, 0.0, math.inf, math.nan, math.sqrt(0.3 * 0.3 + 0.4 * 0.4)]
+        np.testing.assert_array_equal(got, want)
 
 
 class TestMinimize1d:
