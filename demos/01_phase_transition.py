@@ -26,9 +26,9 @@ etas = (4.0, 8.0, 16.0, 32.0)
 trajs = descent.run_gd_batch(toy, loss, etas, T)
 for eta, traj in zip(etas, trajs):
     phase = descent.detect_phase(traj, toy.n, cert.gamma)
-    ascents = int(np.sum(traj.loss[1:] > traj.loss[:-1]))
+    rises = descent.ascents(traj.loss, toy.n).size
     tau = bounds.tau_logistic(cert.gamma, eta, toy.n)
-    print(f"eta={eta:>4g}: {ascents:3d} ascending steps, last at t="
+    print(f"eta={eta:>4g}: {rises:3d} ascending steps, last at t="
           f"{phase.s_empirical:3d}; criterion loss<=1/eta first met at "
           f"t={phase.s_theory} (bound tau={tau:.0f}); final loss "
           f"{traj.loss[-1]:.3e}")

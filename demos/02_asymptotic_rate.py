@@ -18,7 +18,7 @@ curves = []
 etas = (8.0, 32.0)
 trajs = descent.run_gd_batch(toy, loss, etas, T)
 for eta, traj in zip(etas, trajs):
-    fit = analysis.fit_rate(traj, tail_fraction=0.9)
+    fit = analysis.fit_rate(traj, toy.n, tail_fraction=0.9)
     print(f"eta={eta:>3g}: log-log slope over the last decade "
           f"{fit.slope:+.3f}, plateau of eta*t*loss = {fit.plateau:.2f} "
           f"(cv {fit.plateau_cv:.3f})")

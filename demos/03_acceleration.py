@@ -31,6 +31,6 @@ ds_slow = data.lower_bound_dataset(0.05)
 print(f"\ncontrast on {ds_slow.name}: runs that never ascend cannot beat a "
       "1/t decay --")
 traj = descent.run_gd(ds_slow, losses.logistic(), 8.0, 50_000)
-fit = analysis.fit_rate(traj, tail_fraction=0.5)
+fit = analysis.fit_rate(traj, ds_slow.n, tail_fraction=0.5)
 print(f"monotone eta=8 run: tail slope {fit.slope:+.3f}, "
       f"t*loss plateau {fit.plateau / 8.0:.1f}")

@@ -23,6 +23,8 @@ _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#17becf", "#7f7f7f"]
 # the plotted range: spans, coordinates and tick values stay finite within it
 _HUGE, _TINY = 1e300, 1e-300
+# the decades between log-axis ticks: enough for the 600 decades of that range
+_DECADE_STEPS = (1, 2, 5, 10, 20, 50, 100)
 # polyline points formatted per write
 _BLOCK_POINTS = 1024
 
@@ -61,9 +63,14 @@ def _ticks_linear(lo: float, hi: float) -> list[float]:
 
 
 def _ticks_log(lo: float, hi: float) -> list[float]:
-    lo_e = math.floor(math.log10(lo))
-    hi_e = math.ceil(math.log10(hi))
-    return [10.0 ** e for e in range(int(lo_e), int(hi_e) + 1)]
+    """The powers of ten from the decade at or below lo to the one at or
+    above hi: every decade, or where more than 11 would lie in [lo, hi],
+    every k-th (the exponents divisible by k), k the first of 2, 5, 10,
+    20, ... that leaves at most 11 there."""
+    lo_l, hi_l = math.log10(lo), math.log10(hi)
+    k = next(k for k in _DECADE_STEPS if hi_l - lo_l < 11 * k)
+    lo_e, hi_e = math.floor(lo_l), math.ceil(hi_l)
+    return [10.0 ** e for e in range(-(-lo_e // k) * k, hi_e + 1, k)]
 
 
 def _fmt(v: float) -> str:

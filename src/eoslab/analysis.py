@@ -15,7 +15,7 @@ import numpy as np
 from . import bounds as B
 from . import losses as L
 from .data import Dataset
-from .descent import DivergenceError, Trajectory, run_gd_batch
+from .descent import DivergenceError, Trajectory, ascents, run_gd_batch
 
 __all__ = [
     "RateFit",
@@ -67,11 +67,12 @@ def _tail_start(points: int, tail_fraction: float) -> int:
     return start
 
 
-def fit_rate(traj: Trajectory, tail_fraction: float = 0.5) -> RateFit:
-    """Fit ln L against ln t over the last ``tail_fraction`` of recorded steps,
-    scaling the plateau by the run's own stepsize.
+def fit_rate(traj: Trajectory, n: int, tail_fraction: float = 0.5) -> RateFit:
+    """Fit ln L against ln t over the last ``tail_fraction`` of recorded steps
+    of a run on n samples, scaling the plateau by the run's own stepsize.
 
-    A non-monotone tail is flagged but the fit is still returned.
+    A tail in which :func:`descent.ascents` resolves a rise is flagged
+    (``monotone_tail`` False), but the fit is still returned.
     """
     steps = traj.steps.astype(np.float64)
     keep = (steps >= 1.0) & (traj.loss > 0.0)
@@ -84,7 +85,7 @@ def fit_rate(traj: Trajectory, tail_fraction: float = 0.5) -> RateFit:
     scaled = traj.eta * t * y
     plateau = float(np.mean(scaled))
     cv = float(np.std(scaled) / plateau) if plateau > 0 else math.inf
-    monotone = not bool(np.any(y[1:] > y[:-1]))
+    monotone = not ascents(y, n).size
     return RateFit(slope=float(slope), intercept=float(intercept),
                    window=(int(t[0]), int(t[-1])), plateau=plateau,
                    plateau_cv=cv, monotone_tail=monotone, n_points=len(t))
@@ -198,17 +199,13 @@ class AccelerationScore:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
 
 
-def _is_monotone(traj: Trajectory) -> bool:
-    return not bool(np.any(traj.loss[1:] > traj.loss[:-1]))
-
-
 def acceleration_score(ds: Dataset, plan: B.AccelerationPlan) -> AccelerationScore:
     """Run the stepsize schedule of ``plan``, a ``bounds.acceleration_plan``
     of ds, for the plan's budget of T steps, and score it against the best
     empirically monotone constant stepsize, both under the logistic loss.
 
-    "Never enters the oscillatory regime" is operationalized as: not a
-    single strict loss ascent over the full recorded horizon.  The
+    "Never enters the oscillatory regime" is operationalized as: no rise
+    that :func:`descent.ascents` resolves over the full horizon.  The
     baseline is the largest stepsize of the dyadic grid 2^k, from half the
     scheduled stepsize down to 2^-6, that satisfies this; the largest one
     runs in one ``run_gd_batch`` with the schedule, and the rest one at a
@@ -229,7 +226,7 @@ def acceleration_score(ds: Dataset, plan: B.AccelerationPlan) -> AccelerationSco
     eta_best, loss_best, best = None, None, None
     for eta in grid:
         traj = tries.pop() if tries else run_gd_batch(ds, loss, [eta], T)[0]
-        if isinstance(traj, Trajectory) and _is_monotone(traj):
+        if isinstance(traj, Trajectory) and not ascents(traj.loss, ds.n).size:
             eta_best, loss_best, best = eta, float(traj.loss[-1]), traj
             break
 

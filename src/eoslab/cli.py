@@ -287,7 +287,7 @@ def _run_rates(cfg: dict, ds: D.Dataset, out: Path) -> tuple:
     for traj in trajs:  # every fit up to the first divergence, before any write
         if isinstance(traj, G.DivergenceError):
             break
-        fits[_label(traj.eta)] = asdict(A.fit_rate(traj, tail_fraction=tail))
+        fits[_label(traj.eta)] = asdict(A.fit_rate(traj, ds.n, tail_fraction=tail))
 
     done = _sweep(cfg, out, trajs, "rates_eta{}", ds.n)
     with np.errstate(over="ignore"):  # the plot leaves out a point that overflows

@@ -51,7 +51,7 @@ from .numerics import Rng, _norms
 
 __all__ = [
     "Trajectory", "PhaseReport", "DivergenceError",
-    "run_gd", "run_gd_batch", "detect_phase", "run_sgd", "write_trajectory_csv",
+    "run_gd", "run_gd_batch", "ascents", "detect_phase", "run_sgd", "write_trajectory_csv",
 ]
 
 # divergence guard: abort after this many consecutive steps with loss
@@ -63,6 +63,10 @@ _GUARD_PATIENCE = 50
 # _BLOCK_STEPS steps whose buffers hold at most _BLOCK_FLOATS floats
 _BLOCK_STEPS = 1024
 _BLOCK_FLOATS = 2 ** 15
+
+# the rounding-error bar of a loss rise, in units of n * eps * (L_t + L_{t+1})
+# (derived in ascents)
+_ASCENT_C = 4.0
 
 CSV_COLUMNS = ("step", "loss", "grad_norm", "param_norm", "dist_init", "G", "F")
 
@@ -132,7 +136,7 @@ class PhaseReport:
 
     ``s_theory`` is the first step meeting the stable-phase criterion on
     the loss value (None if never met within the horizon); ``s_empirical``
-    is one past the last strict loss ascent (0 for monotone runs);
+    is one past the last rise that :func:`ascents` resolves (0 if none);
     ``tau_bound`` is the loss-appropriate phase-transition time bound.
     """
 
@@ -352,6 +356,33 @@ def stable_criterion(loss: L.LossSpec, eta: float, n: int) -> float:
     return min(1.0 / (12.0 * beta2 * eta), loss.ell0 / n)
 
 
+def ascents(loss, n: int) -> np.ndarray:
+    """The indices t at which a series of mean losses over n samples, such
+    as a run's recorded ``loss``, rose by more than its rounding error:
+    L_{t+1} - L_t > c n eps (L_t + L_{t+1}), with c = ``_ASCENT_C`` = 4.
+    A smaller rise is not resolved, not proof of descent: it may be
+    roundoff or a real rise too small to tell from it.
+
+    The bar, with u = eps/2 and exp, log1p and pow within an ulp (2u):
+    ``losses.eval_loss`` turns each margin into its term l(z_i) to within
+    5u, log1p(exp(-z)) and one sum for the logistic loss, and one exp, pow
+    or sum at the end of each flattened branch.  The mean sums the n
+    non-negative terms to within (n - 1) u of their sum, in any order, and
+    its division by n adds u.  So a recorded loss is within (n + 5) u L of
+    the exact mean at its margins, and a difference of two within
+    (n + 5) u (L_t + L_{t+1}) <= 3 n eps (L_t + L_{t+1}); c = 4 leaves
+    room for second-order terms and the rounding of the bar.  Not covered
+    is the rounding of the margins themselves, which moves a term by
+    |z l'(z) / l(z)| u: the first step of a flattened branch, a z or 1 + z,
+    rounds as a margin does.  The argument covers normal-range terms: a
+    rise from a loss of 0.0 is counted.
+    """
+    lo, hi = loss[:-1], loss[1:]
+    bar = _ASCENT_C * n * np.finfo(np.float64).eps
+    # each loss is scaled before the sum: L_t + L_{t+1} may overflow
+    return np.nonzero(hi - lo > bar * lo + bar * hi)[0]
+
+
 def detect_phase(traj: Trajectory, n: int, gamma: float) -> PhaseReport:
     """Locate the phase transition in a densely recorded trajectory, at the
     run's own stepsize and loss, on n samples of margin gamma."""
@@ -361,8 +392,8 @@ def detect_phase(traj: Trajectory, n: int, gamma: float) -> PhaseReport:
     below = np.nonzero(traj.loss <= crit)[0]
     s_theory = int(traj.steps[below[0]]) if below.size else None
 
-    ascents = np.nonzero(traj.loss[1:] > traj.loss[:-1])[0]
-    s_empirical = int(traj.steps[ascents[-1]] + 1) if ascents.size else 0
+    rises = ascents(traj.loss, n)
+    s_empirical = int(traj.steps[rises[-1]] + 1) if rises.size else 0
 
     return PhaseReport(s_theory=s_theory, s_empirical=s_empirical,
                        tau_bound=B.tau_bound(traj.loss_spec, gamma, traj.eta, n),

@@ -146,12 +146,12 @@ def test_criterion_07_slow_rate_floor():
     for etas in ((16.0, 8.0), (4.0, 2.0), (1.0,)):
         trajs = descent.run_gd_batch(ds, LOG, etas, 100_000)
         chosen = next(((eta, traj) for eta, traj in zip(etas, trajs)
-                       if not np.any(traj.loss[1:] > traj.loss[:-1])), None)
+                       if not descent.ascents(traj.loss, ds.n).size), None)
         if chosen is not None:
             break
     assert chosen is not None, "no monotone stepsize found"
     eta, traj = chosen
-    fit = analysis.fit_rate(traj, tail_fraction=0.9)
+    fit = analysis.fit_rate(traj, ds.n, tail_fraction=0.9)
     tail = traj.steps[traj.steps >= 10_000]
     floor = float(np.min(tail * traj.loss[tail]))
     ok = (-1.15 <= fit.slope <= -0.85 and fit.plateau_cv < 0.5 and floor > 0.0)
@@ -166,7 +166,7 @@ def test_criterion_08_inverse_time_rate():
     etas = (8.0, 32.0)
     trajs = descent.run_gd_batch(TOY, LOG, etas, 100_000)
     for eta, traj in zip(etas, trajs):
-        fit = analysis.fit_rate(traj, tail_fraction=0.9)
+        fit = analysis.fit_rate(traj, TOY.n, tail_fraction=0.9)
         good = -1.15 <= fit.slope <= -0.85 and fit.plateau_cv < 0.5
         ok &= good
         details.append(f"eta={eta:g}: slope {fit.slope:.3f}, cv {fit.plateau_cv:.3f}")

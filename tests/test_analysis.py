@@ -29,7 +29,7 @@ class TestFitRate:
     def test_exact_inverse_law(self):
         eta = 4.0
         tr = synthetic_trajectory(lambda t: 1.0 / (eta * t), 2000, eta)
-        fit = analysis.fit_rate(tr, tail_fraction=0.5)
+        fit = analysis.fit_rate(tr, TOY.n, tail_fraction=0.5)
         assert fit.slope == pytest.approx(-1.0, abs=1e-6)
         assert fit.plateau == pytest.approx(1.0, abs=1e-9)
         assert fit.plateau_cv == pytest.approx(0.0, abs=1e-9)
@@ -38,33 +38,33 @@ class TestFitRate:
     def test_exact_power_law_exponent_recovery(self):
         for p in (-0.5, -1.0, -2.0):
             tr = synthetic_trajectory(lambda t, p=p: float(t) ** p, 5000)
-            fit = analysis.fit_rate(tr, tail_fraction=0.5)
+            fit = analysis.fit_rate(tr, TOY.n, tail_fraction=0.5)
             assert fit.slope == pytest.approx(p, abs=1e-6)
 
     def test_log_squared_correction(self):
         tr = synthetic_trajectory(lambda t: math.log(t + 1.0) ** 2 / t, 100_000)
-        fit = analysis.fit_rate(tr, tail_fraction=0.5)
+        fit = analysis.fit_rate(tr, TOY.n, tail_fraction=0.5)
         assert -1.0 < fit.slope < -0.8
 
     def test_toy_run_slope_near_inverse(self):
         tr = descent.run_gd(TOY, LOG, 8.0, 20_000)
-        fit = analysis.fit_rate(tr, tail_fraction=0.5)
+        fit = analysis.fit_rate(tr, TOY.n, tail_fraction=0.5)
         assert -1.15 <= fit.slope <= -0.85
 
     def test_non_monotone_tail_flagged(self):
         tr = synthetic_trajectory(lambda t: (1.0 + 0.5 * (t % 2)) / t, 500)
-        fit = analysis.fit_rate(tr, tail_fraction=0.5)
+        fit = analysis.fit_rate(tr, TOY.n, tail_fraction=0.5)
         assert not fit.monotone_tail
 
     def test_window_too_small(self):
         tr = synthetic_trajectory(lambda t: 1.0 / t, 15)
         with pytest.raises(ValueError):
-            analysis.fit_rate(tr, tail_fraction=0.5)
+            analysis.fit_rate(tr, TOY.n, tail_fraction=0.5)
 
     def test_bad_fraction(self):
         tr = synthetic_trajectory(lambda t: 1.0 / t, 100)
         with pytest.raises(ValueError):
-            analysis.fit_rate(tr, tail_fraction=0.95)
+            analysis.fit_rate(tr, TOY.n, tail_fraction=0.95)
 
 
 def _reference_compare_bounds(traj, gamma, eta, n, loss):
@@ -383,5 +383,5 @@ class TestAccelerationScore:
         tail = np.arange(10_000, 20_001)
         scaled = tail * tr.loss[tail]
         assert float(scaled.min()) > 0.0
-        fit = analysis.fit_rate(tr, tail_fraction=0.5)
+        fit = analysis.fit_rate(tr, ds.n, tail_fraction=0.5)
         assert fit.plateau_cv < 0.5

@@ -163,6 +163,12 @@ FILE_SETS = {
                          "gd_eta8_violations.csv", "gd_loss.svg"]),
     "gd-non-separable": (["gd", "--dataset", "csv", "--path", "conflict.csv", "--eta", "1",
                           "--steps", "50"], ["config.json", "gd_eta1.csv", "gd_loss.svg"]),
+    # its loss rises by single ulps at about 4e-18, long after step 2
+    "gd-roundoff-tail": (["gd", "--dataset", "synthetic", "--n", "50", "--d", "2",
+                          "--gamma", "0.05", "--data-seed", "1", "--eta", "1024",
+                          "--steps", "20000"],
+                         ["config.json", "gd_eta1024.csv", "gd_eta1024_phase.json",
+                          "gd_loss.svg"]),
     "sgd": (["sgd", "--eta", "1,100", "--steps", "50", "--seed", "4"],
             ["config.json", "sgd_eta100_seed4.csv", "sgd_eta100_seed4_phase.json",
              "sgd_eta1_seed4.csv", "sgd_eta1_seed4_phase.json", "sgd_loss.svg"]),
@@ -181,6 +187,11 @@ def test_run_file_set(tmp_path, monkeypatch, case):
     argv, names = FILE_SETS[case]
     assert run(*argv, "--out", "out") == 0
     assert files_in(tmp_path / "out") == names
+    # a logistic GD run descends from the step its loss first meets the
+    # stable criterion, so no rise it resolves comes later
+    for path in (tmp_path / "out").glob("gd_*_phase.json"):
+        phase = json.loads(path.read_text())
+        assert phase["s_theory"] is None or phase["s_empirical"] <= phase["s_theory"], phase
 
 
 class TestConfigSchema:

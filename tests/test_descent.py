@@ -164,7 +164,31 @@ class TestRunGd:
         assert not tr.dense
 
 
+# (losses over n samples, the rises that ascents resolves): the bar
+# 4 n eps (L_t + L_{t+1}) is 2**-48 (L_t + L_{t+1}) at n = 4, so
+# 1 + 2**-47 is the last float above 1.0 inside it
+ASCENTS = {
+    "inside-the-bar": ([1.0, 1.0 + 2.0 ** -47], 4, []),
+    "past-the-bar": ([1.0, 1.0 + 2.0 ** -47 + 2.0 ** -52], 4, [0]),
+    "one-ulp-at-4e-18": ([4.003137397801577e-18, 4.0031373978015776e-18], 50, []),
+    "oscillation": ([0.69, 1.5, 0.2, 0.3, 0.1], 4, [0, 2]),
+    "strictly-decreasing": ([3.0, 2.0, 1.0, 0.5, 1e-300, 0.0], 4, []),
+    "from-underflowed-zero": ([1e-300, 0.0, 5e-324, 0.0, 1e-300], 4, [1, 3]),
+}
+
+
 class TestDetectPhase:
+    @pytest.mark.parametrize("case", sorted(ASCENTS))
+    def test_ascents_resolve_rises_past_roundoff(self, case):
+        loss, n, rises = ASCENTS[case]
+        loss = np.array(loss)
+        assert descent.ascents(loss, n).tolist() == rises
+        # a power of two scales each rise and its bar alike, where it
+        # scales every loss exactly
+        for scale in (2.0 ** -600, 2.0 ** 600):
+            if np.array_equal(loss * scale / scale, loss):
+                assert descent.ascents(loss * scale, n).tolist() == rises
+
     def test_monotone_run_has_zero_empirical(self):
         tr = descent.run_gd(NTOY, LOG, 0.5, 300)
         ph = descent.detect_phase(tr, NTOY.n, NCERT.gamma)

@@ -1,5 +1,6 @@
 """The SVG line-plot writer, on its log y axis, over arbitrary series:
-well-formed XML, every polyline point inside the plot frame, "nothing to
+well-formed XML, every polyline point inside the plot frame, at most 11
+spaced tick labels per axis over extreme extents, "nothing to
 plot" exactly when no point is plottable, the bytes of the list-based
 reference writer from lists and arrays alike, memory that does not grow
 with Python objects per point, and an import that loads no network stack."""
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 import eoslab
 from eoslab._svg import write_line_plot
+from eoslab.cli import main
 
 from _oracles import write_line_plot_lists
 
@@ -66,18 +68,33 @@ def test_points_inside_frame(raw, logx):
             assert x0 - SLACK <= px <= x1 + SLACK and y0 - SLACK <= py <= y1 + SLACK
 
 
+# an eos-lab run whose loss spans 160 decades, and the plot it writes
+NTK_1E160 = ["ntk", "--normalize", "--width", "64", "--eta", "1e160", "--steps", "50"]
+
+
 @pytest.mark.parametrize("xs,ys", [
     ([1.0, 1.0 + 2.0 ** -52], [1.0, 2.0]),   # an extent of one ulp
     ([1e16, 1e16 + 2.0], [1.0, 2.0]),       # a step that does not advance 1e16
     ([3e16, 3e16], [1.0, 2.0]),             # x + 1 == x
     ([0.0, 5e-324], [1.0, 2.0]),            # a subnormal extent
     ([-1e300, 1e300], [1.0, 2.0]),          # the widest plotted extent
+    pytest.param(NTK_1E160, "ntk_loss.svg", id=" ".join(NTK_1E160)),
 ])
-def test_degenerate_extents_plot_inside_frame(xs, ys):
-    root = write([("s", xs, ys)], False)
-    [line] = root.findall("svg:polyline", NS)
-    px = [float(p.split(",")[0]) for p in line.get("points").split()]
-    assert all(70 - SLACK <= v <= 740 + SLACK for v in px)
+def test_degenerate_extents_plot_inside_frame(tmp_path, xs, ys):
+    # each axis keeps at most 11 tick labels, spaced apart
+    if ys == "ntk_loss.svg":
+        assert main(xs + ["--out", str(tmp_path)]) == 0
+        root = ET.parse(tmp_path / ys).getroot()
+    else:
+        root = write([("s", xs, ys)], False)
+    for line in root.findall("svg:polyline", NS):
+        px = [float(p.split(",")[0]) for p in line.get("points").split()]
+        assert all(70 - SLACK <= v <= 740 + SLACK for v in px)
+    texts = root.findall("svg:text", NS)
+    x_at = sorted(float(t.get("x")) for t in texts if t.get("y") == "463")
+    y_at = sorted(float(t.get("y")) for t in texts if t.get("text-anchor") == "end")
+    for at, gap in ((x_at, 40.0), (y_at, 14.0)):
+        assert len(at) <= 11 and all(b - a >= gap for a, b in zip(at, at[1:])), at
 
 
 def _plot_bytes(write, curves, tmp: Path, name: str, **kw):
