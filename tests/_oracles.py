@@ -326,10 +326,10 @@ def _ticks_linear(lo: float, hi: float) -> list[float]:
 
 
 def _ticks_log(lo: float, hi: float) -> list[float]:
-    """The powers of ten from the decade at or below lo to the one at or
-    above hi: every decade, or where more than 11 would lie in [lo, hi],
-    every k-th (the exponents divisible by k), k the first of 2, 5, 10,
-    20, ... that leaves at most 11 there."""
+    """Every k-th power of ten (the exponents divisible by k) from the
+    decade at or below lo to the one at or above hi, k the first of
+    _DECADE_STEPS with log10(hi / lo) < 11 k: every decade over a span
+    under 11 decades, and at most 11 labelled decades in [lo, hi]."""
     lo_l, hi_l = math.log10(lo), math.log10(hi)
     k = next(k for k in _DECADE_STEPS if hi_l - lo_l < 11 * k)
     lo_e, hi_e = math.floor(lo_l), math.ceil(hi_l)

@@ -68,8 +68,13 @@ def test_points_inside_frame(raw, logx):
             assert x0 - SLACK <= px <= x1 + SLACK and y0 - SLACK <= py <= y1 + SLACK
 
 
-# an eos-lab run whose loss spans 160 decades, and the plot it writes
-NTK_1E160 = ["ntk", "--normalize", "--width", "64", "--eta", "1e160", "--steps", "50"]
+def assert_ticks_spaced(root: ET.Element) -> None:
+    """At most 11 tick labels per axis, spaced apart."""
+    texts = root.findall("svg:text", NS)
+    x_at = sorted(float(t.get("x")) for t in texts if t.get("y") == "463")
+    y_at = sorted(float(t.get("y")) for t in texts if t.get("text-anchor") == "end")
+    for at, gap in ((x_at, 40.0), (y_at, 14.0)):
+        assert len(at) <= 11 and all(b - a >= gap for a, b in zip(at, at[1:])), at
 
 
 @pytest.mark.parametrize("xs,ys", [
@@ -78,23 +83,24 @@ NTK_1E160 = ["ntk", "--normalize", "--width", "64", "--eta", "1e160", "--steps",
     ([3e16, 3e16], [1.0, 2.0]),             # x + 1 == x
     ([0.0, 5e-324], [1.0, 2.0]),            # a subnormal extent
     ([-1e300, 1e300], [1.0, 2.0]),          # the widest plotted extent
-    pytest.param(NTK_1E160, "ntk_loss.svg", id=" ".join(NTK_1E160)),
+    ([1.0, 50.0], [1.0, 1.6e159]),          # a y extent of 160 decades
 ])
-def test_degenerate_extents_plot_inside_frame(tmp_path, xs, ys):
-    # each axis keeps at most 11 tick labels, spaced apart
-    if ys == "ntk_loss.svg":
-        assert main(xs + ["--out", str(tmp_path)]) == 0
-        root = ET.parse(tmp_path / ys).getroot()
-    else:
-        root = write([("s", xs, ys)], False)
-    for line in root.findall("svg:polyline", NS):
-        px = [float(p.split(",")[0]) for p in line.get("points").split()]
-        assert all(70 - SLACK <= v <= 740 + SLACK for v in px)
-    texts = root.findall("svg:text", NS)
-    x_at = sorted(float(t.get("x")) for t in texts if t.get("y") == "463")
-    y_at = sorted(float(t.get("y")) for t in texts if t.get("text-anchor") == "end")
-    for at, gap in ((x_at, 40.0), (y_at, 14.0)):
-        assert len(at) <= 11 and all(b - a >= gap for a, b in zip(at, at[1:])), at
+def test_degenerate_extents_plot_inside_frame(xs, ys):
+    root = write([("s", xs, ys)], False)
+    [line] = root.findall("svg:polyline", NS)
+    px = [float(p.split(",")[0]) for p in line.get("points").split()]
+    assert all(70 - SLACK <= v <= 740 + SLACK for v in px)
+    assert_ticks_spaced(root)
+
+
+def test_loss_plot_over_160_decades(tmp_path):
+    # the loss of this run grows over 160 decades; a label per decade
+    # would put 160 of them about 2.6 px apart
+    argv = ["ntk", "--normalize", "--width", "64", "--eta", "1e160", "--steps", "50"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    root = ET.parse(tmp_path / "ntk_loss.svg").getroot()
+    assert len(root.findall("svg:polyline", NS)) == 2  # loss and dist_init
+    assert_ticks_spaced(root)
 
 
 def _plot_bytes(write, curves, tmp: Path, name: str, **kw):
